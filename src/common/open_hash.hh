@@ -7,15 +7,17 @@
  * FNV-1a over the packed key bytes (the same hash primitive the journal
  * uses, common/binio.hh) plus a short linear probe over a flat array.
  *
- * Deliberately narrow: insert-only (memo caches never erase), keys must
- * be trivially copyable with unique object representations (no padding
- * bytes — enforced at compile time, so hashing the raw bytes is
- * well-defined), and growth rehashes in place at ~0.7 load.
+ * Deliberately narrow: no single-key erase (memo caches only insert or
+ * clear()), keys must be trivially copyable with unique object
+ * representations (no padding bytes — enforced at compile time, so
+ * hashing the raw bytes is well-defined), and growth rehashes in place
+ * at ~0.7 load.
  */
 
 #ifndef EDGEREASON_COMMON_OPEN_HASH_HH
 #define EDGEREASON_COMMON_OPEN_HASH_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <string_view>
@@ -72,6 +74,13 @@ class OpenHashMap
     }
 
     std::size_t size() const { return size_; }
+
+    /** Drop every entry but keep the slot array for reuse. */
+    void clear()
+    {
+        std::fill(slots_.begin(), slots_.end(), Slot{});
+        size_ = 0;
+    }
 
   private:
     struct Slot

@@ -35,6 +35,8 @@ struct RangeTask
     ForJob *job;
     std::size_t begin;
     std::size_t end;
+    /** Thread that split this range off; default-constructed for seeds. */
+    std::thread::id splitter;
 };
 
 /**
@@ -188,12 +190,20 @@ struct ThreadPool::Impl
 
     RangeTask *takeExternal()
     {
-        std::lock_guard<std::mutex> g(inboxMu);
-        if (inbox.empty())
-            return nullptr;
-        RangeTask *t = inbox.front();
-        inbox.pop_front();
+        RangeTask *t;
+        {
+            std::lock_guard<std::mutex> g(inboxMu);
+            if (inbox.empty())
+                return nullptr;
+            t = inbox.front();
+            inbox.pop_front();
+        }
         pending.fetch_sub(1);
+        // A caller's split halves travel through the inbox rather than a
+        // deque; one taken by another thread is a steal all the same.
+        if (t->splitter != std::thread::id() &&
+            t->splitter != std::this_thread::get_id())
+            stealCount.fetch_add(1, std::memory_order_relaxed);
         return t;
     }
 
@@ -240,7 +250,8 @@ struct ThreadPool::Impl
 
         while (end - begin > job->grain) {
             const std::size_t mid = begin + (end - begin) / 2;
-            auto *half = new RangeTask{job, mid, end};
+            auto *half =
+                new RangeTask{job, mid, end, std::this_thread::get_id()};
             if (own) {
                 own->push(half);
                 pending.fetch_add(1);
@@ -381,7 +392,7 @@ ThreadPool::parallelFor(std::size_t n,
     for (std::size_t s = 0; s < seeds; ++s) {
         const std::size_t end = n * (s + 1) / seeds;
         if (end > begin)
-            impl_->enqueueExternal(new RangeTask{&job, begin, end});
+            impl_->enqueueExternal(new RangeTask{&job, begin, end, {}});
         begin = end;
     }
 

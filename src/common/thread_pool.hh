@@ -92,7 +92,12 @@ class ThreadPool
         const std::function<void(std::size_t, std::size_t, std::size_t)>
             &body);
 
-    /** @return tasks obtained by stealing since construction. */
+    /**
+     * @return steals since construction: split-off ranges run by a
+     *   thread other than the one that split them, whether taken from a
+     *   worker's deque or from the caller's inbox.  The initial
+     *   per-thread seed ranges of a parallelFor are never counted.
+     */
     std::uint64_t steals() const;
 
     /**

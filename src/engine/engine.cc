@@ -13,6 +13,56 @@
 namespace edgereason {
 namespace engine {
 
+namespace {
+
+/** Step-cost caches destroyed so far, process-wide. */
+std::atomic<std::uint64_t> g_retired_cost_caches{0};
+
+/**
+ * Per-thread read-through L1 over the shared locked maps of
+ * StepCostCache.  Entries are tagged with the owning cache's generation,
+ * so a reused engine address can never alias stale costs; and a thread
+ * empties its maps at its first lookup after any engine has been
+ * destroyed, so a dead engine's entries do not linger until a map hits
+ * its bound.  Clearing on every generation switch instead would thrash,
+ * because fleet nodes each own an engine and interleave on the pool
+ * threads.  Clearing keeps the slot arrays: freeing and regrowing them
+ * every run fragments the heap.
+ */
+struct StepCostL1
+{
+    struct DecodeKey
+    {
+        std::uint64_t gen;
+        std::uint64_t key;
+    };
+    struct PrefillKey
+    {
+        std::uint64_t gen;
+        Tokens key;
+    };
+    OpenHashMap<DecodeKey, hw::StepCost> decode;
+    OpenHashMap<PrefillKey, hw::StepCost> prefill;
+    std::uint64_t retiredSeen = 0;
+
+    /** Drop every entry if an engine died since the last lookup. */
+    StepCostL1 &sync()
+    {
+        const std::uint64_t r =
+            g_retired_cost_caches.load(std::memory_order_relaxed);
+        if (r != retiredSeen) {
+            decode.clear();
+            prefill.clear();
+            retiredSeen = r;
+        }
+        return *this;
+    }
+};
+
+thread_local StepCostL1 tl_cost_l1;
+
+} // namespace
+
 /**
  * Memo cache of noiseless step costs.  Key for decode is
  * (context << 16) | batch; prefill is keyed by input length.  Guarded
@@ -36,6 +86,11 @@ struct InferenceEngine::StepCostCache
     }
     const std::uint64_t generation =
         generationCounter().fetch_add(1, std::memory_order_relaxed);
+
+    ~StepCostCache()
+    {
+        g_retired_cost_caches.fetch_add(1, std::memory_order_relaxed);
+    }
 
     mutable std::shared_mutex mu;
     std::unordered_map<std::uint64_t, hw::StepCost> decode;
@@ -68,6 +123,12 @@ InferenceEngine::~InferenceEngine() = default;
 InferenceEngine::InferenceEngine(InferenceEngine &&) noexcept = default;
 InferenceEngine &
 InferenceEngine::operator=(InferenceEngine &&) noexcept = default;
+
+std::size_t
+InferenceEngine::threadStepCostL1Entries()
+{
+    return tl_cost_l1.decode.size() + tl_cost_l1.prefill.size();
+}
 
 KernelCacheStats
 InferenceEngine::kernelCacheStats() const
@@ -201,13 +262,8 @@ InferenceEngine::prefillCost(Tokens input_tokens) const
     // Same per-thread read-through L1 as decodeStepCost(): serving
     // runs re-resolve every admission's prefill cost, and the
     // shared_lock is the dominant cost of a warm hit.
-    struct L1Key
-    {
-        std::uint64_t gen;
-        Tokens key;
-    };
-    thread_local OpenHashMap<L1Key, hw::StepCost> l1;
-    const L1Key lk{costCache_->generation, input_tokens};
+    auto &l1 = tl_cost_l1.sync().prefill;
+    const StepCostL1::PrefillKey lk{costCache_->generation, input_tokens};
     if (const hw::StepCost *hit = l1.find(lk)) {
         thread_local std::uint64_t pending = 0;
         if (++pending == 256) {
@@ -223,7 +279,7 @@ InferenceEngine::prefillCost(Tokens input_tokens) const
                                                  config_.kernelOpts));
         });
     if (l1.size() >= StepCostCache::maxEntries)
-        l1 = OpenHashMap<L1Key, hw::StepCost>{};
+        l1.clear();
     l1.insert(lk, cost);
     return cost;
 }
@@ -257,15 +313,9 @@ InferenceEngine::decodeStepCost(Tokens context, int batch) const
     // serving fast-forward path re-creates its per-simulator memo
     // each run, so warm lookups land here every time — two atomic
     // ops (shared_lock) would otherwise dominate the macro-step
-    // budget.  Entries are exact and immutable, and the generation
-    // tag keeps a reused engine address from aliasing stale costs.
-    struct L1Key
-    {
-        std::uint64_t gen;
-        std::uint64_t key;
-    };
-    thread_local OpenHashMap<L1Key, hw::StepCost> l1;
-    const L1Key lk{costCache_->generation, key};
+    // budget.  Entries are exact and immutable (see StepCostL1).
+    auto &l1 = tl_cost_l1.sync().decode;
+    const StepCostL1::DecodeKey lk{costCache_->generation, key};
     if (const hw::StepCost *hit = l1.find(lk)) {
         // Amortize the stats update: a locked add per hit is ~8% of
         // the whole macro-step budget.  The shared counter lags by at
@@ -289,7 +339,7 @@ InferenceEngine::decodeStepCost(Tokens context, int batch) const
             return c;
         });
     if (l1.size() >= StepCostCache::maxEntries)
-        l1 = OpenHashMap<L1Key, hw::StepCost>{};
+        l1.clear();
     l1.insert(lk, cost);
     return cost;
 }

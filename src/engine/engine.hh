@@ -183,6 +183,13 @@ class InferenceEngine
     /** @return step-cost memo cache counters (bench/test support). */
     KernelCacheStats kernelCacheStats() const;
 
+    /**
+     * @return entries in the calling thread's step-cost L1 across all
+     *   engines (test support: a destroyed engine's entries must not
+     *   outlive the thread's next lookup).
+     */
+    static std::size_t threadStepCostL1Entries();
+
   private:
     struct StepCostCache; //!< defined in engine.cc
 

@@ -1,6 +1,7 @@
 #include "engine/kv_cache.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hh"
 
@@ -40,7 +41,6 @@ KvCache::KvCache(Bytes capacity_bytes, const model::TransformerSpec &spec,
     fatal_if(block_capacity_ == 0,
              "KV capacity ", capacity_bytes, " B too small for one block (",
              block_bytes_, " B) of ", spec.name);
-    blocks_.reserve(std::min<std::size_t>(block_capacity_, 1 << 16));
 }
 
 SeqId
@@ -271,9 +271,9 @@ KvCache::acquirePrefix(SeqId seq, const std::vector<std::uint64_t> &hashes,
         const auto f = by_hash_.find(hashes[i]);
         if (f == by_hash_.end())
             break;
-        PrefixNode &nd = nodes_[f->second];
+        const PrefixNode &nd = nodes_[f->second];
         panic_if(nd.depth != i, "prefix chain depth mismatch");
-        nd.lastTouch = ++touch_clock_;
+        touchPrefixNode(f->second);
         ++blocks_[nd.block].refcount;
         s.blocks.push_back(nd.block);
         s.tokens += block_tokens_;
@@ -299,6 +299,9 @@ KvCache::insertPrefix(SeqId seq, const std::vector<std::uint64_t> &hashes,
     fatal_if(rebuild_seconds.size() != hashes.size(),
              "insertPrefix: rebuild cost vector length mismatch (",
              rebuild_seconds.size(), " vs ", hashes.size(), " hashes)");
+    fatal_if(std::any_of(rebuild_seconds.begin(), rebuild_seconds.end(),
+                         [](double x) { return std::isnan(x); }),
+             "insertPrefix: NaN rebuild cost");
     auto it = seqs_.find(seq);
     fatal_if(it == seqs_.end(), "insertPrefix on unknown sequence ", seq);
     const Sequence &s = it->second;
@@ -313,9 +316,9 @@ KvCache::insertPrefix(SeqId seq, const std::vector<std::uint64_t> &hashes,
         if (f != by_hash_.end()) {
             // Already indexed (possibly via another physical copy); the
             // index keeps its page, we just refresh recency and descend.
-            PrefixNode &nd = nodes_[f->second];
-            panic_if(nd.depth != i, "prefix chain depth mismatch");
-            nd.lastTouch = ++touch_clock_;
+            panic_if(nodes_[f->second].depth != i,
+                     "prefix chain depth mismatch");
+            touchPrefixNode(f->second);
             parent = f->second;
             continue;
         }
@@ -339,8 +342,11 @@ KvCache::insertPrefix(SeqId seq, const std::vector<std::uint64_t> &hashes,
         nd.rebuildSeconds = rebuild_seconds[i];
         nd.live = true;
         ++blocks_[b].refcount; // the index's own reference
-        if (parent != kNoNode)
-            ++nodes_[parent].children;
+        if (parent != kNoNode && nodes_[parent].children++ == 0) {
+            const bool was_leaf = leaves_.erase(leafKey(parent)) == 1;
+            panic_if(!was_leaf, "prefix leaf set lost node ", parent);
+        }
+        leaves_.insert(leafKey(nid));
         by_hash_.emplace(hashes[i], nid);
         parent = nid;
         ++inserted;
@@ -349,51 +355,56 @@ KvCache::insertPrefix(SeqId seq, const std::vector<std::uint64_t> &hashes,
     return inserted;
 }
 
+KvCache::LeafKey
+KvCache::leafKey(std::uint32_t nid) const
+{
+    const PrefixNode &nd = nodes_[nid];
+    // Cost-aware: reclaim the cheapest page first, where cost is
+    // bytes × rebuild-prefill-seconds.  LRU orders on recency alone.
+    const double cost = prefix_.evict == PrefixEvictPolicy::Cost
+        ? static_cast<double>(block_bytes_) * nd.rebuildSeconds
+        : 0.0;
+    return LeafKey{cost, nd.lastTouch, nd.insertSeq, nid};
+}
+
+void
+KvCache::touchPrefixNode(std::uint32_t nid)
+{
+    // Every recency update goes through here, so a leaf's stored key
+    // never goes stale: the leaf is lifted out of the set, re-keyed and
+    // put back.  Interior nodes are not in the set.
+    PrefixNode &nd = nodes_[nid];
+    if (nd.children != 0) {
+        nd.lastTouch = ++touch_clock_;
+        return;
+    }
+    auto h = leaves_.extract(leafKey(nid));
+    panic_if(h.empty(), "prefix leaf set lost node ", nid);
+    nd.lastTouch = ++touch_clock_;
+    h.value().lastTouch = nd.lastTouch;
+    leaves_.insert(std::move(h));
+}
+
 bool
 KvCache::evictOnePrefixBlock()
 {
-    // Victim: a live LEAF whose page only the index references
-    // (refcount 1).  Interior nodes are never reclaimed before their
-    // descendants, and pages shared with live sequences are never
-    // reclaimed at all.  Ties are broken by (lastTouch, insertSeq), both
-    // drawn from strictly monotone logical clocks, so the choice is
-    // deterministic regardless of node-table iteration order.
-    std::uint32_t victim = kNoNode;
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(nodes_.size()); ++i) {
-        const PrefixNode &nd = nodes_[i];
-        if (!nd.live || nd.children != 0)
-            continue;
-        if (blocks_[nd.block].refcount != 1)
-            continue;
-        if (victim == kNoNode) {
-            victim = i;
-            continue;
-        }
-        const PrefixNode &v = nodes_[victim];
-        const bool lru_before = nd.lastTouch < v.lastTouch ||
-            (nd.lastTouch == v.lastTouch && nd.insertSeq < v.insertSeq);
-        bool better;
-        if (prefix_.evict == PrefixEvictPolicy::Lru) {
-            better = lru_before;
-        } else {
-            // Cost-aware: reclaim the cheapest page first, where cost is
-            // bytes × rebuild-prefill-seconds.
-            const double ca = static_cast<double>(block_bytes_) *
-                nd.rebuildSeconds;
-            const double cb = static_cast<double>(block_bytes_) *
-                v.rebuildSeconds;
-            better = ca < cb || (ca == cb && lru_before);
-        }
-        if (better)
-            victim = i;
-    }
-    if (victim == kNoNode)
+    // Victim: the first leaf in policy order whose page only the index
+    // references (refcount 1).  Interior nodes are never reclaimed
+    // before their descendants, and pages shared with live sequences
+    // are never reclaimed at all; the walk skips only those shared
+    // leaves.
+    auto it = leaves_.begin();
+    while (it != leaves_.end() &&
+           blocks_[nodes_[it->id].block].refcount != 1)
+        ++it;
+    if (it == leaves_.end())
         return false;
+    const std::uint32_t victim = it->id;
+    leaves_.erase(it);
     PrefixNode &nd = nodes_[victim];
     by_hash_.erase(nd.hash);
-    if (nd.parent != kNoNode)
-        --nodes_[nd.parent].children;
+    if (nd.parent != kNoNode && --nodes_[nd.parent].children == 0)
+        leaves_.insert(leafKey(nd.parent));
     unref(nd.block);
     nd.live = false;
     node_free_.push_back(victim);
@@ -433,6 +444,59 @@ KvCache::auditConservation() const
     for (std::size_t i = 0; i < nodes_.size(); ++i)
         panic_if(nodes_[i].live && nodes_[i].children != child_census[i],
                  "prefix audit: child count drift at node ", i);
+    // The eviction set holds exactly the live leaves, each under the key
+    // its current fields give it (distinct ids make keys distinct, so
+    // membership plus equal size is set equality).
+    std::size_t leaf_census = 0;
+    for (std::uint32_t i = 0;
+         i < static_cast<std::uint32_t>(nodes_.size()); ++i) {
+        if (!nodes_[i].live || nodes_[i].children != 0)
+            continue;
+        ++leaf_census;
+        panic_if(leaves_.count(leafKey(i)) != 1,
+                 "prefix audit: leaf ", i,
+                 " missing from the eviction set or keyed stale");
+    }
+    panic_if(leaf_census != leaves_.size(),
+             "prefix audit: eviction set holds ", leaves_.size(),
+             " entries for ", leaf_census, " leaves");
+    // Cross-check the set's choice against a brute-force scan of the
+    // node table: the reclaimable leaf with the least policy score,
+    // ties broken by (lastTouch, insertSeq).
+    std::uint32_t scan = kNoNode;
+    for (std::uint32_t i = 0;
+         i < static_cast<std::uint32_t>(nodes_.size()); ++i) {
+        const PrefixNode &nd = nodes_[i];
+        if (!nd.live || nd.children != 0 ||
+            blocks_[nd.block].refcount != 1)
+            continue;
+        if (scan == kNoNode) {
+            scan = i;
+            continue;
+        }
+        const PrefixNode &v = nodes_[scan];
+        const bool lru_before = nd.lastTouch < v.lastTouch ||
+            (nd.lastTouch == v.lastTouch && nd.insertSeq < v.insertSeq);
+        bool better = lru_before;
+        if (prefix_.evict == PrefixEvictPolicy::Cost) {
+            const double ca = static_cast<double>(block_bytes_) *
+                nd.rebuildSeconds;
+            const double cb = static_cast<double>(block_bytes_) *
+                v.rebuildSeconds;
+            better = ca < cb || (ca == cb && lru_before);
+        }
+        if (better)
+            scan = i;
+    }
+    std::uint32_t first = kNoNode;
+    for (const LeafKey &k : leaves_) {
+        if (blocks_[nodes_[k.id].block].refcount == 1) {
+            first = k.id;
+            break;
+        }
+    }
+    panic_if(first != scan, "prefix audit: eviction set picks node ",
+             first, " but a scan of the node table picks ", scan);
     std::size_t in_use = 0;
     for (std::size_t b = 0; b < blocks_.size(); ++b) {
         panic_if(refs[b] != blocks_[b].refcount,
@@ -610,6 +674,8 @@ KvCache::restore(ByteReader &r)
             nd.insertSeq = r.u64();
             nd.rebuildSeconds = r.f64();
             nd.live = true;
+            fatal_if(std::isnan(nd.rebuildSeconds),
+                     "KvCache restore: NaN index rebuild cost");
             fatal_if(nd.block >= nBlocks,
                      "KvCache restore: index page out of range");
             fatal_if(blocks[nd.block].refcount < 1 ||
@@ -644,6 +710,11 @@ KvCache::restore(ByteReader &r)
     by_hash_ = std::move(byHash);
     touch_clock_ = touchClock;
     insert_clock_ = insertClock;
+    leaves_.clear();
+    for (std::uint32_t i = 0;
+         i < static_cast<std::uint32_t>(nodes_.size()); ++i)
+        if (nodes_[i].children == 0)
+            leaves_.insert(leafKey(i));
 }
 
 } // namespace engine

@@ -22,6 +22,8 @@
 #define EDGEREASON_ENGINE_KV_CACHE_HH
 
 #include <cstdint>
+#include <set>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -195,7 +197,10 @@ class KvCache
      * every block's refcount equals the number of sequences referencing
      * it plus its index references, free-list blocks are dead,
      * blocksInUse() matches the live census, and every index page is a
-     * full block.  panic()s on violation.
+     * full block.  The ordered leaf set must hold exactly the live
+     * childless nodes under keys matching their current fields, and its
+     * first reclaimable entry must be the victim a brute-force scan of
+     * the node table picks.  panic()s on violation.
      */
     void auditConservation() const;
 
@@ -252,9 +257,31 @@ class KvCache
         bool live = false;
     };
 
+    /**
+     * Position of a leaf in eviction order: the policy's primary score
+     * (bytes × rebuild-seconds under cost, 0 under LRU), then recency,
+     * then insertion order, then node id.  Both clocks are strictly
+     * monotone, so the id never decides between two live leaves.
+     */
+    struct LeafKey
+    {
+        double cost;
+        std::uint64_t lastTouch;
+        std::uint64_t insertSeq;
+        std::uint32_t id;
+
+        bool operator<(const LeafKey &o) const
+        {
+            return std::tie(cost, lastTouch, insertSeq, id) <
+                std::tie(o.cost, o.lastTouch, o.insertSeq, o.id);
+        }
+    };
+
     std::uint32_t allocBlock();
     void unref(std::uint32_t block);
     bool evictOnePrefixBlock();
+    LeafKey leafKey(std::uint32_t nid) const;
+    void touchPrefixNode(std::uint32_t nid);
 
     Tokens block_tokens_;
     Bytes block_bytes_;
@@ -270,6 +297,8 @@ class KvCache
     std::vector<PrefixNode> nodes_;
     std::vector<std::uint32_t> node_free_;
     std::unordered_map<std::uint64_t, std::uint32_t> by_hash_;
+    /** Live childless nodes in eviction order (DESIGN.md §13). */
+    std::set<LeafKey> leaves_;
     std::uint64_t touch_clock_ = 0;
     std::uint64_t insert_clock_ = 0;
 };

@@ -413,6 +413,21 @@ TEST(OpenHashMap, GrowthPreservesEveryEntryAgainstStdMap)
     }
 }
 
+TEST(OpenHashMap, ClearForgetsEntriesAndStaysUsable)
+{
+    er::OpenHashMap<PackedKey, double> m;
+    for (int i = 0; i < 1000; ++i)
+        m.insert(PackedKey{1, i, 2}, 0.5 * i);
+    m.clear();
+    EXPECT_EQ(m.size(), 0u);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_EQ(m.find(PackedKey{1, i, 2}), nullptr);
+    m.insert(PackedKey{1, 7, 2}, 9.0);
+    EXPECT_EQ(m.size(), 1u);
+    ASSERT_NE(m.find(PackedKey{1, 7, 2}), nullptr);
+    EXPECT_DOUBLE_EQ(*m.find(PackedKey{1, 7, 2}), 9.0);
+}
+
 TEST(OpenHashMap, InsertedReferenceIsWritable)
 {
     er::OpenHashMap<PackedKey, double> m;

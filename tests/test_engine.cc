@@ -256,3 +256,22 @@ TEST(Engine, CpuBackendMatchesTableXvii)
     const auto r = eng.run(512, 128);
     EXPECT_NEAR(r.decode.seconds, 63.8, 8.0);
 }
+
+TEST(Engine, StepCostL1DropsDestroyedEnginesEntries)
+{
+    // Each engine fills this thread's step-cost L1 with kLookups decode
+    // and kLookups prefill entries.  After it is destroyed, the next
+    // lookup by any engine must start from an empty L1 instead of
+    // keeping the dead engine's entries until a map reaches its bound.
+    constexpr int kLookups = 50;
+    for (int round = 0; round < 4; ++round) {
+        const auto e = makeEngine(ModelId::Dsr1Qwen1_5B);
+        for (int i = 0; i < kLookups; ++i) {
+            e.decodeStepLatency(256 + i);
+            e.prefillLatency(64 + i);
+        }
+        EXPECT_EQ(InferenceEngine::threadStepCostL1Entries(),
+                  2u * kLookups)
+            << "round " << round;
+    }
+}

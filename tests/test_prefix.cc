@@ -19,7 +19,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "accuracy/trace_gen.hh"
@@ -227,6 +230,17 @@ TEST(PrefixIndex, InsertCostLengthMismatchIsFatal)
                  std::runtime_error);
 }
 
+TEST(PrefixIndex, InsertNaNCostIsFatal)
+{
+    // A NaN score would break the strict weak order of the eviction set.
+    auto c = prefixCache(64, PrefixEvictPolicy::Cost);
+    const SeqId s = c.createSequence();
+    ASSERT_TRUE(c.append(s, 32));
+    EXPECT_THROW(c.insertPrefix(s, testHashes(2), {1.0, std::nan("")}),
+                 std::runtime_error);
+    EXPECT_EQ(c.indexedBlocks(), 0u); // rejected before any insert
+}
+
 TEST(PrefixIndex, DisabledIndexRejectsPrefixOps)
 {
     const auto s = er::model::spec(ModelId::Dsr1Qwen1_5B);
@@ -363,6 +377,270 @@ TEST(PrefixEvict, RandomizedChurnPreservesConservation)
                        static_cast<std::ptrdiff_t>(i));
         }
         c.auditConservation();
+    }
+}
+
+// --- Ordered leaf set vs brute-force victim choice --------------------
+
+namespace {
+
+/** One index node as the checkpoint wire format carries it. */
+struct WireNode
+{
+    std::uint64_t hash = 0;
+    bool hasParent = false;
+    std::uint64_t parentHash = 0;
+    std::uint32_t block = 0;
+    std::uint64_t lastTouch = 0;
+    std::uint64_t insertSeq = 0;
+    double rebuildSeconds = 0.0;
+};
+
+/** Block refcounts and index nodes, decoded from serialize(). */
+struct WireIndex
+{
+    double blockBytes = 0.0;
+    std::vector<std::uint32_t> refcount;
+    std::vector<WireNode> nodes;
+};
+
+WireIndex
+decodeIndex(const KvCache &c)
+{
+    er::ByteWriter w;
+    c.serialize(w);
+    er::ByteReader r(w.bytes());
+    WireIndex x;
+    r.i64(); // block tokens
+    x.blockBytes = static_cast<double>(r.i64());
+    r.u64(); // capacity
+    r.u64(); // blocks in use
+    r.u64(); // next sequence handle
+    x.refcount.resize(r.u64());
+    for (auto &rc : x.refcount) {
+        rc = r.u32();
+        r.i64(); // filled
+    }
+    for (auto n = r.u64(); n > 0; --n)
+        r.u32(); // free list
+    for (auto n = r.u64(); n > 0; --n) {
+        r.u64(); // handle
+        r.i64(); // tokens
+        for (auto b = r.u64(); b > 0; --b)
+            r.u32();
+    }
+    EXPECT_EQ(r.u32(), 0x58465250u); // "PRFX"
+    r.u8();                          // policy
+    for (int i = 0; i < 6; ++i)
+        r.u64(); // clocks and integer stats
+    for (int i = 0; i < 4; ++i)
+        r.f64(); // byte/token stats
+    x.nodes.resize(r.u64());
+    for (auto &nd : x.nodes) {
+        nd.hash = r.u64();
+        nd.hasParent = r.u8() != 0;
+        nd.parentHash = r.u64();
+        nd.block = r.u32();
+        r.u32(); // depth
+        nd.lastTouch = r.u64();
+        nd.insertSeq = r.u64();
+        nd.rebuildSeconds = r.f64();
+    }
+    r.expectEnd("prefix index");
+    return x;
+}
+
+/**
+ * The victim the policy defines, found by scanning every node: the
+ * leaf whose page only the index holds, with the least score (bytes ×
+ * rebuild seconds under cost, none under LRU), ties broken by
+ * (lastTouch, insertSeq).  nullopt when nothing is reclaimable.
+ */
+std::optional<std::uint64_t>
+scanVictim(const WireIndex &x, PrefixEvictPolicy policy)
+{
+    std::set<std::uint64_t> parents;
+    for (const auto &nd : x.nodes)
+        if (nd.hasParent)
+            parents.insert(nd.parentHash);
+    const WireNode *best = nullptr;
+    for (const auto &nd : x.nodes) {
+        if (parents.count(nd.hash) || x.refcount[nd.block] != 1)
+            continue;
+        const auto key = [&](const WireNode &n) {
+            const double cost = policy == PrefixEvictPolicy::Cost
+                ? x.blockBytes * n.rebuildSeconds
+                : 0.0;
+            return std::make_tuple(cost, n.lastTouch, n.insertSeq);
+        };
+        if (!best || key(nd) < key(*best))
+            best = &nd;
+    }
+    if (!best)
+        return std::nullopt;
+    return best->hash;
+}
+
+/**
+ * Chain hashes of a path that shares the first @p trunk blocks with
+ * every other path and then follows branch @p branch for the rest.
+ */
+std::vector<std::uint64_t>
+branchHashes(std::size_t n, std::size_t trunk, int branch)
+{
+    std::vector<std::uint64_t> h;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string tag = i < trunk
+            ? "trunk" + std::to_string(i)
+            : "b" + std::to_string(branch) + "t" + std::to_string(trunk) +
+                "_" + std::to_string(i);
+        h.push_back(er::Rng::hashString(tag));
+    }
+    return h;
+}
+
+/**
+ * Seeded churn over a small prefix-cached pool: fresh sequences that
+ * attach indexed prefixes, forks that share pages (partial tails too),
+ * retires that publish blocks under a few discrete costs (so cost ties
+ * fall through to recency), and plain releases.  Tokens are appended
+ * one at a time, so each append evicts at most one page; every
+ * eviction is checked against scanVictim() and its hash logged.
+ */
+struct Churn
+{
+    PrefixEvictPolicy policy;
+    er::Rng rng;
+    std::vector<std::pair<SeqId, std::vector<std::uint64_t>>> live;
+    std::vector<std::uint64_t> evicted;
+
+    bool appendChecked(KvCache &c, SeqId s, Tokens n)
+    {
+        for (Tokens t = 0; t < n; ++t) {
+            const WireIndex before = decodeIndex(c);
+            const auto expect = scanVictim(before, policy);
+            const auto ev0 = c.prefixStats().evictions;
+            const bool ok = c.append(s, 1);
+            const auto ev = c.prefixStats().evictions - ev0;
+            EXPECT_LE(ev, 1u);
+            if (ev == 1) {
+                EXPECT_TRUE(expect.has_value());
+                std::set<std::uint64_t> after;
+                for (const auto &nd : decodeIndex(c).nodes)
+                    after.insert(nd.hash);
+                EXPECT_EQ(after.size() + 1, before.nodes.size());
+                if (expect) {
+                    EXPECT_EQ(after.count(*expect), 0u)
+                        << "evicted a page other than the scan's choice";
+                    evicted.push_back(*expect);
+                }
+            }
+            if (!ok)
+                return false;
+        }
+        return true;
+    }
+
+    std::size_t pick()
+    {
+        return static_cast<std::size_t>(rng.uniformInt(
+            0, static_cast<std::int64_t>(live.size() - 1)));
+    }
+
+    void step(KvCache &c)
+    {
+        const auto op = rng.uniformInt(0, 4);
+        if (op <= 1 || live.size() < 2) {
+            const auto n = static_cast<std::size_t>(rng.uniformInt(1, 5));
+            const auto trunk =
+                static_cast<std::size_t>(rng.uniformInt(0, 3));
+            const auto hashes = branchHashes(
+                n, trunk, static_cast<int>(rng.uniformInt(0, 3)));
+            const SeqId s = c.createSequence();
+            const Tokens cached = c.acquirePrefix(
+                s, hashes, static_cast<Tokens>(n) * 16 + 7);
+            const Tokens want = static_cast<Tokens>(n) * 16 +
+                static_cast<Tokens>(rng.uniformInt(0, 15));
+            if (!appendChecked(c, s, want - cached)) {
+                c.release(s);
+                return;
+            }
+            live.emplace_back(s, hashes);
+        } else if (op == 2) {
+            const auto i = pick();
+            const SeqId child = c.fork(live[i].first);
+            auto hashes = live[i].second;
+            if (!appendChecked(c, child, rng.uniformInt(1, 20))) {
+                c.release(child);
+                return;
+            }
+            live.emplace_back(child, std::move(hashes));
+        } else {
+            const auto i = pick();
+            if (op == 3) {
+                std::vector<double> costs;
+                for (std::size_t k = 0; k < live[i].second.size(); ++k)
+                    costs.push_back(0.5 *
+                                    static_cast<double>(
+                                        rng.uniformInt(1, 3)));
+                c.insertPrefix(live[i].first, live[i].second, costs);
+            }
+            c.release(live[i].first);
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        c.auditConservation();
+    }
+};
+
+} // namespace
+
+TEST(PrefixEvict, OrderedLeafSetMatchesBruteForceScan)
+{
+    for (const auto policy :
+         {PrefixEvictPolicy::Lru, PrefixEvictPolicy::Cost}) {
+        SCOPED_TRACE(prefixEvictPolicyName(policy));
+        auto c = prefixCache(24, policy);
+        Churn churn{policy, er::Rng(2024, "leaf-set-churn"), {}, {}};
+        for (int round = 0; round < 400; ++round)
+            churn.step(c);
+        // The churn must actually exercise the eviction path.
+        EXPECT_GT(churn.evicted.size(), 50u);
+        EXPECT_EQ(churn.evicted.size(), c.prefixStats().evictions);
+    }
+}
+
+TEST(PrefixEvict, RestoredCacheEvictsLikeUninterruptedOne)
+{
+    for (const auto policy :
+         {PrefixEvictPolicy::Lru, PrefixEvictPolicy::Cost}) {
+        SCOPED_TRACE(prefixEvictPolicyName(policy));
+        auto a = prefixCache(24, policy);
+        Churn first{policy, er::Rng(77, "leaf-set-resume"), {}, {}};
+        for (int round = 0; round < 200; ++round)
+            first.step(a);
+        er::ByteWriter w;
+        a.serialize(w);
+
+        // Continue the same churn on the original and on a cache
+        // restored from its checkpoint (node ids are reassigned on
+        // restore, so the leaf set is rebuilt from scratch).
+        Churn resumed = first;
+        resumed.evicted.clear();
+        first.evicted.clear();
+        auto b = prefixCache(24, policy);
+        er::ByteReader r(w.bytes());
+        b.restore(r);
+        b.auditConservation();
+        for (int round = 0; round < 200; ++round) {
+            first.step(a);
+            resumed.step(b);
+        }
+        EXPECT_GT(first.evicted.size(), 20u);
+        EXPECT_EQ(resumed.evicted, first.evicted);
+        er::ByteWriter wa, wb;
+        a.serialize(wa);
+        b.serialize(wb);
+        EXPECT_EQ(wa.bytes(), wb.bytes());
     }
 }
 

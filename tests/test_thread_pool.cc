@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -102,27 +103,56 @@ TEST(ThreadPool, ImbalancedWorkCompletes)
     EXPECT_EQ(total.load(), 512);
 }
 
-TEST(ThreadPool, StealCounterAdvancesAcrossManyJobs)
+TEST(ThreadPool, StealCounterCountsSplitWorkRunElsewhere)
 {
-    // Stealing is scheduling-dependent, so drive many imbalanced jobs
-    // and accept the (vanishingly unlikely) zero-steal outcome only on
-    // effectively single-threaded machines.
-    ThreadPool pool(4);
-    for (int round = 0; round < 50; ++round) {
+    // Two threads (caller + one worker), four iterations at grain 1:
+    // two seed ranges [0,2) and [2,4), each split once before its first
+    // iteration runs.  Iteration 0 holds its thread until iteration 1
+    // has run, so the split-off half [1,2) must be taken by the other
+    // thread — from the worker's deque or, when the caller split it,
+    // from the caller's inbox.  The other thread runs its own split
+    // half itself, so every round adds exactly one steal.
+    ThreadPool pool(2);
+    constexpr int kRounds = 20;
+    for (int round = 0; round < kRounds; ++round) {
+        std::thread::id ran_by[4];
+        std::atomic<bool> one_done{false};
+        std::atomic<bool> timed_out{false};
         pool.parallelFor(
-            256,
+            4,
             [&](std::size_t i) {
-                volatile long long acc = 0;
-                const int spins = (i < 8) ? 20000 : 50;
-                for (int k = 0; k < spins; ++k)
-                    acc += k;
+                ran_by[i] = std::this_thread::get_id();
+                if (i == 0) {
+                    const auto limit = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(30);
+                    while (!one_done.load(std::memory_order_acquire)) {
+                        if (std::chrono::steady_clock::now() > limit) {
+                            timed_out = true;
+                            break;
+                        }
+                        std::this_thread::yield();
+                    }
+                }
+                if (i == 1)
+                    one_done.store(true, std::memory_order_release);
             },
             1);
+        ASSERT_FALSE(timed_out) << "round " << round;
+        EXPECT_NE(ran_by[0], ran_by[1]) << "round " << round;
+        EXPECT_EQ(ran_by[2], ran_by[3]) << "round " << round;
+        EXPECT_EQ(pool.steals(), static_cast<std::uint64_t>(round + 1))
+            << "round " << round;
     }
-    if (std::thread::hardware_concurrency() > 1)
-        EXPECT_GT(pool.steals(), 0u);
-    else
-        SUCCEED() << "single-core host: steals=" << pool.steals();
+}
+
+TEST(ThreadPool, SeedRangesAreNotSteals)
+{
+    // One iteration per seed: nothing is split, so nothing is stolen,
+    // however the seeds are spread over the threads.
+    ThreadPool pool(4);
+    for (int round = 0; round < 20; ++round)
+        pool.parallelFor(4, [](std::size_t) {}, 1);
+    EXPECT_EQ(pool.steals(), 0u);
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives)
