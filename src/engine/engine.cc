@@ -5,7 +5,6 @@
 #include <cmath>
 #include <mutex>
 #include <shared_mutex>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/open_hash.hh"
@@ -93,8 +92,11 @@ struct InferenceEngine::StepCostCache
     }
 
     mutable std::shared_mutex mu;
-    std::unordered_map<std::uint64_t, hw::StepCost> decode;
-    std::unordered_map<Tokens, hw::StepCost> prefill;
+    // Flat maps: a 256-node fleet run leaves ~150k entries across its
+    // engines, and one slot array per map frees them in one call
+    // rather than one call per entry.
+    OpenHashMap<std::uint64_t, hw::StepCost> decode;
+    OpenHashMap<Tokens, hw::StepCost> prefill;
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
 
@@ -103,18 +105,20 @@ struct InferenceEngine::StepCostCache
     {
         {
             std::shared_lock<std::shared_mutex> g(mu);
-            auto it = map.find(key);
-            if (it != map.end()) {
+            if (const hw::StepCost *hit = map.find(key)) {
                 hits.fetch_add(1, std::memory_order_relaxed);
-                return it->second;
+                return *hit;
             }
         }
         misses.fetch_add(1, std::memory_order_relaxed);
         const hw::StepCost cost = compute();
         std::unique_lock<std::shared_mutex> g(mu);
+        // Another thread may have filled the key since the shared probe.
+        if (map.find(key))
+            return cost;
         if (map.size() >= maxEntries)
             map.clear();
-        map.emplace(key, cost);
+        map.insert(key, cost);
         return cost;
     }
 };

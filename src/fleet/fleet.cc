@@ -9,7 +9,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "cost/cost_model.hh"
 #include "engine/checkpoint.hh"
 
@@ -163,7 +162,6 @@ FleetSimulator::drainOutcomes()
 void
 FleetSimulator::syncNodesTo(Seconds target)
 {
-    auto &pool = ThreadPool::global();
     while (true) {
         lagBuf_.clear();
         if (cfg_.nodeIndex) {
@@ -181,21 +179,10 @@ FleetSimulator::syncNodesTo(Seconds target)
         }
         if (lagBuf_.empty())
             break;
-        if (lagBuf_.size() == 1) {
-            // One laggard: same arithmetic, minus the fork/join.
-            nodes_[static_cast<std::size_t>(lagBuf_[0])]->advanceUntil(
-                target, true);
-        } else {
-            // One chunk per node: the partition (and every node's
-            // arithmetic) is independent of the worker count.
-            pool.parallelChunks(
-                lagBuf_.size(), lagBuf_.size(),
-                [&](std::size_t, std::size_t b, std::size_t e) {
-                    for (std::size_t k = b; k < e; ++k)
-                        nodes_[static_cast<std::size_t>(lagBuf_[k])]
-                            ->advanceUntil(target, true);
-                });
-        }
+        // Serial on the driver thread: a round advances each laggard by
+        // about a microsecond of work, far less than a pool fork/join.
+        for (const int i : lagBuf_)
+            nodes_[static_cast<std::size_t>(i)]->advanceUntil(target, true);
         if (cfg_.nodeIndex) {
             for (const int i : lagBuf_)
                 refreshNode(static_cast<std::size_t>(i));

@@ -10,10 +10,10 @@
  *
  * Determinism.  All routing and bookkeeping happens on the driver
  * thread against a (time, kind, seq) min-heap whose order is a pure
- * function of the configuration; node simulation work fans out with
- * one parallelChunks chunk per node, and each node's arithmetic is a
- * pure function of its own submission sequence.  Reports are therefore
- * bit-identical at any --threads value.
+ * function of the configuration; nodes advance on the same thread, in
+ * ascending id order, and each node's arithmetic is a pure function of
+ * its own submission sequence.  Reports are therefore bit-identical at
+ * any --threads value.
  *
  * Synchronization is conservative: before processing a heap event at
  * time T, every busy node is advanced to T (in stop-on-first-outcome
