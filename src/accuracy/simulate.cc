@@ -20,25 +20,42 @@ ResponseSimulator::ResponseSimulator(const ResponseProfile &profile,
 {
 }
 
-Tokens
-ResponseSimulator::drawLength(const ConfigBehavior &cfg, Rng &rng) const
+ResolvedPolicy
+ResponseSimulator::resolve(const strategy::TokenPolicy &policy) const
 {
-    const double cv = profile_.lengthCv();
-    double mean = cfg.meanTokens;
-    Tokens cap = 0;
-    if (cfg.policy.isHardCapped() && cfg.policy.budget > 0) {
-        cap = cfg.policy.budget;
-        if (mean < cap) {
+    ResolvedPolicy r;
+    r.cfg = profile_.resolve(policy);
+    r.lengthMean = r.cfg.meanTokens;
+    // The behaviour's policy, not the request's: a profile without a
+    // Base anchor resolves Base to its longest anchor, which may be
+    // capped.
+    const strategy::TokenPolicy &pol = r.cfg.policy;
+    if (pol.isHardCapped() && pol.budget > 0) {
+        r.cap = pol.budget;
+        if (r.lengthMean < r.cap) {
             // Inflate the uncapped mean so the capped mean matches the
             // published average.
-            mean = solveLogNormalMeanForCap(mean, cv,
-                                            static_cast<double>(cap));
+            r.lengthMean = solveLogNormalMeanForCap(
+                r.lengthMean, profile_.lengthCv(),
+                static_cast<double>(r.cap));
         }
     }
+    const double fail = r.cfg.parseFail;
+    r.failThresh = fail <= 0.0 ? -40.0
+        : (fail >= 1.0 ? 40.0 : normInv(fail));
+    return r;
+}
+
+Tokens
+ResponseSimulator::drawLength(const ResolvedPolicy &resolved,
+                              Rng &rng) const
+{
+    const double cv = profile_.lengthCv();
+    const double mean = resolved.lengthMean;
     double len = rng.logNormalMeanStd(std::max(4.0, mean),
                                       cv * std::max(4.0, mean));
-    if (cap > 0)
-        len = std::min(len, static_cast<double>(cap));
+    if (resolved.cap > 0)
+        len = std::min(len, static_cast<double>(resolved.cap));
     return std::max<Tokens>(4, static_cast<Tokens>(std::llround(len)));
 }
 
@@ -55,8 +72,16 @@ ResponseSimulator::simulateQuestion(const Question &q,
                                     const strategy::TokenPolicy &policy,
                                     int parallel, Rng &rng) const
 {
+    return simulateQuestion(q, resolve(policy), parallel, rng);
+}
+
+QuestionOutcome
+ResponseSimulator::simulateQuestion(const Question &q,
+                                    const ResolvedPolicy &resolved,
+                                    int parallel, Rng &rng) const
+{
     fatal_if(parallel < 1, "parallel factor must be >= 1");
-    const ConfigBehavior cfg = profile_.resolve(policy);
+    const ConfigBehavior &cfg = resolved.cfg;
     const double p = profile_.sampleCorrectProb(cfg, q.difficulty);
     const double rho = rho_override_.value_or(
         profile_.sampleCorrelation());
@@ -76,8 +101,7 @@ ResponseSimulator::simulateQuestion(const Question &q,
     const double z_wrong = rng.gaussian(0.0, 1.0);
     const double thresh =
         p <= 0.0 ? -40.0 : (p >= 1.0 ? 40.0 : normInv(p));
-    const double fail_thresh = cfg.parseFail <= 0.0 ? -40.0
-        : (cfg.parseFail >= 1.0 ? 40.0 : normInv(cfg.parseFail));
+    const double fail_thresh = resolved.failThresh;
     const double sq_rho = std::sqrt(rho);
     const double sq_com = std::sqrt(1.0 - rho);
 
@@ -93,7 +117,7 @@ ResponseSimulator::simulateQuestion(const Question &q,
         const double wrong_u = normCdf(
             sq_rho * z_wrong + sq_com * rng.gaussian(0.0, 1.0));
 
-        const Tokens len = drawLength(cfg, rng);
+        const Tokens len = drawLength(resolved, rng);
         out.maxTokens = std::max(out.maxTokens, len);
         out.sumTokens += static_cast<double>(len);
 
@@ -160,11 +184,13 @@ ResponseSimulator::evaluate(const std::vector<Question> &questions,
                             int parallel)
 {
     fatal_if(questions.empty(), "evaluate: empty question set");
+    const ResolvedPolicy resolved = resolve(policy);
     EvalAccuracy agg;
     agg.questions = questions.size();
     double correct = 0.0;
     for (const auto &q : questions) {
-        const QuestionOutcome o = simulateQuestion(q, policy, parallel);
+        const QuestionOutcome o =
+            simulateQuestion(q, resolved, parallel, rng_);
         correct += o.correct ? 1.0 : 0.0;
         agg.avgMaxTokens += static_cast<double>(o.maxTokens);
         agg.avgSumTokens += o.sumTokens;

@@ -39,6 +39,24 @@ struct EvalAccuracy
     std::size_t questions = 0;
 };
 
+/**
+ * A token policy resolved against one profile: everything a simulated
+ * question needs that depends on the policy but not on the question.
+ * Resolve once per strategy and reuse it across the question loop.
+ */
+struct ResolvedPolicy
+{
+    ConfigBehavior cfg;
+    /**
+     * Mean of the uncapped log-normal length draw.  Under a binding
+     * hard cap it is inflated so that the capped mean matches
+     * cfg.meanTokens.
+     */
+    double lengthMean = 0.0;
+    Tokens cap = 0;          //!< hard length cap; 0 = uncapped
+    double failThresh = 0.0; //!< copula threshold for cfg.parseFail
+};
+
 /** Simulates model responses against a question bank. */
 class ResponseSimulator
 {
@@ -49,6 +67,9 @@ class ResponseSimulator
      */
     ResponseSimulator(const ResponseProfile &profile,
                       std::uint64_t seed = 99);
+
+    /** Resolve @p policy against the profile (see ResolvedPolicy). */
+    ResolvedPolicy resolve(const strategy::TokenPolicy &policy) const;
 
     /** Simulate one question with @p parallel voted samples. */
     QuestionOutcome simulateQuestion(const Question &q,
@@ -63,6 +84,15 @@ class ResponseSimulator
      */
     QuestionOutcome simulateQuestion(const Question &q,
                                      const strategy::TokenPolicy &policy,
+                                     int parallel, Rng &rng) const;
+
+    /**
+     * As above, with the policy already resolved by resolve().  The
+     * policy overloads resolve and delegate here, so a loop that
+     * resolves once draws exactly what per-call resolution would.
+     */
+    QuestionOutcome simulateQuestion(const Question &q,
+                                     const ResolvedPolicy &resolved,
                                      int parallel, Rng &rng) const;
 
     /** Simulate a question set and aggregate. */
@@ -89,7 +119,7 @@ class ResponseSimulator
     static constexpr double trapConcentration = 0.35;
 
   private:
-    Tokens drawLength(const ConfigBehavior &cfg, Rng &rng) const;
+    Tokens drawLength(const ResolvedPolicy &resolved, Rng &rng) const;
 
     const ResponseProfile &profile_;
     Rng rng_;

@@ -89,10 +89,6 @@ solveLogNormalMeanForCap(double target_mean, double cv, double cap)
     fatal_if(target_mean <= 0.0, "target mean must be positive");
     fatal_if(target_mean > cap, "target mean ", target_mean,
              " exceeds cap ", cap);
-    if (cappedLogNormalMean(target_mean, cv, cap) >
-        0.999 * target_mean) {
-        // Cap barely binds; adjust with a few bisection steps anyway.
-    }
     double lo = target_mean;
     double hi = target_mean;
     while (cappedLogNormalMean(hi, cv, cap) < target_mean) {

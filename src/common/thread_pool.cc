@@ -64,8 +64,10 @@ class WorkDeque
         if (b - top > static_cast<std::int64_t>(a->capacity) - 1)
             a = grow(a, top, b);
         a->at(b).store(t, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
-        bottom_.store(b + 1, std::memory_order_relaxed);
+        // Publish the slot to thieves' acquire load of bottom_ with a
+        // release store: ThreadSanitizer does not model a standalone
+        // release fence followed by a relaxed store.
+        bottom_.store(b + 1, std::memory_order_release);
     }
 
     /** Owner only. @return nullptr when empty. */

@@ -86,28 +86,27 @@ StrategyEvaluator::decodeModelAtBatch(model::ModelId id, bool quantized,
     return m;
 }
 
+namespace {
+
+// The per-question cost formulas.  Both the evaluate() loop (inputs
+// looked up once per strategy) and the public per-call queries (inputs
+// looked up per call) go through these, so there is one copy of each.
+
 Seconds
-StrategyEvaluator::questionLatency(
-    const strategy::InferenceStrategy &strat, Tokens input_tokens,
-    Tokens output_tokens)
+latencyOf(const perf::CharacterizationResult &pm,
+          const perf::DecodeLatencyModel &dm, Tokens input_tokens,
+          Tokens output_tokens)
 {
-    const auto &pm = registry_.perfFor(strat.model, strat.quantized);
-    const Seconds prefill = pm.latency.prefill(input_tokens);
-    const auto dm = decodeModelAtBatch(strat.model, strat.quantized,
-                                       strat.parallel);
-    return prefill + dm(input_tokens, output_tokens);
+    return pm.latency.prefill(input_tokens) +
+        dm(input_tokens, output_tokens);
 }
 
 Joules
-StrategyEvaluator::questionEnergy(
-    const strategy::InferenceStrategy &strat, Tokens input_tokens,
-    Tokens output_tokens)
+energyOf(const perf::CharacterizationResult &pm,
+         const perf::DecodeLatencyModel &dm, const hw::PowerModel &power,
+         const hw::PowerProfile &profile, int parallel,
+         Tokens input_tokens, Tokens output_tokens)
 {
-    const auto &entry = registry_.entry(strat.model, strat.quantized);
-    const auto &pm = registry_.perfFor(strat.model, strat.quantized);
-    const hw::PowerModel power(
-        entry.engine->config().powerMode);
-
     Joules total = pm.prefillPower(input_tokens) *
         pm.latency.prefill(input_tokens);
     if (output_tokens <= 0)
@@ -115,8 +114,6 @@ StrategyEvaluator::questionEnergy(
 
     // Batched decode energy: integrate P(o, B) over segments of the
     // affine batched TBT model.
-    const auto dm = decodeModelAtBatch(strat.model, strat.quantized,
-                                       strat.parallel);
     const int segments = 8;
     Tokens prev = 0;
     for (int s = 1; s <= segments; ++s) {
@@ -126,12 +123,38 @@ StrategyEvaluator::questionEnergy(
             continue;
         const Tokens o_mid = std::max<Tokens>(1, (prev + upto) / 2);
         const Tokens ctx_mid = input_tokens + o_mid;
-        const Watts p = power.decode(entry.calib.power, o_mid,
-                                     strat.parallel);
+        const Watts p = power.decode(profile, o_mid, parallel);
         total += p * dm.tbt(ctx_mid) * static_cast<double>(steps);
         prev = upto;
     }
     return total;
+}
+
+} // namespace
+
+Seconds
+StrategyEvaluator::questionLatency(
+    const strategy::InferenceStrategy &strat, Tokens input_tokens,
+    Tokens output_tokens)
+{
+    return latencyOf(registry_.perfFor(strat.model, strat.quantized),
+                     decodeModelAtBatch(strat.model, strat.quantized,
+                                        strat.parallel),
+                     input_tokens, output_tokens);
+}
+
+Joules
+StrategyEvaluator::questionEnergy(
+    const strategy::InferenceStrategy &strat, Tokens input_tokens,
+    Tokens output_tokens)
+{
+    const auto &entry = registry_.entry(strat.model, strat.quantized);
+    return energyOf(registry_.perfFor(strat.model, strat.quantized),
+                    decodeModelAtBatch(strat.model, strat.quantized,
+                                       strat.parallel),
+                    hw::PowerModel(entry.engine->config().powerMode),
+                    entry.calib.power, strat.parallel, input_tokens,
+                    output_tokens);
 }
 
 StrategyReport
@@ -151,11 +174,17 @@ StrategyEvaluator::evaluate(const strategy::InferenceStrategy &strat,
     const std::vector<acc::Question> questions =
         limit ? qb.subset(limit) : qb.questions();
 
+    // Resolve everything that is fixed for the strategy once, before
+    // the fan-out: the policy's length/failure parameters and the cost
+    // models.  Workers then touch no lock and no memo.
     const acc::ResponseSimulator sim(prof, opts_.seed);
-
-    // Pre-warm the per-key caches serially so workers only read them.
-    decodeModelAtBatch(strat.model, strat.quantized, strat.parallel);
-    registry_.perfFor(strat.model, strat.quantized);
+    const acc::ResolvedPolicy resolved = sim.resolve(strat.policy);
+    const ModelEntry &entry = registry_.entry(strat.model, strat.quantized);
+    const perf::CharacterizationResult &pm =
+        registry_.perfFor(strat.model, strat.quantized);
+    const perf::DecodeLatencyModel dm =
+        decodeModelAtBatch(strat.model, strat.quantized, strat.parallel);
+    const hw::PowerModel power(entry.engine->config().powerMode);
 
     // Every question draws from its own stream derived from the seed,
     // the dataset and the question index, so the fanned-out loop is
@@ -181,15 +210,15 @@ StrategyEvaluator::evaluate(const strategy::InferenceStrategy &strat,
             const acc::Question &q = questions[i];
             Rng rng(opts_.seed, stream_base + std::to_string(i));
             const acc::QuestionOutcome o = sim.simulateQuestion(
-                q, strat.policy, strat.parallel, rng);
+                q, resolved, strat.parallel, rng);
             PerQuestion &r = per_q[i];
             r.correct = o.correct ? 1.0 : 0.0;
             r.maxTokens = static_cast<double>(o.maxTokens);
             r.sumTokens = o.sumTokens;
-            r.latency = questionLatency(strat, q.promptTokens,
-                                        o.maxTokens);
-            r.energy = questionEnergy(strat, q.promptTokens,
-                                      o.maxTokens);
+            r.latency = latencyOf(pm, dm, q.promptTokens, o.maxTokens);
+            r.energy = energyOf(pm, dm, power, entry.calib.power,
+                                strat.parallel, q.promptTokens,
+                                o.maxTokens);
         });
 
     // Serial index-order reduction keeps the floating-point sums

@@ -56,10 +56,13 @@ struct EvalOptions
  * themselves run on separate workers (the planner's candidate sweep
  * does).  Streams exclude the strategy on purpose: common random
  * numbers pair the question-level latents across strategies so accuracy
- * gaps carry low Monte-Carlo variance.  The profile/bank/batch-model
- * memo
- * caches are shared-mutex guarded; cached objects are immutable after
- * construction and returned by stable reference.
+ * gaps carry low Monte-Carlo variance.  Everything fixed for a strategy
+ * (the resolved policy with its capped-length mean, the registry entry,
+ * perf models, batch decode model and power model) is resolved once,
+ * before the question fan-out, so workers take no lock per question.
+ * The profile/bank/batch-model memo caches are shared-mutex guarded;
+ * cached objects are immutable after construction and returned by
+ * stable reference.
  */
 class StrategyEvaluator
 {

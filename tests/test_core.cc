@@ -5,6 +5,8 @@
  * planner.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hh"
@@ -284,6 +286,312 @@ TEST(Evaluator, BitIdenticalAcrossThreadCounts)
             << threads;
     }
     er::ThreadPool::setGlobalThreads(0);
+}
+
+namespace {
+
+/** The six report fields a golden pins, in StrategyReport order. */
+struct ReportGolden
+{
+    double accuracyPct, avgTokens, avgSumTokens;
+    double avgLatency, avgEnergy, totalPerMTok;
+};
+
+void
+expectReport(const StrategyReport &rep, const ReportGolden &g,
+             const std::string &what)
+{
+    EXPECT_EQ(rep.accuracyPct, g.accuracyPct) << what;
+    EXPECT_EQ(rep.avgTokens, g.avgTokens) << what;
+    EXPECT_EQ(rep.avgSumTokens, g.avgSumTokens) << what;
+    EXPECT_EQ(rep.avgLatency, g.avgLatency) << what;
+    EXPECT_EQ(rep.avgEnergy, g.avgEnergy) << what;
+    EXPECT_EQ(rep.cost.totalPerMTok(), g.totalPerMTok) << what;
+}
+
+} // namespace
+
+TEST(Evaluator, ReportGoldens)
+{
+    // %.17g values recorded from the binary before per-strategy
+    // invariants were resolved once ahead of the question loop; any
+    // reordering of that work must keep every field bit-identical.
+    // Policy coverage: every PolicyKind; capped lengths where the
+    // resolved mean sits below the cap (the capped-mean solve runs:
+    // hard(256), hard(2048), l1(512), W4 l1(8)) and where it does not
+    // (hard(4), fp16 l1(8)); W4 rows resolve budgeted policies through
+    // the FP16 fallback profile.  MMLU-Redux is multiple choice,
+    // NaturalPlan-Calendar free form.
+    struct Row
+    {
+        ModelId model;
+        bool quantized;
+        TokenPolicy policy;
+        int parallel;
+        Dataset dataset;
+        ReportGolden want;
+    };
+    const Row rows[] = {
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::base(), 1, Dataset::MmluRedux,
+     {61.5, 867.24000000000001, 867.24000000000001,
+      85.383343154814796, 2276.4167644249023, 1.340047147217482}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::base(), 4, Dataset::MmluRedux,
+     {71.5, 1286.2950000000001, 3301.8400000000001,
+      150.29682330740087, 4840.1797327784152, 0.63006821859173823}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::base(), 16, Dataset::MmluRedux,
+     {79.5, 1823.23, 13160.559999999999,
+      272.68601870521456, 10209.773856599162, 0.29132365779572811}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(256), 1, Dataset::MmluRedux,
+     {41.5, 154.405, 154.405,
+      15.30346147016232, 268.00489185454592, 1.3112278674328448}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(256), 4, Dataset::MmluRedux,
+     {46.5, 215.32499999999999, 589.34500000000003,
+      24.813169770636868, 590.52693890705075, 0.56803724686573731}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(256), 16, Dataset::MmluRedux,
+     {58.5, 251.965, 2332.04,
+      34.096311097640495, 982.25303239922721, 0.20031007118394512}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(4), 1, Dataset::MmluRedux,
+     {39.5, 4, 4,
+      0.58363883348610235, 4.6093210025322371, 1.8718851150871136}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(4), 4, Dataset::MmluRedux,
+     {39, 4, 16,
+      0.64817679361161584, 6.822204777231522, 0.52415427828311523}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(4), 16, Dataset::MmluRedux,
+     {46, 4, 64,
+      0.72211038130764815, 9.685157346810275, 0.14734262483014629}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(2048), 1, Dataset::MmluRedux,
+     {46, 873.33000000000004, 873.33000000000004,
+      85.980304925474954, 2293.7863633004768, 1.3400756224710286}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(2048), 4, Dataset::MmluRedux,
+     {55.5, 1271.675, 3311.3400000000001,
+      148.3889503655092, 4769.7577370807167, 0.62017243329907568}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(2048), 16, Dataset::MmluRedux,
+     {64, 1718.9100000000001, 13182.334999999999,
+      254.04572898719519, 9460.9777816536316, 0.2708002049643588}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::soft(128), 1, Dataset::MmluRedux,
+     {60.5, 467.24000000000001, 467.24000000000001,
+      45.995559197454483, 1105.6391803804433, 1.3291087859573227}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::soft(128), 4, Dataset::MmluRedux,
+     {70.5, 693.02499999999998, 1778.9549999999999,
+      80.177171747559512, 2358.3693244887659, 0.61861038382919131}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::soft(128), 16, Dataset::MmluRedux,
+     {79, 982.32000000000005, 7090.4799999999996,
+      139.26501766852778, 4858.3360747062197, 0.27406372920253963}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::noReasoning(), 1, Dataset::MmluRedux,
+     {51, 195.57499999999999, 195.57499999999999,
+      19.337512453668147, 372.25284350755152, 1.3152470449546203}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::noReasoning(), 4, Dataset::MmluRedux,
+     {58, 290.07499999999999, 744.625,
+      33.418715685621379, 857.49865998292489, 0.60898177861727587}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::noReasoning(), 16, Dataset::MmluRedux,
+     {71, 411.14999999999998, 2967.7800000000002,
+      56.200366594400933, 1776.6363217328576, 0.26165386107984667}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::l1(512), 1, Dataset::MmluRedux,
+     {44.5, 291.28500000000003, 291.28500000000003,
+      28.718957230728783, 627.09983955750579, 1.3221282433550388}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::l1(512), 4, Dataset::MmluRedux,
+     {52, 411.51499999999999, 1108.8599999999999,
+      47.408015890508786, 1307.3688236372448, 0.5835487794818508}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::l1(512), 16, Dataset::MmluRedux,
+     {66, 496.91000000000003, 4391.2299999999996,
+      68.115607554507562, 2204.833182427888, 0.21481752121824027}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::l1(8), 1, Dataset::MmluRedux,
+     {39.5, 6.7400000000000002, 6.7400000000000002,
+      0.85160409886325839, 6.1903160682574594, 1.6176529780368134}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::l1(8), 4, Dataset::MmluRedux,
+     {39, 7.8949999999999996, 26.344999999999999,
+      1.0919799063872253, 11.224844225403622, 0.53586831173146576}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::l1(8), 16, Dataset::MmluRedux,
+     {46, 8, 104.67,
+      1.2520328611499425, 17.072545542568854, 0.15631763474393792}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::base(), 1, Dataset::MmluRedux,
+     {58, 587.08000000000004, 587.08000000000004,
+      21.706133443728277, 546.50239629021632, 0.50094978746569874}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::base(), 4, Dataset::MmluRedux,
+     {69, 870.80999999999995, 2235.29,
+      39.368973876103198, 1204.535787084754, 0.24260886264414078}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::base(), 16, Dataset::MmluRedux,
+     {78.5, 1234.3099999999999, 8909.3500000000004,
+      83.421807030027281, 3049.6900227882752, 0.13130509021326126}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(256), 1, Dataset::MmluRedux,
+     {40, 104.65000000000001, 104.65000000000001,
+      3.8975121222817148, 54.888969811030549, 0.48739552735130792}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(256), 4, Dataset::MmluRedux,
+     {45, 152.63, 396.62,
+      6.6393684079301716, 140.28876874502544, 0.22398636090843427}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(256), 16, Dataset::MmluRedux,
+     {55, 208.345, 1579.7049999999999,
+      11.397869266119507, 317.60102852375991, 0.098566974223025072}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(4), 1, Dataset::MmluRedux,
+     {35, 4, 4,
+      0.22261133737654559, 1.7154058608921798, 0.71352924035266507}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(4), 4, Dataset::MmluRedux,
+     {35, 4, 16,
+      0.24717740870787813, 2.5451338619759549, 0.19973530331859218}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(4), 16, Dataset::MmluRedux,
+     {43, 4, 64,
+      0.28431176144623144, 3.7478261373195298, 0.057969631882284482}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(2048), 1, Dataset::MmluRedux,
+     {44.5, 588.05499999999995, 588.05499999999995,
+      21.74243591522394, 547.46609107715608, 0.50095915529757273}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(2048), 4, Dataset::MmluRedux,
+     {51.5, 865.72000000000003, 2232.4250000000002,
+      39.071572358029293, 1193.9525969590079, 0.24105745068643206}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::hard(2048), 16, Dataset::MmluRedux,
+     {59, 1225.6700000000001, 8913.1450000000004,
+      82.412882585149305, 3009.3780327679096, 0.12964579659364858}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::soft(128), 1, Dataset::MmluRedux,
+     {56.5, 316.315, 316.315,
+      11.671478818151536, 261.14464126807735, 0.49562781387666538}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::soft(128), 4, Dataset::MmluRedux,
+     {66, 469.18000000000001, 1204.3499999999999,
+      20.693939264438896, 586.02469051515197, 0.23505786211949806}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::soft(128), 16, Dataset::MmluRedux,
+     {77.5, 665.005, 4800.2150000000001,
+      40.15977675622505, 1354.4894601290719, 0.11633526212711814}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::noReasoning(), 1, Dataset::MmluRedux,
+     {48, 132.375, 132.375,
+      4.9122988089067148, 80.154515695002843, 0.4890916456931122}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::noReasoning(), 4, Dataset::MmluRedux,
+     {56, 196.38499999999999, 504.02999999999997,
+      8.5493980167590831, 198.86906230755801, 0.22846593682711372}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::noReasoning(), 16, Dataset::MmluRedux,
+     {68, 278.35500000000002, 2009.125,
+      15.484188577934363, 460.76316096098691, 0.10589227761548964}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::l1(512), 1, Dataset::MmluRedux,
+     {43, 196.71000000000001, 196.71000000000001,
+      7.2709764502782637, 140.99460434023996, 0.49190168679437563}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::l1(512), 4, Dataset::MmluRedux,
+     {48, 287.70999999999998, 745.70000000000005,
+      12.557417755037482, 323.76916096296549, 0.22858804297272192}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::l1(512), 16, Dataset::MmluRedux,
+     {59.5, 397.01499999999999, 2972.0900000000001,
+      22.572848087859096, 718.63462499952993, 0.10501152740099362}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::l1(8), 1, Dataset::MmluRedux,
+     {35, 6.0049999999999999, 6.0049999999999999,
+      0.29567740856016611, 2.1464956808755411, 0.63037550824955169}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::l1(8), 4, Dataset::MmluRedux,
+     {35, 7.5149999999999997, 23.379999999999999,
+      0.3969031188628645, 4.0304508842277098, 0.21938513427268158}},
+    {ModelId::Dsr1Llama8B, true, TokenPolicy::l1(8), 16, Dataset::MmluRedux,
+     {43, 7.9950000000000001, 92.444999999999993,
+      0.49187563811732332, 6.6413718741266266, 0.069502615658555367}},
+    {ModelId::L1Max, false, TokenPolicy::base(), 1, Dataset::MmluRedux,
+     {44, 319.14499999999998, 319.14499999999998,
+      7.9083322107445015, 135.75940798556115, 0.32747119533035035}},
+    {ModelId::L1Max, false, TokenPolicy::base(), 4, Dataset::MmluRedux,
+     {46, 362.90499999999997, 1257.24,
+      10.407986311086081, 233.81856949170779, 0.11122957373617116}},
+    {ModelId::L1Max, false, TokenPolicy::base(), 16, Dataset::MmluRedux,
+     {44.5, 403.35500000000002, 5021.8050000000003,
+      13.629778797567134, 376.08348855194237, 0.037046914471175231}},
+    {ModelId::L1Max, false, TokenPolicy::l1(512), 1, Dataset::MmluRedux,
+     {21, 59.990000000000002, 59.990000000000002,
+      1.5324159110444351, 9.5777480642324537, 0.32595885521028706}},
+    {ModelId::L1Max, false, TokenPolicy::l1(512), 4, Dataset::MmluRedux,
+     {22, 68.204999999999998, 236.30000000000001,
+      1.9945588094117568, 21.921476713409838, 0.10937528557217817}},
+    {ModelId::L1Max, false, TokenPolicy::l1(512), 16, Dataset::MmluRedux,
+     {23.5, 75.814999999999998, 943.78499999999997,
+      2.5587444067558764, 41.780941792437346, 0.035733962352795759}},
+    {ModelId::L1Max, false, TokenPolicy::l1(8), 1, Dataset::MmluRedux,
+     {9.5, 7.6050000000000004, 7.6050000000000004,
+      0.24515150391187476, 1.4296601508202844, 0.41077751109129251}},
+    {ModelId::L1Max, false, TokenPolicy::l1(8), 4, Dataset::MmluRedux,
+     {9.5, 7.9900000000000002, 30.215,
+      0.28492947300628219, 2.6696475783831062, 0.12155729698310409}},
+    {ModelId::L1Max, false, TokenPolicy::l1(8), 16, Dataset::MmluRedux,
+     {10.5, 8, 120.755,
+      0.32106322272717308, 4.2087656769311801, 0.034687222232027352}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::base(), 1, Dataset::NaturalPlanCalendar,
+     {8, 2807.0900000000001, 2807.0900000000001,
+      279.73388660041218, 8509.6180071981271, 1.3719691921070365}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::base(), 4, Dataset::NaturalPlanCalendar,
+     {10, 4278.6400000000003, 11011.684999999999,
+      532.33351386497122, 18814.959274338791, 0.67547569329697699}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::base(), 16, Dataset::NaturalPlanCalendar,
+     {30.5, 6285.5200000000004, 44689.300000000003,
+      1234.2105151920127, 49877.015840710927, 0.39172330811319744}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(256), 1, Dataset::NaturalPlanCalendar,
+     {8, 33.604999999999997, 33.604999999999997,
+      3.6645231424648155, 25.664151781909972, 1.3949078690191867}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(256), 4, Dataset::NaturalPlanCalendar,
+     {9, 51.255000000000003, 131.845,
+      6.2695674868749833, 70.423244982646423, 0.61666271349094948}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(256), 16, Dataset::NaturalPlanCalendar,
+     {28, 75.234999999999999, 535.12,
+      10.742939971100606, 186.09749454624091, 0.26543730735445809}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(4), 1, Dataset::NaturalPlanCalendar,
+     {8, 4, 4,
+      0.76187442739261346, 6.7465542913776453, 2.4511341928037669}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(4), 4, Dataset::NaturalPlanCalendar,
+     {9, 4, 16,
+      0.82972226666725191, 8.995903199902914, 0.67164735208353776}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::hard(4), 16, Dataset::NaturalPlanCalendar,
+     {28, 4, 64,
+      0.91869799927009399, 12.085487747126056, 0.18730135906780873}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::soft(128), 1, Dataset::NaturalPlanCalendar,
+     {8, 83.495000000000005, 83.495000000000005,
+      8.5580842455665778, 104.02986583712728, 1.3331412756787335}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::soft(128), 4, Dataset::NaturalPlanCalendar,
+     {9.5, 127.23, 327.46499999999997,
+      15.035893061160866, 292.36047148151027, 0.61115035065194878}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::soft(128), 16, Dataset::NaturalPlanCalendar,
+     {28.5, 186.88999999999999, 1328.8699999999999,
+      26.333793115513309, 704.07048142305041, 0.26978461700784129}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::noReasoning(), 1, Dataset::NaturalPlanCalendar,
+     {8, 785.995, 785.995,
+      77.745991336492793, 2043.9490977585599, 1.3447788312216999}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::noReasoning(), 4, Dataset::NaturalPlanCalendar,
+     {10, 1198.01, 3083.27,
+      141.26601702739308, 4501.4045957549879, 0.63354287417758992}},
+    {ModelId::Dsr1Llama8B, false, TokenPolicy::noReasoning(), 16, Dataset::NaturalPlanCalendar,
+     {30, 1759.9449999999999, 12513.08,
+      270.91716807123333, 10116.761013596029, 0.30432126301360263}},
+    };
+    StrategyEvaluator &ev = facade().evaluator();
+    for (const Row &r : rows) {
+        const auto s = strat(r.model, r.policy, r.parallel, r.quantized);
+        expectReport(ev.evaluate(s, r.dataset, 200), r.want,
+                     s.label() + " on " + er::acc::datasetName(r.dataset));
+    }
+}
+
+TEST(Planner, PlanGoldens)
+{
+    struct Row
+    {
+        double budget;
+        const char *label;
+        std::size_t candidates;
+        er::Tokens maxTokenBudget;
+        ReportGolden want;
+    };
+    const Row rows[] = {
+    {2, "Qwen2.5-1.5B-it Base x4", 70, 68,
+     {48, 47.704999999999998, 145.53,
+      1.4130163262728612, 14.461855730358643, 0.12550870198934266}},
+    {30, "DSR1-Qwen-14B-AWQ-W4 1024T x4", 259, 391,
+     {82, 348.63, 897.32500000000005,
+      26.695282152260724, 798.50304434901921, 0.40895103455767773}},
+    {300, "DSR1-Qwen-14B-AWQ-W4 Base x4", 319, 3427,
+     {90.5, 1959.835, 5030.7550000000001,
+      162.87567934617408, 6107.7587319385839, 0.45528671918852803}},
+    };
+    for (const Row &r : rows) {
+        PlanRequest req;
+        req.dataset = Dataset::MmluRedux;
+        req.latencyBudget = r.budget;
+        req.sampleQuestions = 200;
+        req.maxParallel = 4;
+        const auto plan = facade().plan(req);
+        ASSERT_TRUE(plan.has_value()) << r.budget;
+        EXPECT_EQ(plan->strategy.label(), r.label) << r.budget;
+        EXPECT_EQ(plan->candidates.size(), r.candidates) << r.budget;
+        EXPECT_EQ(plan->maxTokenBudget, r.maxTokenBudget) << r.budget;
+        expectReport(plan->predicted, r.want,
+                     "plan " + std::to_string(r.budget));
+    }
 }
 
 TEST(Pareto, ParallelSweepMatchesDirectEvaluation)

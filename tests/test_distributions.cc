@@ -71,6 +71,23 @@ TEST(SolveLogNormalMeanForCap, InvertsCappedMean)
     EXPECT_NEAR(er::cappedLogNormalMean(m, cv, cap), target, 0.01);
 }
 
+TEST(SolveLogNormalMeanForCap, DegenerateSpreadReturnsTargetExactly)
+{
+    // With no spread min(X, cap) == X below the cap: nothing to inflate.
+    EXPECT_EQ(er::solveLogNormalMeanForCap(91.5, 0.0, 128.0), 91.5);
+    EXPECT_EQ(er::solveLogNormalMeanForCap(91.5, -0.2, 128.0), 91.5);
+    EXPECT_EQ(er::solveLogNormalMeanForCap(128.0, 0.0, 128.0), 128.0);
+}
+
+TEST(SolveLogNormalMeanForCap, TargetAtCapSaturates)
+{
+    // Any spread keeps E[min(X, cap)] strictly below the cap, so for a
+    // wide spread no mean below 1e9 reaches it and the search
+    // saturates.  (For a narrow one the closed form rounds up to the
+    // cap at a finite mean, where the search stops instead.)
+    EXPECT_GT(er::solveLogNormalMeanForCap(128.0, 5.0, 128.0), 1e9);
+}
+
 TEST(SolveLogNormalMeanForCap, RejectsTargetAboveCap)
 {
     EXPECT_THROW(er::solveLogNormalMeanForCap(200.0, 0.3, 128.0),
