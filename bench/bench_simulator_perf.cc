@@ -387,10 +387,7 @@ BM_FleetScaling100k(benchmark::State &state)
     // Fleet-scale event engine (DESIGN.md §15): a 10^5-request trace
     // of short requests over a large healthy round-robin fleet, the
     // regime where per-event fleet-layer cost — not per-node decode
-    // work — decides throughput.  Arg 0 = node count; Arg 1 = 1 runs
-    // the next-stop index + batched routing (the default engine),
-    // 0 the legacy all-node scans, so adjacent entries are the
-    // before/after pair for the same workload.  items/s = fleet
+    // work — decides throughput.  Arg = node count.  items/s = fleet
     // events per second (FleetReport::events).
     const int n = static_cast<int>(state.range(0));
     er::fleet::FleetConfig fc;
@@ -401,7 +398,6 @@ BM_FleetScaling100k(benchmark::State &state)
     }
     fc.server.maxBatch = 16;
     fc.router = er::fleet::RouterPolicy::RoundRobin;
-    fc.nodeIndex = state.range(1) != 0;
     static const auto trace = [] {
         er::Rng rng(55, "bench-fleet-scale");
         return er::engine::ServingSimulator::poissonTrace(
@@ -419,10 +415,8 @@ BM_FleetScaling100k(benchmark::State &state)
     state.counters["fleet_events"] = static_cast<double>(events);
 }
 BENCHMARK(BM_FleetScaling100k)
-    ->Args({1024, 1})
-    ->Args({1024, 0})
-    ->Args({2048, 1})
-    ->Args({2048, 0})
+    ->Arg(1024)
+    ->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
 void

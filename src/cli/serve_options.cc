@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <functional>
 #include <map>
+#include <set>
 
 namespace edgereason {
 namespace cli {
@@ -91,8 +92,23 @@ parseServeOptions(const std::vector<std::string> &args,
         });
     };
 
-    bool fleet_only_flag = false; // fleet-scoped value flag was given
-    bool session_only_flag = false; // session-scoped value flag given
+    // Flags that only mean something on a fleet run (--fleet N) or a
+    // session trace (--sessions N).  Giving one outside its mode is an
+    // error whatever its value, so no flag is ever silently ignored.
+    static const std::set<std::string> fleet_scoped = {
+        "router", "hetero", "node-faults", "node-crash-rate",
+        "node-reboot", "node-degrade-rate", "node-degrade-mean",
+        "node-slowdown-rate", "node-slowdown-mean", "node-slowdown-mult",
+        "node-flap-rate", "node-flap-mean", "adaptive-health",
+        "health-quantile", "health-multiple", "adaptive-timeout",
+        "retry", "retry-backoff", "request-timeout", "hedge", "cloud",
+        "cloud-rtt", "fleet-journals", "stream", "approx-stats",
+    };
+    static const std::set<std::string> session_scoped = {
+        "turns-per-session", "session-qps", "turn-gap", "system-prompt",
+    };
+    bool fleet_only_flag = false;   // a fleet-scoped flag was given
+    bool session_only_flag = false; // a session-scoped flag was given
     bool prefix_evict_given = false;
     long long max_batch = opt.maxBatch;
     long long prefill_chunk = opt.prefillChunk;
@@ -170,7 +186,6 @@ parseServeOptions(const std::vector<std::string> &args,
                  return "invalid --router policy: " + v +
                      " (expected rr|least|deadline|cost)";
              opt.router = *p;
-             fleet_only_flag = true;
              return std::string();
          }},
         {"node-crash-rate",
@@ -181,46 +196,22 @@ parseServeOptions(const std::vector<std::string> &args,
          doubleOpt(&opt.nodeDegradeRate, 0.0, "--node-degrade-rate")},
         {"node-degrade-mean",
          doubleOpt(&opt.nodeDegradeMean, 0.0, "--node-degrade-mean")},
-        {"node-slowdown-rate", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.nodeSlowdownRate, 0.0,
-                              "--node-slowdown-rate")(v);
-         }},
-        {"node-slowdown-mean", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.nodeSlowdownMean, 0.0,
-                              "--node-slowdown-mean")(v);
-         }},
-        {"node-slowdown-mult", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.nodeSlowdownMult, 0.0,
-                              "--node-slowdown-mult")(v);
-         }},
-        {"node-flap-rate", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.nodeFlapRate, 0.0,
-                              "--node-flap-rate")(v);
-         }},
-        {"node-flap-mean", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.nodeFlapMean, 0.0,
-                              "--node-flap-mean")(v);
-         }},
-        {"health-quantile", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.healthQuantile, 0.0,
-                              "--health-quantile")(v);
-         }},
-        {"health-multiple", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.healthMultiple, 0.0,
-                              "--health-multiple")(v);
-         }},
-        {"adaptive-timeout", [&](const std::string &v) {
-             fleet_only_flag = true;
-             return doubleOpt(&opt.adaptiveTimeout, 0.0,
-                              "--adaptive-timeout")(v);
-         }},
+        {"node-slowdown-rate",
+         doubleOpt(&opt.nodeSlowdownRate, 0.0, "--node-slowdown-rate")},
+        {"node-slowdown-mean",
+         doubleOpt(&opt.nodeSlowdownMean, 0.0, "--node-slowdown-mean")},
+        {"node-slowdown-mult",
+         doubleOpt(&opt.nodeSlowdownMult, 0.0, "--node-slowdown-mult")},
+        {"node-flap-rate",
+         doubleOpt(&opt.nodeFlapRate, 0.0, "--node-flap-rate")},
+        {"node-flap-mean",
+         doubleOpt(&opt.nodeFlapMean, 0.0, "--node-flap-mean")},
+        {"health-quantile",
+         doubleOpt(&opt.healthQuantile, 0.0, "--health-quantile")},
+        {"health-multiple",
+         doubleOpt(&opt.healthMultiple, 0.0, "--health-multiple")},
+        {"adaptive-timeout",
+         doubleOpt(&opt.adaptiveTimeout, 0.0, "--adaptive-timeout")},
         {"retry", longOpt(&opt.retry, 0, "--retry")},
         {"retry-backoff", [&](const std::string &v) {
              double x = 0.0;
@@ -266,35 +257,13 @@ parseServeOptions(const std::vector<std::string> &args,
              opt.fleetJournals = v;
              return std::string();
          }},
-        {"fleet-index", [&](const std::string &v) {
-             if (v == "on")
-                 opt.fleetIndex = true;
-             else if (v == "off")
-                 opt.fleetIndex = false;
-             else
-                 return "invalid --fleet-index value: " + v +
-                     " (expected on|off)";
-             fleet_only_flag = true;
-             return std::string();
-         }},
         {"sessions", longOpt(&opt.sessions, 1, "--sessions")},
-        {"turns-per-session", [&](const std::string &v) {
-             session_only_flag = true;
-             return longOpt(&opt.turnsPerSession, 1,
-                            "--turns-per-session")(v);
-         }},
-        {"session-qps", [&](const std::string &v) {
-             session_only_flag = true;
-             return doubleOpt(&opt.sessionQps, 0.0, "--session-qps")(v);
-         }},
-        {"turn-gap", [&](const std::string &v) {
-             session_only_flag = true;
-             return doubleOpt(&opt.turnGap, 0.0, "--turn-gap")(v);
-         }},
-        {"system-prompt", [&](const std::string &v) {
-             session_only_flag = true;
-             return longOpt(&opt.systemPrompt, 0, "--system-prompt")(v);
-         }},
+        {"turns-per-session",
+         longOpt(&opt.turnsPerSession, 1, "--turns-per-session")},
+        {"session-qps", doubleOpt(&opt.sessionQps, 0.0, "--session-qps")},
+        {"turn-gap", doubleOpt(&opt.turnGap, 0.0, "--turn-gap")},
+        {"system-prompt",
+         longOpt(&opt.systemPrompt, 0, "--system-prompt")},
         {"prefix-cache", [&](const std::string &v) {
              if (v == "on")
                  opt.prefixCache = 1;
@@ -336,6 +305,8 @@ parseServeOptions(const std::vector<std::string> &args,
         if (tok.rfind("--", 0) != 0)
             return fail("unexpected argument: " + tok);
         const std::string key = tok.substr(2);
+        fleet_only_flag |= fleet_scoped.count(key) > 0;
+        session_only_flag |= session_scoped.count(key) > 0;
 
         if (const auto b = bool_flags.find(key);
             b != bool_flags.end()) {
@@ -449,13 +420,7 @@ parseServeOptions(const std::vector<std::string> &args,
                         "path keeps anyway)");
         }
     } else {
-        const bool fleet_flag_used = fleet_only_flag || opt.hetero ||
-            opt.nodeFaults || opt.adaptiveHealth || opt.stream ||
-            opt.approxStats ||
-            opt.nodeCrashRate > 0.0 || opt.nodeDegradeRate > 0.0 ||
-            opt.hedge > 0.0 || !opt.cloud.empty() ||
-            !opt.fleetJournals.empty();
-        if (fleet_flag_used)
+        if (fleet_only_flag)
             return fail("fleet flags (--router, --hedge, --cloud, "
                         "--adaptive-health, --node-*) need "
                         "--fleet N");

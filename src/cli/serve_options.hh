@@ -158,10 +158,6 @@ struct ServeOptions
     std::string cloud;            //!< offload tier: o4-mini|o1-preview
     double cloudRtt = 0.15;       //!< cloud round-trip seconds
     std::string fleetJournals;    //!< per-node journal directory
-    /** Drive the fleet from the next-stop-time index (DESIGN.md §15);
-     *  `--fleet-index off` selects the legacy all-node scans
-     *  (value-identical — a bisection/escape hatch). */
-    bool fleetIndex = true;
     /** Stream the trace (`--stream`): requests are drawn one at a
      *  time and terminal state folds away, so memory is O(in-flight)
      *  at any trace length.  Excludes checkpoint/resume/crash

@@ -110,9 +110,9 @@ FleetSimulator::FleetSimulator(FleetConfig cfg) : cfg_(std::move(cfg))
 
 void
 FleetSimulator::push(Seconds t, int kind, std::int64_t gid, int node,
-                     std::size_t served_idx, Seconds aux)
+                     Seconds aux)
 {
-    heap_.push_back({t, kind, seq_++, gid, node, served_idx, aux});
+    heap_.push_back({t, kind, seq_++, gid, node, 0, aux});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
@@ -153,57 +153,30 @@ FleetSimulator::drainNode(std::size_t i)
 }
 
 void
-FleetSimulator::drainOutcomes()
-{
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        drainNode(i);
-}
-
-void
 FleetSimulator::syncNodesTo(Seconds target)
 {
     while (true) {
         lagBuf_.clear();
-        if (cfg_.nodeIndex) {
-            // Index invariant: key == clock for every up-and-busy
-            // node, +inf otherwise — so collectLagging evaluates the
-            // legacy per-node lag test, in the legacy scan order,
-            // touching only qualifying heap subtrees.
-            stopIndex_.collectLagging(target, kTimeSlack, lagBuf_);
-        } else {
-            for (std::size_t i = 0; i < nodes_.size(); ++i) {
-                if (nodes_[i]->up() && nodes_[i]->busy() &&
-                    nodes_[i]->clock() + kTimeSlack < target)
-                    lagBuf_.push_back(static_cast<int>(i));
-            }
-        }
+        // Index invariant: key == clock for every up-and-busy node,
+        // +inf otherwise — so collectLagging returns exactly the up,
+        // busy nodes whose clock + kTimeSlack < target, in ascending
+        // id order, touching only qualifying heap subtrees.
+        stopIndex_.collectLagging(target, kTimeSlack, lagBuf_);
         if (lagBuf_.empty())
             break;
         // Serial on the driver thread: a round advances each laggard by
         // about a microsecond of work, far less than a pool fork/join.
         for (const int i : lagBuf_)
             nodes_[static_cast<std::size_t>(i)]->advanceUntil(target, true);
-        if (cfg_.nodeIndex) {
-            for (const int i : lagBuf_)
-                refreshNode(static_cast<std::size_t>(i));
-            // Only advanced nodes can hold new records: every earlier
-            // round drained its own laggards, and the only records
-            // produced outside advanceUntil are cancel echoes, which
-            // drainNode skips whenever it does reach them.  Draining
-            // just the laggards (in the same ascending-id order) thus
-            // pushes the same events with the same seq numbers.
-            for (const int i : lagBuf_)
-                drainNode(static_cast<std::size_t>(i));
-        } else {
-            drainOutcomes();
+        // Only advanced nodes can hold new records: every earlier round
+        // drained its own laggards, and the only records produced
+        // outside advanceUntil are cancel echoes, which drainNode skips
+        // whenever it does reach them.
+        for (const int i : lagBuf_) {
+            refreshNode(static_cast<std::size_t>(i));
+            drainNode(static_cast<std::size_t>(i));
         }
     }
-}
-
-Seconds
-FleetSimulator::nextNodeStop() const
-{
-    return cfg_.nodeIndex ? stopIndex_.minKey() : nextNodeStopBrute();
 }
 
 Seconds
@@ -219,24 +192,9 @@ FleetSimulator::nextNodeStopBrute() const
 void
 FleetSimulator::refreshNode(std::size_t i)
 {
-    if (!cfg_.nodeIndex)
-        return;
     const FleetNode &n = *nodes_[i];
     stopIndex_.update(i, n.up() && n.busy() ? n.clock()
                                             : NodeStopIndex::kNoStop);
-}
-
-void
-FleetSimulator::refreshAllNodes()
-{
-    if (!cfg_.nodeIndex)
-        return;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const FleetNode &n = *nodes_[i];
-        stopIndex_.update(i, n.up() && n.busy()
-                                 ? n.clock()
-                                 : NodeStopIndex::kNoStop);
-    }
 }
 
 void
@@ -327,9 +285,8 @@ FleetSimulator::draining(int node, Seconds now) const
 }
 
 void
-FleetSimulator::cancelLeg(Track &t, int slot, Seconds now)
+FleetSimulator::cancelLeg(Track &t, int slot)
 {
-    (void)now;
     Leg &leg = t.legs[slot];
     panic_if(!leg.live, "cancel of a dead leg");
     panic_if(leg.node < 0, "cloud legs cannot be cancelled");
@@ -351,7 +308,7 @@ FleetSimulator::finishTrack(Track &t, FleetOutcome o, Seconds finish,
     panic_if(t.terminal, "double-terminal fleet track ", t.gid);
     for (int slot = 0; slot < 2; ++slot)
         if (t.legs[slot].live)
-            cancelLeg(t, slot, finish);
+            cancelLeg(t, slot);
     t.terminal = true;
     t.outcome = o;
     t.finish = finish;
@@ -441,9 +398,8 @@ FleetSimulator::foldTrack(const Track &t)
 
 void
 FleetSimulator::dispatch(Track &t, Seconds now, int exclude,
-                         bool is_hedge, bool is_failover)
+                         bool is_hedge)
 {
-    (void)is_failover;
     refreshViews(now);
     const RouteDecision d = router_->route(t.req, now, t.absDeadline,
                                            viewsBuf_, viewsGen_,
@@ -542,7 +498,7 @@ FleetSimulator::onArrival(const Event &e)
         t.absDeadline = t.req.deadline > 0.0
             ? t.req.arrival + t.req.deadline
             : kInf;
-        dispatch(t, e.time, -1, false, false);
+        dispatch(t, e.time, -1, false);
         if (streamIssued_ < streamTotal_) {
             const Seconds prev = streamPending_.arrival;
             streamPending_ = src_->next();
@@ -561,7 +517,7 @@ FleetSimulator::onArrival(const Event &e)
     t.absDeadline = t.req.deadline > 0.0
         ? t.req.arrival + t.req.deadline
         : kInf;
-    dispatch(t, e.time, -1, false, false);
+    dispatch(t, e.time, -1, false);
     if (nextArrival_ < trace_->size()) {
         push((*trace_)[nextArrival_].arrival, KArrival,
              static_cast<std::int64_t>(nextArrival_), -1);
@@ -659,7 +615,7 @@ FleetSimulator::onCrash(const Event &e)
             continue;
         }
         ++failovers_;
-        dispatch(t, e.time, e.node, false, true);
+        dispatch(t, e.time, e.node, false);
     }
 }
 
@@ -690,7 +646,7 @@ FleetSimulator::onHedgeTimer(const Event &e)
         return; // cloud legs are not hedged
     if (e.time + kDeadlineSlack >= t.absDeadline)
         return;
-    dispatch(t, e.time, leg.node, true, false);
+    dispatch(t, e.time, leg.node, true);
 }
 
 void
@@ -709,7 +665,7 @@ FleetSimulator::onRetryTimer(const Event &e)
         return;
     }
     ++retries_;
-    dispatch(t, e.time, e.node, false, false);
+    dispatch(t, e.time, e.node, false);
 }
 
 void
@@ -791,8 +747,7 @@ FleetSimulator::audit(Seconds now) const
              ")");
     fatal_if(now + kTimeSlack < now_,
              "fleet audit: time ran backwards");
-    if (cfg_.nodeIndex)
-        auditStopIndex();
+    auditStopIndex();
 }
 
 FleetReport
@@ -850,9 +805,14 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
     eventLoop(dur, durable, fp, resumed, restoredEvent);
 
     audit(now_);
-    for (std::size_t gid = 0; gid < tracks_.size(); ++gid)
+    // Fold in gid order through the same aggregates runStream keeps as
+    // it runs, so both flavours build their report one way.
+    foldLat_.reserve(tracks_.size());
+    for (std::size_t gid = 0; gid < tracks_.size(); ++gid) {
         fatal_if(!tracks_[gid].terminal, "fleet conservation violated: "
                  "request ", gid, " never reached a terminal state");
+        foldTrack(tracks_[gid]);
+    }
     return buildReport();
 }
 
@@ -885,7 +845,7 @@ FleetSimulator::runStream(engine::TraceSource &src, bool approx_stats)
     fatal_if(folded != streamTotal_, "fleet conservation violated: ",
              folded, " folded outcomes for ", streamTotal_,
              " arrivals");
-    return buildStreamReport();
+    return buildReport();
 }
 
 void
@@ -894,8 +854,7 @@ FleetSimulator::scheduleNodeEvents()
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         nodes_[i]->beginJournal();
         for (const auto &c : schedules_[i].crashes)
-            push(c.time, KCrash, -1, static_cast<int>(i), 0,
-                 c.rebootAfter);
+            push(c.time, KCrash, -1, static_cast<int>(i), c.rebootAfter);
         for (const auto &d : schedules_[i].degrades) {
             push(d.start, KDegradeStart, -1, static_cast<int>(i));
             push(d.start + d.duration, KDegradeEnd, -1,
@@ -917,12 +876,12 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
                           bool durable, std::uint64_t fp, bool resumed,
                           std::uint64_t restored_event)
 {
-    // The arrival-burst fast path needs the index (its no-laggard test
-    // must be O(1)) and would race the per-event durability gates.
-    const bool burst = cfg_.nodeIndex && !durable;
+    // The arrival-burst fast path would race the per-event durability
+    // gates.
+    const bool burst = !durable;
     while (true) {
         if (heap_.empty()) {
-            const Seconds lo = nextNodeStop();
+            const Seconds lo = stopIndex_.minKey();
             if (lo == kInf)
                 break; // no events, no busy nodes: done
             syncNodesTo(lo + kDrainQuantum);
@@ -1032,9 +991,7 @@ FleetSimulator::fleetFingerprint(
     // every crash-injection knob — resuming under a different (or no)
     // crash plan is the normal recovery flow.
     // v2: Event records carry the KOutcome payload (local, latency,
-    // generated, legOutcome).  cfg_.nodeIndex is deliberately NOT
-    // hashed: the index is value-identical derived state, so either
-    // path may resume the other's checkpoints.
+    // generated, legOutcome).
     ByteWriter w;
     w.str("edgereason-fleet-ckpt-v2");
     w.u8(static_cast<std::uint8_t>(cfg_.router));
@@ -1275,7 +1232,8 @@ FleetSimulator::restoreState(ByteReader &r,
     lastCkptEvent_ = eventCount_;
     // The stop index and router views are derived state: rebuild the
     // former from the restored nodes, invalidate the latter.
-    refreshAllNodes();
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        refreshNode(i);
     viewsDirty_ = true;
 }
 
@@ -1284,78 +1242,12 @@ FleetSimulator::buildReport() const
 {
     FleetReport r;
     r.router = cfg_.router;
-    r.arrivals = tracks_.size();
-
-    std::vector<double> latencies;
-    std::size_t deadline_met = 0;
-    Seconds makespan = 0.0;
-    for (const Track &t : tracks_) {
-        makespan = std::max(makespan, t.finish);
-        switch (t.outcome) {
-          case FleetOutcome::Served:
-            ++r.served;
-            break;
-          case FleetOutcome::TimedOut:
-            ++r.timedOut;
-            break;
-          case FleetOutcome::Shed:
-            ++r.shed;
-            break;
-          case FleetOutcome::Offloaded:
-            ++r.offloaded;
-            break;
-        }
-        if (t.outcome == FleetOutcome::Served ||
-            t.outcome == FleetOutcome::Offloaded) {
-            latencies.push_back(t.finish - t.req.arrival);
-            if (t.absDeadline == kInf ||
-                t.finish <= t.absDeadline + kDeadlineSlack)
-                ++deadline_met;
-        }
-    }
-    r.retries = retries_;
-    r.failovers = failovers_;
-    r.hedgesLaunched = hedgesLaunched_;
-    r.hedgeWins = hedgeWins_;
-    r.hedgeWaste = hedgeWaste_;
-    r.cancelledLegs = cancelledLegs_;
-    r.adaptiveHealth = cfg_.adaptiveHealth;
-    r.adaptiveEjections = adaptiveEjections_;
-    r.makespan = makespan;
-
-    const std::size_t finished = r.served + r.offloaded;
-    if (makespan > 0.0) {
-        r.throughput = static_cast<double>(finished) / makespan;
-        r.goodput = static_cast<double>(deadline_met) / makespan;
-    }
-    if (r.arrivals > 0)
-        r.deadlineHitRate = static_cast<double>(deadline_met) /
-            static_cast<double>(r.arrivals);
-    if (!latencies.empty()) {
-        double sum = 0.0;
-        for (const double v : latencies)
-            sum += v;
-        r.meanLatency = sum / static_cast<double>(latencies.size());
-        r.p50Latency = percentile(latencies, 50.0);
-        r.p99Latency = percentile(latencies, 99.0);
-        r.p999Latency = percentile(latencies, 99.9);
-    }
-
-    r.events = eventCount_;
-    fillNodeAndCost(r, finished);
-    return r;
-}
-
-FleetReport
-FleetSimulator::buildStreamReport() const
-{
-    FleetReport r;
-    r.router = cfg_.router;
-    r.arrivals = streamTotal_;
     r.served = foldServed_;
     r.timedOut = foldTimedOut_;
     r.shed = foldShed_;
     r.offloaded = foldOffloaded_;
+    // Every arrival folded exactly once (checked by the callers).
+    r.arrivals = r.served + r.timedOut + r.shed + r.offloaded;
     r.retries = retries_;
     r.failovers = failovers_;
     r.hedgesLaunched = hedgesLaunched_;
@@ -1377,9 +1269,9 @@ FleetSimulator::buildStreamReport() const
             static_cast<double>(r.arrivals);
 
     if (!approxStats_) {
-        // Exact mode: tracks fold in completion order, but the
-        // materialized path sums latencies in gid order — re-sort so
-        // the FP sum (and the percentile inputs) are bit-identical.
+        // Exact mode: streamed tracks fold in completion order, so
+        // re-sort by gid — the FP sum and percentile inputs are then
+        // the same whichever way the run was fed.
         auto by_gid = foldLat_;
         std::sort(by_gid.begin(), by_gid.end());
         std::vector<double> latencies;
@@ -1405,14 +1297,6 @@ FleetSimulator::buildStreamReport() const
     }
 
     r.events = eventCount_;
-    fillNodeAndCost(r, finished);
-    return r;
-}
-
-void
-FleetSimulator::fillNodeAndCost(FleetReport &r,
-                                std::size_t finished) const
-{
     Seconds total_busy = 0.0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const NodeTotals tot = nodes_[i]->totals();
@@ -1445,6 +1329,7 @@ FleetSimulator::fillNodeAndCost(FleetReport &r,
     if (finished > 0)
         r.dollarsPerQuery = (r.edgeDollars + r.cloudDollars) /
             static_cast<double>(finished);
+    return r;
 }
 
 std::string

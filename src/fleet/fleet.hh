@@ -16,7 +16,8 @@
  * any --threads value.
  *
  * Synchronization is conservative: before processing a heap event at
- * time T, every busy node is advanced to T (in stop-on-first-outcome
+ * time T, every busy node is advanced to T (found through the
+ * next-stop index, fleet/stop_index.hh; in stop-on-first-outcome
  * rounds, so outcomes that happen before T are interleaved into the
  * heap in global time order).  A node may overshoot T by at most one
  * scheduling cycle — a macro decode segment is never split — which is
@@ -124,16 +125,6 @@ struct FleetConfig
     double adaptiveTimeoutMultiple = 0.0;
 
     CloudTier cloud;
-
-    /**
-     * Drive syncNodesTo/nextNodeStop from the next-stop-time index
-     * (DESIGN.md §15) instead of the legacy all-node scans.  Value-
-     * identical by construction — the escape hatch exists for the
-     * bit-identity matrix tests and for bisecting regressions
-     * (`--fleet-index off`).  Excluded from the checkpoint
-     * fingerprint: either path resumes the other's checkpoints.
-     */
-    bool nodeIndex = true;
 
     /** Audit the fleet invariants after every event (tests/chaos). */
     bool paranoid = false;
@@ -275,14 +266,15 @@ class FleetSimulator
 
     /**
      * Run a streaming trace (DESIGN.md §15): requests are drawn from
-     * @p src one at a time, terminal tracks are folded into running
-     * aggregates and released, and drained node records are compacted
-     * away — so memory is O(in-flight requests), independent of the
-     * trace length.  With @p approx_stats false (the default) the
-     * per-request latencies of finished requests are retained and the
-     * report is bit-identical to run() on the materialized trace;
-     * with it true, latency mean/percentiles come from streaming P²
-     * estimators and the run is constant-memory outright.
+     * @p src one at a time, terminal tracks are folded as they finish
+     * into the same aggregates run() folds at its end, and released,
+     * and drained node records are compacted away — so memory is
+     * O(in-flight requests), independent of the trace length.  With
+     * @p approx_stats false (the default) the per-request latencies
+     * of finished requests are retained and the report is
+     * bit-identical to run() on the materialized trace; with it true,
+     * latency mean/percentiles come from streaming P² estimators and
+     * the run is constant-memory outright.
      *
      * Streaming excludes checkpoint/resume (a resumable run needs the
      * full trace for its fingerprint anyway — materialize instead).
@@ -322,7 +314,8 @@ class FleetSimulator
         std::uint64_t seq = 0;
         std::int64_t gid = -1;   //!< request events
         int node = -1;           //!< node events / outcome node
-        std::size_t servedIdx = 0; //!< outcome record index
+        std::size_t servedIdx = 0; //!< outcome record index (unread;
+                                   //!< kept on the v2 wire)
         Seconds aux = 0.0;       //!< reboot delay / window end
 
         // KOutcome payload, copied from the served record at drain
@@ -359,26 +352,24 @@ class FleetSimulator
     };
 
     void push(Seconds t, int kind, std::int64_t gid, int node,
-              std::size_t served_idx = 0, Seconds aux = 0.0);
+              Seconds aux = 0.0);
     void syncNodesTo(Seconds target);
-    void drainOutcomes();
     void drainNode(std::size_t i);
-    Seconds nextNodeStop() const;
+    /** Brute-force minimum clock over up, busy nodes: the paranoid
+     *  auditor's reference for stopIndex_.minKey(). */
     Seconds nextNodeStopBrute() const;
     /** Re-key node @p i in the stop index after any state change. */
     void refreshNode(std::size_t i);
-    void refreshAllNodes();
     /** Refresh the reusable router view buffer for dispatch at
      *  @p now (allocation-free; cached across a health-state-stable
      *  window). */
     void refreshViews(Seconds now);
 
-    void dispatch(Track &t, Seconds now, int exclude, bool is_hedge,
-                  bool is_failover);
+    void dispatch(Track &t, Seconds now, int exclude, bool is_hedge);
     void scheduleRetry(Track &t, Seconds now, int failed_node);
     void finishTrack(Track &t, FleetOutcome o, Seconds finish,
                      Tokens generated, int served_by);
-    void cancelLeg(Track &t, int slot, Seconds now);
+    void cancelLeg(Track &t, int slot);
     void noteFailure(int node, Seconds now);
     void noteSuccess(int node);
     void noteLatency(int node, Seconds latency, Seconds now);
@@ -422,9 +413,8 @@ class FleetSimulator
                     std::size_t &live_legs,
                     std::size_t &edge_legs) const;
     void auditStopIndex() const;
+    /** The report of either run flavour, from the folded aggregates. */
     FleetReport buildReport() const;
-    FleetReport buildStreamReport() const;
-    void fillNodeAndCost(FleetReport &r, std::size_t finished) const;
 
     FleetConfig cfg_;
     std::vector<std::unique_ptr<FleetNode>> nodes_;
@@ -443,10 +433,10 @@ class FleetSimulator
     const std::vector<engine::ServerRequest> *trace_ = nullptr;
     std::size_t nextArrival_ = 0;
 
-    /** Next-stop-time index (cfg_.nodeIndex): one key per node —
-     *  clock while up and busy, +inf otherwise.  Derived state;
-     *  rebuilt on restore, cross-checked against the brute scan by
-     *  the paranoid auditor. */
+    /** Next-stop-time index: one key per node — clock while up and
+     *  busy, +inf otherwise.  Drives node sync and the heap-empty
+     *  drain.  Derived state; rebuilt on restore, cross-checked
+     *  against the brute scan by the paranoid auditor. */
     NodeStopIndex stopIndex_;
     /** Reused lag buffer for syncNodesTo (was a per-round heap
      *  allocation). */
@@ -473,12 +463,14 @@ class FleetSimulator
     engine::ServerRequest streamPending_;
     std::unordered_map<std::int64_t, std::size_t> slotOf_;
     std::vector<std::size_t> freeSlots_;
-    // Folded terminal-track aggregates (buildStreamReport inputs).
+    // Folded terminal-track aggregates (buildReport inputs): streamed
+    // runs fold as tracks finish, materialized runs in gid order at
+    // the end.
     std::size_t foldServed_ = 0, foldTimedOut_ = 0, foldShed_ = 0,
                 foldOffloaded_ = 0, foldDeadlineMet_ = 0;
     Seconds foldMakespan_ = 0.0;
     /** Exact mode: (gid, latency) of finished requests, re-sorted by
-     *  gid at report time so FP sums match the materialized path. */
+     *  gid at report time so FP sums do not depend on fold order. */
     std::vector<std::pair<std::int64_t, double>> foldLat_;
     /** Approx mode: constant-space latency statistics. */
     P2Quantile latP50_{0.50}, latP99_{0.99}, latP999_{0.999};

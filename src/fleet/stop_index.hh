@@ -2,19 +2,17 @@
  * @file
  * Next-stop-time index over fleet nodes (DESIGN.md §15).  The fleet
  * driver must, before processing a heap event at time T, advance every
- * busy node whose clock lags T — which the legacy path discovered by
- * scanning all N nodes per sync round.  This index keeps one key per
- * node — the node's clock while it is up and busy, +inf otherwise —
- * in an indexed binary min-heap, so the driver pays O(log N) per
- * node-state change and O(lagging) per collection instead of O(N) per
- * event.
+ * busy node whose clock lags T.  This index keeps one key per node —
+ * the node's clock while it is up and busy, +inf otherwise — in an
+ * indexed binary min-heap, so the driver pays O(log N) per node-state
+ * change and O(lagging) per collection instead of scanning all N
+ * nodes per event.
  *
  * Determinism: the index is value-compared only.  minKey() is a pure
- * minimum over the keys, and collectBelow() returns ids in ascending
- * order — exactly the order the legacy scan produced — so heap layout
- * and key tie-breaking never leak into fleet arithmetic.  The index
- * is derived state: never serialized, rebuilt from the nodes after a
- * checkpoint restore.
+ * minimum over the keys, and collectLagging() returns ids in ascending
+ * order, so heap layout and key tie-breaking never leak into fleet
+ * arithmetic.  The index is derived state: never serialized, rebuilt
+ * from the nodes after a checkpoint restore.
  */
 
 #ifndef EDGEREASON_FLEET_STOP_INDEX_HH
@@ -76,11 +74,11 @@ class NodeStopIndex
 
     /**
      * Append to @p out every node id satisfying the lag predicate
-     * `key + slack < target`, in ascending id order (the legacy scan
-     * order).  The predicate is evaluated in exactly that form — not
-     * algebraically rearranged — so it is FP-identical to the legacy
-     * per-node test.  Only qualifying heap subtrees are visited, so
-     * the cost is O(matches), not O(N).
+     * `key + slack < target`, in ascending id order.  The predicate
+     * is evaluated in exactly that form — not algebraically
+     * rearranged — so its FP rounding is the same as a per-node
+     * `clock + slack < target` test.  Only qualifying heap subtrees
+     * are visited, so the cost is O(matches), not O(N).
      */
     void collectLagging(Seconds target, Seconds slack,
                         std::vector<int> &out) const
@@ -111,7 +109,7 @@ class NodeStopIndex
     bool less(std::size_t a, std::size_t b) const
     {
         // Key ties broken by id so sift moves are deterministic; the
-        // tie-break never surfaces (minKey is a value, collectBelow
+        // tie-break never surfaces (minKey is a value, collectLagging
         // sorts), it just keeps the structure canonical.
         const Seconds ka = key_[heap_[a]], kb = key_[heap_[b]];
         if (ka != kb)

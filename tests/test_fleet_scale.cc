@@ -1,17 +1,17 @@
 /**
  * @file
- * Fleet-scale event engine suite (DESIGN.md §15).  The tentpole
- * claim: the next-stop index, batched routing window, and streaming
- * trace source are pure performance work — every report they produce
- * is bit-identical to the legacy all-node-scan driver.  Covered here:
+ * Fleet-scale event engine suite (DESIGN.md §15).  The next-stop
+ * index, batched routing window, and streaming trace source are pure
+ * performance work: the fleet reports they produce are pinned as
+ * goldens.  Covered here:
  *  - NodeStopIndex against a brute-force scan on adversarial update
  *    sequences (same FP lag predicate, same ascending-id order);
  *  - PoissonTraceStream against the materialized poissonTrace it
  *    reimplements, draw for draw;
- *  - the router-policy x fault-mix x thread-count bit-identity
- *    matrix, indexed vs `nodeIndex = false`;
- *  - crash-resume with the index live (plus cross-mode resumes: a
- *    checkpoint written by either driver restores under the other);
+ *  - the router-policy x fault-mix matrix pinned as %.17g goldens
+ *    (recorded from the all-node-scan driver the index replaced) at
+ *    1, 2 and 4 threads;
+ *  - crash-resume with the index live, at two crash points;
  *  - a streamed run against the same trace materialized.
  */
 
@@ -99,7 +99,7 @@ TEST(TraceStream, MatchesMaterializedPoissonTrace)
     }
 }
 
-// --- Bit-identity matrix: indexed vs legacy driver -------------------
+// --- Golden matrix: router x fault mix x thread count ----------------
 
 /** Fault mixes the matrix sweeps; each stresses a different index
  *  maintenance path (refresh-on-advance only; crash/reboot edges;
@@ -121,13 +121,12 @@ mixName(FaultMix m)
 }
 
 FleetConfig
-matrixConfig(RouterPolicy p, FaultMix mix, bool indexed)
+matrixConfig(RouterPolicy p, FaultMix mix)
 {
     FleetConfig fc;
     fc.nodes.assign(6, NodeSpec{er::model::ModelId::DeepScaleR1_5B});
     fc.server.maxBatch = 6;
     fc.router = p;
-    fc.nodeIndex = indexed;
     fc.paranoid = true; // includes the index/brute cross-check
     fc.maxRetries = 3;
     fc.retryBackoff = 0.5;
@@ -174,34 +173,216 @@ matrixTrace()
     return t;
 }
 
+struct MatrixGolden
+{
+    RouterPolicy policy;
+    FaultMix mix;
+    const char *report;
+};
+
+// clang-format off
+const MatrixGolden kMatrixGoldens[] = {
+    {RouterPolicy::RoundRobin, FaultMix::Healthy,
+     "fleet report (router=rr)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 41.242059080206928 throughput 0.96988367923649521 goodput 0.96988367923649521 deadline-hit 1\n"
+     "latency mean 5.5053208535809546 p50 4.9779582740955242 p99 10.702334415714134 p999 11.156576276543454\n"
+     "energy 2817.7177474130685 J (70.442943685326711 J/query) tokens 8523\n"
+     "dollars edge 0.0022389749910052582 cloud 0 (5.5974374775131457e-05 $/query)\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918983 busy 29.112116309275731 tokens 1242 up\n"
+     "node 1: served 7 timed-out 0 cancelled 0 crashes 0 energy 502.48173367204618 busy 29.113575783911756 tokens 1677 up\n"
+     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 450.26310334443201 busy 28.576095926162292 tokens 1352 up\n"
+     "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
+     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 516.81585241318624 busy 29.320991656719301 tokens 1449 up\n"
+     "node 5: served 6 timed-out 0 cancelled 0 crashes 0 energy 378.21247779142294 busy 21.606589880527622 tokens 1292 up\n"
+     ""},
+    {RouterPolicy::RoundRobin, FaultMix::Crashy,
+     "fleet report (router=rr)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 4 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 43.509964550580129 throughput 0.91932963892673802 goodput 0.91932963892673802 deadline-hit 1\n"
+     "latency mean 6.133693866672405 p50 5.1986143999864822 p99 13.818657489153015 p999 14.073051444392542\n"
+     "energy 2433.2942717935721 J (60.832356794839299 J/query) tokens 9137\n"
+     "dollars edge 0.0018854700703461185 cloud 0 (4.7136751758652959e-05 $/query)\n"
+     "node 0: served 6 timed-out 0 cancelled 0 crashes 5 energy 496.26663630970938 busy 27.45240251574571 tokens 1705 up\n"
+     "node 1: served 11 timed-out 0 cancelled 0 crashes 6 energy 402.84460727637872 busy 26.628655829677935 tokens 1788 up\n"
+     "node 2: served 3 timed-out 0 cancelled 0 crashes 9 energy 223.47205274024708 busy 14.867692531258372 tokens 599 up\n"
+     "node 3: served 3 timed-out 0 cancelled 0 crashes 7 energy 150.43762358354763 busy 10.04772336256252 tokens 509 up\n"
+     "node 4: served 11 timed-out 0 cancelled 0 crashes 10 energy 702.7638344230387 busy 37.311759721585105 tokens 2761 up\n"
+     "node 5: served 6 timed-out 0 cancelled 0 crashes 5 energy 457.50951746065101 busy 26.418390760881277 tokens 1775 up\n"
+     ""},
+    {RouterPolicy::RoundRobin, FaultMix::Gray,
+     "fleet report (router=rr)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "adaptive-health ejections 1\n"
+     "makespan 63.749641647942695 throughput 0.62745450744491937 goodput 0.62745450744491937 deadline-hit 1\n"
+     "latency mean 8.8711574249789695 p50 5.3642884810714833 p99 38.446960767760686 p999 41.226613394503588\n"
+     "energy 3449.5746070269506 J (86.239365175673768 J/query) tokens 8523\n"
+     "dollars edge 0.0026012491702261599 cloud 0 (6.5031229255653992e-05 $/query)\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918983 busy 29.112116309275731 tokens 1242 up\n"
+     "node 1: served 7 timed-out 0 cancelled 0 crashes 0 energy 502.48173367204629 busy 29.113575783911756 tokens 1677 up\n"
+     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 1082.1199629583136 busy 55.451840731788138 tokens 1352 up\n"
+     "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
+     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 516.81585241318624 busy 29.320991656719301 tokens 1449 up\n"
+     "node 5: served 6 timed-out 0 cancelled 0 crashes 0 energy 378.21247779142294 busy 21.606589880527622 tokens 1292 up\n"
+     ""},
+    {RouterPolicy::LeastLoaded, FaultMix::Healthy,
+     "fleet report (router=least)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 41.365812816082908 throughput 0.96698208682238485 goodput 0.96698208682238485 deadline-hit 1\n"
+     "latency mean 5.4750429722697707 p50 5.0422588602036456 p99 10.672507350825706 p999 10.874760157025056\n"
+     "energy 2792.279568411569 J (69.806989210289231 J/query) tokens 8523\n"
+     "dollars edge 0.0022771318336103977 cloud 0 (5.6928295840259944e-05 $/query)\n"
+     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211787 busy 37.593295817580731 tokens 2153 up\n"
+     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.4350526123921 busy 31.654472215853023 tokens 1611 up\n"
+     "node 2: served 9 timed-out 0 cancelled 0 crashes 0 energy 471.7082468453861 busy 32.203017640663141 tokens 1551 up\n"
+     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620031 busy 28.025452213053725 tokens 1309 up\n"
+     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 464.74373143459559 busy 29.2048745504568 tokens 1328 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.5356117808771 busy 14.181835689852493 tokens 571 up\n"
+     ""},
+    {RouterPolicy::LeastLoaded, FaultMix::Crashy,
+     "fleet report (router=least)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 6 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 55.937158794976064 throughput 0.71508816074499226 goodput 0.71508816074499226 deadline-hit 1\n"
+     "latency mean 6.4781786589415145 p50 5.1857081731186145 p99 25.272152922281439 p999 25.490689592397942\n"
+     "energy 2883.75224937247 J (72.093806234311756 J/query) tokens 9837\n"
+     "dollars edge 0.0022764328824983514 cloud 0 (5.6910822062458784e-05 $/query)\n"
+     "node 0: served 6 timed-out 0 cancelled 0 crashes 5 energy 453.59386602278312 busy 26.344877091082843 tokens 1620 up\n"
+     "node 1: served 14 timed-out 0 cancelled 0 crashes 6 energy 768.04413775997978 busy 45.245822656618486 tokens 2754 up\n"
+     "node 2: served 6 timed-out 0 cancelled 0 crashes 9 energy 368.83552538886926 busy 24.435939995659631 tokens 1115 up\n"
+     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519385 busy 18.589775039795487 tokens 752 up\n"
+     "node 4: served 9 timed-out 0 cancelled 0 crashes 10 energy 614.95994232264229 busy 37.217295186890041 tokens 2318 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 5 energy 342.07065696300185 busy 20.668413131913432 tokens 1278 up\n"
+     ""},
+    {RouterPolicy::LeastLoaded, FaultMix::Gray,
+     "fleet report (router=least)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "adaptive-health ejections 1\n"
+     "makespan 44.702356003010763 throughput 0.89480742351266562 goodput 0.89480742351266562 deadline-hit 1\n"
+     "latency mean 6.5383294617485479 p50 5.1360865245305458 p99 25.985781923138752 p999 28.277536128909794\n"
+     "energy 3146.9710347346204 J (78.674275868365513 J/query) tokens 8523\n"
+     "dollars edge 0.0025327116879311174 cloud 0 (6.3317792198277942e-05 $/query)\n"
+     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140204 busy 33.616900123450698 tokens 1702 up\n"
+     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.28979036905457 busy 37.296902419966969 tokens 673 up\n"
+     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
+     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626529 busy 24.871110622984439 tokens 1011 up\n"
+     ""},
+    {RouterPolicy::DeadlineAware, FaultMix::Healthy,
+     "fleet report (router=deadline)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 41.365812816082908 throughput 0.96698208682238485 goodput 0.96698208682238485 deadline-hit 1\n"
+     "latency mean 5.4750429722697707 p50 5.0422588602036456 p99 10.672507350825706 p999 10.874760157025056\n"
+     "energy 2792.279568411569 J (69.806989210289231 J/query) tokens 8523\n"
+     "dollars edge 0.0022771318336103977 cloud 0 (5.6928295840259944e-05 $/query)\n"
+     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211787 busy 37.593295817580731 tokens 2153 up\n"
+     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.4350526123921 busy 31.654472215853023 tokens 1611 up\n"
+     "node 2: served 9 timed-out 0 cancelled 0 crashes 0 energy 471.7082468453861 busy 32.203017640663141 tokens 1551 up\n"
+     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620031 busy 28.025452213053725 tokens 1309 up\n"
+     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 464.74373143459559 busy 29.2048745504568 tokens 1328 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.5356117808771 busy 14.181835689852493 tokens 571 up\n"
+     ""},
+    {RouterPolicy::DeadlineAware, FaultMix::Crashy,
+     "fleet report (router=deadline)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 5 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 55.25110466290711 throughput 0.72396742552106919 goodput 0.72396742552106919 deadline-hit 1\n"
+     "latency mean 6.2600696097539164 p50 5.1862218740552901 p99 21.715003894866889 p999 25.134974689656541\n"
+     "energy 2771.1187812284265 J (69.277969530710664 J/query) tokens 9496\n"
+     "dollars edge 0.0021890134105216081 cloud 0 (5.4725335263040205e-05 $/query)\n"
+     "node 0: served 6 timed-out 0 cancelled 0 crashes 5 energy 453.59386602278312 busy 26.344877091082843 tokens 1620 up\n"
+     "node 1: served 13 timed-out 0 cancelled 0 crashes 6 energy 675.9105463687464 busy 39.320436647233649 tokens 2515 up\n"
+     "node 2: served 6 timed-out 0 cancelled 0 crashes 9 energy 353.11204154940526 busy 23.74988586359067 tokens 1087 up\n"
+     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519385 busy 18.589775039795487 tokens 752 up\n"
+     "node 4: served 10 timed-out 0 cancelled 0 crashes 10 energy 610.18354940929612 busy 37.210622464017796 tokens 2244 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 5 energy 342.07065696300185 busy 20.668413131913432 tokens 1278 up\n"
+     ""},
+    {RouterPolicy::DeadlineAware, FaultMix::Gray,
+     "fleet report (router=deadline)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "adaptive-health ejections 1\n"
+     "makespan 44.702356003010763 throughput 0.89480742351266562 goodput 0.89480742351266562 deadline-hit 1\n"
+     "latency mean 6.5383294617485479 p50 5.1360865245305458 p99 25.985781923138752 p999 28.277536128909794\n"
+     "energy 3146.9710347346204 J (78.674275868365513 J/query) tokens 8523\n"
+     "dollars edge 0.0025327116879311174 cloud 0 (6.3317792198277942e-05 $/query)\n"
+     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140204 busy 33.616900123450698 tokens 1702 up\n"
+     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.28979036905457 busy 37.296902419966969 tokens 673 up\n"
+     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
+     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626529 busy 24.871110622984439 tokens 1011 up\n"
+     ""},
+    {RouterPolicy::CostAware, FaultMix::Healthy,
+     "fleet report (router=cost)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 41.365812816082908 throughput 0.96698208682238485 goodput 0.96698208682238485 deadline-hit 1\n"
+     "latency mean 5.4750429722697707 p50 5.0422588602036456 p99 10.672507350825706 p999 10.874760157025056\n"
+     "energy 2792.279568411569 J (69.806989210289231 J/query) tokens 8523\n"
+     "dollars edge 0.0022771318336103977 cloud 0 (5.6928295840259944e-05 $/query)\n"
+     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211787 busy 37.593295817580731 tokens 2153 up\n"
+     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.4350526123921 busy 31.654472215853023 tokens 1611 up\n"
+     "node 2: served 9 timed-out 0 cancelled 0 crashes 0 energy 471.7082468453861 busy 32.203017640663141 tokens 1551 up\n"
+     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620031 busy 28.025452213053725 tokens 1309 up\n"
+     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 464.74373143459559 busy 29.2048745504568 tokens 1328 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.5356117808771 busy 14.181835689852493 tokens 571 up\n"
+     ""},
+    {RouterPolicy::CostAware, FaultMix::Crashy,
+     "fleet report (router=cost)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 6 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "makespan 65.989542667328777 throughput 0.60615664820789672 goodput 0.60615664820789672 deadline-hit 1\n"
+     "latency mean 6.6753955107784453 p50 5.1864478722344298 p99 31.554799380544456 p999 34.605749287145578\n"
+     "energy 2903.5237787458709 J (72.588094468646773 J/query) tokens 10106\n"
+     "dollars edge 0.0022731483812451375 cloud 0 (5.6828709531128437e-05 $/query)\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 5 energy 630.83416575940066 busy 36.059760158575664 tokens 2013 up\n"
+     "node 1: served 14 timed-out 0 cancelled 0 crashes 6 energy 763.34275416066009 busy 44.239798183280811 tokens 3006 up\n"
+     "node 2: served 5 timed-out 0 cancelled 0 crashes 9 energy 191.59522565225177 busy 14.721056928166808 tokens 722 up\n"
+     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519385 busy 18.589775039795487 tokens 752 up\n"
+     "node 4: served 8 timed-out 0 cancelled 0 crashes 10 energy 638.4548276124616 busy 37.906225111292947 tokens 2263 up\n"
+     "node 5: served 4 timed-out 0 cancelled 0 crashes 5 energy 343.04868464590277 busy 20.656842482679767 tokens 1350 up\n"
+     ""},
+    {RouterPolicy::CostAware, FaultMix::Gray,
+     "fleet report (router=cost)\n"
+     "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+     "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
+     "adaptive-health ejections 1\n"
+     "makespan 44.702356003010763 throughput 0.89480742351266562 goodput 0.89480742351266562 deadline-hit 1\n"
+     "latency mean 6.5383294617485479 p50 5.1360865245305458 p99 25.985781923138752 p999 28.277536128909794\n"
+     "energy 3146.9710347346204 J (78.674275868365513 J/query) tokens 8523\n"
+     "dollars edge 0.0025327116879311174 cloud 0 (6.3317792198277942e-05 $/query)\n"
+     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140204 busy 33.616900123450698 tokens 1702 up\n"
+     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.28979036905457 busy 37.296902419966969 tokens 673 up\n"
+     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
+     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626529 busy 24.871110622984439 tokens 1011 up\n"
+     ""},
+};
+// clang-format on
+
 TEST(FleetScale, IndexMatrixIsBitIdentical)
 {
     const auto trace = matrixTrace();
-    const RouterPolicy policies[] = {
-        RouterPolicy::RoundRobin, RouterPolicy::LeastLoaded,
-        RouterPolicy::DeadlineAware, RouterPolicy::CostAware};
-
-    for (const RouterPolicy p : policies) {
-        for (const FaultMix mix :
-             {FaultMix::Healthy, FaultMix::Crashy, FaultMix::Gray}) {
-            // The legacy scan driver is the reference; one report,
-            // any thread count (its own identity is test_fleet's
-            // claim).
-            FleetSimulator legacy(matrixConfig(p, mix, false));
-            const std::string want =
-                formatFleetReport(legacy.run(trace));
-            for (const unsigned threads : {1u, 2u, 4u}) {
-                SCOPED_TRACE(std::string(routerPolicyName(p)) + "/" +
-                             mixName(mix) + " threads=" +
-                             std::to_string(threads));
-                er::ThreadPool::setGlobalThreads(threads);
-                FleetSimulator indexed(matrixConfig(p, mix, true));
-                EXPECT_EQ(formatFleetReport(indexed.run(trace)),
-                          want);
-            }
-            er::ThreadPool::setGlobalThreads(0);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        er::ThreadPool::setGlobalThreads(threads);
+        for (const auto &g : kMatrixGoldens) {
+            SCOPED_TRACE(std::string(routerPolicyName(g.policy)) + "/" +
+                         mixName(g.mix) + " threads=" +
+                         std::to_string(threads));
+            FleetSimulator sim(matrixConfig(g.policy, g.mix));
+            EXPECT_EQ(formatFleetReport(sim.run(trace)), g.report);
         }
     }
+    er::ThreadPool::setGlobalThreads(0);
 }
 
 // --- Crash-resume with the index live --------------------------------
@@ -209,7 +390,7 @@ TEST(FleetScale, IndexMatrixIsBitIdentical)
 const std::filesystem::path kArtifacts = "fleet-scale-artifacts";
 
 std::string
-runCrashResume(const FleetConfig &crash_fc, const FleetConfig &res_fc,
+runCrashResume(const FleetConfig &fc,
                const std::vector<ServerRequest> &trace,
                const std::filesystem::path &dir,
                std::int64_t crash_event)
@@ -220,7 +401,7 @@ runCrashResume(const FleetConfig &crash_fc, const FleetConfig &res_fc,
     dur.crashAtEvent = crash_event;
     bool crashed = false;
     try {
-        FleetSimulator sim(crash_fc);
+        FleetSimulator sim(fc);
         sim.run(trace, dur);
     } catch (const FleetSimulatedCrash &) {
         crashed = true;
@@ -231,42 +412,36 @@ runCrashResume(const FleetConfig &crash_fc, const FleetConfig &res_fc,
     res.checkpointDir = dur.checkpointDir;
     res.checkpointEvery = dur.checkpointEvery;
     res.resume = true;
-    FleetSimulator sim(res_fc);
+    FleetSimulator sim(fc);
     return formatFleetReport(sim.run(trace, res));
 }
 
 TEST(FleetScale, CrashResumeWithIndexIsBitIdentical)
 {
-    // Two crash points with the index live on both sides, plus the
-    // cross-mode legs: the index is derived state, deliberately
-    // outside the checkpoint fingerprint, so a checkpoint written by
-    // either driver must restore under the other.
+    // The index is derived state, rebuilt from the restored nodes:
+    // a run killed at either crash point and resumed must finish
+    // bit-identical to the uninterrupted run and its golden.
     std::filesystem::remove_all(kArtifacts);
     const auto trace = matrixTrace();
-    const auto cfg = [](bool indexed) {
-        return matrixConfig(RouterPolicy::LeastLoaded,
-                            FaultMix::Crashy, indexed);
-    };
-    FleetSimulator base(cfg(true));
+    const FleetConfig fc =
+        matrixConfig(RouterPolicy::LeastLoaded, FaultMix::Crashy);
+    const char *golden = nullptr;
+    for (const auto &g : kMatrixGoldens)
+        if (g.policy == RouterPolicy::LeastLoaded &&
+            g.mix == FaultMix::Crashy)
+            golden = g.report;
+    ASSERT_NE(golden, nullptr);
+    FleetSimulator base(fc);
     const std::string uninterrupted =
         formatFleetReport(base.run(trace));
+    EXPECT_EQ(uninterrupted, golden);
 
-    int leg = 0;
     for (const std::int64_t crash_event : {30ll, 90ll}) {
-        for (const bool crash_indexed : {true, false}) {
-            for (const bool resume_indexed : {true, false}) {
-                SCOPED_TRACE("crash@" + std::to_string(crash_event) +
-                             (crash_indexed ? " idx" : " scan") +
-                             "->" +
-                             (resume_indexed ? "idx" : "scan"));
-                const auto dir =
-                    kArtifacts / ("leg-" + std::to_string(leg++));
-                EXPECT_EQ(runCrashResume(cfg(crash_indexed),
-                                         cfg(resume_indexed), trace,
-                                         dir, crash_event),
-                          uninterrupted);
-            }
-        }
+        SCOPED_TRACE("crash@" + std::to_string(crash_event));
+        const auto dir =
+            kArtifacts / ("crash-" + std::to_string(crash_event));
+        EXPECT_EQ(runCrashResume(fc, trace, dir, crash_event),
+                  uninterrupted);
     }
     if (!::testing::Test::HasFailure())
         std::filesystem::remove_all(kArtifacts);

@@ -501,10 +501,50 @@ TEST(ServeOptions, RejectsNegativeCloudRttAndRetryBackoff)
 
 TEST(ServeOptions, FleetFlagsNeedFleet)
 {
+    // Fleet-scoped flags are rejected outside a fleet run by name,
+    // whatever their value: defaults and zeros included, which a
+    // value test cannot tell apart from "not given".
+    const std::pair<const char *, const char *> flags[] = {
+        {"--router", "least"},      {"--hedge", "0.5"},
+        {"--cloud", "o4-mini"},     {"--node-crash-rate", "3"},
+        {"--retry", "5"},           {"--retry-backoff", "2"},
+        {"--request-timeout", "3"}, {"--cloud-rtt", "0.3"},
+        {"--node-reboot", "10"},    {"--node-degrade-mean", "5"},
+        {"--hedge", "0"},           {"--node-crash-rate", "0"},
+    };
+    for (const auto &[flag, value] : flags) {
+        SCOPED_TRACE(std::string(flag) + " " + value);
+        std::string err;
+        EXPECT_FALSE(parse({"--requests", "20", flag, value}, &err)
+                         .has_value());
+        EXPECT_NE(err.find("--fleet"), std::string::npos) << err;
+        EXPECT_TRUE(parse({"--fleet", "2", flag, value}, &err)
+                        .has_value())
+            << err;
+    }
+}
+
+TEST(ServeOptions, SessionScopedFlagsNeedSessions)
+{
     std::string err;
-    EXPECT_FALSE(parse({"--router", "least"}, &err).has_value());
-    EXPECT_NE(err.find("--fleet"), std::string::npos) << err;
-    EXPECT_FALSE(parse({"--hedge", "0.5"}, &err).has_value());
-    EXPECT_FALSE(parse({"--cloud", "o4-mini"}, &err).has_value());
-    EXPECT_FALSE(parse({"--node-crash-rate", "3"}, &err).has_value());
+    for (const char *flag : {"--turns-per-session", "--session-qps",
+                             "--turn-gap", "--system-prompt"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_FALSE(parse({flag, "4"}, &err).has_value());
+        EXPECT_NE(err.find("--sessions"), std::string::npos) << err;
+        EXPECT_TRUE(parse({"--sessions", "2", flag, "4"}, &err)
+                        .has_value())
+            << err;
+    }
+}
+
+TEST(ServeOptions, FleetIndexFlagIsGone)
+{
+    // The next-stop index is the only fleet driver: nothing to switch.
+    std::string err;
+    EXPECT_FALSE(parse({"--fleet", "2", "--fleet-index", "off"}, &err)
+                     .has_value());
+    EXPECT_NE(err.find("unknown serve flag: --fleet-index"),
+              std::string::npos)
+        << err;
 }

@@ -499,7 +499,6 @@ cmdServeFleet(const cli::ServeOptions &o, engine::ServerConfig cfg)
     fc.healthQuantile = o.healthQuantile;
     fc.healthLatencyMultiple = o.healthMultiple;
     fc.adaptiveTimeoutMultiple = o.adaptiveTimeout;
-    fc.nodeIndex = o.fleetIndex;
     fc.paranoid = o.paranoid;
     fc.journalDir = o.fleetJournals;
     if (!o.cloud.empty()) {
