@@ -24,9 +24,11 @@ std::atomic<std::uint64_t> g_retired_cost_caches{0};
  * empties its maps at its first lookup after any engine has been
  * destroyed, so a dead engine's entries do not linger until a map hits
  * its bound.  Clearing on every generation switch instead would thrash,
- * because fleet nodes each own an engine and interleave on the pool
- * threads.  Clearing keeps the slot arrays: freeing and regrowing them
- * every run fragments the heap.
+ * because engines interleave on one thread: a heterogeneous fleet's
+ * nodes (one engine per spec), standalone nodes, sweep workers.
+ * Clearing keeps the slot arrays: freeing and regrowing them every run
+ * fragments the heap.  The L1 is what keeps concurrent readers of one
+ * engine off its shared mutex (sharded serving runs, sweeps).
  */
 struct StepCostL1
 {
@@ -92,9 +94,8 @@ struct InferenceEngine::StepCostCache
     }
 
     mutable std::shared_mutex mu;
-    // Flat maps: a 256-node fleet run leaves ~150k entries across its
-    // engines, and one slot array per map frees them in one call
-    // rather than one call per entry.
+    // Flat maps: one slot array per map holds up to maxEntries entries
+    // and frees them in one call rather than one call per entry.
     OpenHashMap<std::uint64_t, hw::StepCost> decode;
     OpenHashMap<Tokens, hw::StepCost> prefill;
     std::atomic<std::uint64_t> hits{0};

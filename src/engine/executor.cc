@@ -68,8 +68,8 @@ ServingState::restore(ByteReader &r)
     peakQueueDepth = r.u64();
 }
 
-BatchExecutor::BatchExecutor(InferenceEngine &engine,
-                             InferenceEngine *fallback,
+BatchExecutor::BatchExecutor(const InferenceEngine &engine,
+                             const InferenceEngine *fallback,
                              const ServerConfig &config,
                              const FaultPlan &faults,
                              std::vector<ServedRequest> &served)

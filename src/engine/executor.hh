@@ -157,7 +157,9 @@ struct ServingState
 /**
  * Batch executor: engine stepping, KV admission, and fault/derating
  * application for one serving run.  Borrowed engines and the fault
- * plan must outlive the executor.
+ * plan must outlive the executor.  Engines are used only through
+ * their const query surface, so several executors (fleet nodes of one
+ * spec) may share one.
  */
 class BatchExecutor
 {
@@ -169,7 +171,8 @@ class BatchExecutor
      * @param faults  fault plan (inactive plan => legacy ideal path)
      * @param served  sink for per-request outcome records
      */
-    BatchExecutor(InferenceEngine &engine, InferenceEngine *fallback,
+    BatchExecutor(const InferenceEngine &engine,
+                  const InferenceEngine *fallback,
                   const ServerConfig &config, const FaultPlan &faults,
                   std::vector<ServedRequest> &served);
 
@@ -346,8 +349,8 @@ class BatchExecutor
     bool preemptOne(ServingState &st);
     void applyEvent(const FaultEvent &e, ServingState &st);
 
-    InferenceEngine &engine_;
-    InferenceEngine *fallback_ = nullptr;
+    const InferenceEngine &engine_;
+    const InferenceEngine *fallback_ = nullptr;
     const ServerConfig &config_;
     const FaultPlan &faults_;
     std::vector<ServedRequest> &served_;

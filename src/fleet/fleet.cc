@@ -86,10 +86,23 @@ FleetSimulator::FleetSimulator(FleetConfig cfg) : cfg_(std::move(cfg))
         ? deriveNodeFaultPlans(cfg_.nodeFaults, cfg_.nodes.size())
         : cfg_.explicitSchedules;
 
+    // Step costs are a pure function of the spec, so nodes of one
+    // spec share an engine (and its warm step-cost memo).  Distinct
+    // specs are few, so a linear search finds a node's engine.
+    std::vector<std::size_t> first_of_engine;
     nodes_.reserve(cfg_.nodes.size());
     for (std::size_t i = 0; i < cfg_.nodes.size(); ++i) {
+        const NodeSpec &spec = cfg_.nodes[i];
+        std::size_t e = 0;
+        while (e < engines_.size() &&
+               cfg_.nodes[first_of_engine[e]] != spec)
+            ++e;
+        if (e == engines_.size()) {
+            engines_.push_back(makeNodeEngine(spec));
+            first_of_engine.push_back(i);
+        }
         nodes_.push_back(std::make_unique<FleetNode>(
-            static_cast<int>(i), cfg_.nodes[i], cfg_.server,
+            static_cast<int>(i), spec, *engines_[e], cfg_.server,
             schedules_[i].behavioural, cfg_.journalDir));
         nodes_.back()->setSlowdowns(schedules_[i].slowdowns);
     }

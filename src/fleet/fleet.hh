@@ -282,6 +282,11 @@ class FleetSimulator
     FleetReport runStream(engine::TraceSource &src,
                           bool approx_stats = false);
 
+    /** @return node @p i (inspection). */
+    const FleetNode &node(std::size_t i) const { return *nodes_.at(i); }
+    /** @return distinct engines built, one per distinct NodeSpec. */
+    std::size_t engineCount() const { return engines_.size(); }
+
   private:
     struct Leg
     {
@@ -417,6 +422,10 @@ class FleetSimulator
     FleetReport buildReport() const;
 
     FleetConfig cfg_;
+    /** One engine per distinct NodeSpec, shared by every node of that
+     *  spec.  Declared before nodes_ so the engines outlive the nodes;
+     *  owned per simulator, so independent fleets share nothing. */
+    std::vector<std::unique_ptr<const engine::InferenceEngine>> engines_;
     std::vector<std::unique_ptr<FleetNode>> nodes_;
     std::vector<NodeFaultSchedule> schedules_;
     std::unique_ptr<Router> router_;

@@ -12,12 +12,26 @@ namespace fleet {
 
 using engine::kTimeSlack;
 
+std::unique_ptr<engine::InferenceEngine>
+makeNodeEngine(const NodeSpec &spec)
+{
+    engine::EngineConfig ec;
+    ec.powerMode = spec.powerMode;
+    return std::make_unique<engine::InferenceEngine>(
+        spec.quantized ? model::quantizedSpec(spec.model)
+                       : model::spec(spec.model),
+        model::calibration(spec.model, spec.quantized ? DType::W4A16
+                                                      : DType::FP16),
+        ec);
+}
+
 FleetNode::FleetNode(int id, const NodeSpec &spec,
+                     const engine::InferenceEngine &engine,
                      const engine::ServerConfig &config,
                      engine::FaultPlan behavioural,
                      std::string journal_dir)
     : id_(id), spec_(spec), cfg_(config), faults_(std::move(behavioural)),
-      journalDir_(std::move(journal_dir))
+      journalDir_(std::move(journal_dir)), engine_(engine)
 {
     fatal_if(cfg_.scheduler == engine::SchedulerPolicy::Spjf,
              "fleet nodes do not support the spjf scheduler (no "
@@ -25,18 +39,30 @@ FleetNode::FleetNode(int id, const NodeSpec &spec,
     fatal_if(cfg_.degrade.mode == engine::DegradeMode::Fallback,
              "fleet nodes do not support fallback degradation (no "
              "per-node fallback engine)");
-    engine::EngineConfig ec;
-    ec.powerMode = spec_.powerMode;
-    engine_ = std::make_unique<engine::InferenceEngine>(
-        spec_.quantized ? model::quantizedSpec(spec_.model)
-                        : model::spec(spec_.model),
-        model::calibration(spec_.model, spec_.quantized
-                                            ? DType::W4A16
-                                            : DType::FP16),
-        ec);
     scheduler_ = engine::makeScheduler(cfg_.scheduler);
     exec_ = std::make_unique<engine::BatchExecutor>(
-        *engine_, nullptr, cfg_, faults_, served_);
+        engine_, nullptr, cfg_, faults_, served_);
+}
+
+FleetNode::FleetNode(int id, const NodeSpec &spec,
+                     const engine::ServerConfig &config,
+                     engine::FaultPlan behavioural,
+                     std::string journal_dir)
+    : FleetNode(id, spec, makeNodeEngine(spec), config,
+                std::move(behavioural), std::move(journal_dir))
+{
+}
+
+FleetNode::FleetNode(int id, const NodeSpec &spec,
+                     std::unique_ptr<engine::InferenceEngine> own,
+                     const engine::ServerConfig &config,
+                     engine::FaultPlan behavioural,
+                     std::string journal_dir)
+    : FleetNode(id, spec, *own, config, std::move(behavioural),
+                std::move(journal_dir))
+{
+    // The heap engine does not move, so engine_ stays valid.
+    ownEngine_ = std::move(own);
 }
 
 void
@@ -269,7 +295,7 @@ FleetNode::reboot()
     ++incarnation_;
     st_ = engine::ServingState();
     exec_ = std::make_unique<engine::BatchExecutor>(
-        *engine_, nullptr, cfg_, faults_, served_);
+        engine_, nullptr, cfg_, faults_, served_);
     up_ = true;
     openJournal();
 }
@@ -439,7 +465,7 @@ FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
         st_ = engine::ServingState();
         st_.restore(r);
         exec_ = std::make_unique<engine::BatchExecutor>(
-            *engine_, nullptr, cfg_, faults_, served_);
+            engine_, nullptr, cfg_, faults_, served_);
         exec_->restore(r);
         if (!journalDir_.empty()) {
             journal_ = engine::Journal::resumeAt(
@@ -458,13 +484,15 @@ FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
 }
 
 Seconds
-FleetNode::estimateServiceTime(const engine::ServerRequest &r) const
+FleetNode::estimateServiceTime(const engine::InferenceEngine &engine,
+                               int in_flight,
+                               const engine::ServerRequest &r)
 {
-    const int batch = std::max(1, st_.inFlight() + 1);
+    const int batch = std::max(1, in_flight + 1);
     const Tokens mid_ctx = r.inputTokens + r.outputTokens / 2;
-    return engine_->prefillLatency(r.inputTokens) +
+    return engine.prefillLatency(r.inputTokens) +
         static_cast<double>(r.outputTokens) *
-        engine_->decodeStepLatency(mid_ctx, batch);
+        engine.decodeStepLatency(mid_ctx, batch);
 }
 
 } // namespace fleet

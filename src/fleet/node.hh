@@ -21,6 +21,11 @@
  * dead incarnations still counts.  reboot() starts a fresh incarnation
  * — cold clock, cold thermal state — over the same engine and the
  * same served-record sink, so node tallies span incarnations.
+ *
+ * The engine is only read (its noiseless const query surface is a pure
+ * function of the NodeSpec), so a fleet hands every node of one spec
+ * the same engine and its step-cost memo warms once, not once per
+ * node.
  */
 
 #ifndef EDGEREASON_FLEET_NODE_HH
@@ -49,7 +54,13 @@ struct NodeSpec
     model::ModelId model = model::ModelId::Dsr1Qwen1_5B;
     bool quantized = false;
     hw::PowerMode powerMode = hw::PowerMode::MaxN;
+
+    bool operator==(const NodeSpec &) const = default;
 };
+
+/** @return a fresh engine for @p spec (the node's cost model). */
+std::unique_ptr<engine::InferenceEngine>
+makeNodeEngine(const NodeSpec &spec);
 
 /** Lifetime totals of one node across all incarnations. */
 struct NodeTotals
@@ -64,10 +75,14 @@ class FleetNode
 {
   public:
     /**
-     * Build the node's engine and first executor incarnation.
+     * Build the node's first executor incarnation over a borrowed
+     * engine.
      *
      * @param id  fleet node index (display / tie-breaking)
      * @param spec  model, quantization level, and power mode
+     * @param engine  cost model built for @p spec (makeNodeEngine);
+     *   may be shared with other nodes of the same spec and must
+     *   outlive the node
      * @param config  scheduler limits (spjf is not supported: nodes
      *   carry no fitted latency model)
      * @param behavioural  node-scoped behavioural fault plan
@@ -75,6 +90,14 @@ class FleetNode
      *   WAL to <dir>/node-<id>-inc<k>.bin — replayable with
      *   `edgereason replay`, and tail-verified on fleet resume
      */
+    FleetNode(int id, const NodeSpec &spec,
+              const engine::InferenceEngine &engine,
+              const engine::ServerConfig &config,
+              engine::FaultPlan behavioural,
+              std::string journal_dir = {});
+
+    /** Standalone node: builds a private engine for @p spec, then as
+     *  above. */
     FleetNode(int id, const NodeSpec &spec,
               const engine::ServerConfig &config,
               engine::FaultPlan behavioural,
@@ -102,6 +125,8 @@ class FleetNode
 
     int id() const { return id_; }
     const NodeSpec &spec() const { return spec_; }
+    /** @return the (possibly shared) engine the node costs steps on. */
+    const engine::InferenceEngine &engine() const { return engine_; }
     bool up() const { return up_; }
     /** @return the node's simulated clock (0 while down). */
     Seconds clock() const { return exec_ ? exec_->clock() : 0.0; }
@@ -223,7 +248,17 @@ class FleetNode
      * level, from the engine's noiseless query surface (deadline- and
      * cost-aware routing).
      */
-    Seconds estimateServiceTime(const engine::ServerRequest &r) const;
+    Seconds estimateServiceTime(const engine::ServerRequest &r) const
+    {
+        return estimateServiceTime(engine_, inFlight(), r);
+    }
+
+    /** The same estimate for any node on @p engine with @p in_flight
+     *  legs running: a pure function of its three arguments, which
+     *  is what lets the router memoize it per (engine, load). */
+    static Seconds
+    estimateServiceTime(const engine::InferenceEngine &engine,
+                        int in_flight, const engine::ServerRequest &r);
 
     /**
      * Serialize the node's complete mutable state into a fleet
@@ -251,6 +286,12 @@ class FleetNode
     void journalCheckpointMark(std::uint64_t event);
 
   private:
+    /** Standalone-constructor target: borrows *@p own, then keeps it. */
+    FleetNode(int id, const NodeSpec &spec,
+              std::unique_ptr<engine::InferenceEngine> own,
+              const engine::ServerConfig &config,
+              engine::FaultPlan behavioural, std::string journal_dir);
+
     struct Pending
     {
         engine::ServerRequest req;
@@ -269,7 +310,9 @@ class FleetNode
     engine::ServerConfig cfg_;
     engine::FaultPlan faults_;
     std::string journalDir_;
-    std::unique_ptr<engine::InferenceEngine> engine_;
+    /** Set only on standalone nodes; engine_ then refers to it. */
+    std::unique_ptr<engine::InferenceEngine> ownEngine_;
+    const engine::InferenceEngine &engine_;
     std::unique_ptr<engine::Scheduler> scheduler_;
     std::vector<engine::ServedRequest> served_;
     engine::ServingState st_;

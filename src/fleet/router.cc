@@ -83,17 +83,49 @@ Router::candidates(const std::vector<NodeView> &views,
     return candBuf_;
 }
 
+void
+Router::beginEstimates(std::size_t candidates)
+{
+    std::size_t cap = 16;
+    while (cap < 2 * candidates)
+        cap *= 2;
+    if (cap > estSlots_.size())
+        estSlots_.assign(cap, EstimateSlot{});
+    ++estGen_; // fresh slots carry gen 0, which is never current
+}
+
+Seconds
+Router::serviceEstimate(const engine::ServerRequest &req,
+                        const FleetNode &node)
+{
+    const engine::InferenceEngine *eng = &node.engine();
+    const int load = node.inFlight();
+    std::uint64_t h = reinterpret_cast<std::uintptr_t>(eng) ^
+        static_cast<std::uint64_t>(load) * 0x9E3779B97F4A7C15ull;
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDull;
+    h ^= h >> 33;
+    const std::size_t mask = estSlots_.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        EstimateSlot &slot = estSlots_[i];
+        if (slot.gen != estGen_) {
+            slot = {eng, load, estGen_,
+                    FleetNode::estimateServiceTime(*eng, load, req)};
+            return slot.value;
+        }
+        if (slot.engine == eng && slot.inFlight == load)
+            return slot.value;
+    }
+}
+
 namespace {
 
-/** Backlog-scaled predicted finish of @p req on node @p i: the
- *  optimistic service estimate stretched by the queue ahead of it. */
+/** Backlog-scaled predicted finish on @p node: the optimistic service
+ *  estimate @p est stretched by the queue ahead of it. */
 Seconds
-predictedFinish(const engine::ServerRequest &req, Seconds now,
-                const NodeView &v)
+predictedFinish(Seconds est, Seconds now, const FleetNode &node)
 {
-    const Seconds est = v.node->estimateServiceTime(req);
-    return now +
-        est * (1.0 + static_cast<double>(v.node->backlog()));
+    return now + est * (1.0 + static_cast<double>(node.backlog()));
 }
 
 class RoundRobinRouter final : public Router
@@ -194,12 +226,14 @@ class DeadlineAwareRouter final : public Router
         if (ids.empty())
             return cloud.enabled ? RouteDecision::toCloud()
                                  : RouteDecision::reject();
+        beginEstimates(ids.size());
         int best = -1;
         Seconds best_finish =
             std::numeric_limits<Seconds>::infinity();
         for (const int i : ids) {
-            const Seconds f = predictedFinish(
-                req, now, views[static_cast<std::size_t>(i)]);
+            const FleetNode &node = *views[static_cast<std::size_t>(i)].node;
+            const Seconds f =
+                predictedFinish(serviceEstimate(req, node), now, node);
             if (f < best_finish) {
                 best = i;
                 best_finish = f;
@@ -242,6 +276,7 @@ class CostAwareRouter final : public Router
 
         // Cheapest deadline-feasible edge candidate; energy proxy =
         // optimistic service time x the node's power-mode cap.
+        beginEstimates(ids.size());
         int best_feasible = -1;
         double best_cost =
             std::numeric_limits<double>::infinity();
@@ -251,17 +286,17 @@ class CostAwareRouter final : public Router
         std::size_t min_backlog =
             std::numeric_limits<std::size_t>::max();
         for (const int i : ids) {
-            const auto &v = views[static_cast<std::size_t>(i)];
-            const Seconds f = predictedFinish(req, now, v);
+            const FleetNode &node = *views[static_cast<std::size_t>(i)].node;
+            const Seconds est = serviceEstimate(req, node);
+            const Seconds f = predictedFinish(est, now, node);
             if (f < best_finish) {
                 best_any = i;
                 best_finish = f;
             }
-            min_backlog = std::min(min_backlog, v.node->backlog());
+            min_backlog = std::min(min_backlog, node.backlog());
             if (f <= abs_deadline + engine::kDeadlineSlack) {
                 const double cost =
-                    v.node->estimateServiceTime(req) *
-                    hw::powerModeCap(v.node->spec().powerMode);
+                    est * hw::powerModeCap(node.spec().powerMode);
                 if (cost < best_cost) {
                     best_feasible = i;
                     best_cost = cost;

@@ -28,6 +28,10 @@
  *    time x the node's power cap as the energy proxy); falls back to
  *    deadline order when nothing is feasible, and offloads to the
  *    cloud on edge saturation or edge-infeasible deadlines.
+ *
+ * The service estimate is a pure function of (engine, in-flight legs),
+ * so the deadline- and cost-aware policies compute it once per
+ * distinct pair per route(), not once per node.
  */
 
 #ifndef EDGEREASON_FLEET_ROUTER_HH
@@ -44,6 +48,9 @@
 #include "engine/request_state.hh"
 
 namespace edgereason {
+namespace engine {
+class InferenceEngine;
+}
 namespace fleet {
 
 class FleetNode;
@@ -175,6 +182,21 @@ class Router
     candidates(const std::vector<NodeView> &views,
                std::uint64_t views_gen, int exclude);
 
+    /** Open a route() call's service-estimate memo, sized for
+     *  @p candidates nodes; earlier calls' entries are dropped in
+     *  O(1). */
+    void beginEstimates(std::size_t candidates);
+
+    /**
+     * FleetNode::estimateServiceTime of @p req on @p node, memoized
+     * since the last beginEstimates() on (engine, inFlight) — the
+     * estimate's only node-dependent inputs, so a hit is bit-identical
+     * to recomputing.  Hashed, so a lookup stays O(1) even when every
+     * node has its own engine.
+     */
+    Seconds serviceEstimate(const engine::ServerRequest &req,
+                            const FleetNode &node);
+
   private:
     /** Unconditional filter pass behind the candidates() cache. */
     static void buildCandidates(const std::vector<NodeView> &views,
@@ -184,6 +206,17 @@ class Router
     std::vector<int> excludeBuf_; //!< scratch for exclude >= 0
     std::uint64_t candGen_ = 0;   //!< views_gen candBuf_ was built at
     bool candPrimed_ = false;     //!< candBuf_ holds a real build
+
+    /** Open-addressed estimate memo slot; live iff gen == estGen_. */
+    struct EstimateSlot
+    {
+        const engine::InferenceEngine *engine = nullptr;
+        int inFlight = 0;
+        std::uint64_t gen = 0;
+        Seconds value = 0.0;
+    };
+    std::vector<EstimateSlot> estSlots_; //!< power-of-two size
+    std::uint64_t estGen_ = 0;
 };
 
 /** Policy factory. */

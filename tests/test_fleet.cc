@@ -4,12 +4,17 @@
  * determinism, router-policy golden reports (exact EXPECT_EQ on the
  * %.17g formatFleetReport string), thread-count bit-identity,
  * hedging cancel-on-first-win, failover conservation under a forced
- * node crash, graceful drain, per-try timeouts with retry, and the
- * cloud-offload tier.
+ * node crash, graceful drain, per-try timeouts with retry, the
+ * cloud-offload tier, one engine per distinct node spec, and the
+ * routers' per-route service-estimate memo against a per-node
+ * brute-force reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +30,7 @@ namespace er = edgereason;
 using namespace er::fleet;
 using er::engine::ServerRequest;
 using er::engine::ServingSimulator;
+using er::Seconds;
 
 namespace {
 
@@ -464,6 +470,277 @@ TEST(FleetCloud, SaturationOffloadsAndCharges)
     EXPECT_GT(rep.offloaded, 0u);
     EXPECT_GT(rep.cloudDollars, 0.0);
     EXPECT_GT(rep.dollarsPerQuery, 0.0);
+}
+
+// --- Engine sharing: one engine per distinct node spec ---------------
+
+TEST(FleetEngines, OneEnginePerDistinctSpec)
+{
+    // The four --hetero power modes, three nodes each, plus a
+    // quantized spec on two nodes: five distinct specs.
+    const er::hw::PowerMode kModes[] = {
+        er::hw::PowerMode::MaxN, er::hw::PowerMode::W50,
+        er::hw::PowerMode::W30, er::hw::PowerMode::W15};
+    FleetConfig fc;
+    for (int i = 0; i < 12; ++i)
+        fc.nodes.push_back(
+            {er::model::ModelId::DeepScaleR1_5B, false, kModes[i % 4]});
+    fc.nodes.push_back({er::model::ModelId::DeepScaleR1_5B, true,
+                        er::hw::PowerMode::MaxN});
+    fc.nodes.push_back(fc.nodes.back());
+
+    FleetSimulator sim(fc);
+    EXPECT_EQ(sim.engineCount(), 5u);
+    for (std::size_t i = 0; i < fc.nodes.size(); ++i) {
+        const auto &eng = sim.node(i).engine();
+        EXPECT_EQ(eng.config().powerMode, fc.nodes[i].powerMode);
+        EXPECT_EQ(eng.spec().weightDtype == er::DType::W4A16,
+                  fc.nodes[i].quantized);
+        for (std::size_t j = 0; j < fc.nodes.size(); ++j)
+            EXPECT_EQ(&eng == &sim.node(j).engine(),
+                      fc.nodes[i] == fc.nodes[j])
+                << "nodes " << i << " and " << j;
+    }
+
+    // Fleets never share engines with each other, and a standalone
+    // node still builds its own.
+    FleetSimulator other(fc);
+    EXPECT_NE(&other.node(0).engine(), &sim.node(0).engine());
+    FleetNode a(0, fc.nodes[0], fc.server, er::engine::FaultPlan{});
+    FleetNode b(1, fc.nodes[0], fc.server, er::engine::FaultPlan{});
+    EXPECT_NE(&a.engine(), &b.engine());
+    EXPECT_NE(&a.engine(), &sim.node(0).engine());
+
+    ServerRequest r;
+    r.inputTokens = 96;
+    r.outputTokens = 192;
+    EXPECT_EQ(a.estimateServiceTime(r), sim.node(0).estimateServiceTime(r));
+}
+
+// --- Route memo vs a per-node brute-force reference ------------------
+
+std::vector<int>
+refCandidates(const std::vector<NodeView> &views, int exclude)
+{
+    std::vector<int> out;
+    for (int pass = 0; pass < 3 && out.empty(); ++pass) {
+        for (std::size_t i = 0; i < views.size(); ++i) {
+            if (!views[i].up || (pass < 1 && views[i].draining) ||
+                (pass < 2 && static_cast<int>(i) == exclude))
+                continue;
+            out.push_back(static_cast<int>(i));
+        }
+    }
+    return out;
+}
+
+Seconds
+refFinish(const ServerRequest &req, Seconds now, const FleetNode &n)
+{
+    return now +
+        n.estimateServiceTime(req) *
+        (1.0 + static_cast<double>(n.backlog()));
+}
+
+RouteDecision
+refDeadline(const ServerRequest &req, Seconds now, Seconds abs_deadline,
+            const std::vector<NodeView> &views, const CloudTier &cloud,
+            int exclude)
+{
+    const auto ids = refCandidates(views, exclude);
+    if (ids.empty())
+        return cloud.enabled ? RouteDecision::toCloud()
+                             : RouteDecision::reject();
+    int best = -1;
+    Seconds best_finish = std::numeric_limits<Seconds>::infinity();
+    for (const int i : ids) {
+        const Seconds f = refFinish(req, now, *views[i].node);
+        if (f < best_finish) {
+            best = i;
+            best_finish = f;
+        }
+    }
+    if (cloud.enabled &&
+        abs_deadline < std::numeric_limits<Seconds>::infinity() &&
+        best_finish > abs_deadline + er::engine::kDeadlineSlack &&
+        now + cloud.latency(req) <=
+            abs_deadline + er::engine::kDeadlineSlack)
+        return RouteDecision::toCloud();
+    return RouteDecision::toNode(best);
+}
+
+RouteDecision
+refCost(const ServerRequest &req, Seconds now, Seconds abs_deadline,
+        const std::vector<NodeView> &views, const CloudTier &cloud,
+        int exclude)
+{
+    const auto ids = refCandidates(views, exclude);
+    if (ids.empty())
+        return cloud.enabled ? RouteDecision::toCloud()
+                             : RouteDecision::reject();
+    const bool cloud_feasible = cloud.enabled &&
+        now + cloud.latency(req) <=
+            abs_deadline + er::engine::kDeadlineSlack;
+    int best_feasible = -1;
+    double best_cost = std::numeric_limits<double>::infinity();
+    int best_any = -1;
+    Seconds best_finish = std::numeric_limits<Seconds>::infinity();
+    std::size_t min_backlog = std::numeric_limits<std::size_t>::max();
+    for (const int i : ids) {
+        const FleetNode &n = *views[i].node;
+        const Seconds f = refFinish(req, now, n);
+        if (f < best_finish) {
+            best_any = i;
+            best_finish = f;
+        }
+        min_backlog = std::min(min_backlog, n.backlog());
+        if (f <= abs_deadline + er::engine::kDeadlineSlack) {
+            const double cost = n.estimateServiceTime(req) *
+                er::hw::powerModeCap(n.spec().powerMode);
+            if (cost < best_cost) {
+                best_feasible = i;
+                best_cost = cost;
+            }
+        }
+    }
+    if (cloud.enabled && min_backlog >= cloud.saturationBacklog)
+        return RouteDecision::toCloud();
+    if (best_feasible >= 0)
+        return RouteDecision::toNode(best_feasible);
+    if (cloud_feasible &&
+        abs_deadline < std::numeric_limits<Seconds>::infinity())
+        return RouteDecision::toCloud();
+    return RouteDecision::toNode(best_any);
+}
+
+/** Drive both memoized routers and the reference over randomized
+ *  health flags, exclusions, cloud settings, deadlines and request
+ *  shapes, advancing the nodes between rounds so load levels move. */
+void
+expectRoutersMatchReference(std::vector<std::unique_ptr<FleetNode>> &nodes,
+                            std::uint64_t seed)
+{
+    er::Rng rng(seed, "route-memo");
+    // Uneven backlogs: some legs start, the rest stay queued/pending.
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const int legs = static_cast<int>((i * 3) % 11);
+        for (int k = 0; k < legs; ++k) {
+            ServerRequest leg;
+            leg.inputTokens = 32 + 16 * ((i + k) % 5);
+            leg.outputTokens = 64 + 48 * ((i * k) % 7);
+            nodes[i]->submit(leg, k);
+        }
+        nodes[i]->advanceUntil(0.02 * static_cast<double>(i % 4), false);
+    }
+
+    auto deadline_router = makeRouter(RouterPolicy::DeadlineAware);
+    auto cost_router = makeRouter(RouterPolicy::CostAware);
+    std::vector<NodeView> views(nodes.size());
+    std::uint64_t gen = 0;
+    std::size_t clouds = 0, in_flight_levels = 0;
+    for (int round = 0; round < 6; ++round) {
+        std::vector<int> levels;
+        for (const auto &n : nodes)
+            levels.push_back(n->inFlight());
+        std::sort(levels.begin(), levels.end());
+        in_flight_levels = std::max<std::size_t>(
+            in_flight_levels,
+            std::unique(levels.begin(), levels.end()) - levels.begin());
+        for (int trial = 0; trial < 60; ++trial) {
+            for (std::size_t i = 0; i < nodes.size(); ++i) {
+                views[i].node = nodes[i].get();
+                views[i].up = !rng.bernoulli(trial % 7 == 0 ? 0.9 : 0.15);
+                views[i].draining = rng.bernoulli(0.2);
+            }
+            ++gen;
+            CloudTier cloud;
+            cloud.enabled = rng.bernoulli(0.5);
+            cloud.price = er::cost::o4Mini();
+            cloud.saturationBacklog =
+                static_cast<std::size_t>(rng.uniformInt(2, 64));
+            // Several dispatches per views window, so the routers'
+            // cached candidate lists and the memo both get reused.
+            for (int d = 0; d < 4; ++d) {
+                ServerRequest req;
+                req.inputTokens = rng.uniformInt(16, 256);
+                req.outputTokens = rng.uniformInt(8, 512);
+                const Seconds now = 0.1 * round;
+                const Seconds abs_deadline = rng.bernoulli(0.25)
+                    ? std::numeric_limits<Seconds>::infinity()
+                    : now + rng.uniform(0.05, 30.0);
+                const int exclude = rng.bernoulli(0.5)
+                    ? -1
+                    : static_cast<int>(rng.uniformInt(
+                          0, static_cast<std::int64_t>(nodes.size()) - 1));
+                const auto want_d = refDeadline(req, now, abs_deadline,
+                                                views, cloud, exclude);
+                const auto got_d = deadline_router->route(
+                    req, now, abs_deadline, views, gen, cloud, exclude);
+                EXPECT_EQ(got_d.node, want_d.node);
+                EXPECT_EQ(got_d.cloud, want_d.cloud);
+                const auto want_c = refCost(req, now, abs_deadline, views,
+                                            cloud, exclude);
+                const auto got_c = cost_router->route(
+                    req, now, abs_deadline, views, gen, cloud, exclude);
+                EXPECT_EQ(got_c.node, want_c.node);
+                EXPECT_EQ(got_c.cloud, want_c.cloud);
+                clouds += want_d.cloud + want_c.cloud;
+            }
+        }
+        for (auto &n : nodes)
+            n->advanceUntil(0.1 * (round + 1), false);
+    }
+    // The sweep must reach the branches it claims to cover.
+    EXPECT_GT(clouds, 0u);
+    EXPECT_GT(in_flight_levels, 2u);
+}
+
+TEST(RouteMemo, MatchesPerNodeReferenceOnSharedEngines)
+{
+    // Three specs on shared engines, plus two standalone nodes whose
+    // private engines equal a shared spec (equal estimates, distinct
+    // memo keys: tie-breaks must still go to the lowest id).
+    const NodeSpec kSpecs[] = {
+        {er::model::ModelId::DeepScaleR1_5B, false,
+         er::hw::PowerMode::MaxN},
+        {er::model::ModelId::DeepScaleR1_5B, false,
+         er::hw::PowerMode::W15},
+        {er::model::ModelId::DeepScaleR1_5B, true,
+         er::hw::PowerMode::W30},
+    };
+    std::vector<std::unique_ptr<er::engine::InferenceEngine>> engines;
+    for (const auto &spec : kSpecs)
+        engines.push_back(makeNodeEngine(spec));
+    er::engine::ServerConfig server;
+    server.maxBatch = 4;
+    std::vector<std::unique_ptr<FleetNode>> nodes;
+    for (int i = 0; i < 16; ++i) {
+        const NodeSpec &spec = kSpecs[i % 3];
+        if (i == 5 || i == 12)
+            nodes.push_back(std::make_unique<FleetNode>(
+                i, spec, server, er::engine::FaultPlan{}));
+        else
+            nodes.push_back(std::make_unique<FleetNode>(
+                i, spec, *engines[i % 3], server,
+                er::engine::FaultPlan{}));
+    }
+    expectRoutersMatchReference(nodes, 0xA11CE);
+}
+
+TEST(RouteMemo, MatchesPerNodeReferenceOnStandaloneNodes)
+{
+    // One private engine per node: every memo key is distinct.
+    er::engine::ServerConfig server;
+    server.maxBatch = 4;
+    std::vector<std::unique_ptr<FleetNode>> nodes;
+    for (int i = 0; i < 24; ++i)
+        nodes.push_back(std::make_unique<FleetNode>(
+            i,
+            NodeSpec{er::model::ModelId::DeepScaleR1_5B, false,
+                     i % 2 ? er::hw::PowerMode::W50
+                           : er::hw::PowerMode::MaxN},
+            server, er::engine::FaultPlan{}));
+    expectRoutersMatchReference(nodes, 0xB0B);
 }
 
 } // namespace
