@@ -399,21 +399,19 @@ parseServeOptions(const std::vector<std::string> &args,
                         "(it caps per-try budgets from the streamed "
                         "quantiles)");
         if (opt.stream) {
-            // A resumable run needs the materialized trace for its
-            // checkpoint fingerprint; streaming holds only the next
-            // request.
+            // The checkpoint fingerprint hashes the whole trace, and a
+            // streamed run holds only the next request.  (Fleet crash
+            // injection is excluded with them: it needs a checkpoint
+            // directory.)
             if (!opt.checkpointDir.empty() || opt.resume)
                 return fail("--stream excludes --checkpoint-dir/"
-                            "--resume (streaming runs are not "
-                            "checkpointable)");
-            if (opt.crashAtEvent >= 0 || opt.crashAtTime >= 0.0)
-                return fail("--stream excludes fleet crash injection "
-                            "(it needs a checkpoint to recover from)");
+                            "--resume (the checkpoint fingerprint "
+                            "needs the whole trace)");
             if (!opt.fleetJournals.empty())
                 return fail("--stream excludes --fleet-journals "
                             "(per-node WALs are a crash-recovery "
-                            "artifact; streaming runs are not "
-                            "recoverable)");
+                            "artifact, and a streamed run cannot "
+                            "resume)");
         } else if (opt.approxStats) {
             return fail("--approx-stats needs --stream (it replaces "
                         "the exact latency vector the materialized "

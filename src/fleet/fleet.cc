@@ -38,6 +38,29 @@ g17(double v)
     return buf;
 }
 
+/** run()'s in-memory trace as a request source; seek() moves the
+ *  cursor to a restored checkpoint's draw count. */
+class VectorTraceSource final : public engine::TraceSource
+{
+  public:
+    explicit VectorTraceSource(
+        const std::vector<engine::ServerRequest> &trace)
+        : reqs_(trace)
+    {
+    }
+    std::size_t totalRequests() const override { return reqs_.size(); }
+    engine::ServerRequest next() override
+    {
+        panic_if(next_ >= reqs_.size(), "fleet trace exhausted");
+        return reqs_[next_++];
+    }
+    void seek(std::size_t i) { next_ = i; }
+
+  private:
+    const std::vector<engine::ServerRequest> &reqs_;
+    std::size_t next_ = 0;
+};
+
 } // namespace
 
 const char *
@@ -125,7 +148,7 @@ void
 FleetSimulator::push(Seconds t, int kind, std::int64_t gid, int node,
                      Seconds aux)
 {
-    heap_.push_back({t, kind, seq_++, gid, node, 0, aux});
+    heap_.push_back({t, kind, seq_++, gid, node, aux});
     std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
@@ -139,30 +162,24 @@ FleetSimulator::drainNode(std::size_t i)
         // Cancelled records are the echo of a driver-side
         // withdrawal, already fully accounted for.
         if (rec.outcome == engine::RequestOutcome::Cancelled) {
-            if (streaming_)
-                node.dropLocal(rec.traceIndex);
+            node.dropLocal(rec.traceIndex);
             continue;
         }
         Event e;
         e.time = rec.finish;
         e.kind = KOutcome;
         e.seq = seq_++;
-        e.gid = streaming_ ? node.consumeLocal(rec.traceIndex)
-                           : node.gidForLocal(rec.traceIndex);
+        e.gid = node.consumeLocal(rec.traceIndex);
         e.node = static_cast<int>(i);
-        e.servedIdx = drained_[i];
         // The record's driver-visible fields travel in the event, so
-        // no handler reads the record again (and streaming runs may
-        // release it below).
+        // no handler reads the record again and it is released below.
         e.local = rec.traceIndex;
         e.latency = rec.latency();
-        e.generated = rec.generated;
         e.legOutcome = static_cast<std::uint8_t>(rec.outcome);
         heap_.push_back(e);
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
     }
-    if (streaming_)
-        node.compactServed(drained_[i]);
+    node.compactServed(drained_[i]);
 }
 
 void
@@ -220,8 +237,7 @@ FleetSimulator::refreshViews(Seconds now)
     // window — the health/breaker half of a routing decision is
     // computed once per admission window, not once per request.  The
     // backlog-dependent policy inputs are read live through the node
-    // pointers, so decisions stay value-identical to the legacy
-    // rebuild-per-dispatch path.
+    // pointers, so every decision sees current values.
     if (!viewsDirty_ && now >= viewsBuiltAt_ && now < viewsValidUntil_)
         return;
     Seconds until = kInf;
@@ -315,36 +331,50 @@ FleetSimulator::cancelLeg(Track &t, int slot)
 }
 
 void
-FleetSimulator::finishTrack(Track &t, FleetOutcome o, Seconds finish,
-                            Tokens generated, int served_by)
+FleetSimulator::finishTrack(Track &t, FleetOutcome o, Seconds finish)
 {
-    panic_if(t.terminal, "double-terminal fleet track ", t.gid);
+    const auto it = slotOf_.find(t.gid);
+    panic_if(it == slotOf_.end(), "double-terminal fleet track ", t.gid);
+    panic_if(t.pendingTimers != 0, "fleet track ", t.gid,
+             " folds with a pending retry timer");
     for (int slot = 0; slot < 2; ++slot)
         if (t.legs[slot].live)
             cancelLeg(t, slot);
-    t.terminal = true;
-    t.outcome = o;
-    t.finish = finish;
-    t.generated = generated;
-    t.servedBy = served_by;
-    if (streaming_) {
-        // Terminal tracks fold into the running report aggregates and
-        // their slots recycle: live state is O(in-flight).  Callers'
-        // reference stays valid (the slot is only reused by a later
-        // arrival).
-        foldTrack(t);
-        const auto it = slotOf_.find(t.gid);
-        panic_if(it == slotOf_.end(), "fold of unmapped track ", t.gid);
-        freeSlots_.push_back(it->second);
-        slotOf_.erase(it);
+    freeSlots_.push_back(it->second);
+    slotOf_.erase(it);
+
+    foldMakespan_ = std::max(foldMakespan_, finish);
+    switch (o) {
+      case FleetOutcome::Served:
+        ++foldServed_;
+        break;
+      case FleetOutcome::TimedOut:
+        ++foldTimedOut_;
+        return;
+      case FleetOutcome::Shed:
+        ++foldShed_;
+        return;
+      case FleetOutcome::Offloaded:
+        ++foldOffloaded_;
+        break;
+    }
+    const double lat = finish - t.req.arrival;
+    if (t.absDeadline == kInf || finish <= t.absDeadline + kDeadlineSlack)
+        ++foldDeadlineMet_;
+    if (approxStats_) {
+        latSum_ += lat;
+        ++latCount_;
+        latP50_.add(lat);
+        latP99_.add(lat);
+        latP999_.add(lat);
+    } else {
+        foldLat_.emplace_back(t.gid, lat);
     }
 }
 
 FleetSimulator::Track *
 FleetSimulator::findTrack(std::int64_t gid)
 {
-    if (!streaming_)
-        return &tracks_[static_cast<std::size_t>(gid)];
     const auto it = slotOf_.find(gid);
     return it == slotOf_.end() ? nullptr : &tracks_[it->second];
 }
@@ -369,44 +399,9 @@ FleetSimulator::allocTrack(std::int64_t gid)
         tracks_.emplace_back();
     }
     tracks_[slot] = Track{};
+    tracks_[slot].gid = gid;
     slotOf_.emplace(gid, slot);
     return tracks_[slot];
-}
-
-void
-FleetSimulator::foldTrack(const Track &t)
-{
-    foldMakespan_ = std::max(foldMakespan_, t.finish);
-    switch (t.outcome) {
-      case FleetOutcome::Served:
-        ++foldServed_;
-        break;
-      case FleetOutcome::TimedOut:
-        ++foldTimedOut_;
-        break;
-      case FleetOutcome::Shed:
-        ++foldShed_;
-        break;
-      case FleetOutcome::Offloaded:
-        ++foldOffloaded_;
-        break;
-    }
-    if (t.outcome == FleetOutcome::Served ||
-        t.outcome == FleetOutcome::Offloaded) {
-        const double lat = t.finish - t.req.arrival;
-        if (t.absDeadline == kInf ||
-            t.finish <= t.absDeadline + kDeadlineSlack)
-            ++foldDeadlineMet_;
-        if (approxStats_) {
-            latSum_ += lat;
-            ++latCount_;
-            latP50_.add(lat);
-            latP99_.add(lat);
-            latP999_.add(lat);
-        } else {
-            foldLat_.emplace_back(t.gid, lat);
-        }
-    }
 }
 
 void
@@ -423,7 +418,7 @@ FleetSimulator::dispatch(Track &t, Seconds now, int exclude,
         if (d.cloud || d.rejected() || d.node == exclude)
             return;
     } else if (d.rejected()) {
-        finishTrack(t, FleetOutcome::Shed, now, 0, -1);
+        finishTrack(t, FleetOutcome::Shed, now);
         return;
     } else if (d.cloud) {
         cloudDollars_ += cfg_.cloud.dollars(t.req);
@@ -485,7 +480,7 @@ void
 FleetSimulator::scheduleRetry(Track &t, Seconds now, int failed_node)
 {
     if (t.attempts > cfg_.maxRetries) {
-        finishTrack(t, FleetOutcome::TimedOut, now, 0, -1);
+        finishTrack(t, FleetOutcome::TimedOut, now);
         return;
     }
     const Seconds backoff = std::min(
@@ -494,7 +489,7 @@ FleetSimulator::scheduleRetry(Track &t, Seconds now, int failed_node)
             static_cast<double>(1ull << std::min(t.attempts - 1, 40)));
     const Seconds at = now + backoff;
     if (at + kDeadlineSlack >= t.absDeadline) {
-        finishTrack(t, FleetOutcome::TimedOut, now, 0, -1);
+        finishTrack(t, FleetOutcome::TimedOut, now);
         return;
     }
     push(at, KRetryTimer, t.gid, failed_node);
@@ -502,40 +497,31 @@ FleetSimulator::scheduleRetry(Track &t, Seconds now, int failed_node)
 }
 
 void
+FleetSimulator::issueArrival()
+{
+    if (streamIssued_ == streamTotal_)
+        return;
+    const Seconds prev = streamPending_.arrival;
+    streamPending_ = src_->next();
+    fatal_if(streamIssued_ > 0 && streamPending_.arrival < prev,
+             "fleet trace arrivals must be sorted (request ",
+             streamIssued_, " arrives at ", streamPending_.arrival,
+             ", before ", prev, ")");
+    push(streamPending_.arrival, KArrival,
+         static_cast<std::int64_t>(streamIssued_), -1);
+    ++streamIssued_;
+}
+
+void
 FleetSimulator::onArrival(const Event &e)
 {
-    if (streaming_) {
-        Track &t = allocTrack(e.gid);
-        t.req = streamPending_;
-        t.gid = e.gid;
-        t.absDeadline = t.req.deadline > 0.0
-            ? t.req.arrival + t.req.deadline
-            : kInf;
-        dispatch(t, e.time, -1, false);
-        if (streamIssued_ < streamTotal_) {
-            const Seconds prev = streamPending_.arrival;
-            streamPending_ = src_->next();
-            fatal_if(streamPending_.arrival < prev,
-                     "fleet trace arrivals must be sorted");
-            push(streamPending_.arrival, KArrival,
-                 static_cast<std::int64_t>(streamIssued_), -1);
-            ++streamIssued_;
-        }
-        return;
-    }
-    const std::size_t idx = static_cast<std::size_t>(e.gid);
-    Track &t = tracks_[idx];
-    t.req = (*trace_)[idx];
-    t.gid = e.gid;
+    Track &t = allocTrack(e.gid);
+    t.req = streamPending_;
     t.absDeadline = t.req.deadline > 0.0
         ? t.req.arrival + t.req.deadline
         : kInf;
     dispatch(t, e.time, -1, false);
-    if (nextArrival_ < trace_->size()) {
-        push((*trace_)[nextArrival_].arrival, KArrival,
-             static_cast<std::int64_t>(nextArrival_), -1);
-        ++nextArrival_;
-    }
+    issueArrival();
 }
 
 void
@@ -543,7 +529,7 @@ FleetSimulator::onOutcome(const Event &e)
 {
     Track *tp = findTrack(e.gid);
     if (tp == nullptr)
-        return; // stale: the track already folded (streaming)
+        return; // stale: the track already folded
     Track &t = *tp;
     int slot = -1;
     for (int s = 0; s < 2; ++s)
@@ -565,8 +551,7 @@ FleetSimulator::onOutcome(const Event &e)
         if (slot == t.hedgeSlot)
             ++hedgeWins_;
         // e.time is the record's finish instant verbatim.
-        finishTrack(t, FleetOutcome::Served, e.time, e.generated,
-                    e.node);
+        finishTrack(t, FleetOutcome::Served, e.time);
         return;
     }
 
@@ -589,8 +574,7 @@ FleetSimulator::onCloudDone(const Event &e)
             slot = s;
     panic_if(slot < 0, "cloud completion without a live cloud leg");
     t.legs[slot].live = false;
-    finishTrack(t, FleetOutcome::Offloaded, e.time,
-                t.req.outputTokens, -2);
+    finishTrack(t, FleetOutcome::Offloaded, e.time);
 }
 
 void
@@ -613,18 +597,16 @@ FleetSimulator::onCrash(const Event &e)
     push(e.time + e.aux, KReboot, -1, e.node);
 
     for (const std::int64_t gid : lost) {
-        // A live leg keeps its track non-terminal, so lost gids are
-        // never folded-away streaming tracks.
+        // A live leg keeps its track from folding, so every lost gid
+        // still has a track.
         Track &t = trackAt(gid);
         for (int s = 0; s < 2; ++s)
             if (t.legs[s].live && t.legs[s].node == e.node)
                 t.legs[s].live = false;
-        if (t.terminal)
-            continue;
         if (t.legs[0].live || t.legs[1].live)
             continue; // the hedge partner carries on
         if (e.time + kDeadlineSlack >= t.absDeadline) {
-            finishTrack(t, FleetOutcome::TimedOut, e.time, 0, -1);
+            finishTrack(t, FleetOutcome::TimedOut, e.time);
             continue;
         }
         ++failovers_;
@@ -649,8 +631,6 @@ FleetSimulator::onHedgeTimer(const Event &e)
     if (tp == nullptr)
         return; // folded away: terminal, nothing to hedge
     Track &t = *tp;
-    if (t.terminal)
-        return;
     const bool live0 = t.legs[0].live, live1 = t.legs[1].live;
     if (live0 == live1)
         return; // zero or two legs: nothing to duplicate
@@ -665,16 +645,16 @@ FleetSimulator::onHedgeTimer(const Event &e)
 void
 FleetSimulator::onRetryTimer(const Event &e)
 {
-    // A pending retry timer keeps its track non-terminal (legs are
+    // A pending retry timer keeps its track from folding (legs are
     // all dead when one is scheduled, and every finishTrack path
     // requires a live leg or runs from this handler), so the track is
     // never folded away before its timer fires.
     Track &t = trackAt(e.gid);
     --t.pendingTimers;
-    if (t.terminal || t.legs[0].live || t.legs[1].live)
+    if (t.legs[0].live || t.legs[1].live)
         return;
     if (e.time + kDeadlineSlack >= t.absDeadline) {
-        finishTrack(t, FleetOutcome::TimedOut, e.time, 0, -1);
+        finishTrack(t, FleetOutcome::TimedOut, e.time);
         return;
     }
     ++retries_;
@@ -682,23 +662,11 @@ FleetSimulator::onRetryTimer(const Event &e)
 }
 
 void
-FleetSimulator::auditTrack(std::size_t gid, const Track &t,
-                           std::size_t &live_legs,
-                           std::size_t &edge_legs) const
+FleetSimulator::auditTrack(const Track &t, std::size_t &edge_legs) const
 {
-    const int live =
-        (t.legs[0].live ? 1 : 0) + (t.legs[1].live ? 1 : 0);
-    live_legs += static_cast<std::size_t>(live);
-    if (t.terminal) {
-        fatal_if(live != 0, "fleet audit: terminal track ", gid,
-                 " still has ", live, " live leg(s)");
-        fatal_if(t.pendingTimers != 0, "fleet audit: terminal "
-                 "track ", gid, " has pending retry timers");
-    } else {
-        fatal_if(live == 0 && t.pendingTimers == 0,
-                 "fleet audit: track ", gid,
-                 " is lost (no live leg, no pending timer)");
-    }
+    fatal_if(!t.legs[0].live && !t.legs[1].live && t.pendingTimers == 0,
+             "fleet audit: track ", t.gid,
+             " is lost (no live leg, no pending timer)");
     for (int s = 0; s < 2; ++s) {
         const Leg &leg = t.legs[s];
         if (!leg.live || leg.node < 0)
@@ -707,7 +675,7 @@ FleetSimulator::auditTrack(std::size_t gid, const Track &t,
         const auto &set =
             liveOnNode_[static_cast<std::size_t>(leg.node)];
         fatal_if(set.find(t.gid) == set.end(), "fleet audit: leg "
-                 "of track ", gid, " missing from node ",
+                 "of track ", t.gid, " missing from node ",
                  leg.node, "'s live set");
     }
 }
@@ -716,7 +684,7 @@ void
 FleetSimulator::auditStopIndex() const
 {
     // The index is derived state; cross-check every key, and the
-    // minimum, against the brute-force scans it replaced.
+    // minimum, against a brute-force scan.
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const Seconds want = nodes_[i]->up() && nodes_[i]->busy()
             ? nodes_[i]->clock()
@@ -734,21 +702,11 @@ FleetSimulator::auditStopIndex() const
 void
 FleetSimulator::audit(Seconds now) const
 {
-    std::size_t live_legs = 0;
     // Every live edge leg is in exactly one node set (hedges never
     // share a node, so gid sets count legs exactly).
     std::size_t edge_legs = 0;
-    if (streaming_) {
-        for (const auto &kv : slotOf_)
-            auditTrack(static_cast<std::size_t>(kv.first),
-                       tracks_[kv.second], live_legs, edge_legs);
-    } else {
-        for (std::size_t gid = 0; gid < tracks_.size(); ++gid) {
-            if (tracks_[gid].gid < 0)
-                continue; // not yet arrived
-            auditTrack(gid, tracks_[gid], live_legs, edge_legs);
-        }
-    }
+    for (const auto &kv : slotOf_)
+        auditTrack(tracks_[kv.second], edge_legs);
     std::size_t on_nodes = 0;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         fatal_if(!nodes_[i]->up() && !liveOnNode_[i].empty(),
@@ -764,20 +722,9 @@ FleetSimulator::audit(Seconds now) const
 }
 
 FleetReport
-FleetSimulator::run(const std::vector<engine::ServerRequest> &trace)
-{
-    return run(trace, FleetDurabilityOptions{});
-}
-
-FleetReport
 FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
                     const FleetDurabilityOptions &dur)
 {
-    fatal_if(trace_ != nullptr || streaming_,
-             "FleetSimulator::run is single-shot");
-    for (std::size_t i = 1; i < trace.size(); ++i)
-        fatal_if(trace[i].arrival < trace[i - 1].arrival,
-                 "fleet trace arrivals must be sorted");
     const bool durable = !dur.checkpointDir.empty();
     fatal_if(dur.resume && !durable,
              "fleet resume needs a checkpoint directory");
@@ -785,7 +732,8 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
                  !durable,
              "fleet crash injection without a checkpoint directory "
              "would lose the run");
-    trace_ = &trace;
+    VectorTraceSource src(trace);
+    attachSource(src, false);
 
     const std::uint64_t fp = durable ? fleetFingerprint(trace) : 0;
     std::uint64_t restoredEvent = 0;
@@ -804,65 +752,37 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
                  "fleet checkpoint ", ckpts.back().second,
                  " is named for event ", ckpts.back().first,
                  " but its state is at event ", eventCount_);
+        src.seek(streamIssued_);
         restoredEvent = eventCount_;
         resumed = true;
     } else {
-        tracks_.assign(trace.size(), Track{});
-        scheduleNodeEvents();
-        if (!trace.empty()) {
-            push(trace[0].arrival, KArrival, 0, -1);
-            nextArrival_ = 1;
-        }
+        startFresh();
     }
 
     eventLoop(dur, durable, fp, resumed, restoredEvent);
-
-    audit(now_);
-    // Fold in gid order through the same aggregates runStream keeps as
-    // it runs, so both flavours build their report one way.
-    foldLat_.reserve(tracks_.size());
-    for (std::size_t gid = 0; gid < tracks_.size(); ++gid) {
-        fatal_if(!tracks_[gid].terminal, "fleet conservation violated: "
-                 "request ", gid, " never reached a terminal state");
-        foldTrack(tracks_[gid]);
-    }
-    return buildReport();
+    return finishRun();
 }
 
 FleetReport
 FleetSimulator::runStream(engine::TraceSource &src, bool approx_stats)
 {
-    fatal_if(trace_ != nullptr || streaming_,
-             "FleetSimulator::run is single-shot");
-    streaming_ = true;
-    approxStats_ = approx_stats;
-    src_ = &src;
-    streamTotal_ = src.totalRequests();
-    for (auto &n : nodes_)
-        n->setStreamLocals(true);
-    scheduleNodeEvents();
-    if (streamTotal_ > 0) {
-        streamPending_ = src_->next();
-        streamIssued_ = 1;
-        push(streamPending_.arrival, KArrival, 0, -1);
-    }
-
+    attachSource(src, approx_stats);
+    startFresh();
     eventLoop(FleetDurabilityOptions{}, false, 0, false, 0);
-
-    audit(now_);
-    fatal_if(!slotOf_.empty(), "fleet conservation violated: ",
-             slotOf_.size(),
-             " request(s) never reached a terminal state");
-    const std::size_t folded =
-        foldServed_ + foldTimedOut_ + foldShed_ + foldOffloaded_;
-    fatal_if(folded != streamTotal_, "fleet conservation violated: ",
-             folded, " folded outcomes for ", streamTotal_,
-             " arrivals");
-    return buildReport();
+    return finishRun();
 }
 
 void
-FleetSimulator::scheduleNodeEvents()
+FleetSimulator::attachSource(engine::TraceSource &src, bool approx_stats)
+{
+    fatal_if(src_ != nullptr, "FleetSimulator::run is single-shot");
+    src_ = &src;
+    streamTotal_ = src.totalRequests();
+    approxStats_ = approx_stats;
+}
+
+void
+FleetSimulator::startFresh()
 {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         nodes_[i]->beginJournal();
@@ -882,6 +802,22 @@ FleetSimulator::scheduleNodeEvents()
                  static_cast<int>(i));
         }
     }
+    issueArrival();
+}
+
+FleetReport
+FleetSimulator::finishRun()
+{
+    audit(now_);
+    fatal_if(!slotOf_.empty(), "fleet conservation violated: ",
+             slotOf_.size(),
+             " request(s) never reached a terminal state");
+    const std::size_t folded =
+        foldServed_ + foldTimedOut_ + foldShed_ + foldOffloaded_;
+    fatal_if(folded != streamTotal_, "fleet conservation violated: ",
+             folded, " folded outcomes for ", streamTotal_,
+             " arrivals");
+    return buildReport();
 }
 
 void
@@ -1003,10 +939,10 @@ FleetSimulator::fleetFingerprint(
     // single-node checkpoint discipline: paranoid, journalDir, and
     // every crash-injection knob — resuming under a different (or no)
     // crash plan is the normal recovery flow.
-    // v2: Event records carry the KOutcome payload (local, latency,
-    // generated, legOutcome).
+    // v3: the payload holds live track slots, the trace cursor, the
+    // folded aggregates and compacted node records.
     ByteWriter w;
-    w.str("edgereason-fleet-ckpt-v2");
+    w.str("edgereason-fleet-ckpt-v3");
     w.u8(static_cast<std::uint8_t>(cfg_.router));
     w.u64(cfg_.nodes.size());
     for (const NodeSpec &s : cfg_.nodes) {
@@ -1106,7 +1042,8 @@ FleetSimulator::serializeState(ByteWriter &w) const
     w.f64(now_);
     w.u64(seq_);
     w.u64(eventCount_);
-    w.u64(nextArrival_);
+    w.u64(streamIssued_);
+    engine::serialize(w, streamPending_);
     // The heap vector verbatim, in container order: the array layout
     // (not just the multiset of events) is part of the run's
     // determinism, and round-tripping it preserves the heap property
@@ -1118,17 +1055,23 @@ FleetSimulator::serializeState(ByteWriter &w) const
         w.u64(e.seq);
         w.i64(e.gid);
         w.i64(e.node);
-        w.u64(e.servedIdx);
         w.f64(e.aux);
         w.i64(e.local);
         w.f64(e.latency);
-        w.i64(e.generated);
         w.u8(e.legOutcome);
     }
+    // Live tracks in gid order with their slots, then the free-slot
+    // stack in order: the slot layout round-trips exactly.
+    std::vector<std::pair<std::int64_t, std::size_t>> live(
+        slotOf_.begin(), slotOf_.end());
+    std::sort(live.begin(), live.end());
     w.u64(tracks_.size());
-    for (const Track &t : tracks_) {
+    w.u64(live.size());
+    for (const auto &[gid, slot] : live) {
+        const Track &t = tracks_[slot];
+        w.u64(slot);
         engine::serialize(w, t.req);
-        w.i64(t.gid);
+        w.i64(gid);
         w.f64(t.absDeadline);
         for (int s = 0; s < 2; ++s) {
             w.i64(t.legs[s].node);
@@ -1139,11 +1082,20 @@ FleetSimulator::serializeState(ByteWriter &w) const
         w.i64(t.attempts);
         w.i64(t.pendingTimers);
         w.u8(t.hedgeScheduled ? 1 : 0);
-        w.u8(t.terminal ? 1 : 0);
-        w.u8(static_cast<std::uint8_t>(t.outcome));
-        w.f64(t.finish);
-        w.i64(t.generated);
-        w.i64(t.servedBy);
+    }
+    w.u64(freeSlots_.size());
+    for (const std::size_t slot : freeSlots_)
+        w.u64(slot);
+    w.u64(foldServed_);
+    w.u64(foldTimedOut_);
+    w.u64(foldShed_);
+    w.u64(foldOffloaded_);
+    w.u64(foldDeadlineMet_);
+    w.f64(foldMakespan_);
+    w.u64(foldLat_.size());
+    for (const auto &[gid, lat] : foldLat_) {
+        w.i64(gid);
+        w.f64(lat);
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         w.u64(liveOnNode_[i].size());
@@ -1176,7 +1128,10 @@ FleetSimulator::restoreState(ByteReader &r,
     now_ = r.f64();
     seq_ = r.u64();
     eventCount_ = r.u64();
-    nextArrival_ = r.u64();
+    streamIssued_ = static_cast<std::size_t>(r.u64());
+    fatal_if(streamIssued_ > streamTotal_, "fleet checkpoint drew ",
+             streamIssued_, " requests from a trace of ", streamTotal_);
+    engine::restore(r, streamPending_);
     heap_.clear();
     const std::uint64_t nheap = r.u64();
     heap_.reserve(nheap);
@@ -1187,22 +1142,36 @@ FleetSimulator::restoreState(ByteReader &r,
         e.seq = r.u64();
         e.gid = r.i64();
         e.node = static_cast<int>(r.i64());
-        e.servedIdx = static_cast<std::size_t>(r.u64());
         e.aux = r.f64();
         e.local = r.i64();
         e.latency = r.f64();
-        e.generated = r.i64();
         e.legOutcome = r.u8();
         heap_.push_back(e);
     }
-    const std::uint64_t ntracks = r.u64();
-    fatal_if(ntracks != trace_->size(),
-             "fleet checkpoint tracks ", ntracks,
-             " disagree with the trace size ", trace_->size());
-    tracks_.assign(static_cast<std::size_t>(ntracks), Track{});
-    for (Track &t : tracks_) {
+    // Every slot was opened by a distinct arrival, and each slot is
+    // live or free exactly once.
+    const std::uint64_t nslots = r.u64();
+    fatal_if(nslots > streamIssued_, "fleet checkpoint holds ", nslots,
+             " track slots for ", streamIssued_, " arrivals");
+    tracks_.assign(static_cast<std::size_t>(nslots), Track{});
+    slotOf_.clear();
+    std::vector<bool> used(tracks_.size(), false);
+    const auto claim = [&](std::uint64_t slot) {
+        fatal_if(slot >= nslots || used[slot], "fleet checkpoint slot ",
+                 slot, " is out of range or claimed twice");
+        used[slot] = true;
+        return static_cast<std::size_t>(slot);
+    };
+    const std::uint64_t nlive = r.u64();
+    for (std::uint64_t k = 0; k < nlive; ++k) {
+        const std::size_t slot = claim(r.u64());
+        Track &t = tracks_[slot];
         engine::restore(r, t.req);
         t.gid = r.i64();
+        fatal_if(t.gid < 0 ||
+                     static_cast<std::uint64_t>(t.gid) >= streamIssued_,
+                 "fleet checkpoint track ", t.gid,
+                 " was never drawn (cursor ", streamIssued_, ")");
         t.absDeadline = r.f64();
         for (int s = 0; s < 2; ++s) {
             t.legs[s].node = static_cast<int>(r.i64());
@@ -1213,16 +1182,30 @@ FleetSimulator::restoreState(ByteReader &r,
         t.attempts = static_cast<int>(r.i64());
         t.pendingTimers = static_cast<int>(r.i64());
         t.hedgeScheduled = r.u8() != 0;
-        t.terminal = r.u8() != 0;
-        t.outcome = static_cast<FleetOutcome>(r.u8());
-        t.finish = r.f64();
-        t.generated = r.i64();
-        t.servedBy = static_cast<int>(r.i64());
+        fatal_if(!slotOf_.emplace(t.gid, slot).second,
+                 "fleet checkpoint holds track ", t.gid, " twice");
+    }
+    const std::uint64_t nfree = r.u64();
+    fatal_if(nlive + nfree != nslots, "fleet checkpoint has ", nlive,
+             " live and ", nfree, " free track slots of ", nslots);
+    freeSlots_.resize(static_cast<std::size_t>(nfree));
+    for (std::size_t &slot : freeSlots_)
+        slot = claim(r.u64());
+    foldServed_ = static_cast<std::size_t>(r.u64());
+    foldTimedOut_ = static_cast<std::size_t>(r.u64());
+    foldShed_ = static_cast<std::size_t>(r.u64());
+    foldOffloaded_ = static_cast<std::size_t>(r.u64());
+    foldDeadlineMet_ = static_cast<std::size_t>(r.u64());
+    foldMakespan_ = r.f64();
+    foldLat_.resize(static_cast<std::size_t>(r.u64()));
+    for (auto &[gid, lat] : foldLat_) {
+        gid = r.i64();
+        lat = r.f64();
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         liveOnNode_[i].clear();
-        const std::uint64_t nlive = r.u64();
-        for (std::uint64_t k = 0; k < nlive; ++k)
+        const std::uint64_t nlegs = r.u64();
+        for (std::uint64_t k = 0; k < nlegs; ++k)
             liveOnNode_[i].insert(r.i64());
         drained_[i] = static_cast<std::size_t>(r.u64());
         consecFailures_[i] = static_cast<int>(r.i64());
@@ -1259,7 +1242,7 @@ FleetSimulator::buildReport() const
     r.timedOut = foldTimedOut_;
     r.shed = foldShed_;
     r.offloaded = foldOffloaded_;
-    // Every arrival folded exactly once (checked by the callers).
+    // Every arrival folded exactly once (checked by finishRun).
     r.arrivals = r.served + r.timedOut + r.shed + r.offloaded;
     r.retries = retries_;
     r.failovers = failovers_;
@@ -1282,9 +1265,9 @@ FleetSimulator::buildReport() const
             static_cast<double>(r.arrivals);
 
     if (!approxStats_) {
-        // Exact mode: streamed tracks fold in completion order, so
-        // re-sort by gid — the FP sum and percentile inputs are then
-        // the same whichever way the run was fed.
+        // Exact mode: tracks fold in completion order, so re-sort by
+        // gid — the FP sum and percentile inputs then follow the
+        // trace order.
         auto by_gid = foldLat_;
         std::sort(by_gid.begin(), by_gid.end());
         std::vector<double> latencies;

@@ -202,10 +202,12 @@ std::string formatFleetReport(const FleetReport &r);
  * Crash-safety controls for one fleet run (all off by default).  A
  * fleet checkpoint is one versioned, checksummed container
  * (engine/checkpoint.hh format, fleet payload) snapshotting the
- * driver — event heap, tracks and live legs, router cursor, breaker
- * and latency-quantile state, tallies — plus every node's complete
- * serving stack, so a killed fleet process resumes and finishes
- * bit-identically to an uninterrupted run at any thread count.
+ * driver — event heap, trace cursor, live tracks and their legs,
+ * folded report aggregates, router cursor, breaker and
+ * latency-quantile state, tallies — plus every node's serving stack
+ * and undrained records, so a killed fleet process resumes and
+ * finishes bit-identically to an uninterrupted run at any thread
+ * count.
  */
 struct FleetDurabilityOptions
 {
@@ -251,33 +253,32 @@ class FleetSimulator
   public:
     explicit FleetSimulator(FleetConfig cfg);
 
-    /** Run @p trace to completion and return the fleet report. */
-    FleetReport run(const std::vector<engine::ServerRequest> &trace);
-
     /**
-     * Run @p trace under crash-safety controls: checkpoint every
+     * Run @p trace to completion and return the fleet report, under
+     * crash-safety controls @p dur: checkpoint every
      * @p dur.checkpointEvery events, resume from the latest
      * checkpoint, and/or crash-inject.  A resumed run must present
      * the same configuration and trace (enforced by the fleet
-     * fingerprint in the checkpoint header).
+     * fingerprint in the checkpoint header).  The trace is fed
+     * through runStream()'s body, so both share one track store.
      */
     FleetReport run(const std::vector<engine::ServerRequest> &trace,
-                    const FleetDurabilityOptions &dur);
+                    const FleetDurabilityOptions &dur = {});
 
     /**
      * Run a streaming trace (DESIGN.md §15): requests are drawn from
      * @p src one at a time, terminal tracks are folded as they finish
-     * into the same aggregates run() folds at its end, and released,
-     * and drained node records are compacted away — so memory is
-     * O(in-flight requests), independent of the trace length.  With
+     * into the report aggregates and released, and drained node
+     * records are compacted away — so memory is O(in-flight
+     * requests), independent of the trace length.  With
      * @p approx_stats false (the default) the per-request latencies
      * of finished requests are retained and the report is
      * bit-identical to run() on the materialized trace; with it true,
      * latency mean/percentiles come from streaming P² estimators and
      * the run is constant-memory outright.
      *
-     * Streaming excludes checkpoint/resume (a resumable run needs the
-     * full trace for its fingerprint anyway — materialize instead).
+     * A source cannot be checkpointed: the checkpoint fingerprint
+     * hashes the whole trace, which only run() holds.
      */
     FleetReport runStream(engine::TraceSource &src,
                           bool approx_stats = false);
@@ -295,6 +296,9 @@ class FleetSimulator
         bool live = false;
     };
 
+    /** One in-flight request.  A track lives in a recycled slot from
+     *  its arrival until it reaches a terminal outcome, when it is
+     *  folded into the report aggregates and its slot freed. */
     struct Track
     {
         engine::ServerRequest req;
@@ -305,11 +309,6 @@ class FleetSimulator
         int attempts = 0;          //!< dispatches so far
         int pendingTimers = 0;     //!< scheduled retry timers
         bool hedgeScheduled = false;
-        bool terminal = false;
-        FleetOutcome outcome = FleetOutcome::Served;
-        Seconds finish = 0.0;
-        Tokens generated = 0;
-        int servedBy = -1; //!< node id, or -2 for the cloud
     };
 
     struct Event
@@ -319,19 +318,13 @@ class FleetSimulator
         std::uint64_t seq = 0;
         std::int64_t gid = -1;   //!< request events
         int node = -1;           //!< node events / outcome node
-        std::size_t servedIdx = 0; //!< outcome record index (unread;
-                                   //!< kept on the v2 wire)
         Seconds aux = 0.0;       //!< reboot delay / window end
 
         // KOutcome payload, copied from the served record at drain
-        // time (ckpt wire format v2).  Carrying the record's driver-
-        // visible fields in the event removes the served()[servedIdx]
-        // indirection from the hot path and — since no handler reads
-        // a record after its drain — lets streaming runs release
-        // drained records (constant-memory 10⁶-request traces).
+        // time: no handler reads a record after its drain, so nodes
+        // release drained records.
         std::int64_t local = -1;   //!< node-local trace index
         Seconds latency = 0.0;     //!< queueDelay + serviceTime
-        Tokens generated = 0;
         std::uint8_t legOutcome = 0; //!< engine::RequestOutcome
 
         bool operator>(const Event &o) const
@@ -372,8 +365,10 @@ class FleetSimulator
 
     void dispatch(Track &t, Seconds now, int exclude, bool is_hedge);
     void scheduleRetry(Track &t, Seconds now, int failed_node);
-    void finishTrack(Track &t, FleetOutcome o, Seconds finish,
-                     Tokens generated, int served_by);
+    /** Fold @p t's terminal outcome into the report aggregates and
+     *  free its slot (the reference stays valid until the next
+     *  arrival reuses the slot). */
+    void finishTrack(Track &t, FleetOutcome o, Seconds finish);
     void cancelLeg(Track &t, int slot);
     void noteFailure(int node, Seconds now);
     void noteSuccess(int node);
@@ -397,28 +392,30 @@ class FleetSimulator
     void onRetryTimer(const Event &e);
     void onArrival(const Event &e);
 
-    /** The shared event loop behind run() and runStream(). */
+    /** Bind the run's request source (single-shot). */
+    void attachSource(engine::TraceSource &src, bool approx_stats);
+    /** Open journals, push every node's fault schedule and draw the
+     *  first arrival (fresh runs). */
+    void startFresh();
+    /** Draw the next request from src_ and schedule its arrival. */
+    void issueArrival();
+    /** The event loop behind run() and runStream(). */
     void eventLoop(const FleetDurabilityOptions &dur, bool durable,
                    std::uint64_t fp, bool resumed,
                    std::uint64_t restored_event);
-    /** Open journals and push every node's fault schedule (fresh runs
-     *  of both flavours). */
-    void scheduleNodeEvents();
+    /** Check conservation and build the report. */
+    FleetReport finishRun();
 
-    // Track addressing.  Materialized runs index tracks_ by gid;
-    // streaming runs pool-allocate tracks and fold terminal ones
-    // away, so a gid may legitimately resolve to nothing.
+    // Track addressing: live tracks sit in recycled slots of tracks_,
+    // found through slotOf_; a folded track's gid resolves to nothing.
     Track *findTrack(std::int64_t gid);
     Track &trackAt(std::int64_t gid);
     Track &allocTrack(std::int64_t gid);
-    void foldTrack(const Track &t);
 
     void audit(Seconds now) const;
-    void auditTrack(std::size_t gid, const Track &t,
-                    std::size_t &live_legs,
-                    std::size_t &edge_legs) const;
+    void auditTrack(const Track &t, std::size_t &edge_legs) const;
     void auditStopIndex() const;
-    /** The report of either run flavour, from the folded aggregates. */
+    /** The report, from the folded aggregates. */
     FleetReport buildReport() const;
 
     FleetConfig cfg_;
@@ -439,20 +436,16 @@ class FleetSimulator
     /** Event count of the last checkpoint written (sentinel: none). */
     std::uint64_t lastCkptEvent_ = ~0ull;
 
-    const std::vector<engine::ServerRequest> *trace_ = nullptr;
-    std::size_t nextArrival_ = 0;
-
     /** Next-stop-time index: one key per node — clock while up and
      *  busy, +inf otherwise.  Drives node sync and the heap-empty
      *  drain.  Derived state; rebuilt on restore, cross-checked
      *  against the brute scan by the paranoid auditor. */
     NodeStopIndex stopIndex_;
-    /** Reused lag buffer for syncNodesTo (was a per-round heap
-     *  allocation). */
+    /** Reused lag buffer for syncNodesTo. */
     std::vector<int> lagBuf_;
-    /** Reused router view buffer (was a per-dispatch allocation),
-     *  valid for `now` in [viewsBuiltAt_, viewsValidUntil_) while no
-     *  up/degrade/cooldown state changed (viewsDirty_). */
+    /** Reused router view buffer, valid for `now` in
+     *  [viewsBuiltAt_, viewsValidUntil_) while no up/degrade/cooldown
+     *  state changed (viewsDirty_). */
     std::vector<NodeView> viewsBuf_;
     bool viewsDirty_ = true;
     Seconds viewsBuiltAt_ = 0.0;
@@ -461,8 +454,7 @@ class FleetSimulator
      *  candidate filter for the lifetime of one views window. */
     std::uint64_t viewsGen_ = 0;
 
-    // Streaming-run state (runStream).
-    bool streaming_ = false;
+    // Request source and track store.
     bool approxStats_ = false;
     engine::TraceSource *src_ = nullptr;
     std::size_t streamTotal_ = 0;
@@ -470,11 +462,12 @@ class FleetSimulator
     /** The one outstanding KArrival event's request (at most one
      *  arrival is ever in the heap). */
     engine::ServerRequest streamPending_;
+    /** Track slots; each is either live (in slotOf_) or free. */
+    std::vector<Track> tracks_;
     std::unordered_map<std::int64_t, std::size_t> slotOf_;
     std::vector<std::size_t> freeSlots_;
-    // Folded terminal-track aggregates (buildReport inputs): streamed
-    // runs fold as tracks finish, materialized runs in gid order at
-    // the end.
+    // Folded terminal-track aggregates (buildReport inputs), updated
+    // as tracks finish.
     std::size_t foldServed_ = 0, foldTimedOut_ = 0, foldShed_ = 0,
                 foldOffloaded_ = 0, foldDeadlineMet_ = 0;
     Seconds foldMakespan_ = 0.0;
@@ -486,11 +479,11 @@ class FleetSimulator
     double latSum_ = 0.0;
     std::size_t latCount_ = 0;
 
-    std::vector<Track> tracks_;
     /** Per-node sets of live gids: the authority for leg liveness
      *  (stale outcome events are dropped against these). */
     std::vector<std::set<std::int64_t>> liveOnNode_;
-    /** Drained prefix of each node's served() vector. */
+    /** Per-node drain cursor: absolute index of the first record
+     *  not yet turned into an outcome event. */
     std::vector<std::size_t> drained_;
 
     // Health breaker state.

@@ -123,10 +123,7 @@ FleetNode::submit(const engine::ServerRequest &req, std::int64_t gid)
                  req.arrival < pending_.back().req.arrival,
              "fleet node ", id_, ": dispatch times must be monotone");
     const std::int64_t local = submitted_++;
-    if (streamLocals_)
-        gidOfLocal_.emplace(local, gid);
-    else
-        gidByLocal_.push_back(gid);
+    gidOfLocal_.emplace(local, gid);
     pending_.push_back({req, local});
     return local;
 }
@@ -247,9 +244,8 @@ FleetNode::cancel(std::int64_t local)
     for (auto it = pending_.begin(); it != pending_.end(); ++it) {
         if (it->local == local) {
             // A pending leg vanishes without a record, so no drain
-            // will ever consume its streaming mapping.
-            if (streamLocals_)
-                gidOfLocal_.erase(local);
+            // will ever consume its mapping.
+            gidOfLocal_.erase(local);
             pending_.erase(it);
             return true;
         }
@@ -268,20 +264,18 @@ FleetNode::crash()
     ++life_.crashes;
     up_ = false;
     pending_.clear();
-    if (streamLocals_) {
-        // Resident records (cancel echoes retired since the last
-        // drain) still need their local->gid mappings when the driver
-        // eventually drains them; every other mapping on this
-        // incarnation — pending or in flight — dies with the node
-        // (the driver fails those legs over).
-        std::unordered_map<std::int64_t, std::int64_t> keep;
-        for (const auto &rec : served_) {
-            const auto it = gidOfLocal_.find(rec.traceIndex);
-            if (it != gidOfLocal_.end())
-                keep.insert(*it);
-        }
-        gidOfLocal_.swap(keep);
+    // Resident records (cancel echoes retired since the last drain)
+    // still need their local->gid mappings when the driver eventually
+    // drains them; every other mapping on this incarnation — pending
+    // or in flight — dies with the node (the driver fails those legs
+    // over).
+    std::unordered_map<std::int64_t, std::int64_t> keep;
+    for (const auto &rec : served_) {
+        const auto it = gidOfLocal_.find(rec.traceIndex);
+        if (it != gidOfLocal_.end())
+            keep.insert(*it);
     }
+    gidOfLocal_.swap(keep);
     exec_->setJournal(nullptr);
     journal_ = engine::Journal();
     exec_.reset();
@@ -298,15 +292,6 @@ FleetNode::reboot()
         engine_, nullptr, cfg_, faults_, served_);
     up_ = true;
     openJournal();
-}
-
-std::int64_t
-FleetNode::gidForLocal(std::int64_t local) const
-{
-    panic_if(local < 0 ||
-                 local >= static_cast<std::int64_t>(gidByLocal_.size()),
-             "fleet node ", id_, ": unknown local index ", local);
-    return gidByLocal_[static_cast<std::size_t>(local)];
 }
 
 const engine::ServedRequest &
@@ -366,20 +351,12 @@ FleetNode::compactServed(std::size_t upto_abs)
     servedBase_ = upto_abs;
 }
 
-void
-FleetNode::setStreamLocals(bool on)
-{
-    panic_if(submitted_ != 0,
-             "setStreamLocals must precede the first submit");
-    streamLocals_ = on;
-}
-
 std::int64_t
 FleetNode::consumeLocal(std::int64_t local)
 {
     const auto it = gidOfLocal_.find(local);
     panic_if(it == gidOfLocal_.end(), "fleet node ", id_,
-             ": unknown streaming local index ", local);
+             ": unknown local index ", local);
     const std::int64_t gid = it->second;
     gidOfLocal_.erase(it);
     return gid;
@@ -407,14 +384,17 @@ FleetNode::totals() const
 void
 FleetNode::serialize(ByteWriter &w) const
 {
-    panic_if(streamLocals_ || servedBase_ != 0,
-             "streaming fleet nodes are not checkpointable");
     w.u8(up_ ? 1 : 0);
     w.u64(incarnation_);
     w.i64(submitted_);
-    w.u64(gidByLocal_.size());
-    for (const std::int64_t gid : gidByLocal_)
+    std::vector<std::pair<std::int64_t, std::int64_t>> locals(
+        gidOfLocal_.begin(), gidOfLocal_.end());
+    std::sort(locals.begin(), locals.end());
+    w.u64(locals.size());
+    for (const auto &[local, gid] : locals) {
+        w.i64(local);
         w.i64(gid);
+    }
     w.u64(pending_.size());
     for (const Pending &p : pending_) {
         engine::serialize(w, p.req);
@@ -424,6 +404,10 @@ FleetNode::serialize(ByteWriter &w) const
     w.f64(life_.busy);
     w.f64(life_.generatedTokens);
     w.u64(life_.crashes);
+    w.u64(servedBase_);
+    w.u64(releasedCounts_.served);
+    w.u64(releasedCounts_.timedOut);
+    w.u64(releasedCounts_.cancelled);
     w.u64(served_.size());
     for (const auto &rec : served_)
         engine::serialize(w, rec);
@@ -441,9 +425,12 @@ FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
     up_ = r.u8() != 0;
     incarnation_ = r.u64();
     submitted_ = r.i64();
-    gidByLocal_.resize(r.u64());
-    for (std::int64_t &gid : gidByLocal_)
-        gid = r.i64();
+    gidOfLocal_.clear();
+    const std::uint64_t nlocals = r.u64();
+    for (std::uint64_t i = 0; i < nlocals; ++i) {
+        const std::int64_t local = r.i64();
+        gidOfLocal_.emplace(local, r.i64());
+    }
     pending_.clear();
     const std::uint64_t npending = r.u64();
     for (std::uint64_t i = 0; i < npending; ++i) {
@@ -456,6 +443,10 @@ FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
     life_.busy = r.f64();
     life_.generatedTokens = r.f64();
     life_.crashes = r.u64();
+    servedBase_ = static_cast<std::size_t>(r.u64());
+    releasedCounts_.served = static_cast<std::size_t>(r.u64());
+    releasedCounts_.timedOut = static_cast<std::size_t>(r.u64());
+    releasedCounts_.cancelled = static_cast<std::size_t>(r.u64());
     served_.clear();
     served_.resize(r.u64());
     for (auto &rec : served_)

@@ -183,20 +183,11 @@ class FleetNode
     /** Start a fresh incarnation (cold clock and thermal state). */
     void reboot();
 
-    /** @return the fleet-global id of node-local leg @p local. */
-    std::int64_t gidForLocal(std::int64_t local) const;
-
-    /** Per-leg records across all incarnations, in retire order; the
-     *  driver drains the tail, tests inspect outcomes. */
-    const std::vector<engine::ServedRequest> &served() const
-    {
-        return served_;
-    }
-
-    /** Absolute count of records produced over the node's lifetime.
-     *  Streaming compaction may have released a prefix of served(),
-     *  so the driver's drain cursor addresses records by absolute
-     *  index: valid records are [compacted prefix, servedEnd()). */
+    /** Absolute count of per-leg records produced over the node's
+     *  lifetime, across all incarnations.  compactServed releases a
+     *  prefix, so the driver's drain cursor addresses records by
+     *  absolute index: resident records are
+     *  [compacted prefix, servedEnd()). */
     std::size_t servedEnd() const
     {
         return servedBase_ + served_.size();
@@ -219,25 +210,18 @@ class FleetNode
 
     /** Release every record below absolute index @p upto_abs,
      *  folding its outcome into the lifetime tallies first.  The
-     *  streaming driver calls this after draining, keeping resident
-     *  records O(in-flight) for arbitrarily long traces. */
+     *  driver calls this after each drain, keeping resident records
+     *  O(in-flight) for arbitrarily long traces. */
     void compactServed(std::size_t upto_abs);
 
-    /**
-     * Switch the local->gid map to streaming mode (erasable hash map
-     * instead of an append-only vector): the driver consumes each
-     * mapping when it drains the leg's record, so map size tracks
-     * live legs, not lifetime submissions.  Must be called before
-     * the first submit; streaming nodes are not checkpointable.
-     */
-    void setStreamLocals(bool on);
-
-    /** Streaming lookup of @p local's gid; erases the mapping (each
-     *  record is drained exactly once).  Panics on unknown locals. */
+    /** @return the fleet-global id of node-local leg @p local and
+     *  erase the mapping: each record is drained exactly once, so
+     *  the map holds only legs whose record is not yet drained.
+     *  Panics on unknown locals. */
     std::int64_t consumeLocal(std::int64_t local);
 
-    /** Streaming erase of @p local's mapping without a lookup (used
-     *  for cancelled legs, whose gid the driver already resolved). */
+    /** Erase @p local's mapping without a lookup (cancelled legs,
+     *  whose gid the driver already resolved). */
     void dropLocal(std::int64_t local);
 
     /** @return lifetime totals (dead incarnations + the live one). */
@@ -262,10 +246,12 @@ class FleetNode
 
     /**
      * Serialize the node's complete mutable state into a fleet
-     * checkpoint: liveness, incarnation, submission bookkeeping,
-     * pending arrivals, lifetime totals, served records, and — for a
-     * live node — the full serving stack (scheduler identity,
-     * scheduling state, executor incl. thermal and KV state).
+     * checkpoint: liveness, incarnation, submission bookkeeping (the
+     * local->gid map in local order), pending arrivals, lifetime
+     * totals, the compaction base and released tallies, resident
+     * records, and — for a live node — the full serving stack
+     * (scheduler identity, scheduling state, executor incl. thermal
+     * and KV state).
      */
     void serialize(ByteWriter &w) const;
 
@@ -320,18 +306,16 @@ class FleetNode
     engine::Journal journal_;
 
     std::deque<Pending> pending_;
-    std::vector<std::int64_t> gidByLocal_;
     std::vector<SlowdownWindow> slowdowns_;
     std::int64_t submitted_ = 0;
     bool up_ = true;
     std::uint64_t incarnation_ = 0;
 
-    // Streaming compaction state: absolute index of served_[0] plus
-    // the outcome tallies of released records; the erasable local ->
-    // gid map replaces gidByLocal_ when streamLocals_ is set.
+    // Compaction state: absolute index of served_[0] plus the outcome
+    // tallies of released records.
     std::size_t servedBase_ = 0;
     OutcomeCounts releasedCounts_;
-    bool streamLocals_ = false;
+    /** local -> gid of every leg whose record is not yet drained. */
     std::unordered_map<std::int64_t, std::int64_t> gidOfLocal_;
 
     // Accumulator totals of dead incarnations (crash() snapshots).

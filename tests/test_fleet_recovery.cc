@@ -14,6 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -145,6 +149,120 @@ TEST(FleetRecovery, CrashResumeMatrixIsBitIdentical)
         }
     }
     er::ThreadPool::setGlobalThreads(0);
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
+}
+
+// --- Checkpoint wire: determinism and fingerprint --------------------
+
+/** @return the bytes of every file in @p dir, keyed by file name. */
+std::map<std::string, std::string>
+readFiles(const std::filesystem::path &dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        files[entry.path().filename().string()] = bytes.str();
+    }
+    return files;
+}
+
+void
+expectSameFiles(const std::filesystem::path &a,
+                const std::filesystem::path &b)
+{
+    const auto fa = readFiles(a), fb = readFiles(b);
+    ASSERT_EQ(fa.size(), fb.size());
+    for (const auto &[name, bytes] : fa) {
+        const auto it = fb.find(name);
+        ASSERT_NE(it, fb.end()) << name << " missing from " << b;
+        EXPECT_TRUE(it->second == bytes) << name << " differs";
+    }
+}
+
+TEST(FleetRecovery, CheckpointBytesAreDeterministic)
+{
+    // Live tracks and each node's local->gid map are hash maps; the
+    // checkpoint writes them sorted, so two runs crashed at the same
+    // event leave byte-identical checkpoint files.  The resumed run
+    // then writes its later checkpoints byte-identical to an
+    // uninterrupted run's: track slots, the free-slot stack and the
+    // compacted node records all round-trip exactly.  The trace is
+    // dense enough that tracks pile up and drain, so a restored hash
+    // map iterates in a different order from the uninterrupted run's
+    // (writing either unsorted fails this test).
+    std::filesystem::remove_all(kArtifacts);
+    er::Rng rng(7, "fleet-recovery");
+    auto trace = ServingSimulator::poissonTrace(rng, 80, 8.0, 96, 224);
+    for (auto &r : trace)
+        r.deadline = 75.0;
+    const FleetConfig fc = recoveryConfig(RouterPolicy::DeadlineAware);
+    FleetDurabilityOptions dur;
+    dur.checkpointEvery = 20;
+    dur.crashAtEvent = 150;
+    for (const char *run : {"a", "b"}) {
+        dur.checkpointDir = (kArtifacts / run).string();
+        FleetSimulator sim(fc);
+        EXPECT_THROW(sim.run(trace, dur), FleetSimulatedCrash);
+    }
+    EXPECT_EQ(readFiles(kArtifacts / "a").size(), 8u); // events 0..140
+    expectSameFiles(kArtifacts / "a", kArtifacts / "b");
+
+    FleetDurabilityOptions res;
+    res.checkpointDir = (kArtifacts / "b").string();
+    res.checkpointEvery = dur.checkpointEvery;
+    res.resume = true;
+    FleetSimulator resumed(fc);
+    const std::string resumed_rep =
+        formatFleetReport(resumed.run(trace, res));
+
+    FleetDurabilityOptions whole;
+    whole.checkpointDir = (kArtifacts / "c").string();
+    whole.checkpointEvery = dur.checkpointEvery;
+    FleetSimulator base(fc);
+    EXPECT_EQ(formatFleetReport(base.run(trace, whole)), resumed_rep);
+    EXPECT_GT(readFiles(kArtifacts / "c").size(), 5u);
+    expectSameFiles(kArtifacts / "b", kArtifacts / "c");
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
+}
+
+TEST(FleetRecovery, ResumeRefusesAPerturbedTrace)
+{
+    // The checkpoint fingerprint hashes the whole trace: a resume
+    // against a trace that differs in one request, or in length, is
+    // refused with an error naming the fingerprint.
+    std::filesystem::remove_all(kArtifacts);
+    const auto trace = recoveryTrace();
+    const FleetConfig fc = recoveryConfig(RouterPolicy::LeastLoaded);
+    FleetDurabilityOptions dur;
+    dur.checkpointDir = (kArtifacts / "ckpt").string();
+    dur.checkpointEvery = 20;
+    dur.crashAtEvent = 50;
+    {
+        FleetSimulator sim(fc);
+        EXPECT_THROW(sim.run(trace, dur), FleetSimulatedCrash);
+    }
+    auto changed = trace;
+    changed[trace.size() - 1].outputTokens += 1;
+    auto shorter = trace;
+    shorter.pop_back();
+    FleetDurabilityOptions res;
+    res.checkpointDir = dur.checkpointDir;
+    res.resume = true;
+    for (const auto *t : {&changed, &shorter}) {
+        FleetSimulator sim(fc);
+        try {
+            sim.run(*t, res);
+            ADD_FAILURE() << "resume accepted a different trace";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("fingerprint"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     if (!::testing::Test::HasFailure())
         std::filesystem::remove_all(kArtifacts);
 }

@@ -12,13 +12,16 @@
  *    (recorded from the all-node-scan driver the index replaced) at
  *    1, 2 and 4 threads;
  *  - crash-resume with the index live, at two crash points;
- *  - a streamed run against the same trace materialized.
+ *  - a streamed run against the same trace materialized;
+ *  - unsorted arrivals rejected by run() and runStream() alike.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -477,6 +480,51 @@ TEST(FleetScale, StreamedRunMatchesMaterialized)
     src.setDeadline(75.0);
     FleetSimulator streamed(mk());
     EXPECT_EQ(formatFleetReport(streamed.runStream(src)), want);
+}
+
+// --- Arrival order ---------------------------------------------------
+
+/** A fixed request list served as a stream, in list order. */
+class ListSource final : public er::engine::TraceSource
+{
+  public:
+    explicit ListSource(std::vector<ServerRequest> reqs)
+        : reqs_(std::move(reqs))
+    {
+    }
+    std::size_t totalRequests() const override { return reqs_.size(); }
+    ServerRequest next() override { return reqs_.at(next_++); }
+
+  private:
+    std::vector<ServerRequest> reqs_;
+    std::size_t next_ = 0;
+};
+
+TEST(FleetScale, UnsortedTraceIsRejected)
+{
+    // Arrivals are checked as each request is drawn, on the one path
+    // both run() and runStream() share.
+    FleetConfig fc;
+    fc.nodes.assign(2, NodeSpec{er::model::ModelId::DeepScaleR1_5B});
+    er::Rng rng(21, "fleet-scale-unsorted");
+    auto trace = ServingSimulator::poissonTrace(rng, 12, 2.0, 96, 224);
+    ASSERT_LT(trace[6].arrival, trace[7].arrival);
+    std::swap(trace[6], trace[7]);
+    const auto expectUnsorted = [](auto &&run) {
+        try {
+            run();
+            ADD_FAILURE() << "an unsorted trace was accepted";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("must be sorted"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectUnsorted([&] { FleetSimulator(fc).run(trace); });
+    expectUnsorted([&] {
+        ListSource src(trace);
+        FleetSimulator(fc).runStream(src);
+    });
 }
 
 } // namespace

@@ -548,3 +548,72 @@ TEST(ServeOptions, FleetIndexFlagIsGone)
               std::string::npos)
         << err;
 }
+
+TEST(ServeOptions, StreamExcludesDurabilityAndJournals)
+{
+    // A streamed run holds only the next request, so it cannot write
+    // a checkpoint (the fingerprint hashes the whole trace), resume,
+    // crash-inject or keep recovery journals.
+    std::string err;
+    ASSERT_TRUE(parse({"--fleet", "2", "--stream"}, &err).has_value())
+        << err;
+    EXPECT_FALSE(parse({"--fleet", "2", "--stream", "--checkpoint-dir",
+                        "/tmp/ck"},
+                       &err)
+                     .has_value());
+    EXPECT_NE(err.find("--stream excludes --checkpoint-dir"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("fingerprint needs the whole trace"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(parse({"--fleet", "2", "--stream", "--resume",
+                        "/tmp/ck"},
+                       &err)
+                     .has_value());
+    EXPECT_NE(err.find("--stream excludes --checkpoint-dir/--resume"),
+              std::string::npos)
+        << err;
+
+    // Crash injection: refused for want of a checkpoint directory,
+    // and refused with one because --stream excludes it.
+    EXPECT_FALSE(parse({"--fleet", "2", "--stream", "--crash-at-event",
+                        "5"},
+                       &err)
+                     .has_value());
+    EXPECT_NE(err.find("crash injection needs --checkpoint-dir"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(parse({"--fleet", "2", "--stream", "--crash-at-event",
+                        "5", "--checkpoint-dir", "/tmp/ck"},
+                       &err)
+                     .has_value());
+    EXPECT_NE(err.find("--stream excludes"), std::string::npos) << err;
+    EXPECT_FALSE(parse({"--fleet", "2", "--stream", "--crash-at-time",
+                        "5"},
+                       &err)
+                     .has_value());
+
+    EXPECT_FALSE(parse({"--fleet", "2", "--stream", "--fleet-journals",
+                        "/tmp/j"},
+                       &err)
+                     .has_value());
+    EXPECT_NE(err.find("--stream excludes --fleet-journals"),
+              std::string::npos)
+        << err;
+}
+
+TEST(ServeOptions, ApproxStatsNeedStream)
+{
+    std::string err;
+    const auto o =
+        parse({"--fleet", "2", "--stream", "--approx-stats"}, &err);
+    ASSERT_TRUE(o.has_value()) << err;
+    EXPECT_TRUE(o->stream);
+    EXPECT_TRUE(o->approxStats);
+    EXPECT_FALSE(parse({"--fleet", "2", "--approx-stats"}, &err)
+                     .has_value());
+    EXPECT_NE(err.find("--approx-stats needs --stream"),
+              std::string::npos)
+        << err;
+}
