@@ -297,6 +297,32 @@ BM_PrefixHitServing(benchmark::State &state)
 BENCHMARK(BM_PrefixHitServing);
 
 void
+BM_SessionTraceGen(benchmark::State &state)
+{
+    // Session workload generator at perfbench serve_sessions' shape
+    // (400 sessions x 6 turns, ~2.8M token symbols): symbol hashing and
+    // the carried per-session block chains.  Ungated layer rung.
+    er::acc::SessionTraceConfig sc;
+    sc.sessions = 400;
+    sc.turnsPerSession = 6;
+    sc.sessionQps = 0.03;
+    sc.meanTurnGap = 20.0;
+    sc.systemPromptTokens = 512;
+    sc.meanUserTokens = 120.0;
+    sc.meanThinkTokens = 0.75 * 1024.0;
+    sc.meanAnswerTokens = 0.25 * 1024.0;
+    std::int64_t requests = 0;
+    for (auto _ : state) {
+        er::Rng rng(1, "perfbench/serve_sessions");
+        auto trace = er::acc::generateSessionTrace(sc, rng);
+        requests += static_cast<std::int64_t>(trace.size());
+        benchmark::DoNotOptimize(trace);
+    }
+    state.SetItemsProcessed(requests);
+}
+BENCHMARK(BM_SessionTraceGen)->Unit(benchmark::kMillisecond);
+
+void
 BM_ShardedTraceScaling(benchmark::State &state)
 {
     // runSharded() thread scaling over 16 independent replications.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "engine/tokenizer.hh"
@@ -114,23 +116,56 @@ chainBlockHash(std::uint64_t prev, const std::uint64_t *tokens,
     return h;
 }
 
-/** Chain hashes of every *full* block of @p context. */
-std::vector<std::uint64_t>
-chainHashes(const std::vector<std::uint64_t> &context, Tokens block)
+/** Token symbol hashString(<name> + std::to_string(i)), given the
+ *  hash @p name_state of the fixed name prefix. */
+std::uint64_t
+symbol(std::uint64_t name_state, std::size_t i)
 {
-    std::vector<std::uint64_t> out;
-    std::uint64_t prev = 0x5edfe5a1u; // chain seed for block 0
-    const std::size_t full =
-        context.size() / static_cast<std::size_t>(block);
-    out.reserve(full);
-    for (std::size_t i = 0; i < full; ++i) {
-        prev = chainBlockHash(
-            prev, context.data() + i * static_cast<std::size_t>(block),
-            block);
-        out.push_back(prev);
-    }
-    return out;
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof digits, i).ptr;
+    return Rng::hashString(
+        std::string_view(digits, static_cast<std::size_t>(end - digits)),
+        name_state);
 }
+
+/** Append the @p n token symbols <name>0 .. <name>(n-1) to @p context.
+ *  Each run of ten indices shares the hash of its leading digits, so a
+ *  symbol costs one more byte of FNV-1a. */
+void
+appendSymbols(std::vector<std::uint64_t> &context,
+              std::uint64_t name_state, Tokens n)
+{
+    static constexpr std::string_view digits = "0123456789";
+    for (Tokens tens = 0; 10 * tens < n; ++tens) {
+        const std::uint64_t lead = tens == 0
+            ? name_state
+            : symbol(name_state, static_cast<std::size_t>(tens));
+        for (Tokens d = 0; d < 10 && 10 * tens + d < n; ++d)
+            context.push_back(Rng::hashString(
+                digits.substr(static_cast<std::size_t>(d), 1), lead));
+    }
+}
+
+/** Chain hashes of the full blocks of a growing context, carried from
+ *  turn to turn so each block is hashed exactly once. */
+struct BlockChain
+{
+    std::vector<std::uint64_t> hashes;
+    std::uint64_t prev = 0x5edfe5a1u; // chain seed for block 0
+
+    /** Hash every block of @p context that became full since the last
+     *  call. */
+    void
+    extend(const std::vector<std::uint64_t> &context, Tokens block)
+    {
+        const auto b = static_cast<std::size_t>(block);
+        for (std::size_t i = hashes.size(); (i + 1) * b <= context.size();
+             ++i) {
+            prev = chainBlockHash(prev, context.data() + i * b, block);
+            hashes.push_back(prev);
+        }
+    }
+};
 
 Tokens
 drawTokens(Rng &rng, double mean, double cv, Tokens floor)
@@ -153,29 +188,34 @@ generateSessionTrace(const SessionTraceConfig &cfg, Rng &rng)
 
     // The system prompt is symbol-identical across every session —
     // that is what makes its blocks shareable in the radix index.
+    // Token symbols are Rng::hashString of stable names (DESIGN §13),
+    // computed here by continuing the hash of each name's prefix.
     std::vector<std::uint64_t> system;
     system.reserve(static_cast<std::size_t>(cfg.systemPromptTokens));
-    for (Tokens i = 0; i < cfg.systemPromptTokens; ++i)
-        system.push_back(
-            Rng::hashString("system-token/" + std::to_string(i)));
+    appendSymbols(system, Rng::hashString("system-token/"),
+                  cfg.systemPromptTokens);
+    BlockChain system_chain;
+    system_chain.extend(system, cfg.blockTokens);
 
     std::vector<engine::ServerRequest> trace;
     trace.reserve(cfg.sessions * cfg.turnsPerSession);
+    const std::uint64_t session_name = Rng::hashString("session/");
+    std::vector<std::uint64_t> context;
     Seconds session_start = 0.0;
     for (std::size_t s = 0; s < cfg.sessions; ++s) {
         session_start +=
             -std::log(1.0 - rng.uniform()) / cfg.sessionQps;
-        const std::string sprefix =
-            "session/" + std::to_string(s) + "/turn/";
-        std::vector<std::uint64_t> context = system;
+        const std::uint64_t sprefix =
+            Rng::hashString("/turn/", symbol(session_name, s));
+        context.assign(system.begin(), system.end());
+        BlockChain chain = system_chain;
         Seconds arrival = session_start;
         for (std::size_t t = 0; t < cfg.turnsPerSession; ++t) {
-            const std::string tprefix = sprefix + std::to_string(t);
+            const std::uint64_t tprefix = symbol(sprefix, t);
             const Tokens user =
                 drawTokens(rng, cfg.meanUserTokens, cfg.cv, 4);
-            for (Tokens i = 0; i < user; ++i)
-                context.push_back(Rng::hashString(
-                    tprefix + "/user/" + std::to_string(i)));
+            appendSymbols(context, Rng::hashString("/user/", tprefix), user);
+            chain.extend(context, cfg.blockTokens);
 
             const Tokens think =
                 drawTokens(rng, cfg.meanThinkTokens, cfg.cv, 4);
@@ -187,16 +227,15 @@ generateSessionTrace(const SessionTraceConfig &cfg, Rng &rng)
             r.inputTokens = static_cast<Tokens>(context.size());
             r.outputTokens = think + answer;
             r.sessionId = static_cast<std::int64_t>(s);
-            r.prefixHashes = chainHashes(context, cfg.blockTokens);
+            r.prefixHashes = chain.hashes;
             trace.push_back(std::move(r));
 
             // Fold the turn's output back into the context so the
             // next turn's prompt extends this one's full transcript.
             const Tokens carried =
                 (cfg.carryThink ? think : 0) + answer;
-            for (Tokens i = 0; i < carried; ++i)
-                context.push_back(Rng::hashString(
-                    tprefix + "/out/" + std::to_string(i)));
+            appendSymbols(context, Rng::hashString("/out/", tprefix),
+                          carried);
 
             arrival += -std::log(1.0 - rng.uniform()) *
                 cfg.meanTurnGap;

@@ -84,17 +84,6 @@ Rng::fork(std::string_view stream)
     return Rng(seed_ ^ mix64(hashString(stream)));
 }
 
-std::uint64_t
-Rng::hashString(std::string_view s)
-{
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
 std::string
 Rng::saveState() const
 {

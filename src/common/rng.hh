@@ -54,8 +54,19 @@ class Rng
     /** Derive a decorrelated child stream. */
     Rng fork(std::string_view stream);
 
-    /** @return stable 64-bit FNV-1a hash of a string. */
-    static std::uint64_t hashString(std::string_view s);
+    /** @return stable 64-bit FNV-1a hash of a string.  Passing the
+     *  hash of a prefix as @p state continues it, so
+     *  hashString(b, hashString(a)) == hashString(a + b). */
+    static std::uint64_t
+    hashString(std::string_view s,
+               std::uint64_t state = 0xCBF29CE484222325ULL)
+    {
+        for (unsigned char c : s) {
+            state ^= c;
+            state *= 0x100000001B3ULL;
+        }
+        return state;
+    }
 
     /**
      * Serialize the full generator state (mt19937_64 state words plus the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -318,16 +319,17 @@ BatchExecutor::maybeInsertPrefix(ServingState &st, ReqId id)
         static_cast<std::size_t>(st.pool.inputTokens(id) / bt));
     if (n == 0)
         return;
-    const std::vector<std::uint64_t> use(hashes.begin(),
-                                         hashes.begin() +
-                                             static_cast<std::ptrdiff_t>(n));
     // Cost-aware eviction score of block i: the prefill seconds needed
     // to rebuild it given blocks [0, i) — priced off the primary
-    // engine, so scores are stable across degrade episodes.
-    std::vector<double> costs(n);
-    for (std::size_t i = 0; i < n; ++i)
-        costs[i] = chunkLatency(engine_, static_cast<Tokens>(i) * bt, bt);
-    paged_->insertPrefix(st.pool.seq(id), use, costs);
+    // engine, so scores are stable across degrade episodes.  The score
+    // depends on the depth alone, so one table grown to the deepest
+    // donated prompt serves every retire.
+    while (rebuildCost_.size() < n)
+        rebuildCost_.push_back(engine_.prefillSuffixLatency(
+            static_cast<Tokens>(rebuildCost_.size()) * bt, bt));
+    paged_->insertPrefix(st.pool.seq(id),
+                         std::span(hashes).first(n),
+                         std::span(rebuildCost_).first(n));
 }
 
 // Evict one in-flight request for recompute-on-resume.  Victim
@@ -1083,8 +1085,9 @@ BatchExecutor::serialize(ByteWriter &w) const
         w.u64(ballast_);
         paged_->serialize(w);
     }
-    // stepCache_/chunkCache_ are pure memoization over the engine's
-    // noiseless const query surface: rebuilt identically on resume.
+    // stepCache_/chunkCache_/rebuildCost_ are pure memoization over the
+    // engine's noiseless const query surface: rebuilt identically on
+    // resume.
 }
 
 void

@@ -396,6 +396,10 @@ class BatchExecutor
     /** Memoized chunk costs (chunked prefill), keyed per cost engine
      *  on the exact (cached prefix, chunk) pair. */
     OpenHashMap<ChunkKey, Seconds> chunkCache_;
+    /** Primary-engine prefill cost of rebuilding the prefix block at
+     *  depth i given blocks [0, i) — the cost-eviction score, grown on
+     *  demand by maybeInsertPrefix. */
+    std::vector<Seconds> rebuildCost_;
 };
 
 } // namespace engine

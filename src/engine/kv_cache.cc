@@ -291,8 +291,8 @@ KvCache::acquirePrefix(SeqId seq, const std::vector<std::uint64_t> &hashes,
 }
 
 std::size_t
-KvCache::insertPrefix(SeqId seq, const std::vector<std::uint64_t> &hashes,
-                      const std::vector<double> &rebuild_seconds)
+KvCache::insertPrefix(SeqId seq, std::span<const std::uint64_t> hashes,
+                      std::span<const double> rebuild_seconds)
 {
     if (!prefix_.enabled || hashes.empty())
         return 0;

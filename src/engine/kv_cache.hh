@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -189,8 +190,8 @@ class KvCache
      * @return number of newly indexed blocks.
      */
     std::size_t insertPrefix(SeqId seq,
-                             const std::vector<std::uint64_t> &hashes,
-                             const std::vector<double> &rebuild_seconds);
+                             std::span<const std::uint64_t> hashes,
+                             std::span<const double> rebuild_seconds);
 
     /**
      * Conservation audit of the whole pool (paranoid mode, invariant 9):

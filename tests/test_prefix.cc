@@ -5,11 +5,13 @@
  * COW pages, both eviction policies, conservation auditing, canonical
  * serialization with geometry/mode fatals), the freeTokenCapacity()
  * tail-block semantics (including the exactly-full boundary), the
- * multi-turn session workload generator, TTFT improvement from turn 2
- * onward when the cache is on, checkpoint-crash-resume exactness of a
- * prefix-cached run, and — the refactor's hard contract — a
+ * multi-turn session workload generator (checked field for field
+ * against the string-built reference generator), TTFT improvement from
+ * turn 2 onward when the cache is on, checkpoint-crash-resume exactness
+ * of a prefix-cached run, and — the refactor's hard contract — a
  * pre-refactor golden matrix proving that with the prefix cache off
- * (the default) not one reported bit moved.
+ * (the default) not one reported bit moved, plus session-path goldens
+ * (lru and cost eviction, report fields and checkpoint bytes).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,8 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -28,6 +32,7 @@
 #include "accuracy/trace_gen.hh"
 #include "common/binio.hh"
 #include "common/rng.hh"
+#include "engine/checkpoint.hh"
 #include "engine/faults.hh"
 #include "engine/kv_cache.hh"
 #include "engine/server.hh"
@@ -236,7 +241,8 @@ TEST(PrefixIndex, InsertNaNCostIsFatal)
     auto c = prefixCache(64, PrefixEvictPolicy::Cost);
     const SeqId s = c.createSequence();
     ASSERT_TRUE(c.append(s, 32));
-    EXPECT_THROW(c.insertPrefix(s, testHashes(2), {1.0, std::nan("")}),
+    EXPECT_THROW(c.insertPrefix(s, testHashes(2),
+                                std::vector<double>{1.0, std::nan("")}),
                  std::runtime_error);
     EXPECT_EQ(c.indexedBlocks(), 0u); // rejected before any insert
 }
@@ -970,6 +976,203 @@ TEST(PrefixServing, CostEvictionAlsoServesSessions)
     EXPECT_GT(rep.prefixHitRate, 0.1);
 }
 
+// --- Incremental generator vs the string-built reference --------------
+
+namespace {
+
+// The generator as first written: every token symbol is hashString of
+// its full name, built as a std::string, and every turn re-hashes the
+// whole context.  Kept verbatim as the oracle for the incremental one.
+
+std::uint64_t
+refChainBlockHash(std::uint64_t prev, const std::uint64_t *tokens,
+                  Tokens count)
+{
+    std::uint64_t h = prev ^ 0xcbf29ce484222325ULL;
+    for (Tokens i = 0; i < count; ++i) {
+        std::uint64_t t = tokens[i];
+        for (int b = 0; b < 8; ++b) {
+            h ^= (t >> (8 * b)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+std::vector<std::uint64_t>
+refChainHashes(const std::vector<std::uint64_t> &context, Tokens block)
+{
+    std::vector<std::uint64_t> out;
+    std::uint64_t prev = 0x5edfe5a1u; // chain seed for block 0
+    const std::size_t full =
+        context.size() / static_cast<std::size_t>(block);
+    out.reserve(full);
+    for (std::size_t i = 0; i < full; ++i) {
+        prev = refChainBlockHash(
+            prev, context.data() + i * static_cast<std::size_t>(block),
+            block);
+        out.push_back(prev);
+    }
+    return out;
+}
+
+Tokens
+refDrawTokens(er::Rng &rng, double mean, double cv, Tokens floor)
+{
+    return std::max<Tokens>(floor, static_cast<Tokens>(std::llround(
+        rng.logNormalMeanStd(mean, cv * mean))));
+}
+
+std::vector<ServerRequest>
+referenceSessionTrace(const er::acc::SessionTraceConfig &cfg,
+                      er::Rng &rng)
+{
+    std::vector<std::uint64_t> system;
+    system.reserve(static_cast<std::size_t>(cfg.systemPromptTokens));
+    for (Tokens i = 0; i < cfg.systemPromptTokens; ++i)
+        system.push_back(
+            er::Rng::hashString("system-token/" + std::to_string(i)));
+
+    std::vector<ServerRequest> trace;
+    trace.reserve(cfg.sessions * cfg.turnsPerSession);
+    Seconds session_start = 0.0;
+    for (std::size_t s = 0; s < cfg.sessions; ++s) {
+        session_start +=
+            -std::log(1.0 - rng.uniform()) / cfg.sessionQps;
+        const std::string sprefix =
+            "session/" + std::to_string(s) + "/turn/";
+        std::vector<std::uint64_t> context = system;
+        Seconds arrival = session_start;
+        for (std::size_t t = 0; t < cfg.turnsPerSession; ++t) {
+            const std::string tprefix = sprefix + std::to_string(t);
+            const Tokens user =
+                refDrawTokens(rng, cfg.meanUserTokens, cfg.cv, 4);
+            for (Tokens i = 0; i < user; ++i)
+                context.push_back(er::Rng::hashString(
+                    tprefix + "/user/" + std::to_string(i)));
+
+            const Tokens think =
+                refDrawTokens(rng, cfg.meanThinkTokens, cfg.cv, 4);
+            const Tokens answer =
+                refDrawTokens(rng, cfg.meanAnswerTokens, cfg.cv, 4);
+
+            ServerRequest r;
+            r.arrival = arrival;
+            r.inputTokens = static_cast<Tokens>(context.size());
+            r.outputTokens = think + answer;
+            r.sessionId = static_cast<std::int64_t>(s);
+            r.prefixHashes = refChainHashes(context, cfg.blockTokens);
+            trace.push_back(std::move(r));
+
+            const Tokens carried =
+                (cfg.carryThink ? think : 0) + answer;
+            for (Tokens i = 0; i < carried; ++i)
+                context.push_back(er::Rng::hashString(
+                    tprefix + "/out/" + std::to_string(i)));
+
+            arrival += -std::log(1.0 - rng.uniform()) *
+                cfg.meanTurnGap;
+        }
+    }
+
+    std::stable_sort(trace.begin(), trace.end(),
+                     [](const ServerRequest &a, const ServerRequest &b) {
+                         return a.arrival < b.arrival;
+                     });
+    return trace;
+}
+
+void
+expectSameTrace(const er::acc::SessionTraceConfig &sc,
+                std::uint64_t seed)
+{
+    er::Rng fast_rng(seed, "session-oracle");
+    er::Rng ref_rng(seed, "session-oracle");
+    const auto fast = er::acc::generateSessionTrace(sc, fast_rng);
+    const auto ref = referenceSessionTrace(sc, ref_rng);
+    ASSERT_EQ(fast.size(), ref.size());
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        EXPECT_EQ(fast[i].arrival, ref[i].arrival);
+        EXPECT_EQ(fast[i].inputTokens, ref[i].inputTokens);
+        EXPECT_EQ(fast[i].outputTokens, ref[i].outputTokens);
+        EXPECT_EQ(fast[i].sessionId, ref[i].sessionId);
+        EXPECT_EQ(fast[i].prefixHashes, ref[i].prefixHashes);
+        EXPECT_EQ(fast[i].priority, ref[i].priority);
+        EXPECT_EQ(fast[i].deadline, ref[i].deadline);
+    }
+    EXPECT_EQ(fast_rng.saveState(), ref_rng.saveState());
+}
+
+} // namespace
+
+TEST(SessionTrace, MatchesStringBuiltReference)
+{
+    struct Shape
+    {
+        const char *name;
+        er::acc::SessionTraceConfig cfg;
+        std::vector<std::uint64_t> seeds;
+    };
+    std::vector<Shape> shapes;
+    {
+        // perfbench serve_sessions: 400 sessions x 6 turns.
+        er::acc::SessionTraceConfig sc;
+        sc.sessions = 400;
+        sc.turnsPerSession = 6;
+        sc.sessionQps = 0.03;
+        sc.meanTurnGap = 20.0;
+        sc.systemPromptTokens = 512;
+        sc.meanUserTokens = 120.0;
+        sc.meanThinkTokens = 0.75 * 1024.0;
+        sc.meanAnswerTokens = 0.25 * 1024.0;
+        shapes.push_back({"perfbench", sc, {1, 90418}});
+    }
+    {
+        er::acc::SessionTraceConfig sc; // defaults
+        shapes.push_back({"defaults", sc, {100}});
+        sc.sessions = 3;
+        sc.turnsPerSession = 2;
+        shapes.push_back({"hash-count-test", sc, {100}});
+        sc.sessions = 6;
+        sc.turnsPerSession = 3;
+        sc.systemPromptTokens = 128;
+        shapes.push_back({"shape-test", sc, {99}});
+    }
+    shapes.push_back({"serving", servingSessionConfig(), {2025, 2028}});
+    {
+        er::acc::SessionTraceConfig sc;
+        sc.carryThink = false;
+        sc.blockTokens = 7;
+        sc.systemPromptTokens = 5;
+        shapes.push_back({"no-think/B7/sys5", sc, {1, 7}});
+        sc.carryThink = true;
+        shapes.push_back({"B7/sys5", sc, {3}});
+    }
+    {
+        er::acc::SessionTraceConfig sc;
+        sc.systemPromptTokens = 0;
+        shapes.push_back({"no-system", sc, {11}});
+    }
+    {
+        // Multi-digit session, turn and token indices.
+        er::acc::SessionTraceConfig sc;
+        sc.sessions = 120;
+        sc.turnsPerSession = 12;
+        sc.meanUserTokens = 40.0;
+        sc.meanThinkTokens = 64.0;
+        sc.meanAnswerTokens = 32.0;
+        sc.blockTokens = 32;
+        shapes.push_back({"120x12", sc, {5}});
+    }
+    for (const auto &sh : shapes)
+        for (const std::uint64_t seed : sh.seeds) {
+            SCOPED_TRACE(std::string(sh.name) + " seed " +
+                         std::to_string(seed));
+            expectSameTrace(sh.cfg, seed);
+        }
+}
+
 // --- Checkpoint-crash-resume of a prefix-cached run -------------------
 
 TEST(PrefixServing, CrashResumeReproducesUninterruptedRun)
@@ -1193,7 +1396,7 @@ makeScenario(int which)
 }
 
 void
-expectGolden(const ServingReport &rep, const GoldenRow &g)
+expectReportFields(const ServingReport &rep, const GoldenRow &g)
 {
     EXPECT_EQ(rep.completed, g.completed);
     EXPECT_EQ(rep.timedOut, g.timedOut);
@@ -1219,6 +1422,12 @@ expectGolden(const ServingReport &rep, const GoldenRow &g)
     EXPECT_EQ(rep.goodputQps, g.goodputQps);
     EXPECT_EQ(rep.deadlineHitRate, g.deadlineHitRate);
     EXPECT_EQ(rep.throttleResidency, g.throttleResidency);
+}
+
+void
+expectGolden(const ServingReport &rep, const GoldenRow &g)
+{
+    expectReportFields(rep, g);
     // And the prefix accounting stays all-zero in off mode.
     EXPECT_EQ(rep.cachedPrefixTokens, 0.0);
     EXPECT_EQ(rep.prefixHitRate, 0.0);
@@ -1255,5 +1464,99 @@ TEST(PrefixGolden, OffModeMatrixBitIdentity)
                                           (exact ? 0 : 1)]);
             }
         }
+    }
+}
+
+// --- Session-path golden reports and checkpoint bytes -----------------
+//
+// Captured before the incremental trace generator and the depth-indexed
+// rebuild-cost table: a 24-session trace served at kvWatermark 0.01, so
+// the prefix index outgrows the pool under both eviction policies.  Only
+// the cost policy's eviction order reads rebuild costs, and a table
+// shifted by one block can leave both reports unchanged; the costs are
+// on the checkpoint wire under both policies, so the checkpoint bytes
+// are what pin the table.
+
+namespace {
+
+struct SessionGoldenRow
+{
+    GoldenRow base;
+    double cachedPrefixTokens;
+    double prefixHitRate;
+    double prefillSecondsSaved;
+    std::uint64_t prefixEvictions;
+    std::uint64_t checkpointFnv; //!< FNV-1a over ckpt-*.bin, step order
+};
+
+// Indexed by policy: {Lru, Cost}.
+const SessionGoldenRow kSessionGolden[2] = {
+    {{120u, 0u, 0u, 0u, 0u, 0u, 2u,
+      599.114419173638, 0.2002956299491451, 2.8775673292333703,
+      12.788259648931408, 11.944731900048239, 19.87305450052046,
+      27.049516946074334, 9313.1023658591366, 77.609186382159479, 43238,
+      0.74950843305717685, 0.021694720750301783, 0.08649040630067463,
+      0.14867942601043496, 0.2002956299491451, 1, 0},
+     112944, 0.61109608163530316, 30.69027106043659, 2434u,
+     0xac01a7864db55380ULL},
+    {{120u, 0u, 0u, 0u, 0u, 0u, 2u,
+      599.89752437451273, 0.20003416437685556, 2.8700066961829362,
+      13.425864330560959, 12.382865189846662, 21.363598492225133,
+      28.967215503369797, 9219.6565330895355, 76.830471109079468, 43238,
+      0.75472027328244096, 0.022596126417004026, 0.08513332133524884,
+      0.19833000450716939, 0.20003416437685556, 1, 0},
+     90576, 0.49007152828126521, 22.427316701373467, 3747u,
+     0x2b3f86f5b40f766eULL},
+};
+
+std::uint64_t
+checkpointBytesFnv(const std::string &dir)
+{
+    std::string bytes;
+    for (const auto &[step, path] : listCheckpoints(dir)) {
+        std::ifstream in(path, std::ios::binary);
+        bytes.append(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    return er::Rng::hashString(bytes);
+}
+
+} // namespace
+
+TEST(PrefixGolden, SessionPathLruAndCostBitIdentity)
+{
+    er::acc::SessionTraceConfig sc = servingSessionConfig();
+    sc.sessions = 24;
+    sc.turnsPerSession = 5;
+    er::Rng rng(2029, "serving-sessions-golden");
+    const auto trace = er::acc::generateSessionTrace(sc, rng);
+    const PrefixEvictPolicy policies[] = {PrefixEvictPolicy::Lru,
+                                          PrefixEvictPolicy::Cost};
+    for (int p = 0; p < 2; ++p) {
+        SCOPED_TRACE(p == 0 ? "lru" : "cost");
+        const auto &g = kSessionGolden[p];
+        auto eng = makeEngine();
+        ServerConfig cfg;
+        cfg.maxBatch = 16;
+        cfg.prefillChunk = 256;
+        cfg.kvWatermark = 0.01;
+        cfg.prefixCache.enabled = true;
+        cfg.prefixCache.evict = policies[p];
+        ServingSimulator srv(eng, cfg);
+        const auto dir = scratchDir(std::string("golden_") +
+                                    (p == 0 ? "lru" : "cost"));
+        DurabilityOptions dur;
+        dur.checkpointDir = dir;
+        dur.checkpointEvery = 200;
+        dur.paranoid = true;
+        const auto rep = srv.run(trace, FaultPlan(), dur);
+        expectReportFields(rep, g.base);
+        EXPECT_EQ(rep.cachedPrefixTokens, g.cachedPrefixTokens);
+        EXPECT_EQ(rep.prefixHitRate, g.prefixHitRate);
+        EXPECT_EQ(rep.prefillSecondsSaved, g.prefillSecondsSaved);
+        EXPECT_EQ(rep.prefixEvictions, g.prefixEvictions);
+        EXPECT_EQ(listCheckpoints(dir).size(), 3u);
+        EXPECT_EQ(checkpointBytesFnv(dir), g.checkpointFnv);
+        fs::remove_all(dir);
     }
 }
