@@ -1,11 +1,21 @@
 /**
  * @file
- * Work-stealing thread pool for the sweep layers (planner candidate
- * grids, Pareto sweeps, per-question Monte-Carlo evaluation).  Each
- * worker owns a Chase-Lev deque: owners push/pop ranges at the bottom,
- * idle workers steal halves from the top, so imbalanced strategy grids
- * (a Base-policy 14B evaluation is ~100x a 32T 1.5B one) still keep
- * every core busy.
+ * Fork-join thread pool for the sweep layers (planner candidate grids,
+ * Pareto sweeps, per-question Monte-Carlo evaluation, sharded trace
+ * replications).  A parallelFor cuts [0, n) into blocks of `grain`
+ * iterations and hands each thread (the caller included) one
+ * contiguous range of blocks, packed as [front, back) into a single
+ * atomic word.  A thread claims blocks from the front of its own range
+ * with one CAS; once that is empty it moves the back half of another
+ * thread's range into its own, so imbalanced strategy grids (a
+ * Base-policy 14B evaluation is ~100x a 32T 1.5B one) still keep every
+ * core busy, and threads work far apart in the grid rather than on
+ * adjacent indices.  steals() counts the blocks moved that way.
+ *
+ * One job slot wakes the workers.  A call that finds the slot held by
+ * another caller's job runs inline on its own thread, as does a nested
+ * call from inside a body, a single-block call and every call on a
+ * one-thread pool.
  *
  * Determinism contract: parallelFor/parallelMap impose no ordering on
  * bodies, so callers must write results to index-addressed slots and
@@ -30,7 +40,7 @@
 
 namespace edgereason {
 
-/** Work-stealing thread pool with deterministic fork-join primitives. */
+/** Range-per-thread pool with deterministic fork-join primitives. */
 class ThreadPool
 {
   public:
@@ -51,11 +61,13 @@ class ThreadPool
      * Run @p body(i) for every i in [0, n).  Blocks until all
      * iterations finish; the caller participates in execution.  The
      * first exception thrown by a body is rethrown here (remaining
-     * iterations are skipped).  Nested calls from inside a body run
-     * serially.
+     * iterations are skipped).  Nested calls from inside a body, and
+     * calls made while another caller's job holds the pool, run
+     * serially on the calling thread.
      *
-     * @param grain  smallest range a task is split into; 0 picks
-     *   n / (8 * threads), clamped to at least 1.
+     * @param grain  iterations per block, the unit a thread claims; 0
+     *   picks n / (8 * threads), clamped to at least 1.  Raised when
+     *   n / grain would exceed 2^32 - 1 blocks.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body,
@@ -81,7 +93,7 @@ class ThreadPool
     /**
      * Partition [0, n) into @p chunks contiguous ranges of near-equal
      * size (the first n % chunks ranges get one extra element) and run
-     * @p body(chunk, begin, end) for each in parallel, one task per
+     * @p body(chunk, begin, end) for each in parallel, one block per
      * chunk.  The partition is a pure function of (n, chunks) — never
      * of the thread count — so callers that keep per-chunk state
      * (RNG streams, accumulators) get bit-identical results at any
@@ -93,10 +105,9 @@ class ThreadPool
             &body);
 
     /**
-     * @return steals since construction: split-off ranges run by a
-     *   thread other than the one that split them, whether taken from a
-     *   worker's deque or from the caller's inbox.  The initial
-     *   per-thread seed ranges of a parallelFor are never counted.
+     * @return steals since construction: blocks a thread moved from
+     *   the back of another thread's range into its own.  Blocks of a
+     *   thread's initial range are never counted.
      */
     std::uint64_t steals() const;
 

@@ -21,10 +21,13 @@ enum class FrontierAxis { Latency, Cost, Tokens };
 
 /**
  * Evaluate a whole strategy grid, fanning independent evaluations out
- * over the work-stealing pool (the hot layer behind the Fig. 7-8
- * frontiers and the Table X-XIII sweeps).  Reports come back in grid
- * order and are bit-identical to a serial evaluation at any thread
- * count (see StrategyEvaluator's determinism contract).
+ * over the thread pool, one strategy per block (the hot layer behind
+ * the Fig. 7-8 frontiers and the Table X-XIII sweeps).  Each thread
+ * starts on its own contiguous slice of the grid, so the lazy
+ * per-model builds of a cold evaluator overlap instead of queueing.
+ * Reports come back in grid order and are bit-identical to a serial
+ * evaluation at any thread count (see StrategyEvaluator's determinism
+ * contract).
  */
 std::vector<StrategyReport>
 sweepStrategies(StrategyEvaluator &evaluator,

@@ -72,9 +72,11 @@ struct ServerRequest
      * the workload layer: element i hashes all token ids in blocks
      * [0, i] of the prompt, so equal hashes mean equal prefixes.  Empty
      * for workloads without shareable prefixes; consumed by the
-     * cross-request prefix index (DESIGN.md §13).
+     * cross-request prefix index (DESIGN.md §13).  The empty default
+     * initializer lets aggregate initializers that stop before this
+     * field build cleanly under -Wmissing-field-initializers.
      */
-    std::vector<std::uint64_t> prefixHashes;
+    std::vector<std::uint64_t> prefixHashes{};
 };
 
 /** Final disposition of a request. */

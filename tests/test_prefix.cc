@@ -349,7 +349,8 @@ TEST(PrefixEvict, RandomizedChurnPreservesConservation)
     for (int round = 0; round < 300; ++round) {
         const auto op = rng.uniformInt(0, 2);
         if (op == 0 || live.size() < 2) {
-            const auto tag = "c" + std::to_string(rng.uniformInt(0, 7));
+            std::string tag = "c";
+            tag += std::to_string(rng.uniformInt(0, 7));
             const auto n =
                 static_cast<std::size_t>(rng.uniformInt(1, 5));
             const auto hashes = testHashes(n, tag);

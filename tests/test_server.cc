@@ -259,7 +259,8 @@ TEST(Server, PoissonTraceIsDeterministicAndSorted)
     ASSERT_EQ(ta.size(), 50u);
     for (std::size_t i = 0; i < ta.size(); ++i) {
         EXPECT_DOUBLE_EQ(ta[i].arrival, tb[i].arrival);
-        if (i)
+        if (i) {
             EXPECT_GE(ta[i].arrival, ta[i - 1].arrival);
+        }
     }
 }

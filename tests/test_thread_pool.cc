@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the work-stealing thread pool: lifecycle, full coverage of
- * iteration spaces, order-independent results, stealing under
- * imbalance, exception propagation, nested calls, and the global-pool
+ * Tests for the range-per-thread pool: lifecycle, full coverage of
+ * iteration spaces, order-independent results, back-half stealing
+ * under imbalance and its steal counter, range-front start order, exception
+ * propagation, nested and concurrent calls, and the global-pool
  * configuration knobs.
  */
 
@@ -86,8 +87,8 @@ TEST(ThreadPool, ParallelMapPreservesInputOrder)
 
 TEST(ThreadPool, ImbalancedWorkCompletes)
 {
-    // A few indices are ~1000x heavier than the rest; the range
-    // splitting plus stealing must still retire everything.
+    // A few indices are ~1000x heavier than the rest; stealing halves
+    // of other threads' ranges must still retire everything.
     ThreadPool pool(4);
     std::atomic<long long> total{0};
     pool.parallelFor(
@@ -103,19 +104,39 @@ TEST(ThreadPool, ImbalancedWorkCompletes)
     EXPECT_EQ(total.load(), 512);
 }
 
+namespace {
+
+/** Spin until @p pred holds; false after a 30 s timeout. */
+template <typename Pred>
+bool
+waitFor(Pred pred)
+{
+    const auto limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() > limit)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
+} // namespace
+
 TEST(ThreadPool, StealCounterCountsSplitWorkRunElsewhere)
 {
-    // Two threads (caller + one worker), four iterations at grain 1:
-    // two seed ranges [0,2) and [2,4), each split once before its first
-    // iteration runs.  Iteration 0 holds its thread until iteration 1
-    // has run, so the split-off half [1,2) must be taken by the other
-    // thread — from the worker's deque or, when the caller split it,
-    // from the caller's inbox.  The other thread runs its own split
-    // half itself, so every round adds exactly one steal.
+    // Two threads (caller + one worker), four blocks at grain 1: the
+    // caller's range is [0,2), the worker's [2,4).  Block 0 holds its
+    // thread until block 1 has run, so block 1, the back half of the
+    // caller's range, must be stolen by the other thread.  Block 3
+    // holds until block 0 has started, so the worker cannot drain its
+    // own range and then steal block 0 as well, whichever thread
+    // reaches the job first: every round adds exactly one steal.
     ThreadPool pool(2);
     constexpr int kRounds = 20;
     for (int round = 0; round < kRounds; ++round) {
         std::thread::id ran_by[4];
+        std::atomic<bool> zero_started{false};
         std::atomic<bool> one_done{false};
         std::atomic<bool> timed_out{false};
         pool.parallelFor(
@@ -123,36 +144,144 @@ TEST(ThreadPool, StealCounterCountsSplitWorkRunElsewhere)
             [&](std::size_t i) {
                 ran_by[i] = std::this_thread::get_id();
                 if (i == 0) {
-                    const auto limit = std::chrono::steady_clock::now() +
-                        std::chrono::seconds(30);
-                    while (!one_done.load(std::memory_order_acquire)) {
-                        if (std::chrono::steady_clock::now() > limit) {
-                            timed_out = true;
-                            break;
-                        }
-                        std::this_thread::yield();
-                    }
+                    zero_started.store(true, std::memory_order_release);
+                    if (!waitFor([&] { return one_done.load(); }))
+                        timed_out = true;
                 }
+                if (i == 3 &&
+                    !waitFor([&] { return zero_started.load(); }))
+                    timed_out = true;
                 if (i == 1)
                     one_done.store(true, std::memory_order_release);
             },
             1);
         ASSERT_FALSE(timed_out) << "round " << round;
         EXPECT_NE(ran_by[0], ran_by[1]) << "round " << round;
+        EXPECT_EQ(ran_by[1], ran_by[3]) << "round " << round;
         EXPECT_EQ(ran_by[2], ran_by[3]) << "round " << round;
         EXPECT_EQ(pool.steals(), static_cast<std::uint64_t>(round + 1))
             << "round " << round;
     }
 }
 
-TEST(ThreadPool, SeedRangesAreNotSteals)
+TEST(ThreadPool, ThiefTakesTheBackHalfOfARange)
 {
-    // One iteration per seed: nothing is split, so nothing is stolen,
-    // however the seeds are spread over the threads.
+    // Two threads, eight blocks: the caller's range is [0,4), the
+    // worker's [4,8).  Block 4 holds until block 6 has started, so the
+    // worker still owns [5,8) (or, not yet started, [4,8)) when the
+    // caller drains its own range and steals: either way it takes the
+    // back half [6,8), two blocks, and runs them itself in order (a
+    // one-block back-steal would run 7 first).  Blocks 6 and 5 wait for
+    // each other's thread to move on (5 holds until 7 has started, 6
+    // until 5 has), so neither thread finds more to steal.
+    ThreadPool pool(2);
+    for (int round = 0; round < 20; ++round) {
+        std::thread::id ran_by[8];
+        int order[8] = {};
+        std::atomic<int> clock{0};
+        std::atomic<bool> started[8] = {};
+        std::atomic<bool> timed_out{false};
+        const auto hold_until = [&](std::size_t other) {
+            if (!waitFor([&] { return started[other].load(); }))
+                timed_out = true;
+        };
+        const std::uint64_t steals0 = pool.steals();
+        pool.parallelFor(
+            8,
+            [&](std::size_t i) {
+                ran_by[i] = std::this_thread::get_id();
+                order[i] = clock.fetch_add(1);
+                started[i] = true;
+                if (i == 4)
+                    hold_until(6);
+                if (i == 5)
+                    hold_until(7);
+                if (i == 6)
+                    hold_until(5);
+            },
+            1);
+        ASSERT_FALSE(timed_out) << "round " << round;
+        EXPECT_EQ(pool.steals() - steals0, 2u) << "round " << round;
+        EXPECT_EQ(ran_by[6], ran_by[0]) << "round " << round;
+        EXPECT_EQ(ran_by[7], ran_by[0]) << "round " << round;
+        EXPECT_LT(order[6], order[7]) << "round " << round;
+        EXPECT_EQ(ran_by[5], ran_by[4]) << "round " << round;
+        EXPECT_NE(ran_by[4], ran_by[0]) << "round " << round;
+    }
+}
+
+TEST(ThreadPool, OwnBlocksAreNotSteals)
+{
+    // One block per thread, and every body waits until all four have
+    // started: each thread runs the block of its own range, and none
+    // can steal while the others wait.
     ThreadPool pool(4);
-    for (int round = 0; round < 20; ++round)
-        pool.parallelFor(4, [](std::size_t) {}, 1);
+    for (int round = 0; round < 20; ++round) {
+        std::atomic<int> arrived{0};
+        std::atomic<bool> timed_out{false};
+        pool.parallelFor(
+            4,
+            [&](std::size_t) {
+                arrived.fetch_add(1);
+                if (!waitFor([&] { return arrived.load() == 4; }))
+                    timed_out = true;
+            },
+            1);
+        ASSERT_FALSE(timed_out) << "round " << round;
+    }
     EXPECT_EQ(pool.steals(), 0u);
+}
+
+TEST(ThreadPool, EachThreadStartsAtTheFrontOfItsOwnRange)
+{
+    // The sweep grid is ordered by model, and each model's first use
+    // pays a lazy build: threads must start far apart in the index
+    // space (one contiguous range each), not on adjacent indices of a
+    // shared counter, or those builds queue behind each other.
+    constexpr std::size_t k = 50;
+    ThreadPool pool(4);
+    for (int round = 0; round < 10; ++round) {
+        std::atomic<int> started{0};
+        std::size_t first[4] = {};
+        std::atomic<bool> timed_out{false};
+        pool.parallelFor(
+            4 * k,
+            [&](std::size_t i) {
+                const int slot = started.fetch_add(1);
+                if (slot >= 4)
+                    return;
+                first[slot] = i;
+                if (!waitFor([&] { return started.load() >= 4; }))
+                    timed_out = true;
+            },
+            1);
+        ASSERT_FALSE(timed_out) << "round " << round;
+        const std::set<std::size_t> got(first, first + 4);
+        EXPECT_EQ(got, (std::set<std::size_t>{0, k, 2 * k, 3 * k}))
+            << "round " << round;
+    }
+}
+
+TEST(ThreadPool, MoreIterationsThanBlockIndicesStillRun)
+{
+    // 2^40 iterations at grain 1 would need more blocks than a 32-bit
+    // range index holds; the pool raises the grain instead of failing.
+    // The last thread's range starts three quarters in, so it reaches
+    // the throwing upper half at once and the job stops there.
+    ThreadPool pool(4);
+    const std::size_t n = std::size_t{1} << 40;
+    std::atomic<bool> in_range{true};
+    EXPECT_THROW(pool.parallelFor(
+                     n,
+                     [&](std::size_t i) {
+                         if (i >= n)
+                             in_range = false;
+                         if (i >= n / 2)
+                             throw std::runtime_error("upper half");
+                     },
+                     1),
+                 std::runtime_error);
+    EXPECT_TRUE(in_range.load());
 }
 
 TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives)
@@ -228,6 +357,37 @@ TEST(ThreadPool, ConcurrentCallersShareThePool)
     for (auto &t : callers)
         t.join();
     EXPECT_EQ(total.load(), 1500);
+}
+
+TEST(ThreadPool, CallerArrivingDuringAnotherJobRunsInline)
+{
+    // One job slot: while another caller's job is in flight, a second
+    // caller runs its whole range on its own thread.
+    ThreadPool pool(4);
+    std::atomic<bool> outer_running{false};
+    std::atomic<bool> release{false};
+    std::atomic<bool> timed_out{false};
+    std::thread outer([&] {
+        pool.parallelFor(
+            4,
+            [&](std::size_t) {
+                outer_running = true;
+                if (!waitFor([&] { return release.load(); }))
+                    timed_out = true;
+            },
+            1);
+    });
+    ASSERT_TRUE(waitFor([&] { return outer_running.load(); }));
+    std::vector<std::thread::id> ran_by(100);
+    pool.parallelFor(
+        ran_by.size(),
+        [&](std::size_t i) { ran_by[i] = std::this_thread::get_id(); },
+        1);
+    release = true;
+    outer.join();
+    EXPECT_FALSE(timed_out);
+    for (const auto &id : ran_by)
+        ASSERT_EQ(id, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, GlobalPoolConfiguration)
