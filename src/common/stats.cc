@@ -215,16 +215,23 @@ stddev(const std::vector<double> &xs)
 double
 percentile(std::vector<double> xs, double p)
 {
-    panic_if(xs.empty(), "percentile of empty vector");
-    panic_if(p < 0.0 || p > 100.0, "percentile out of range: ", p);
     std::sort(xs.begin(), xs.end());
-    if (xs.size() == 1)
-        return xs.front();
-    const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+    return sortedPercentile(xs, p);
+}
+
+double
+sortedPercentile(const std::vector<double> &sorted, double p)
+{
+    panic_if(sorted.empty(), "percentile of empty vector");
+    panic_if(p < 0.0 || p > 100.0, "percentile out of range: ", p);
+    if (sorted.size() == 1)
+        return sorted.front();
+    const double rank =
+        p / 100.0 * static_cast<double>(sorted.size() - 1);
     const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, xs.size() - 1);
+    const auto hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = rank - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double

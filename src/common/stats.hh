@@ -117,6 +117,14 @@ double stddev(const std::vector<double> &xs);
  */
 double percentile(std::vector<double> xs, double p);
 
+/**
+ * percentile() over samples already sorted ascending: the same
+ * interpolation without the copy and sort.
+ * @param sorted  non-empty samples in ascending order
+ * @param p  percentile in [0, 100]
+ */
+double sortedPercentile(const std::vector<double> &sorted, double p);
+
 /** Coefficient of determination R^2 of predictions vs actuals. */
 double rSquared(const std::vector<double> &predicted,
                 const std::vector<double> &actual);

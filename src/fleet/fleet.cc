@@ -1,6 +1,7 @@
 #include "fleet/fleet.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -139,6 +140,7 @@ FleetSimulator::FleetSimulator(FleetConfig cfg) : cfg_(std::move(cfg))
     latQ_.assign(nodes_.size(),
                  P2Quantile(cfg_.adaptiveHealth ? cfg_.healthQuantile
                                                 : 0.95));
+    medianSet_.reserve(nodes_.size());
     stopIndex_.reset(nodes_.size());
     lagBuf_.reserve(nodes_.size());
     viewsBuf_.resize(nodes_.size());
@@ -274,12 +276,21 @@ FleetSimulator::noteSuccess(int node)
 double
 FleetSimulator::fleetMedianQuantile() const
 {
+    return medianSet_.empty() ? 0.0 : sortedPercentile(medianSet_, 50.0);
+}
+
+std::vector<double>
+FleetSimulator::medianSetBrute() const
+{
     std::vector<double> vals;
+    if (!cfg_.adaptiveHealth)
+        return vals;
     for (const P2Quantile &q : latQ_)
         if (q.count() >=
             static_cast<std::size_t>(cfg_.healthMinSamples))
             vals.push_back(q.value());
-    return vals.empty() ? 0.0 : percentile(std::move(vals), 50.0);
+    std::sort(vals.begin(), vals.end());
+    return vals;
 }
 
 void
@@ -288,9 +299,24 @@ FleetSimulator::noteLatency(int node, Seconds latency, Seconds now)
     if (!cfg_.adaptiveHealth)
         return;
     P2Quantile &q = latQ_[static_cast<std::size_t>(node)];
+    const auto min_samples =
+        static_cast<std::size_t>(cfg_.healthMinSamples);
+    // Move this node's value within the sorted median set: out at
+    // its old estimate, back in at its new one.
+    if (q.count() >= min_samples) {
+        const auto it = std::lower_bound(medianSet_.begin(),
+                                         medianSet_.end(), q.value());
+        panic_if(it == medianSet_.end() || *it != q.value(),
+                 "fleet median set lost node ", node, "'s quantile ",
+                 q.value());
+        medianSet_.erase(it);
+    }
     q.add(latency);
-    if (q.count() < static_cast<std::size_t>(cfg_.healthMinSamples))
+    if (q.count() < min_samples)
         return;
+    medianSet_.insert(std::lower_bound(medianSet_.begin(),
+                                       medianSet_.end(), q.value()),
+                      q.value());
     // Eject when this node's latency quantile stands out against the
     // fleet median — the gray-failure detector: a slowed node keeps
     // completing legs (the consecutive-failure breaker never fires)
@@ -700,6 +726,21 @@ FleetSimulator::auditStopIndex() const
 }
 
 void
+FleetSimulator::auditMedianSet() const
+{
+    const std::vector<double> want = medianSetBrute();
+    fatal_if(medianSet_.size() != want.size(), "fleet audit: median "
+             "set holds ", medianSet_.size(), " quantiles but ",
+             want.size(), " nodes are eligible");
+    for (std::size_t i = 0; i < want.size(); ++i)
+        fatal_if(std::bit_cast<std::uint64_t>(medianSet_[i]) !=
+                     std::bit_cast<std::uint64_t>(want[i]),
+                 "fleet audit: median set entry ", i, " is ",
+                 medianSet_[i], " but the sorted quantiles hold ",
+                 want[i]);
+}
+
+void
 FleetSimulator::audit(Seconds now) const
 {
     // Every live edge leg is in exactly one node set (hedges never
@@ -719,6 +760,7 @@ FleetSimulator::audit(Seconds now) const
     fatal_if(now + kTimeSlack < now_,
              "fleet audit: time ran backwards");
     auditStopIndex();
+    auditMedianSet();
 }
 
 FleetReport
@@ -1226,10 +1268,12 @@ FleetSimulator::restoreState(ByteReader &r,
     for (auto &n : nodes_)
         n->restore(r, eventCount_, dur.verifyTail);
     lastCkptEvent_ = eventCount_;
-    // The stop index and router views are derived state: rebuild the
-    // former from the restored nodes, invalidate the latter.
+    // The stop index, median set and router views are derived state:
+    // rebuild the first from the restored nodes, the second from the
+    // restored quantiles, invalidate the last.
     for (std::size_t i = 0; i < nodes_.size(); ++i)
         refreshNode(i);
+    medianSet_ = medianSetBrute();
     viewsDirty_ = true;
 }
 

@@ -103,8 +103,9 @@ struct FleetConfig
      * Quantile-adaptive health: each node streams its completion
      * latencies through a P² estimator of healthQuantile; a node whose
      * estimate exceeds healthLatencyMultiple × the fleet median (over
-     * nodes with ≥ healthMinSamples completions) is ejected into the
-     * standard breaker cooldown.  This is the only machinery that
+     * nodes with ≥ healthMinSamples completions, kept sorted as each
+     * completion moves one estimate, so reading it is O(1)) is ejected
+     * into the standard breaker cooldown.  This is the only machinery that
      * catches *gray* failures — nodes that are up, responsive, and
      * merely slow never trip the consecutive-failure breaker because
      * their legs keep completing.  Off by default: the zero-window
@@ -116,11 +117,12 @@ struct FleetConfig
     int healthMinSamples = 8;
     /**
      * Adaptive per-try timeout: cap each leg's time budget at
-     * adaptiveTimeoutMultiple × the fleet-median latency quantile, so
-     * per-try deadlines track observed behaviour instead of the
-     * static requestTimeout.  Tightens only (never loosens a static
-     * timeout or deadline budget); 0 disables.  Requires
-     * adaptiveHealth.
+     * adaptiveTimeoutMultiple × the fleet-median latency quantile (the
+     * same median the ejection check reads), so per-try deadlines
+     * track observed behaviour instead of the static requestTimeout.
+     * Tightens only (never loosens a static timeout or deadline
+     * budget); no cap while no node has healthMinSamples
+     * completions; 0 disables.  Requires adaptiveHealth.
      */
     double adaptiveTimeoutMultiple = 0.0;
 
@@ -373,7 +375,11 @@ class FleetSimulator
     void noteFailure(int node, Seconds now);
     void noteSuccess(int node);
     void noteLatency(int node, Seconds latency, Seconds now);
+    /** Median of medianSet_ (0 while it is empty); O(1). */
     double fleetMedianQuantile() const;
+    /** Copy-and-sort of the eligible nodes' quantiles: the restore
+     *  rebuild of medianSet_ and the paranoid auditor's reference. */
+    std::vector<double> medianSetBrute() const;
     bool draining(int node, Seconds now) const;
 
     std::uint64_t
@@ -415,6 +421,7 @@ class FleetSimulator
     void audit(Seconds now) const;
     void auditTrack(const Track &t, std::size_t &edge_legs) const;
     void auditStopIndex() const;
+    void auditMedianSet() const;
     /** The report, from the folded aggregates. */
     FleetReport buildReport() const;
 
@@ -495,6 +502,11 @@ class FleetSimulator
     /** Streaming completion-latency quantile per node (adaptive
      *  health; serialized with the checkpoint). */
     std::vector<P2Quantile> latQ_;
+    /** latQ_ values of the nodes with ≥ healthMinSamples completions,
+     *  sorted ascending: the fleet median's input, kept in order as
+     *  each completion moves one value.  Derived state; rebuilt on
+     *  restore, cross-checked by the paranoid auditor. */
+    std::vector<double> medianSet_;
 
     // Tallies.
     std::size_t retries_ = 0;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "engine/server.hh"
@@ -387,6 +389,109 @@ TEST(FleetRecovery, AdaptiveBreakerBeatsStaticUnderStraggler)
 
     EXPECT_GE(adaptive_rep.adaptiveEjections, 1u);
     EXPECT_GT(adaptive_rep.goodput, static_rep.goodput);
+}
+
+/** @return FNV-1a over every file in @p dir in name order, chaining
+ *  each file's name and bytes. */
+std::uint64_t
+hashFiles(const std::filesystem::path &dir)
+{
+    std::uint64_t h = er::fnv1a("");
+    for (const auto &[name, bytes] : readFiles(dir)) {
+        h = er::fnv1a(name, h);
+        h = er::fnv1a(bytes, h);
+    }
+    return h;
+}
+
+TEST(FleetRecovery, CrashResumeUnderAdaptiveHealthIsBitIdentical)
+{
+    // Adaptive health and adaptive per-try timeouts on, node 0 slowed
+    // 4x.  The fleet median the detector and the timeouts read is
+    // derived from the per-node P² quantiles and rebuilt on restore:
+    // a crash before any node has healthMinSamples completions (the
+    // median set restores empty) and one after (it restores full)
+    // must both resume to the uninterrupted report, and leave
+    // checkpoint files whose bytes are pinned.
+    std::filesystem::remove_all(kArtifacts);
+    FleetConfig fc;
+    fc.nodes.assign(3, NodeSpec{er::model::ModelId::DeepScaleR1_5B});
+    fc.server.maxBatch = 6;
+    fc.router = RouterPolicy::LeastLoaded;
+    fc.paranoid = true;
+    fc.maxRetries = 3;
+    fc.retryBackoff = 0.5;
+    fc.requestTimeout = 45.0;
+    fc.adaptiveHealth = true;
+    fc.healthQuantile = 0.9;
+    fc.healthLatencyMultiple = 2.0;
+    fc.healthMinSamples = 4;
+    fc.healthCooldown = 30.0;
+    fc.adaptiveTimeoutMultiple = 3.0;
+    fc.explicitSchedules.resize(fc.nodes.size());
+    fc.explicitSchedules[0].slowdowns.push_back({0.0, 1e6, 4.0});
+
+    // Three lone requests 10 s apart, a burst from t = 30 s, a quiet
+    // gap, and a second burst from t = 200 s.
+    er::Rng rng(17, "fleet-adaptive-resume");
+    std::vector<ServerRequest> trace;
+    for (int i = 0; i < 3; ++i) {
+        ServerRequest r;
+        r.arrival = 10.0 * i;
+        r.inputTokens = 96;
+        r.outputTokens = 160;
+        trace.push_back(r);
+    }
+    for (const er::Seconds start : {30.0, 200.0}) {
+        for (ServerRequest r :
+             ServingSimulator::poissonTrace(rng, 18, 1.5, 96, 224)) {
+            r.arrival += start;
+            trace.push_back(r);
+        }
+    }
+    for (auto &r : trace)
+        r.deadline = 75.0;
+
+    // Every completion belongs to a request that arrived earlier, so
+    // before t = 29 s at most three have completed: no node reaches
+    // healthMinSamples.  The first burst finishes inside the gap
+    // (deadline 75 s), and events before t = 200 s do not depend on
+    // later arrivals, so a run on the first two parts alone counts
+    // what has completed by t = 200 s.  More than nodes × 3
+    // completions means some node has at least four.
+    const er::Seconds before = 29.0, after = 205.0;
+    ASSERT_GE(trace[3].arrival, before);
+    {
+        const std::vector<ServerRequest> head(trace.begin(),
+                                              trace.begin() + 21);
+        ASSERT_LT(head.back().arrival + 75.0, 200.0);
+        FleetSimulator sim(fc);
+        EXPECT_GT(sim.run(head).served, 3 * fc.nodes.size());
+    }
+
+    FleetSimulator base(fc);
+    const auto base_rep = base.run(trace);
+    const std::string uninterrupted = formatFleetReport(base_rep);
+    EXPECT_GE(base_rep.adaptiveEjections, 1u);
+    EXPECT_GT(base_rep.retries, 0u); // adaptive timeouts bite
+
+    // A checkpoint every event, so each resume restores the state at
+    // its crash point.  Both resumes leave the uninterrupted durable
+    // run's full checkpoint set: the crashed run wrote the files up
+    // to its crash, the resumed run the rest.
+    const std::uint64_t kCkptHash = 0x11c05e087dbbcbb0ull;
+    for (const er::Seconds crash_at : {before, after}) {
+        SCOPED_TRACE("crash at t=" + std::to_string(crash_at));
+        const auto dir = kArtifacts /
+            ("adaptive-t" + std::to_string(static_cast<int>(crash_at)));
+        FleetDurabilityOptions dur;
+        dur.crashAtTime = crash_at;
+        dur.checkpointEvery = 1;
+        EXPECT_EQ(runCrashResume(fc, trace, dir, dur), uninterrupted);
+        EXPECT_EQ(hashFiles(dir / "ckpt"), kCkptHash);
+    }
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
 }
 
 TEST(FleetRecovery, AdaptiveStateOffLeavesReportsUntouched)

@@ -10,7 +10,8 @@
  *    reimplements, draw for draw;
  *  - the router-policy x fault-mix matrix pinned as %.17g goldens
  *    (recorded from the all-node-scan driver the index replaced) at
- *    1, 2 and 4 threads;
+ *    1, 2 and 4 threads, plus the rr/Gray cell with adaptive per-try
+ *    timeouts;
  *  - crash-resume with the index live, at two crash points;
  *  - a streamed run against the same trace materialized;
  *  - unsorted arrivals rejected by run() and runStream() alike.
@@ -384,6 +385,44 @@ TEST(FleetScale, IndexMatrixIsBitIdentical)
             FleetSimulator sim(matrixConfig(g.policy, g.mix));
             EXPECT_EQ(formatFleetReport(sim.run(trace)), g.report);
         }
+    }
+    er::ThreadPool::setGlobalThreads(0);
+}
+
+TEST(FleetScale, AdaptiveTimeoutGrayIsBitIdentical)
+{
+    // The rr Gray mix with adaptive per-try timeouts on: every
+    // dispatch then reads the fleet-median latency quantile to cap its
+    // leg budget, on top of the per-completion ejection check.  The
+    // caps bite (timeouts, retries and a hedge that the matrix's
+    // rr/Gray golden does not have).  Recorded from the copy-and-sort
+    // median the maintained sorted vector replaced.
+    // clang-format off
+    const char *golden =
+        "fleet report (router=rr)\n"
+        "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
+        "retries 3 failovers 0 hedges 1 (wins 1, waste 0) cancelled-legs 1\n"
+        "adaptive-health ejections 1\n"
+        "makespan 88.633022827934582 throughput 0.45129906127260222 goodput 0.45129906127260222 deadline-hit 1\n"
+        "latency mean 9.4909100138818854 p50 5.3642884810714833 p99 51.758452687330333 p999 57.825491220907509\n"
+        "energy 3872.0990259861396 J (96.802475649653488 J/query) tokens 9059\n"
+        "dollars edge 0.0031375533788825559 cloud 0 (7.8438834472063901e-05 $/query)\n"
+        "node 0: served 7 timed-out 0 cancelled 1 crashes 0 energy 542.50479482699177 busy 43.228653016212768 tokens 1388 up\n"
+        "node 1: served 8 timed-out 0 cancelled 0 crashes 0 energy 597.19386259197199 busy 35.113182397439026 tokens 1919 up\n"
+        "node 2: served 5 timed-out 2 cancelled 0 crashes 0 energy 966.85507165235231 busy 50.601754715981528 tokens 1183 up\n"
+        "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
+        "node 4: served 6 timed-out 1 cancelled 0 crashes 0 energy 785.33897792928565 busy 51.076189241933506 tokens 1586 up\n"
+        "node 5: served 7 timed-out 0 cancelled 0 crashes 0 energy 441.26117811274662 busy 26.081256953303463 tokens 1472 up\n";
+    // clang-format on
+    const auto trace = matrixTrace();
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        er::ThreadPool::setGlobalThreads(threads);
+        FleetConfig fc =
+            matrixConfig(RouterPolicy::RoundRobin, FaultMix::Gray);
+        fc.adaptiveTimeoutMultiple = 4.0;
+        FleetSimulator sim(fc);
+        EXPECT_EQ(formatFleetReport(sim.run(trace)), golden);
     }
     er::ThreadPool::setGlobalThreads(0);
 }
