@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 
 #include "common/logging.hh"
 #include "model/calibration.hh"
@@ -167,6 +168,20 @@ FleetNode::slowdownScaleAt(Seconds t) const
     return 1.0;
 }
 
+Seconds
+FleetNode::nextSlowdownEdge(Seconds t) const
+{
+    // The same `<` tests as slowdownScaleAt: the first instant past
+    // @p t at which the latched scale can change.
+    for (const SlowdownWindow &w : slowdowns_) {
+        if (t < w.start)
+            return w.start;
+        if (t < w.start + w.duration)
+            return w.start + w.duration;
+    }
+    return std::numeric_limits<Seconds>::infinity();
+}
+
 void
 FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
 {
@@ -190,9 +205,16 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
         // Gray-failure latch: pick the slowdown scale for this cycle
         // from the post-idle-jump clock.  A zero-window node never
         // touches the executor (setSpeedScale(1.0) included), keeping
-        // the legacy fast path and bit-identity untouched.
-        if (!slowdowns_.empty())
+        // the legacy fast path and bit-identity untouched.  The decode
+        // segment and the gated sleep stop at the next window edge, so
+        // the next cycle re-latches at the step that crosses it — the
+        // step the exact loop re-latches at — wherever the fleet
+        // happens to split the run.
+        Seconds edge = std::numeric_limits<Seconds>::infinity();
+        if (!slowdowns_.empty()) {
             exec_->setSpeedScale(slowdownScaleAt(exec_->clock()));
+            edge = nextSlowdownEdge(exec_->clock());
+        }
 
         if (st_.haveDeadlines)
             exec_->shedExpiredQueued(st_);
@@ -209,9 +231,12 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
                 continue;
             }
             // Queue fully gated (retry backoff / shrunken KV): sleep
-            // to the next wake-up, never past the sync target.
-            const Seconds bound =
-                std::min(nextPendingArrival(), target);
+            // to the next wake-up, never past the sync target or the
+            // next window edge (one closer than the slack cannot be
+            // slept to; the next cycle's latch is then already right).
+            Seconds bound = std::min(nextPendingArrival(), target);
+            if (edge > exec_->clock() + kTimeSlack)
+                bound = std::min(bound, edge);
             if (bound <= exec_->clock() + kTimeSlack)
                 return; // at the target; the driver re-syncs
             exec_->sleepUntilWake(st_, bound);
@@ -228,7 +253,8 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
                 exec_->decodeStep(st_);
             else
                 exec_->decodeSteps(
-                    st_, std::min(nextPendingArrival(), target),
+                    st_,
+                    std::min({nextPendingArrival(), target, edge}),
                     cfg_.macroHorizonCap);
         }
         if (stop_on_outcome && served_.size() > before)

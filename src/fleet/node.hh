@@ -115,8 +115,11 @@ class FleetNode
      * Install the node's gray-failure schedule: inside a window every
      * unit of device work costs multiplier× its nominal time.  The
      * scale is latched once per scheduling cycle from the executor
-     * clock (derived state: recomputed, never serialized).  Must be
-     * called before the first advanceUntil.
+     * clock (derived state: recomputed, never serialized), and every
+     * macro segment and gated sleep stops at the next window edge, so
+     * a new scale takes effect at the step that crosses the edge —
+     * the step exact mode switches at.  Must be called before the
+     * first advanceUntil.
      */
     void setSlowdowns(std::vector<SlowdownWindow> windows)
     {
@@ -290,6 +293,8 @@ class FleetNode
     std::string journalPath() const;
     std::uint64_t journalFingerprint() const;
     double slowdownScaleAt(Seconds t) const;
+    /** @return the first window edge after @p t (+inf if none). */
+    Seconds nextSlowdownEdge(Seconds t) const;
 
     int id_;
     NodeSpec spec_;

@@ -12,6 +12,8 @@
  *    (recorded from the all-node-scan driver the index replaced) at
  *    1, 2 and 4 threads, plus the rr/Gray cell with adaptive per-try
  *    timeouts;
+ *  - macro-stepping against the --exact-steps oracle on a Gray fleet
+ *    with crashes, retries and hedges;
  *  - crash-resume with the index live, at two crash points;
  *  - a streamed run against the same trace materialized;
  *  - unsorted arrivals rejected by run() and runStream() alike.
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -221,15 +224,15 @@ const MatrixGolden kMatrixGoldens[] = {
      "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "adaptive-health ejections 1\n"
-     "makespan 63.749641647942695 throughput 0.62745450744491937 goodput 0.62745450744491937 deadline-hit 1\n"
-     "latency mean 8.8711574249789695 p50 5.3642884810714833 p99 38.446960767760686 p999 41.226613394503588\n"
-     "energy 3449.5746070269506 J (86.239365175673768 J/query) tokens 8523\n"
-     "dollars edge 0.0026012491702261599 cloud 0 (6.5031229255653992e-05 $/query)\n"
-     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918983 busy 29.112116309275731 tokens 1242 up\n"
+     "makespan 61.628322728997361 throughput 0.64905222515782013 goodput 0.64905222515782013 deadline-hit 1\n"
+     "latency mean 9.0575948161280877 p50 5.3642884810714833 p99 37.832294081068241 p999 41.276214097990461\n"
+     "energy 3565.1618309374921 J (89.129045773437298 J/query) tokens 8523\n"
+     "dollars edge 0.0026505814811278974 cloud 0 (6.6264537028197439e-05 $/query)\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918978 busy 29.112116309275731 tokens 1242 up\n"
      "node 1: served 7 timed-out 0 cancelled 0 crashes 0 energy 502.48173367204629 busy 29.113575783911756 tokens 1677 up\n"
-     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 1082.1199629583136 busy 55.451840731788138 tokens 1352 up\n"
+     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 1068.1093002347625 busy 53.330521812842868 tokens 1352 up\n"
      "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
-     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 516.81585241318624 busy 29.320991656719301 tokens 1449 up\n"
+     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 646.41373904727936 busy 35.003604701435073 tokens 1449 up\n"
      "node 5: served 6 timed-out 0 cancelled 0 crashes 0 energy 378.21247779142294 busy 21.606589880527622 tokens 1292 up\n"
      ""},
     {RouterPolicy::LeastLoaded, FaultMix::Healthy,
@@ -267,16 +270,16 @@ const MatrixGolden kMatrixGoldens[] = {
      "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "adaptive-health ejections 1\n"
-     "makespan 44.702356003010763 throughput 0.89480742351266562 goodput 0.89480742351266562 deadline-hit 1\n"
-     "latency mean 6.5383294617485479 p50 5.1360865245305458 p99 25.985781923138752 p999 28.277536128909794\n"
-     "energy 3146.9710347346204 J (78.674275868365513 J/query) tokens 8523\n"
-     "dollars edge 0.0025327116879311174 cloud 0 (6.3317792198277942e-05 $/query)\n"
+     "makespan 44.825944142025769 throughput 0.89234037934069321 goodput 0.89234037934069321 deadline-hit 1\n"
+     "latency mean 6.561748868353968 p50 5.1360865245305458 p99 26.224126219270474 p999 28.412599883636471\n"
+     "energy 3147.5619964616781 J (78.689049911541957 J/query) tokens 8523\n"
+     "dollars edge 0.0025342811630740987 cloud 0 (6.3357029076852468e-05 $/query)\n"
      "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
-     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140204 busy 33.616900123450698 tokens 1702 up\n"
-     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.28979036905457 busy 37.296902419966969 tokens 673 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140193 busy 33.616900123450698 tokens 1702 up\n"
+     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.88075209611202 busy 37.420490558981975 tokens 673 up\n"
      "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
      "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
-     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626529 busy 24.871110622984439 tokens 1011 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626523 busy 24.871110622984439 tokens 1011 up\n"
      ""},
     {RouterPolicy::DeadlineAware, FaultMix::Healthy,
      "fleet report (router=deadline)\n"
@@ -313,16 +316,16 @@ const MatrixGolden kMatrixGoldens[] = {
      "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "adaptive-health ejections 1\n"
-     "makespan 44.702356003010763 throughput 0.89480742351266562 goodput 0.89480742351266562 deadline-hit 1\n"
-     "latency mean 6.5383294617485479 p50 5.1360865245305458 p99 25.985781923138752 p999 28.277536128909794\n"
-     "energy 3146.9710347346204 J (78.674275868365513 J/query) tokens 8523\n"
-     "dollars edge 0.0025327116879311174 cloud 0 (6.3317792198277942e-05 $/query)\n"
+     "makespan 44.825944142025769 throughput 0.89234037934069321 goodput 0.89234037934069321 deadline-hit 1\n"
+     "latency mean 6.561748868353968 p50 5.1360865245305458 p99 26.224126219270474 p999 28.412599883636471\n"
+     "energy 3147.5619964616781 J (78.689049911541957 J/query) tokens 8523\n"
+     "dollars edge 0.0025342811630740987 cloud 0 (6.3357029076852468e-05 $/query)\n"
      "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
-     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140204 busy 33.616900123450698 tokens 1702 up\n"
-     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.28979036905457 busy 37.296902419966969 tokens 673 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140193 busy 33.616900123450698 tokens 1702 up\n"
+     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.88075209611202 busy 37.420490558981975 tokens 673 up\n"
      "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
      "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
-     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626529 busy 24.871110622984439 tokens 1011 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626523 busy 24.871110622984439 tokens 1011 up\n"
      ""},
     {RouterPolicy::CostAware, FaultMix::Healthy,
      "fleet report (router=cost)\n"
@@ -359,16 +362,16 @@ const MatrixGolden kMatrixGoldens[] = {
      "arrivals 40 served 40 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "adaptive-health ejections 1\n"
-     "makespan 44.702356003010763 throughput 0.89480742351266562 goodput 0.89480742351266562 deadline-hit 1\n"
-     "latency mean 6.5383294617485479 p50 5.1360865245305458 p99 25.985781923138752 p999 28.277536128909794\n"
-     "energy 3146.9710347346204 J (78.674275868365513 J/query) tokens 8523\n"
-     "dollars edge 0.0025327116879311174 cloud 0 (6.3317792198277942e-05 $/query)\n"
+     "makespan 44.825944142025769 throughput 0.89234037934069321 goodput 0.89234037934069321 deadline-hit 1\n"
+     "latency mean 6.561748868353968 p50 5.1360865245305458 p99 26.224126219270474 p999 28.412599883636471\n"
+     "energy 3147.5619964616781 J (78.689049911541957 J/query) tokens 8523\n"
+     "dollars edge 0.0025342811630740987 cloud 0 (6.3357029076852468e-05 $/query)\n"
      "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
-     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140204 busy 33.616900123450698 tokens 1702 up\n"
-     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.28979036905457 busy 37.296902419966969 tokens 673 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140193 busy 33.616900123450698 tokens 1702 up\n"
+     "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.88075209611202 busy 37.420490558981975 tokens 673 up\n"
      "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
      "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
-     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626529 busy 24.871110622984439 tokens 1011 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626523 busy 24.871110622984439 tokens 1011 up\n"
      ""},
 };
 // clang-format on
@@ -404,15 +407,15 @@ TEST(FleetScale, AdaptiveTimeoutGrayIsBitIdentical)
         "retries 3 failovers 0 hedges 1 (wins 1, waste 0) cancelled-legs 1\n"
         "adaptive-health ejections 1\n"
         "makespan 88.633022827934582 throughput 0.45129906127260222 goodput 0.45129906127260222 deadline-hit 1\n"
-        "latency mean 9.4909100138818854 p50 5.3642884810714833 p99 51.758452687330333 p999 57.825491220907509\n"
-        "energy 3872.0990259861396 J (96.802475649653488 J/query) tokens 9059\n"
-        "dollars edge 0.0031375533788825559 cloud 0 (7.8438834472063901e-05 $/query)\n"
-        "node 0: served 7 timed-out 0 cancelled 1 crashes 0 energy 542.50479482699177 busy 43.228653016212768 tokens 1388 up\n"
+        "latency mean 9.7822536044832624 p50 5.3642884810714833 p99 51.802188037760871 p999 57.829864755950567\n"
+        "energy 4037.8611799449059 J (100.94652949862265 J/query) tokens 9073\n"
+        "dollars edge 0.0032156443978551175 cloud 0 (8.039110994637794e-05 $/query)\n"
+        "node 0: served 7 timed-out 0 cancelled 1 crashes 0 energy 543.66626606445732 busy 43.128639051925113 tokens 1403 up\n"
         "node 1: served 8 timed-out 0 cancelled 0 crashes 0 energy 597.19386259197199 busy 35.113182397439026 tokens 1919 up\n"
-        "node 2: served 5 timed-out 2 cancelled 0 crashes 0 energy 966.85507165235231 busy 50.601754715981528 tokens 1183 up\n"
+        "node 2: served 5 timed-out 2 cancelled 0 crashes 0 energy 1001.8578677395593 busy 50.713896640162481 tokens 1182 up\n"
         "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
-        "node 4: served 6 timed-out 1 cancelled 0 crashes 0 energy 785.33897792928565 busy 51.076189241933506 tokens 1586 up\n"
-        "node 5: served 7 timed-out 0 cancelled 0 crashes 0 energy 441.26117811274662 busy 26.081256953303463 tokens 1472 up\n";
+        "node 4: served 6 timed-out 1 cancelled 0 crashes 0 energy 914.93686456337878 busy 56.758802286649221 tokens 1586 up\n"
+        "node 5: served 7 timed-out 0 cancelled 0 crashes 0 energy 441.26117811274668 busy 26.081256953303463 tokens 1472 up\n";
     // clang-format on
     const auto trace = matrixTrace();
     for (const unsigned threads : {1u, 2u, 4u}) {
@@ -423,6 +426,86 @@ TEST(FleetScale, AdaptiveTimeoutGrayIsBitIdentical)
         fc.adaptiveTimeoutMultiple = 4.0;
         FleetSimulator sim(fc);
         EXPECT_EQ(formatFleetReport(sim.run(trace)), golden);
+    }
+    er::ThreadPool::setGlobalThreads(0);
+}
+
+// --- Macro-stepping against the exact-steps oracle -------------------
+
+/** The Gray mix plus crashes, two retries and hedging: slowdown
+ *  windows open and close mid-segment, crashes fail legs over and
+ *  hedges cancel losers, so every way the fleet splits a node's run
+ *  is exercised. */
+FleetConfig
+oracleConfig(RouterPolicy p, bool exact)
+{
+    FleetConfig fc = matrixConfig(p, FaultMix::Gray);
+    fc.maxRetries = 2;
+    fc.nodeFaults.crashesPerHour = 60.0;
+    fc.nodeFaults.meanRebootSeconds = 10.0;
+    fc.server.exactSteps = exact;
+    return fc;
+}
+
+void
+expectRelNear(double got, double want, const char *what)
+{
+    EXPECT_LE(std::abs(got - want), 1e-9 * std::abs(want))
+        << what << ": " << got << " vs " << want;
+}
+
+TEST(FleetScale, MacroMatchesExactStepsOracle)
+{
+    // --exact-steps runs one scheduling cycle per decode step, so the
+    // gray latch, admission and every stop check are evaluated at
+    // each step.  Macro segments must land on the same steps: every
+    // integer and timing field is bit-identical, and energy — summed
+    // per bucket-run instead of per step — agrees within 1e-9.
+    const auto trace = matrixTrace();
+    for (const RouterPolicy p :
+         {RouterPolicy::RoundRobin, RouterPolicy::DeadlineAware}) {
+        FleetSimulator exact_sim(oracleConfig(p, true));
+        const FleetReport want = exact_sim.run(trace);
+        EXPECT_GT(want.failovers + want.retries + want.hedgesLaunched,
+                  0u);
+        for (const unsigned threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(std::string(routerPolicyName(p)) +
+                         " threads=" + std::to_string(threads));
+            er::ThreadPool::setGlobalThreads(threads);
+            FleetSimulator sim(oracleConfig(p, false));
+            const FleetReport got = sim.run(trace);
+            EXPECT_EQ(got.served, want.served);
+            EXPECT_EQ(got.timedOut, want.timedOut);
+            EXPECT_EQ(got.shed, want.shed);
+            EXPECT_EQ(got.retries, want.retries);
+            EXPECT_EQ(got.failovers, want.failovers);
+            EXPECT_EQ(got.hedgesLaunched, want.hedgesLaunched);
+            EXPECT_EQ(got.hedgeWins, want.hedgeWins);
+            EXPECT_EQ(got.cancelledLegs, want.cancelledLegs);
+            EXPECT_EQ(got.adaptiveEjections, want.adaptiveEjections);
+            EXPECT_EQ(got.events, want.events);
+            EXPECT_EQ(got.makespan, want.makespan);
+            EXPECT_EQ(got.goodput, want.goodput);
+            EXPECT_EQ(got.meanLatency, want.meanLatency);
+            EXPECT_EQ(got.p50Latency, want.p50Latency);
+            EXPECT_EQ(got.p99Latency, want.p99Latency);
+            EXPECT_EQ(got.p999Latency, want.p999Latency);
+            EXPECT_EQ(got.generatedTokens, want.generatedTokens);
+            expectRelNear(got.totalEnergy, want.totalEnergy, "energy");
+            ASSERT_EQ(got.nodes.size(), want.nodes.size());
+            for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+                SCOPED_TRACE("node " + std::to_string(i));
+                const NodeSummary &g = got.nodes[i], &w = want.nodes[i];
+                EXPECT_EQ(g.served, w.served);
+                EXPECT_EQ(g.timedOut, w.timedOut);
+                EXPECT_EQ(g.cancelled, w.cancelled);
+                EXPECT_EQ(g.crashes, w.crashes);
+                EXPECT_EQ(g.busy, w.busy);
+                EXPECT_EQ(g.generatedTokens, w.generatedTokens);
+                EXPECT_EQ(g.up, w.up);
+                expectRelNear(g.energy, w.energy, "node energy");
+            }
+        }
     }
     er::ThreadPool::setGlobalThreads(0);
 }
