@@ -646,6 +646,7 @@ BatchExecutor::decodeStep(ServingState &st)
     const Watts pw = costEng_->soc().power().decode(
         costEng_->calib().power, avg_o, batch);
     const Seconds dt = advanceWork(base_dt, pw);
+    lastStepDt_ = dt;
     acc_.batchTimeWeighted += batch * dt;
     acc_.generatedTokens += batch;
     ++acc_.decodeSteps;
@@ -913,6 +914,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
                     break;
                 }
             }
+            lastStepDt_ = dt;
             acc_.energy += dt *
                 decodePowerSum(pm, pp, avg_o,
                                avg_o + static_cast<Tokens>(j) - 1,
@@ -943,6 +945,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
                 ? pw_floor
                 : pm.decode(pp, avg_o, batch);
             const Seconds dt = advanceWork(base_dt, pw);
+            lastStepDt_ = dt;
             acc_.batchTimeWeighted += batch * dt;
             acc_.generatedTokens += batch;
             ++acc_.decodeSteps;
@@ -1003,6 +1006,70 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
         } else {
             ++i;
         }
+    }
+}
+
+Seconds
+BatchExecutor::peekSegmentLastStep(const ServingState &st,
+                                   Seconds next_arrival,
+                                   std::uint64_t horizon_cap,
+                                   double scale) const
+{
+    constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
+    const Seconds now = acc_.clock;
+    if (thermalOn_ || st.active.empty() || !st.prefilling.empty())
+        return now;
+    const auto &events = faults_.events();
+    const Seconds next_event = acc_.nextEvent < events.size()
+        ? events[acc_.nextEvent].time
+        : kInf;
+    if (next_event <= now + kTimeSlack)
+        return now; // pumpEvents applies it first
+    // decodeSteps' horizon inputs, in its order.
+    const int batch = static_cast<int>(st.active.size());
+    double ctx_sum = 0.0;
+    Tokens min_remaining = std::numeric_limits<Tokens>::max();
+    for (const ReqId id : st.active) {
+        const Tokens gen = st.pool.generated(id);
+        ctx_sum += static_cast<double>(st.pool.inputTokens(id) + gen);
+        min_remaining =
+            std::min(min_remaining, st.pool.effOut(id) - gen);
+    }
+    std::uint64_t kmax = static_cast<std::uint64_t>(min_remaining);
+    if (horizon_cap > 0)
+        kmax = std::min(kmax, horizon_cap);
+    if (st.haveDeadlines && st.inFlight() < config_.maxBatch &&
+        !(st.queuedDeadlineGates.min() > now + kTimeSlack))
+        return now; // single-step segment: admission re-evaluates
+    const Seconds next_gate =
+        (!st.queue.empty() && st.inFlight() < config_.maxBatch)
+            ? st.nextGateAfter(now)
+            : kInf;
+    const Seconds stop =
+        std::min(next_arrival, std::min(next_event, next_gate));
+    const Seconds dmin_slack =
+        (st.haveDeadlines ? st.deadlines.min() : kInf) + kDeadlineSlack;
+
+    // Replay the step clock: the exact loop's per-step bucket (a fresh
+    // llround of the context sum) and advanceWork's scaled addition.
+    Seconds clock = now, last = now;
+    Tokens bucket = 0;
+    Seconds dt = 0.0;
+    for (std::uint64_t k = 1;; ++k) {
+        const Tokens avg_ctx =
+            static_cast<Tokens>(std::llround(ctx_sum / batch));
+        const Tokens b = std::max<Tokens>(64, (avg_ctx + 63) / 64 * 64);
+        if (b != bucket) {
+            bucket = b;
+            dt = engine_.decodeStepLatency(b, batch);
+            if (scale != 1.0)
+                dt *= scale;
+        }
+        last = clock;
+        clock += dt;
+        ctx_sum += batch;
+        if (k >= kmax || stop <= clock + kTimeSlack || clock > dmin_slack)
+            return last;
     }
 }
 

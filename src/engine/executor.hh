@@ -272,6 +272,28 @@ class BatchExecutor
                      std::uint64_t horizon_cap);
 
     /**
+     * Non-committing peek at the segment decodeSteps(@p st,
+     * @p next_arrival, @p horizon_cap) would run if it were called
+     * now with speed scale @p scale latched (DESIGN.md §15, lazy fleet
+     * sync).  @return the clock at the start of the segment's last
+     * step: every request the segment retires, and anything the cycle
+     * after it changes, happens at or after that instant.  The step
+     * additions are replayed in the loop's own order, so the value is
+     * bit-exact.  Degenerates to clock() whenever the next cycle does
+     * something other than a multi-step decode segment: nothing
+     * active, a prefill in flight, a fault event due, an admission
+     * that could intervene, or thermal coupling (whose governor needs
+     * the real RC integration).
+     */
+    Seconds peekSegmentLastStep(const ServingState &st,
+                                Seconds next_arrival,
+                                std::uint64_t horizon_cap,
+                                double scale) const;
+
+    /** @return the wall time of the last decode step taken. */
+    Seconds lastStepDt() const { return lastStepDt_; }
+
+    /**
      * All in-flight work drained but the queue is gated (retry
      * backoff or a shrunken KV pool): sleep to the next wake-up
      * (arrival, fault event, or backoff expiry).  @p next_arrival is
@@ -375,6 +397,9 @@ class BatchExecutor
 
     // --- Clocks and accumulators (one checkpointable unit) ---------
     ExecAccumulators acc_;
+    /** Wall time of the last decode step (not serialized: read only
+     *  right after the step that set it). */
+    Seconds lastStepDt_ = 0.0;
 
     /** Packed padding-free memo keys (hashed by raw bytes). */
     struct StepKey

@@ -142,6 +142,7 @@ FleetSimulator::FleetSimulator(FleetConfig cfg) : cfg_(std::move(cfg))
                                                 : 0.95));
     medianSet_.reserve(nodes_.size());
     stopIndex_.reset(nodes_.size());
+    busySince_.assign(nodes_.size(), 0);
     lagBuf_.reserve(nodes_.size());
     viewsBuf_.resize(nodes_.size());
 }
@@ -187,19 +188,23 @@ FleetSimulator::drainNode(std::size_t i)
 void
 FleetSimulator::syncNodesTo(Seconds target)
 {
+    noteSyncTarget(target);
     while (true) {
         lagBuf_.clear();
-        // Index invariant: key == clock for every up-and-busy node,
-        // +inf otherwise — so collectLagging returns exactly the up,
-        // busy nodes whose clock + kTimeSlack < target, in ascending
-        // id order, touching only qualifying heap subtrees.
+        // Index invariant: each up, busy node is keyed on its next
+        // visible change (+inf otherwise), so this returns exactly the
+        // nodes that change something a router or the driver reads
+        // before the target, in ascending id order.
         stopIndex_.collectLagging(target, kTimeSlack, lagBuf_);
         if (lagBuf_.empty())
             break;
+        ++syncRounds_;
+        nodeAdvances_ += lagBuf_.size();
         // Serial on the driver thread: a round advances each laggard by
         // about a microsecond of work, far less than a pool fork/join.
         for (const int i : lagBuf_)
-            nodes_[static_cast<std::size_t>(i)]->advanceUntil(target, true);
+            nodes_[static_cast<std::size_t>(i)]->advanceUntil(
+                target, true, stopIndex_.key(static_cast<std::size_t>(i)));
         // Only advanced nodes can hold new records: every earlier round
         // drained its own laggards, and the only records produced
         // outside advanceUntil are cancel echoes, which drainNode skips
@@ -211,22 +216,59 @@ FleetSimulator::syncNodesTo(Seconds target)
     }
 }
 
+void
+FleetSimulator::noteSyncTarget(Seconds target)
+{
+    while (!syncMax_.empty() && syncMax_.back().target <= target)
+        syncMax_.pop_back();
+    syncMax_.push_back({syncSeq_++, target});
+}
+
+Seconds
+FleetSimulator::syncedSince(std::uint64_t seq) const
+{
+    const auto it = std::lower_bound(
+        syncMax_.begin(), syncMax_.end(), seq,
+        [](const SyncMark &m, std::uint64_t s) { return m.seq < s; });
+    return it == syncMax_.end() ? -kInf : it->target;
+}
+
+void
+FleetSimulator::touchNode(std::size_t i)
+{
+    // The fleet is about to act on the node.  Every sync since the
+    // node last went busy would have carried it to that sync's target
+    // had it been due, so that is where the node stands; its key lies
+    // past each of those targets, so nothing visible may change on the
+    // way.
+    FleetNode &n = *nodes_[i];
+    if (!n.busy())
+        return;
+    const Seconds to = syncedSince(busySince_[i]);
+    if (!(n.clock() + kTimeSlack < to))
+        return;
+    const FleetNode::Visible seen = n.visible();
+    ++nodeAdvances_;
+    n.advanceUntil(to, false, stopIndex_.key(i));
+    fatal_if(n.visible() != seen, "fleet node ", i,
+             " changed visible state while touched to ", to,
+             " (lazy-sync key ", stopIndex_.key(i), ")");
+    refreshNode(i);
+}
+
 Seconds
 FleetSimulator::nextNodeStopBrute() const
 {
     Seconds lo = kInf;
     for (const auto &n : nodes_)
-        if (n->up() && n->busy())
-            lo = std::min(lo, n->clock());
+        lo = std::min(lo, n->nextVisibleChange());
     return lo;
 }
 
 void
 FleetSimulator::refreshNode(std::size_t i)
 {
-    const FleetNode &n = *nodes_[i];
-    stopIndex_.update(i, n.up() && n.busy() ? n.clock()
-                                            : NodeStopIndex::kNoStop);
+    stopIndex_.update(i, nodes_[i]->nextVisibleChange());
 }
 
 void
@@ -347,6 +389,7 @@ FleetSimulator::cancelLeg(Track &t, int slot)
     panic_if(leg.node < 0, "cloud legs cannot be cancelled");
     leg.live = false;
     liveOnNode_[static_cast<std::size_t>(leg.node)].erase(t.gid);
+    touchNode(static_cast<std::size_t>(leg.node));
     // A false return means the leg already retired and its outcome
     // record is in flight; marking it dead above stale-drops it.
     if (nodes_[static_cast<std::size_t>(leg.node)]->cancel(leg.local))
@@ -479,8 +522,12 @@ FleetSimulator::dispatch(Track &t, Seconds now, int exclude,
 
     const int slot = t.legs[0].live ? 1 : 0;
     panic_if(t.legs[slot].live, "no free leg slot");
-    const std::int64_t local =
-        nodes_[static_cast<std::size_t>(d.node)]->submit(leg, t.gid);
+    const auto target = static_cast<std::size_t>(d.node);
+    if (nodes_[target]->busy())
+        touchNode(target);
+    else
+        busySince_[target] = syncSeq_; // counts syncs from the next on
+    const std::int64_t local = nodes_[target]->submit(leg, t.gid);
     t.legs[slot] = {d.node, local, true};
     liveOnNode_[static_cast<std::size_t>(d.node)].insert(t.gid);
     refreshNode(static_cast<std::size_t>(d.node));
@@ -617,6 +664,8 @@ FleetSimulator::onCrash(const Event &e)
     const std::set<std::int64_t> lost =
         liveOnNode_[static_cast<std::size_t>(e.node)];
     liveOnNode_[static_cast<std::size_t>(e.node)].clear();
+    // The crash snapshots the node's lifetime totals at its clock.
+    touchNode(static_cast<std::size_t>(e.node));
     n.crash();
     refreshNode(static_cast<std::size_t>(e.node));
     viewsDirty_ = true;
@@ -709,15 +758,15 @@ FleetSimulator::auditTrack(const Track &t, std::size_t &edge_legs) const
 void
 FleetSimulator::auditStopIndex() const
 {
-    // The index is derived state; cross-check every key, and the
-    // minimum, against a brute-force scan.
+    // The index is derived state; cross-check every key against a
+    // from-scratch peek, and the minimum against a brute-force scan.
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const Seconds want = nodes_[i]->up() && nodes_[i]->busy()
-            ? nodes_[i]->clock()
-            : NodeStopIndex::kNoStop;
-        fatal_if(stopIndex_.key(i) != want, "fleet audit: stop-index "
-                 "key of node ", i, " is ", stopIndex_.key(i),
-                 " but the node is at ", want);
+        const Seconds want = nodes_[i]->nextVisibleChange();
+        fatal_if(std::bit_cast<std::uint64_t>(stopIndex_.key(i)) !=
+                     std::bit_cast<std::uint64_t>(want),
+                 "fleet audit: stop-index key of node ", i, " is ",
+                 stopIndex_.key(i), " but its next visible change is ",
+                 want);
     }
     fatal_if(stopIndex_.minKey() != nextNodeStopBrute(),
              "fleet audit: stop-index minimum ", stopIndex_.minKey(),
@@ -872,9 +921,17 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
     const bool burst = !durable;
     while (true) {
         if (heap_.empty()) {
-            const Seconds lo = stopIndex_.minKey();
-            if (lo == kInf)
+            if (stopIndex_.minKey() == kInf)
                 break; // no events, no busy nodes: done
+            // With no event to sync to, time moves in quanta from the
+            // laggard's clock.  Bring each node to where the syncs so
+            // far left it first, so the laggard is the real one.
+            Seconds lo = kInf;
+            for (std::size_t i = 0; i < nodes_.size(); ++i) {
+                touchNode(i);
+                if (nodes_[i]->busy())
+                    lo = std::min(lo, nodes_[i]->clock());
+            }
             syncNodesTo(lo + kDrainQuantum);
             continue;
         }
@@ -898,8 +955,8 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
                 throw FleetSimulatedCrash(eventCount_, now_);
         }
 
-        // Conservatively advance every busy node to the event horizon
-        // first; outcomes they produce before it enter the heap and
+        // Advance every node whose next visible change precedes the
+        // event; outcomes they produce before it enter the heap and
         // are popped in global time order.
         syncNodesTo(heap_.front().time);
         Event e = heap_.front();
@@ -961,6 +1018,7 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
             std::pop_heap(heap_.begin(), heap_.end(),
                           std::greater<>());
             heap_.pop_back();
+            noteSyncTarget(e.time); // the sync it skips is a no-op
             now_ = std::max(now_, e.time);
             onArrival(e);
             if (cfg_.paranoid)
@@ -982,9 +1040,10 @@ FleetSimulator::fleetFingerprint(
     // every crash-injection knob — resuming under a different (or no)
     // crash plan is the normal recovery flow.
     // v3: the payload holds live track slots, the trace cursor, the
-    // folded aggregates and compacted node records.
+    // folded aggregates and compacted node records.  v4: lazily synced
+    // nodes, plus the sync-target marks that place them.
     ByteWriter w;
-    w.str("edgereason-fleet-ckpt-v3");
+    w.str("edgereason-fleet-ckpt-v4");
     w.u8(static_cast<std::uint8_t>(cfg_.router));
     w.u64(cfg_.nodes.size());
     for (const NodeSpec &s : cfg_.nodes) {
@@ -1148,6 +1207,16 @@ FleetSimulator::serializeState(ByteWriter &w) const
         w.f64(cooldownUntil_[i]);
         w.i64(degradeDepth_[i]);
     }
+    // Lazy sync: the suffix maxima of the sync targets, and where each
+    // node's busy period starts among them (touchNode's target).
+    w.u64(syncSeq_);
+    w.u64(syncMax_.size());
+    for (const SyncMark &m : syncMax_) {
+        w.u64(m.seq);
+        w.f64(m.target);
+    }
+    for (const std::uint64_t seq : busySince_)
+        w.u64(seq);
     w.u64(retries_);
     w.u64(failovers_);
     w.u64(hedgesLaunched_);
@@ -1254,6 +1323,16 @@ FleetSimulator::restoreState(ByteReader &r,
         cooldownUntil_[i] = r.f64();
         degradeDepth_[i] = static_cast<int>(r.i64());
     }
+    syncSeq_ = r.u64();
+    syncMax_.resize(static_cast<std::size_t>(r.u64()));
+    for (SyncMark &m : syncMax_) {
+        m.seq = r.u64();
+        m.target = r.f64();
+        fatal_if(m.seq >= syncSeq_, "fleet checkpoint sync mark ", m.seq,
+                 " is past the sync count ", syncSeq_);
+    }
+    for (std::uint64_t &seq : busySince_)
+        seq = r.u64();
     retries_ = static_cast<std::size_t>(r.u64());
     failovers_ = static_cast<std::size_t>(r.u64());
     hedgesLaunched_ = static_cast<std::size_t>(r.u64());

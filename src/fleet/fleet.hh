@@ -15,15 +15,19 @@
  * its own submission sequence.  Reports are therefore bit-identical at
  * any --threads value.
  *
- * Synchronization is conservative: before processing a heap event at
- * time T, every busy node is advanced to T (found through the
- * next-stop index, fleet/stop_index.hh; in stop-on-first-outcome
- * rounds, so outcomes that happen before T are interleaved into the
- * heap in global time order).  A node may overshoot T by at most one
- * scheduling cycle — a macro decode segment is never split — which is
- * itself deterministic; the documented consequence is that work a
- * crashed node simulated past the crash instant is discarded by the
- * fleet (failover wins) while the node's own energy tallies keep it.
+ * Synchronization is conservative and lazy: before processing a heap
+ * event at time T, every node whose next router-visible change comes
+ * before T is advanced to T (found through the next-stop index,
+ * fleet/stop_index.hh; in stop-on-first-outcome rounds, so outcomes
+ * that happen before T are interleaved into the heap in global time
+ * order).  The other busy nodes stay where they are until the fleet
+ * submits to one, cancels a leg on it or crashes it, which first
+ * brings it to where advancing it to every event would have left it.
+ * A node may overshoot T by at most one scheduling cycle — a macro
+ * decode segment is never split — which is itself deterministic; the
+ * documented consequence is that work a crashed node simulated past
+ * the crash instant is discarded by the fleet (failover wins) while
+ * the node's own energy tallies keep it.
  *
  * Conservation invariant: every arrival terminates exactly once —
  * served, timed out, shed, or offloaded.  FleetAuditor checks it (and
@@ -289,6 +293,12 @@ class FleetSimulator
     const FleetNode &node(std::size_t i) const { return *nodes_.at(i); }
     /** @return distinct engines built, one per distinct NodeSpec. */
     std::size_t engineCount() const { return engines_.size(); }
+    /** @return node advances so far: sync laggards plus the touches
+     *  before a cancel or crash (a resumed run counts from its
+     *  restore). */
+    std::uint64_t nodeAdvances() const { return nodeAdvances_; }
+    /** @return sync rounds that advanced at least one node. */
+    std::uint64_t syncRounds() const { return syncRounds_; }
 
   private:
     struct Leg
@@ -353,10 +363,21 @@ class FleetSimulator
 
     void push(Seconds t, int kind, std::int64_t gid, int node,
               Seconds aux = 0.0);
+    /** Advance, in stop-on-first-outcome rounds, every node whose
+     *  key precedes @p target. */
     void syncNodesTo(Seconds target);
+    /** Record a sync target (syncedSince's input). */
+    void noteSyncTarget(Seconds target);
+    /** @return the latest target among syncs number @p seq on (-inf
+     *  when none ran). */
+    Seconds syncedSince(std::uint64_t seq) const;
+    /** Bring busy node @p i to where the syncs of its busy period left
+     *  it, before the fleet submits to it, cancels a leg on it or
+     *  crashes it; fatal if that changes anything visible. */
+    void touchNode(std::size_t i);
     void drainNode(std::size_t i);
-    /** Brute-force minimum clock over up, busy nodes: the paranoid
-     *  auditor's reference for stopIndex_.minKey(). */
+    /** Brute-force minimum key over all nodes: the paranoid auditor's
+     *  reference for stopIndex_.minKey(). */
     Seconds nextNodeStopBrute() const;
     /** Re-key node @p i in the stop index after any state change. */
     void refreshNode(std::size_t i);
@@ -443,11 +464,30 @@ class FleetSimulator
     /** Event count of the last checkpoint written (sentinel: none). */
     std::uint64_t lastCkptEvent_ = ~0ull;
 
-    /** Next-stop-time index: one key per node — clock while up and
-     *  busy, +inf otherwise.  Drives node sync and the heap-empty
-     *  drain.  Derived state; rebuilt on restore, cross-checked
-     *  against the brute scan by the paranoid auditor. */
+    /** Next-stop-time index: one key per node — its next visible
+     *  change while up and busy, +inf otherwise.  Drives node sync.
+     *  Derived state; rebuilt on restore, cross-checked against
+     *  from-scratch peeks by the paranoid auditor. */
     NodeStopIndex stopIndex_;
+    /** Sync targets reduced to their suffix maxima: seq ascending,
+     *  target strictly descending, so the latest target among syncs
+     *  seq..now is the first mark at or after seq.  A node busy through
+     *  a sync stands at that sync's target even when it was not due,
+     *  and an outcome a sync raises can precede its target, so targets
+     *  are not monotone. */
+    struct SyncMark
+    {
+        std::uint64_t seq;
+        Seconds target;
+    };
+    std::vector<SyncMark> syncMax_;
+    std::uint64_t syncSeq_ = 0; //!< syncs so far
+    /** Per node: the first sync of its current busy period. */
+    std::vector<std::uint64_t> busySince_;
+    /** advanceUntil calls (sync laggards plus touches) and sync rounds
+     *  that advanced at least one node; telemetry, not serialized. */
+    std::uint64_t nodeAdvances_ = 0;
+    std::uint64_t syncRounds_ = 0;
     /** Reused lag buffer for syncNodesTo. */
     std::vector<int> lagBuf_;
     /** Reused router view buffer, valid for `now` in

@@ -11,6 +11,7 @@
 namespace edgereason {
 namespace fleet {
 
+using engine::kDeadlineSlack;
 using engine::kTimeSlack;
 
 std::unique_ptr<engine::InferenceEngine>
@@ -182,13 +183,58 @@ FleetNode::nextSlowdownEdge(Seconds t) const
     return std::numeric_limits<Seconds>::infinity();
 }
 
+Seconds
+FleetNode::nextVisibleChange() const
+{
+    if (!busy())
+        return std::numeric_limits<Seconds>::infinity();
+    // Keyed on the clock: the next cycle starts with something other
+    // than a pure decode segment — an idle jump to a pending arrival
+    // (admitted within that same cycle), an arrival it pulls, an
+    // admission into a free slot, or an expired queued entry to shed.
+    // A prefill, a fault event or thermal coupling is the executor
+    // peek's to spot.
+    const Seconds c = exec_->clock();
+    const Seconds arrival = nextPendingArrival();
+    if (arrival <= c + kTimeSlack ||
+        (!st_.queue.empty() && st_.inFlight() < cfg_.maxBatch) ||
+        (st_.haveDeadlines && c > st_.deadlines.min() + kDeadlineSlack))
+        return c;
+    // Otherwise the next cycle runs exactly the segment advanceUntil
+    // would, minus the sync target: a split there changes nothing the
+    // fleet reads.  Exact mode runs the same steps one per cycle, with
+    // nothing visible between them.
+    double scale = 1.0;
+    Seconds edge = std::numeric_limits<Seconds>::infinity();
+    if (!slowdowns_.empty()) {
+        scale = slowdownScaleAt(c);
+        edge = nextSlowdownEdge(c);
+    }
+    return exec_->peekSegmentLastStep(st_, std::min(arrival, edge),
+                                      cfg_.macroHorizonCap, scale);
+}
+
 void
-FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
+FleetNode::checkLazy(Seconds at, Seconds key) const
+{
+    fatal_if(at + kTimeSlack < key, "fleet node ", id_,
+             ": router-visible change at ", at,
+             " precedes its lazy-sync key ", key);
+}
+
+void
+FleetNode::advanceUntil(Seconds target, bool stop_on_outcome,
+                        Seconds key)
 {
     if (!up_)
         return;
     while (busy() && exec_->clock() + kTimeSlack < target) {
         const std::size_t before = served_.size();
+        // Laziness guard: whatever this cycle changes before decoding
+        // happens at its start; a retirement in the decode segment at
+        // the start of its last step (within half a step).
+        const Seconds start = exec_->clock();
+        const Visible seen = visible();
 
         pullArrivals();
         exec_->pumpEvents(st_);
@@ -223,6 +269,8 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
         exec_->admit(st_, *scheduler_);
 
         if (!st_.hasInFlight()) {
+            if (visible() != seen)
+                checkLazy(start, key);
             if (st_.queue.empty()) {
                 // Everything drained this cycle (e.g. expired-queue
                 // shed); re-evaluate busy() at the top.
@@ -248,6 +296,9 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
         exec_->prefillStep(st_);
         if (st_.haveDeadlines)
             exec_->abortExpiredPrefills(st_);
+        const Visible pre = visible();
+        if (pre != seen)
+            checkLazy(start, key);
         if (!st_.active.empty()) {
             if (cfg_.exactSteps)
                 exec_->decodeStep(st_);
@@ -256,6 +307,9 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome)
                     st_,
                     std::min({nextPendingArrival(), target, edge}),
                     cfg_.macroHorizonCap);
+            if (visible() != pre)
+                checkLazy(exec_->clock() - 0.5 * exec_->lastStepDt(),
+                          key);
         }
         if (stop_on_outcome && served_.size() > before)
             return;

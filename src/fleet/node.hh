@@ -32,6 +32,7 @@
 #define EDGEREASON_FLEET_NODE_HH
 
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -166,8 +167,39 @@ class FleetNode
      * new served record was produced.  The clock may overshoot
      * @p target by up to one cycle (a macro decode segment or prefill
      * chunk is never split); the overshoot is deterministic.
+     *
+     * @p key is the node's lazy-sync key (nextVisibleChange() as of
+     * its last state change): a change of visible() that happens
+     * more than kTimeSlack before it is fatal, since the fleet would
+     * have shown it to a router late.
      */
-    void advanceUntil(Seconds target, bool stop_on_outcome);
+    void advanceUntil(Seconds target, bool stop_on_outcome,
+                      Seconds key =
+                          -std::numeric_limits<Seconds>::infinity());
+
+    /** Everything the fleet driver and the routers read of a node
+     *  between advances. */
+    struct Visible
+    {
+        std::size_t backlog = 0;
+        int inFlight = 0;
+        std::size_t records = 0; //!< servedEnd()
+        bool operator==(const Visible &) const = default;
+    };
+    Visible visible() const
+    {
+        return {backlog(), inFlight(), servedEnd()};
+    }
+
+    /**
+     * The node's lazy-sync key (DESIGN.md §15): a lower bound, exact
+     * in the common case, on the instant the node next changes
+     * visible() — the clock at the start of the cycle, or of the
+     * decode step, that changes it — when advanced with no further
+     * submissions, cancels or crashes.  +inf when the node is down or
+     * idle.  A pure function of the node's state; commits nothing.
+     */
+    Seconds nextVisibleChange() const;
 
     /**
      * Cancel the live leg with node-local index @p local (hedge loser
@@ -295,6 +327,9 @@ class FleetNode
     double slowdownScaleAt(Seconds t) const;
     /** @return the first window edge after @p t (+inf if none). */
     Seconds nextSlowdownEdge(Seconds t) const;
+    /** Laziness guard: fatal when a visible change at @p at comes
+     *  more than kTimeSlack before @p key. */
+    void checkLazy(Seconds at, Seconds key) const;
 
     int id_;
     NodeSpec spec_;

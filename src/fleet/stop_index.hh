@@ -2,11 +2,12 @@
  * @file
  * Next-stop-time index over fleet nodes (DESIGN.md §15).  The fleet
  * driver must, before processing a heap event at time T, advance every
- * busy node whose clock lags T.  This index keeps one key per node —
- * the node's clock while it is up and busy, +inf otherwise — in an
- * indexed binary min-heap, so the driver pays O(log N) per node-state
- * change and O(lagging) per collection instead of scanning all N
- * nodes per event.
+ * node that changes something a router or the driver reads before T.
+ * This index keeps one key per node — the instant of that next visible
+ * change while the node is up and busy, +inf otherwise — in an indexed
+ * binary min-heap, so the driver pays O(log N) per node-state change
+ * and O(lagging) per collection instead of scanning all N nodes per
+ * event.
  *
  * Determinism: the index is value-compared only.  minKey() is a pure
  * minimum over the keys, and collectLagging() returns ids in ascending
@@ -51,7 +52,7 @@ class NodeStopIndex
     /** @return node @p i's current key. */
     Seconds key(std::size_t i) const { return key_[i]; }
 
-    /** Re-key node @p i (clock moved, or up/busy flipped). */
+    /** Re-key node @p i (its state changed). */
     void update(std::size_t i, Seconds key)
     {
         panic_if(i >= key_.size(), "stop index: node ", i,
@@ -76,8 +77,8 @@ class NodeStopIndex
      * Append to @p out every node id satisfying the lag predicate
      * `key + slack < target`, in ascending id order.  The predicate
      * is evaluated in exactly that form — not algebraically
-     * rearranged — so its FP rounding is the same as a per-node
-     * `clock + slack < target` test.  Only qualifying heap subtrees
+     * rearranged — so its FP rounding is the same as a scan testing
+     * each node's key.  Only qualifying heap subtrees
      * are visited, so the cost is O(matches), not O(N).
      */
     void collectLagging(Seconds target, Seconds slack,

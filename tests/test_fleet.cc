@@ -174,7 +174,7 @@ const GoldenCase kGoldens[] = {
      "dollars edge 0.0015441562368844176 cloud 0 (6.4339843203517393e-05 $/query)\n"
      "node 0: served 6 timed-out 0 cancelled 0 crashes 0 energy 369.62286010459508 busy 22.378951346340241 tokens 1174 up\n"
      "node 1: served 6 timed-out 0 cancelled 0 crashes 0 energy 364.81215630682379 busy 44.53507509271121 tokens 1425 up\n"
-     "node 2: served 6 timed-out 0 cancelled 0 crashes 0 energy 440.7086729225793 busy 23.667905990854642 tokens 1365 up\n"
+     "node 2: served 6 timed-out 0 cancelled 0 crashes 0 energy 440.70867292257924 busy 23.667905990854642 tokens 1365 up\n"
      "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 188.38928442874322 busy 28.405456608304835 tokens 886 up\n"
      ""},
     {RouterPolicy::RoundRobin, true, 2,
@@ -183,9 +183,9 @@ const GoldenCase kGoldens[] = {
      "retries 0 failovers 6 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 49.101244478931648 throughput 0.4887859819988456 goodput 0.4887859819988456 deadline-hit 1\n"
      "latency mean 10.499515122001007 p50 8.0740855185784923 p99 35.476217204453235 p999 37.358689436040848\n"
-     "energy 761.17984827720795 J (31.715827011550331 J/query) tokens 5337\n"
-     "dollars edge 0.00086950177193010248 cloud 0 (3.6229240497087605e-05 $/query)\n"
-     "node 0: served 11 timed-out 0 cancelled 0 crashes 4 energy 368.83599628385559 busy 23.524712512577207 tokens 2128 up\n"
+     "energy 761.17984827720784 J (31.715827011550328 J/query) tokens 5337\n"
+     "dollars edge 0.00086950177193010237 cloud 0 (3.6229240497087599e-05 $/query)\n"
+     "node 0: served 11 timed-out 0 cancelled 0 crashes 4 energy 368.83599628385554 busy 23.524712512577207 tokens 2128 up\n"
      "node 1: served 13 timed-out 0 cancelled 0 crashes 4 energy 392.34385199335236 busy 43.498163080906963 tokens 3209 up\n"
      ""},
     {RouterPolicy::RoundRobin, true, 4,
@@ -266,11 +266,11 @@ const GoldenCase kGoldens[] = {
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 37.971053115789225 throughput 0.63206042578840815 goodput 0.63206042578840815 deadline-hit 1\n"
      "latency mean 7.4753441678063304 p50 6.2324723381049258 p99 27.012008750916728 p999 30.713103266305676\n"
-     "energy 1388.4896561302055 J (57.853735672091894 J/query) tokens 4850\n"
+     "energy 1388.4896561302053 J (57.853735672091886 J/query) tokens 4850\n"
      "dollars edge 0.0015471408782693065 cloud 0 (6.4464203261221099e-05 $/query)\n"
-     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 399.69011758702908 busy 24.995944738374536 tokens 1368 up\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 399.69011758702896 busy 24.995944738374536 tokens 1368 up\n"
      "node 1: served 5 timed-out 0 cancelled 0 crashes 0 energy 309.71712162936302 busy 35.90736181717093 tokens 1299 up\n"
-     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 479.40591545850191 busy 29.670073490939817 tokens 1375 up\n"
+     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 479.40591545850197 busy 29.670073490939817 tokens 1375 up\n"
      "node 3: served 5 timed-out 0 cancelled 0 crashes 0 energy 199.67650145531147 busy 28.569591361291902 tokens 808 up\n"
      ""},
     {RouterPolicy::CostAware, true, 2,

@@ -155,6 +155,46 @@ TEST(FleetRecovery, CrashResumeMatrixIsBitIdentical)
         std::filesystem::remove_all(kArtifacts);
 }
 
+// --- Lazy sync: checkpoints leave segmentation alone -----------------
+
+TEST(FleetRecovery, CheckpointEveryEventGrayIsBitIdentical)
+{
+    // A checkpoint serializes lazily synced nodes where they stand: it
+    // must neither advance a node nor split its decode segments.  So a
+    // Gray run that checkpoints at every event reports bit for bit
+    // what the plain run does — energy included, whose round-off
+    // depends on how a node's steps group into segments.
+    std::filesystem::remove_all(kArtifacts);
+    FleetConfig fc = recoveryConfig(RouterPolicy::DeadlineAware);
+    fc.maxRetries = 2;
+    fc.adaptiveHealth = true;
+    fc.healthMinSamples = 4;
+    fc.nodeFaults.slowdownsPerHour = 90.0;
+    fc.nodeFaults.meanSlowdownSeconds = 30.0;
+    fc.nodeFaults.slowdownMultiplier = 6.0;
+    const auto trace = recoveryTrace();
+    FleetSimulator base(fc);
+    const FleetReport want = base.run(trace);
+    EXPECT_GT(want.failovers + want.retries + want.hedgesLaunched, 0u);
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        er::ThreadPool::setGlobalThreads(threads);
+        FleetDurabilityOptions dur;
+        dur.checkpointDir =
+            (kArtifacts / ("every-event-t" + std::to_string(threads)) /
+             "ckpt")
+                .string();
+        dur.checkpointEvery = 1;
+        FleetSimulator sim(fc);
+        const FleetReport got = sim.run(trace, dur);
+        EXPECT_EQ(formatFleetReport(got), formatFleetReport(want));
+        EXPECT_EQ(got.totalEnergy, want.totalEnergy);
+    }
+    er::ThreadPool::setGlobalThreads(0);
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
+}
+
 // --- Checkpoint wire: determinism and fingerprint --------------------
 
 /** @return the bytes of every file in @p dir, keyed by file name. */
@@ -479,7 +519,7 @@ TEST(FleetRecovery, CrashResumeUnderAdaptiveHealthIsBitIdentical)
     // its crash point.  Both resumes leave the uninterrupted durable
     // run's full checkpoint set: the crashed run wrote the files up
     // to its crash, the resumed run the rest.
-    const std::uint64_t kCkptHash = 0x11c05e087dbbcbb0ull;
+    const std::uint64_t kCkptHash = 0x5ad0edd31e64a869ull;
     for (const er::Seconds crash_at : {before, after}) {
         SCOPED_TRACE("crash at t=" + std::to_string(crash_at));
         const auto dir = kArtifacts /

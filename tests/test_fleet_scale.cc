@@ -14,6 +14,7 @@
  *    timeouts;
  *  - macro-stepping against the --exact-steps oracle on a Gray fleet
  *    with crashes, retries and hedges;
+ *  - lazy sync's advance count on a small fleet_gray-shaped run;
  *  - crash-resume with the index live, at two crash points;
  *  - a streamed run against the same trace materialized;
  *  - unsorted arrivals rejected by run() and runStream() alike.
@@ -195,14 +196,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 41.242059080206928 throughput 0.96988367923649521 goodput 0.96988367923649521 deadline-hit 1\n"
      "latency mean 5.5053208535809546 p50 4.9779582740955242 p99 10.702334415714134 p999 11.156576276543454\n"
-     "energy 2817.7177474130685 J (70.442943685326711 J/query) tokens 8523\n"
+     "energy 2817.7177474130694 J (70.442943685326739 J/query) tokens 8523\n"
      "dollars edge 0.0022389749910052582 cloud 0 (5.5974374775131457e-05 $/query)\n"
-     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918983 busy 29.112116309275731 tokens 1242 up\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918972 busy 29.112116309275731 tokens 1242 up\n"
      "node 1: served 7 timed-out 0 cancelled 0 crashes 0 energy 502.48173367204618 busy 29.113575783911756 tokens 1677 up\n"
-     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 450.26310334443201 busy 28.576095926162292 tokens 1352 up\n"
-     "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
+     "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 450.26310334443207 busy 28.576095926162292 tokens 1352 up\n"
+     "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279174 busy 31.996237232447033 tokens 1511 up\n"
      "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 516.81585241318624 busy 29.320991656719301 tokens 1449 up\n"
-     "node 5: served 6 timed-out 0 cancelled 0 crashes 0 energy 378.21247779142294 busy 21.606589880527622 tokens 1292 up\n"
+     "node 5: served 6 timed-out 0 cancelled 0 crashes 0 energy 378.21247779142305 busy 21.606589880527622 tokens 1292 up\n"
      ""},
     {RouterPolicy::RoundRobin, FaultMix::Crashy,
      "fleet report (router=rr)\n"
@@ -210,14 +211,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "retries 0 failovers 4 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 43.509964550580129 throughput 0.91932963892673802 goodput 0.91932963892673802 deadline-hit 1\n"
      "latency mean 6.133693866672405 p50 5.1986143999864822 p99 13.818657489153015 p999 14.073051444392542\n"
-     "energy 2433.2942717935721 J (60.832356794839299 J/query) tokens 9137\n"
+     "energy 2433.2942717935725 J (60.832356794839313 J/query) tokens 9137\n"
      "dollars edge 0.0018854700703461185 cloud 0 (4.7136751758652959e-05 $/query)\n"
      "node 0: served 6 timed-out 0 cancelled 0 crashes 5 energy 496.26663630970938 busy 27.45240251574571 tokens 1705 up\n"
      "node 1: served 11 timed-out 0 cancelled 0 crashes 6 energy 402.84460727637872 busy 26.628655829677935 tokens 1788 up\n"
-     "node 2: served 3 timed-out 0 cancelled 0 crashes 9 energy 223.47205274024708 busy 14.867692531258372 tokens 599 up\n"
-     "node 3: served 3 timed-out 0 cancelled 0 crashes 7 energy 150.43762358354763 busy 10.04772336256252 tokens 509 up\n"
-     "node 4: served 11 timed-out 0 cancelled 0 crashes 10 energy 702.7638344230387 busy 37.311759721585105 tokens 2761 up\n"
-     "node 5: served 6 timed-out 0 cancelled 0 crashes 5 energy 457.50951746065101 busy 26.418390760881277 tokens 1775 up\n"
+     "node 2: served 3 timed-out 0 cancelled 0 crashes 9 energy 223.47205274024702 busy 14.867692531258372 tokens 599 up\n"
+     "node 3: served 3 timed-out 0 cancelled 0 crashes 7 energy 150.43762358354761 busy 10.04772336256252 tokens 509 up\n"
+     "node 4: served 11 timed-out 0 cancelled 0 crashes 10 energy 702.76383442303882 busy 37.311759721585105 tokens 2761 up\n"
+     "node 5: served 6 timed-out 0 cancelled 0 crashes 5 energy 457.5095174606509 busy 26.418390760881277 tokens 1775 up\n"
      ""},
     {RouterPolicy::RoundRobin, FaultMix::Gray,
      "fleet report (router=rr)\n"
@@ -226,14 +227,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "adaptive-health ejections 1\n"
      "makespan 61.628322728997361 throughput 0.64905222515782013 goodput 0.64905222515782013 deadline-hit 1\n"
      "latency mean 9.0575948161280877 p50 5.3642884810714833 p99 37.832294081068241 p999 41.276214097990461\n"
-     "energy 3565.1618309374921 J (89.129045773437298 J/query) tokens 8523\n"
+     "energy 3565.1618309374926 J (89.129045773437312 J/query) tokens 8523\n"
      "dollars edge 0.0026505814811278974 cloud 0 (6.6264537028197439e-05 $/query)\n"
-     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918978 busy 29.112116309275731 tokens 1242 up\n"
-     "node 1: served 7 timed-out 0 cancelled 0 crashes 0 energy 502.48173367204629 busy 29.113575783911756 tokens 1677 up\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 430.99943931918966 busy 29.112116309275731 tokens 1242 up\n"
+     "node 1: served 7 timed-out 0 cancelled 0 crashes 0 energy 502.48173367204618 busy 29.113575783911756 tokens 1677 up\n"
      "node 2: served 7 timed-out 0 cancelled 0 crashes 0 energy 1068.1093002347625 busy 53.330521812842868 tokens 1352 up\n"
-     "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
-     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 646.41373904727936 busy 35.003604701435073 tokens 1449 up\n"
-     "node 5: served 6 timed-out 0 cancelled 0 crashes 0 energy 378.21247779142294 busy 21.606589880527622 tokens 1292 up\n"
+     "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279174 busy 31.996237232447033 tokens 1511 up\n"
+     "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 646.41373904727948 busy 35.003604701435073 tokens 1449 up\n"
+     "node 5: served 6 timed-out 0 cancelled 0 crashes 0 energy 378.21247779142305 busy 21.606589880527622 tokens 1292 up\n"
      ""},
     {RouterPolicy::LeastLoaded, FaultMix::Healthy,
      "fleet report (router=least)\n"
@@ -241,14 +242,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 41.365812816082908 throughput 0.96698208682238485 goodput 0.96698208682238485 deadline-hit 1\n"
      "latency mean 5.4750429722697707 p50 5.0422588602036456 p99 10.672507350825706 p999 10.874760157025056\n"
-     "energy 2792.279568411569 J (69.806989210289231 J/query) tokens 8523\n"
+     "energy 2792.2795684115695 J (69.806989210289231 J/query) tokens 8523\n"
      "dollars edge 0.0022771318336103977 cloud 0 (5.6928295840259944e-05 $/query)\n"
-     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211787 busy 37.593295817580731 tokens 2153 up\n"
-     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.4350526123921 busy 31.654472215853023 tokens 1611 up\n"
+     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211776 busy 37.593295817580731 tokens 2153 up\n"
+     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.43505261239221 busy 31.654472215853023 tokens 1611 up\n"
      "node 2: served 9 timed-out 0 cancelled 0 crashes 0 energy 471.7082468453861 busy 32.203017640663141 tokens 1551 up\n"
-     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620031 busy 28.025452213053725 tokens 1309 up\n"
+     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620043 busy 28.025452213053725 tokens 1309 up\n"
      "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 464.74373143459559 busy 29.2048745504568 tokens 1328 up\n"
-     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.5356117808771 busy 14.181835689852493 tokens 571 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.53561178087708 busy 14.181835689852493 tokens 571 up\n"
      ""},
     {RouterPolicy::LeastLoaded, FaultMix::Crashy,
      "fleet report (router=least)\n"
@@ -259,11 +260,11 @@ const MatrixGolden kMatrixGoldens[] = {
      "energy 2883.75224937247 J (72.093806234311756 J/query) tokens 9837\n"
      "dollars edge 0.0022764328824983514 cloud 0 (5.6910822062458784e-05 $/query)\n"
      "node 0: served 6 timed-out 0 cancelled 0 crashes 5 energy 453.59386602278312 busy 26.344877091082843 tokens 1620 up\n"
-     "node 1: served 14 timed-out 0 cancelled 0 crashes 6 energy 768.04413775997978 busy 45.245822656618486 tokens 2754 up\n"
-     "node 2: served 6 timed-out 0 cancelled 0 crashes 9 energy 368.83552538886926 busy 24.435939995659631 tokens 1115 up\n"
-     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519385 busy 18.589775039795487 tokens 752 up\n"
+     "node 1: served 14 timed-out 0 cancelled 0 crashes 6 energy 768.04413775997955 busy 45.245822656618486 tokens 2754 up\n"
+     "node 2: served 6 timed-out 0 cancelled 0 crashes 9 energy 368.8355253888692 busy 24.435939995659631 tokens 1115 up\n"
+     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519391 busy 18.589775039795487 tokens 752 up\n"
      "node 4: served 9 timed-out 0 cancelled 0 crashes 10 energy 614.95994232264229 busy 37.217295186890041 tokens 2318 up\n"
-     "node 5: served 3 timed-out 0 cancelled 0 crashes 5 energy 342.07065696300185 busy 20.668413131913432 tokens 1278 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 5 energy 342.07065696300174 busy 20.668413131913432 tokens 1278 up\n"
      ""},
     {RouterPolicy::LeastLoaded, FaultMix::Gray,
      "fleet report (router=least)\n"
@@ -272,14 +273,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "adaptive-health ejections 1\n"
      "makespan 44.825944142025769 throughput 0.89234037934069321 goodput 0.89234037934069321 deadline-hit 1\n"
      "latency mean 6.561748868353968 p50 5.1360865245305458 p99 26.224126219270474 p999 28.412599883636471\n"
-     "energy 3147.5619964616781 J (78.689049911541957 J/query) tokens 8523\n"
+     "energy 3147.5619964616776 J (78.689049911541943 J/query) tokens 8523\n"
      "dollars edge 0.0025342811630740987 cloud 0 (6.3357029076852468e-05 $/query)\n"
-     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
-     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140193 busy 33.616900123450698 tokens 1702 up\n"
+     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013191 busy 35.591525472700923 tokens 2226 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140215 busy 33.616900123450698 tokens 1702 up\n"
      "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.88075209611202 busy 37.420490558981975 tokens 673 up\n"
-     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
-     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
-     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626523 busy 24.871110622984439 tokens 1011 up\n"
+     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800195 busy 32.265188010839452 tokens 1610 up\n"
+     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976441 busy 28.485404935431518 tokens 1301 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626517 busy 24.871110622984439 tokens 1011 up\n"
      ""},
     {RouterPolicy::DeadlineAware, FaultMix::Healthy,
      "fleet report (router=deadline)\n"
@@ -287,14 +288,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 41.365812816082908 throughput 0.96698208682238485 goodput 0.96698208682238485 deadline-hit 1\n"
      "latency mean 5.4750429722697707 p50 5.0422588602036456 p99 10.672507350825706 p999 10.874760157025056\n"
-     "energy 2792.279568411569 J (69.806989210289231 J/query) tokens 8523\n"
+     "energy 2792.2795684115695 J (69.806989210289231 J/query) tokens 8523\n"
      "dollars edge 0.0022771318336103977 cloud 0 (5.6928295840259944e-05 $/query)\n"
-     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211787 busy 37.593295817580731 tokens 2153 up\n"
-     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.4350526123921 busy 31.654472215853023 tokens 1611 up\n"
+     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211776 busy 37.593295817580731 tokens 2153 up\n"
+     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.43505261239221 busy 31.654472215853023 tokens 1611 up\n"
      "node 2: served 9 timed-out 0 cancelled 0 crashes 0 energy 471.7082468453861 busy 32.203017640663141 tokens 1551 up\n"
-     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620031 busy 28.025452213053725 tokens 1309 up\n"
+     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620043 busy 28.025452213053725 tokens 1309 up\n"
      "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 464.74373143459559 busy 29.2048745504568 tokens 1328 up\n"
-     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.5356117808771 busy 14.181835689852493 tokens 571 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.53561178087708 busy 14.181835689852493 tokens 571 up\n"
      ""},
     {RouterPolicy::DeadlineAware, FaultMix::Crashy,
      "fleet report (router=deadline)\n"
@@ -302,14 +303,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "retries 0 failovers 5 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 55.25110466290711 throughput 0.72396742552106919 goodput 0.72396742552106919 deadline-hit 1\n"
      "latency mean 6.2600696097539164 p50 5.1862218740552901 p99 21.715003894866889 p999 25.134974689656541\n"
-     "energy 2771.1187812284265 J (69.277969530710664 J/query) tokens 9496\n"
+     "energy 2771.1187812284261 J (69.277969530710649 J/query) tokens 9496\n"
      "dollars edge 0.0021890134105216081 cloud 0 (5.4725335263040205e-05 $/query)\n"
      "node 0: served 6 timed-out 0 cancelled 0 crashes 5 energy 453.59386602278312 busy 26.344877091082843 tokens 1620 up\n"
-     "node 1: served 13 timed-out 0 cancelled 0 crashes 6 energy 675.9105463687464 busy 39.320436647233649 tokens 2515 up\n"
+     "node 1: served 13 timed-out 0 cancelled 0 crashes 6 energy 675.91054636874617 busy 39.320436647233649 tokens 2515 up\n"
      "node 2: served 6 timed-out 0 cancelled 0 crashes 9 energy 353.11204154940526 busy 23.74988586359067 tokens 1087 up\n"
-     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519385 busy 18.589775039795487 tokens 752 up\n"
-     "node 4: served 10 timed-out 0 cancelled 0 crashes 10 energy 610.18354940929612 busy 37.210622464017796 tokens 2244 up\n"
-     "node 5: served 3 timed-out 0 cancelled 0 crashes 5 energy 342.07065696300185 busy 20.668413131913432 tokens 1278 up\n"
+     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519391 busy 18.589775039795487 tokens 752 up\n"
+     "node 4: served 10 timed-out 0 cancelled 0 crashes 10 energy 610.18354940929623 busy 37.210622464017796 tokens 2244 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 5 energy 342.07065696300174 busy 20.668413131913432 tokens 1278 up\n"
      ""},
     {RouterPolicy::DeadlineAware, FaultMix::Gray,
      "fleet report (router=deadline)\n"
@@ -318,14 +319,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "adaptive-health ejections 1\n"
      "makespan 44.825944142025769 throughput 0.89234037934069321 goodput 0.89234037934069321 deadline-hit 1\n"
      "latency mean 6.561748868353968 p50 5.1360865245305458 p99 26.224126219270474 p999 28.412599883636471\n"
-     "energy 3147.5619964616781 J (78.689049911541957 J/query) tokens 8523\n"
+     "energy 3147.5619964616776 J (78.689049911541943 J/query) tokens 8523\n"
      "dollars edge 0.0025342811630740987 cloud 0 (6.3357029076852468e-05 $/query)\n"
-     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
-     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140193 busy 33.616900123450698 tokens 1702 up\n"
+     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013191 busy 35.591525472700923 tokens 2226 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140215 busy 33.616900123450698 tokens 1702 up\n"
      "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.88075209611202 busy 37.420490558981975 tokens 673 up\n"
-     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
-     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
-     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626523 busy 24.871110622984439 tokens 1011 up\n"
+     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800195 busy 32.265188010839452 tokens 1610 up\n"
+     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976441 busy 28.485404935431518 tokens 1301 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626517 busy 24.871110622984439 tokens 1011 up\n"
      ""},
     {RouterPolicy::CostAware, FaultMix::Healthy,
      "fleet report (router=cost)\n"
@@ -333,14 +334,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 41.365812816082908 throughput 0.96698208682238485 goodput 0.96698208682238485 deadline-hit 1\n"
      "latency mean 5.4750429722697707 p50 5.0422588602036456 p99 10.672507350825706 p999 10.874760157025056\n"
-     "energy 2792.279568411569 J (69.806989210289231 J/query) tokens 8523\n"
+     "energy 2792.2795684115695 J (69.806989210289231 J/query) tokens 8523\n"
      "dollars edge 0.0022771318336103977 cloud 0 (5.6928295840259944e-05 $/query)\n"
-     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211787 busy 37.593295817580731 tokens 2153 up\n"
-     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.4350526123921 busy 31.654472215853023 tokens 1611 up\n"
+     "node 0: served 8 timed-out 0 cancelled 0 crashes 0 energy 678.10209404211776 busy 37.593295817580731 tokens 2153 up\n"
+     "node 1: served 10 timed-out 0 cancelled 0 crashes 0 energy 463.43505261239221 busy 31.654472215853023 tokens 1611 up\n"
      "node 2: served 9 timed-out 0 cancelled 0 crashes 0 energy 471.7082468453861 busy 32.203017640663141 tokens 1551 up\n"
-     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620031 busy 28.025452213053725 tokens 1309 up\n"
+     "node 3: served 4 timed-out 0 cancelled 0 crashes 0 energy 507.75483169620043 busy 28.025452213053725 tokens 1309 up\n"
      "node 4: served 6 timed-out 0 cancelled 0 crashes 0 energy 464.74373143459559 busy 29.2048745504568 tokens 1328 up\n"
-     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.5356117808771 busy 14.181835689852493 tokens 571 up\n"
+     "node 5: served 3 timed-out 0 cancelled 0 crashes 0 energy 206.53561178087708 busy 14.181835689852493 tokens 571 up\n"
      ""},
     {RouterPolicy::CostAware, FaultMix::Crashy,
      "fleet report (router=cost)\n"
@@ -348,14 +349,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "retries 0 failovers 6 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
      "makespan 65.989542667328777 throughput 0.60615664820789672 goodput 0.60615664820789672 deadline-hit 1\n"
      "latency mean 6.6753955107784453 p50 5.1864478722344298 p99 31.554799380544456 p999 34.605749287145578\n"
-     "energy 2903.5237787458709 J (72.588094468646773 J/query) tokens 10106\n"
+     "energy 2903.52377874587 J (72.588094468646744 J/query) tokens 10106\n"
      "dollars edge 0.0022731483812451375 cloud 0 (5.6828709531128437e-05 $/query)\n"
-     "node 0: served 7 timed-out 0 cancelled 0 crashes 5 energy 630.83416575940066 busy 36.059760158575664 tokens 2013 up\n"
-     "node 1: served 14 timed-out 0 cancelled 0 crashes 6 energy 763.34275416066009 busy 44.239798183280811 tokens 3006 up\n"
+     "node 0: served 7 timed-out 0 cancelled 0 crashes 5 energy 630.83416575940055 busy 36.059760158575664 tokens 2013 up\n"
+     "node 1: served 14 timed-out 0 cancelled 0 crashes 6 energy 763.34275416065998 busy 44.239798183280811 tokens 3006 up\n"
      "node 2: served 5 timed-out 0 cancelled 0 crashes 9 energy 191.59522565225177 busy 14.721056928166808 tokens 722 up\n"
-     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519385 busy 18.589775039795487 tokens 752 up\n"
-     "node 4: served 8 timed-out 0 cancelled 0 crashes 10 energy 638.4548276124616 busy 37.906225111292947 tokens 2263 up\n"
-     "node 5: served 4 timed-out 0 cancelled 0 crashes 5 energy 343.04868464590277 busy 20.656842482679767 tokens 1350 up\n"
+     "node 3: served 2 timed-out 0 cancelled 0 crashes 7 energy 336.24812091519391 busy 18.589775039795487 tokens 752 up\n"
+     "node 4: served 8 timed-out 0 cancelled 0 crashes 10 energy 638.45482761246171 busy 37.906225111292947 tokens 2263 up\n"
+     "node 5: served 4 timed-out 0 cancelled 0 crashes 5 energy 343.04868464590271 busy 20.656842482679767 tokens 1350 up\n"
      ""},
     {RouterPolicy::CostAware, FaultMix::Gray,
      "fleet report (router=cost)\n"
@@ -364,14 +365,14 @@ const MatrixGolden kMatrixGoldens[] = {
      "adaptive-health ejections 1\n"
      "makespan 44.825944142025769 throughput 0.89234037934069321 goodput 0.89234037934069321 deadline-hit 1\n"
      "latency mean 6.561748868353968 p50 5.1360865245305458 p99 26.224126219270474 p999 28.412599883636471\n"
-     "energy 3147.5619964616781 J (78.689049911541957 J/query) tokens 8523\n"
+     "energy 3147.5619964616776 J (78.689049911541943 J/query) tokens 8523\n"
      "dollars edge 0.0025342811630740987 cloud 0 (6.3357029076852468e-05 $/query)\n"
-     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013202 busy 35.591525472700923 tokens 2226 up\n"
-     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140193 busy 33.616900123450698 tokens 1702 up\n"
+     "node 0: served 10 timed-out 0 cancelled 0 crashes 0 energy 610.73280463013191 busy 35.591525472700923 tokens 2226 up\n"
+     "node 1: served 9 timed-out 0 cancelled 0 crashes 0 energy 541.48612548140215 busy 33.616900123450698 tokens 1702 up\n"
      "node 2: served 5 timed-out 0 cancelled 0 crashes 0 energy 568.88075209611202 busy 37.420490558981975 tokens 673 up\n"
-     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800183 busy 32.265188010839452 tokens 1610 up\n"
-     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976446 busy 28.485404935431518 tokens 1301 up\n"
-     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626523 busy 24.871110622984439 tokens 1011 up\n"
+     "node 3: served 6 timed-out 0 cancelled 0 crashes 0 energy 574.44171091800195 busy 32.265188010839452 tokens 1610 up\n"
+     "node 4: served 5 timed-out 0 cancelled 0 crashes 0 energy 479.78123712976441 busy 28.485404935431518 tokens 1301 up\n"
+     "node 5: served 5 timed-out 0 cancelled 0 crashes 0 energy 372.23936620626517 busy 24.871110622984439 tokens 1011 up\n"
      ""},
 };
 // clang-format on
@@ -410,12 +411,12 @@ TEST(FleetScale, AdaptiveTimeoutGrayIsBitIdentical)
         "latency mean 9.7822536044832624 p50 5.3642884810714833 p99 51.802188037760871 p999 57.829864755950567\n"
         "energy 4037.8611799449059 J (100.94652949862265 J/query) tokens 9073\n"
         "dollars edge 0.0032156443978551175 cloud 0 (8.039110994637794e-05 $/query)\n"
-        "node 0: served 7 timed-out 0 cancelled 1 crashes 0 energy 543.66626606445732 busy 43.128639051925113 tokens 1403 up\n"
+        "node 0: served 7 timed-out 0 cancelled 1 crashes 0 energy 543.6662660644572 busy 43.128639051925113 tokens 1403 up\n"
         "node 1: served 8 timed-out 0 cancelled 0 crashes 0 energy 597.19386259197199 busy 35.113182397439026 tokens 1919 up\n"
         "node 2: served 5 timed-out 2 cancelled 0 crashes 0 energy 1001.8578677395593 busy 50.713896640162481 tokens 1182 up\n"
-        "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279163 busy 31.996237232447033 tokens 1511 up\n"
-        "node 4: served 6 timed-out 1 cancelled 0 crashes 0 energy 914.93686456337878 busy 56.758802286649221 tokens 1586 up\n"
-        "node 5: served 7 timed-out 0 cancelled 0 crashes 0 energy 441.26117811274668 busy 26.081256953303463 tokens 1472 up\n";
+        "node 3: served 7 timed-out 0 cancelled 0 crashes 0 energy 538.94514087279174 busy 31.996237232447033 tokens 1511 up\n"
+        "node 4: served 6 timed-out 1 cancelled 0 crashes 0 energy 914.93686456337889 busy 56.758802286649221 tokens 1586 up\n"
+        "node 5: served 7 timed-out 0 cancelled 0 crashes 0 energy 441.26117811274679 busy 26.081256953303463 tokens 1472 up\n";
     // clang-format on
     const auto trace = matrixTrace();
     for (const unsigned threads : {1u, 2u, 4u}) {
@@ -508,6 +509,41 @@ TEST(FleetScale, MacroMatchesExactStepsOracle)
         }
     }
     er::ThreadPool::setGlobalThreads(0);
+}
+
+// --- Lazy sync: advances per request --------------------------------
+
+TEST(FleetScale, LazySyncAdvancesAFewTimesPerRequest)
+{
+    // A small fleet_gray: deadline router, crashes, slowdowns, two
+    // retries, hedging and adaptive health over short unshared
+    // requests.  A node is advanced only at its next change a router
+    // or the driver reads (an admission, a retirement, a shed), so
+    // the advances stay a small multiple of the requests rather than
+    // one per decode step.  Paranoid mode checks every key against a
+    // from-scratch peek after each event.
+    FleetConfig fc;
+    fc.nodes.assign(8, NodeSpec{er::model::ModelId::DeepScaleR1_5B});
+    fc.server.maxBatch = 30;
+    fc.router = RouterPolicy::DeadlineAware;
+    fc.paranoid = true;
+    fc.maxRetries = 2;
+    fc.hedgeFraction = 0.3;
+    fc.adaptiveHealth = true;
+    fc.nodeFaults.seed = 0xF1EE7;
+    fc.nodeFaults.horizon = 600.0;
+    fc.nodeFaults.crashesPerHour = 30.0;
+    fc.nodeFaults.meanRebootSeconds = 30.0;
+    fc.nodeFaults.slowdownsPerHour = 30.0;
+    er::Rng rng(1, "fleet-scale-lazy");
+    auto trace = ServingSimulator::poissonTrace(rng, 400, 6.25, 64, 32);
+    for (auto &r : trace)
+        r.deadline = 5.0;
+    FleetSimulator sim(fc);
+    const FleetReport rep = sim.run(trace);
+    EXPECT_GT(rep.failovers + rep.retries + rep.hedgesLaunched, 0u);
+    EXPECT_GT(sim.syncRounds(), 0u);
+    EXPECT_LE(sim.nodeAdvances(), 4 * rep.arrivals);
 }
 
 // --- Crash-resume with the index live --------------------------------
