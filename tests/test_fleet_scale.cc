@@ -15,6 +15,8 @@
  *  - macro-stepping against the --exact-steps oracle on a Gray fleet
  *    with crashes, retries and hedges;
  *  - lazy sync's advance count on a small fleet_gray-shaped run;
+ *  - a 1-node rr fleet against ServingSimulator on the same trace,
+ *    record for record (the cross-layer oracle);
  *  - crash-resume with the index live, at two crash points;
  *  - a streamed run against the same trace materialized;
  *  - unsorted arrivals rejected by run() and runStream() alike.
@@ -31,6 +33,8 @@
 
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "common/binio.hh"
+#include "engine/journal.hh"
 #include "engine/server.hh"
 #include "engine/trace_stream.hh"
 #include "fleet/fleet.hh"
@@ -544,6 +548,134 @@ TEST(FleetScale, LazySyncAdvancesAFewTimesPerRequest)
     EXPECT_GT(rep.failovers + rep.retries + rep.hedgesLaunched, 0u);
     EXPECT_GT(sim.syncRounds(), 0u);
     EXPECT_LE(sim.nodeAdvances(), 4 * rep.arrivals);
+    // Pinned: a refactor of the serving cycle must not move when the
+    // fleet advances a node.
+    EXPECT_EQ(sim.nodeAdvances(), 947u);
+    EXPECT_EQ(sim.syncRounds(), 561u);
+}
+
+// --- Cross-layer oracle: a 1-node fleet is the single-node server ----
+
+/** The Retire records of the journal at @p path, in retirement
+ *  order. */
+std::vector<er::engine::ServedRequest>
+retiredRecords(const std::filesystem::path &path)
+{
+    std::vector<er::engine::ServedRequest> out;
+    for (const auto &rec : er::engine::readJournal(path.string()).records) {
+        if (rec.type != er::engine::JournalRecordType::Retire)
+            continue;
+        er::ByteReader r(rec.payload);
+        er::engine::ServedRequest s;
+        er::engine::restore(r, s);
+        out.push_back(s);
+    }
+    return out;
+}
+
+/** The final accumulators of the journal at @p path (its RunEnd). */
+er::engine::ExecAccumulators
+runEndAccumulators(const std::filesystem::path &path)
+{
+    const auto contents = er::engine::readJournal(path.string());
+    EXPECT_FALSE(contents.records.empty());
+    EXPECT_EQ(contents.records.back().type,
+              er::engine::JournalRecordType::RunEnd);
+    er::ByteReader r(contents.records.back().payload);
+    er::engine::ExecAccumulators acc;
+    er::engine::restore(r, acc);
+    return acc;
+}
+
+TEST(FleetScale, OneNodeFleetMatchesServingSimulator)
+{
+    // With no faults, retries, hedges or deadlines, a 1-node rr fleet
+    // dispatches every request at its arrival instant, so its node
+    // must run the cycles ServingSimulator runs.  The fleet splits a
+    // macro segment wherever it syncs, which regroups the deferred
+    // energy sums; everything else is compared bit for bit.
+    const NodeSpec spec{er::model::ModelId::DeepScaleR1_5B};
+    er::Rng rng(1, "fleet-scale-one-node");
+    const auto trace =
+        ServingSimulator::poissonTrace(rng, 300, 2.0, 96, 64);
+    const auto eng = makeNodeEngine(spec);
+    const std::filesystem::path dir = "fleet-scale-oracle-artifacts";
+    for (const bool exact : {false, true}) {
+        for (const unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(std::string(exact ? "exact" : "macro") +
+                         " threads=" + std::to_string(threads));
+            er::ThreadPool::setGlobalThreads(threads);
+            std::filesystem::remove_all(dir);
+            er::engine::ServerConfig cfg;
+            cfg.maxBatch = 8;
+            cfg.exactSteps = exact;
+
+            er::engine::DurabilityOptions dur;
+            dur.checkpointDir = (dir / "server").string();
+            ServingSimulator srv(*eng, cfg);
+            const er::engine::ServingReport want =
+                srv.run(trace, er::engine::FaultPlan(), dur);
+
+            FleetConfig fc;
+            fc.nodes = {spec};
+            fc.server = cfg;
+            fc.router = RouterPolicy::RoundRobin;
+            fc.maxRetries = 0;
+            fc.journalDir = (dir / "fleet").string();
+            FleetSimulator sim(fc);
+            const FleetReport got = sim.run(trace);
+
+            const auto w = retiredRecords(dir / "server" / "journal.bin");
+            const auto g = retiredRecords(dir / "fleet" / "node-0-inc0.bin");
+            ASSERT_EQ(w.size(), trace.size());
+            ASSERT_EQ(g.size(), w.size());
+            for (std::size_t i = 0; i < w.size(); ++i) {
+                SCOPED_TRACE("record " + std::to_string(i));
+                EXPECT_EQ(g[i].traceIndex, w[i].traceIndex);
+                EXPECT_EQ(g[i].request.arrival, w[i].request.arrival);
+                EXPECT_EQ(g[i].firstToken, w[i].firstToken);
+                EXPECT_EQ(g[i].finish, w[i].finish);
+                EXPECT_EQ(g[i].generated, w[i].generated);
+                EXPECT_EQ(g[i].outcome, w[i].outcome);
+                EXPECT_EQ(g[i].queueDelay, w[i].queueDelay);
+                EXPECT_EQ(g[i].serviceTime, w[i].serviceTime);
+            }
+
+            EXPECT_EQ(got.served, want.completed);
+            EXPECT_EQ(got.timedOut, want.timedOut);
+            EXPECT_EQ(got.shed, want.shed);
+            EXPECT_EQ(got.generatedTokens, want.generatedTokens);
+            EXPECT_EQ(got.p50Latency, want.p50Latency);
+            EXPECT_EQ(got.p99Latency, want.p99Latency);
+            // Three report fields differ by construction, not by what
+            // was simulated:
+            //  - makespan: the server counts from the first arrival,
+            //    the fleet from t = 0 (throughput and goodput follow);
+            //  - mean latency: the server averages queueDelay +
+            //    serviceTime through RunningStats, the fleet sums
+            //    finish - arrival and divides (last bits only);
+            //  - energy: the fleet ends a macro segment at each sync
+            //    target, which regroups the deferred per-bucket sums
+            //    (one ulp here; exact mode matches bit for bit).
+            EXPECT_EQ(got.makespan, w.back().finish);
+            EXPECT_EQ(want.makespan, got.makespan - trace.front().arrival);
+            EXPECT_NEAR(got.meanLatency, want.meanLatency,
+                        1e-12 * want.meanLatency);
+            EXPECT_NEAR(got.totalEnergy, want.totalEnergy,
+                        1e-12 * want.totalEnergy);
+            if (exact)
+                EXPECT_EQ(got.totalEnergy, want.totalEnergy);
+
+            // The executor's step counters, pinned: a refactor of the
+            // serving cycle must not move them.
+            const er::engine::ExecAccumulators acc =
+                runEndAccumulators(dir / "server" / "journal.bin");
+            EXPECT_EQ(acc.decodeSteps, 5608u);
+            EXPECT_EQ(acc.macroSegments, exact ? 5608u : 566u);
+        }
+    }
+    std::filesystem::remove_all(dir);
+    er::ThreadPool::setGlobalThreads(0);
 }
 
 // --- Crash-resume with the index live --------------------------------
