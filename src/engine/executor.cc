@@ -438,6 +438,18 @@ BatchExecutor::applyEvent(const FaultEvent &e, ServingState &st)
 }
 
 void
+BatchExecutor::pullArrivals(ServingState &st, ArrivalSource &src)
+{
+    while (src.nextArrival() <= acc_.clock + kTimeSlack) {
+        const TrackedRequest t = src.popArrival();
+        st.haveDeadlines = st.haveDeadlines || t.req.deadline > 0.0;
+        st.enqueueNew(t);
+        if (journal_)
+            journal_->emitArrival(t, st.queue.size());
+    }
+}
+
+void
 BatchExecutor::pumpEvents(ServingState &st)
 {
     const auto &events = faults_.events();
@@ -466,22 +478,6 @@ BatchExecutor::shedExpiredQueued(ServingState &st)
             ++i;
         }
     }
-}
-
-void
-BatchExecutor::beginCycle()
-{
-    // Degradation is in force while the governor holds a derated
-    // mode.  Fallback swaps the whole device's cost model (a model
-    // hot-swap serves everyone from the smaller model); Budget
-    // only shrinks budgets of new admissions.
-    degradedNow_ = thermalOn_ &&
-        config_.degrade.mode != DegradeMode::None &&
-        thermal_.throttled();
-    costEng_ = (degradedNow_ &&
-                config_.degrade.mode == DegradeMode::Fallback)
-        ? fallback_
-        : &engine_;
 }
 
 void
@@ -754,8 +750,7 @@ decodePowerSum(const hw::PowerModel &pm, const hw::PowerProfile &pp,
 } // namespace
 
 void
-BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
-                           std::uint64_t horizon_cap)
+BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
 {
     constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
     const int batch = static_cast<int>(st.active.size());
@@ -789,8 +784,8 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
     // clock (their instants are fixed for the whole segment: nothing
     // mid-segment can schedule new ones).
     std::uint64_t kmax = static_cast<std::uint64_t>(min_remaining);
-    if (horizon_cap > 0)
-        kmax = std::min(kmax, horizon_cap);
+    if (config_.macroHorizonCap > 0)
+        kmax = std::min(kmax, config_.macroHorizonCap);
 
     // Fast-forwarding skips per-cycle admission, which is only safe
     // when admission is a provable no-op for every skipped cycle: no
@@ -820,7 +815,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
             ? st.nextGateAfter(acc_.clock)
             : kInf;
     // The degrade latch samples the governor once per cycle
-    // (beginCycle); stop the segment when the governor flips so the
+    // (runCycle); stop the segment when the governor flips so the
     // next cycle re-latches at the same step the exact loop would.
     const bool watch_latch = thermalOn_ &&
         config_.degrade.mode != DegradeMode::None;
@@ -862,7 +857,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
             : 0.0;
         const Watts cap = hw::powerModeCap(pm.powerMode());
         const Seconds stop =
-            std::min(next_arrival, std::min(next_event, next_gate));
+            std::min(bound, std::min(next_event, next_gate));
         const Seconds dmin_slack = dmin + kDeadlineSlack;
         // Latest clock that provably trips no stop check: the arrival
         // / event / gate check fires at clock >= stop - kTimeSlack,
@@ -955,7 +950,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
 
             if (k >= kmax)
                 break;
-            if (next_arrival <= acc_.clock + kTimeSlack)
+            if (bound <= acc_.clock + kTimeSlack)
                 break;
             if (next_event <= acc_.clock + kTimeSlack)
                 break;
@@ -1009,15 +1004,97 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds next_arrival,
     }
 }
 
-Seconds
-BatchExecutor::peekSegmentLastStep(const ServingState &st,
-                                   Seconds next_arrival,
-                                   std::uint64_t horizon_cap,
-                                   double scale) const
+bool
+BatchExecutor::runCycle(ServingState &st, const Scheduler &sched,
+                        ArrivalSource &src, Seconds target)
 {
     constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
+    const Seconds start = acc_.clock;
+    pullArrivals(st, src);
+    pumpEvents(st);
+    if (st.queue.empty() && !st.hasInFlight() &&
+        src.nextArrival() < kInf) {
+        idleTo(src.nextArrival());
+        pullArrivals(st, src);
+        pumpEvents(st);
+    }
+
+    // Gray-failure latch, from the post-idle-jump clock.  The gated
+    // sleep and the decode segment stop at the next window edge, so
+    // the next cycle re-latches at the step that crosses it — the
+    // step exact mode re-latches at — wherever the driver splits the
+    // run.
+    double scale = 1.0;
+    Seconds edge = kInf;
+    if (src.slowdownAt(acc_.clock, scale, edge))
+        speedScale_ = scale;
+
+    if (st.haveDeadlines)
+        shedExpiredQueued(st);
+    // Degrade latch: the governor is sampled once per cycle and the
+    // decision holds for admission, prefill and decode.  Fallback
+    // swaps the whole device's cost model (a model hot-swap serves
+    // everyone from the smaller model); Budget only shrinks budgets
+    // of new admissions.
+    degradedNow_ = thermalOn_ &&
+        config_.degrade.mode != DegradeMode::None &&
+        thermal_.throttled();
+    costEng_ = (degradedNow_ &&
+                config_.degrade.mode == DegradeMode::Fallback)
+        ? fallback_
+        : &engine_;
+    admit(st, sched);
+
+    if (!st.hasInFlight()) {
+        src.changedSince(start);
+        if (st.queue.empty())
+            return true; // drained this cycle (e.g. expired-queue shed)
+        // Queue fully gated (retry backoff or a shrunken KV pool):
+        // sleep to the next wake-up, never past the bound (an edge
+        // closer than the slack cannot be slept to; the next cycle's
+        // latch is then already right).
+        Seconds bound = std::min(src.nextArrival(), target);
+        if (edge > acc_.clock + kTimeSlack)
+            bound = std::min(bound, edge);
+        if (bound <= acc_.clock + kTimeSlack)
+            return false;
+        sleepUntilWake(st, bound);
+        return true;
+    }
+
+    prefillStep(st);
+    if (st.haveDeadlines)
+        abortExpiredPrefills(st);
+    src.changedSince(start);
+    if (st.active.empty())
+        return true;
+    if (config_.exactSteps)
+        decodeStep(st);
+    else
+        decodeSteps(st, std::min({src.nextArrival(), target, edge}));
+    // A retirement in the segment happens at the start of its last
+    // step (within half a step).
+    src.changedSince(acc_.clock - 0.5 * lastStepDt_);
+    return true;
+}
+
+Seconds
+BatchExecutor::peekCycle(const ServingState &st,
+                         const ArrivalSource &src) const
+{
+    constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
+    // Keyed on the clock: the cycle starts with something other than
+    // a pure decode segment — an arrival it pulls, an admission into
+    // a free slot, an expired queued entry to shed, an idle jump (its
+    // arrival is admitted within that same cycle), a prefill, a fault
+    // event — or thermal coupling, whose governor needs the real RC
+    // integration.
     const Seconds now = acc_.clock;
-    if (thermalOn_ || st.active.empty() || !st.prefilling.empty())
+    const Seconds arrival = src.nextArrival();
+    if (arrival <= now + kTimeSlack ||
+        (!st.queue.empty() && st.inFlight() < config_.maxBatch) ||
+        (st.haveDeadlines && now > st.deadlines.min() + kDeadlineSlack) ||
+        thermalOn_ || st.active.empty() || !st.prefilling.empty())
         return now;
     const auto &events = faults_.events();
     const Seconds next_event = acc_.nextEvent < events.size()
@@ -1025,6 +1102,13 @@ BatchExecutor::peekSegmentLastStep(const ServingState &st,
         : kInf;
     if (next_event <= now + kTimeSlack)
         return now; // pumpEvents applies it first
+    // Otherwise the cycle runs one decode segment, bounded by the next
+    // arrival and slowdown edge but not the target: a split there
+    // changes nothing a caller reads.  Exact mode runs the same steps
+    // one per cycle, with nothing visible between them.
+    double scale = 1.0;
+    Seconds edge = kInf;
+    src.slowdownAt(now, scale, edge);
     // decodeSteps' horizon inputs, in its order.
     const int batch = static_cast<int>(st.active.size());
     double ctx_sum = 0.0;
@@ -1036,8 +1120,8 @@ BatchExecutor::peekSegmentLastStep(const ServingState &st,
             std::min(min_remaining, st.pool.effOut(id) - gen);
     }
     std::uint64_t kmax = static_cast<std::uint64_t>(min_remaining);
-    if (horizon_cap > 0)
-        kmax = std::min(kmax, horizon_cap);
+    if (config_.macroHorizonCap > 0)
+        kmax = std::min(kmax, config_.macroHorizonCap);
     if (st.haveDeadlines && st.inFlight() < config_.maxBatch &&
         !(st.queuedDeadlineGates.min() > now + kTimeSlack))
         return now; // single-step segment: admission re-evaluates
@@ -1045,8 +1129,8 @@ BatchExecutor::peekSegmentLastStep(const ServingState &st,
         (!st.queue.empty() && st.inFlight() < config_.maxBatch)
             ? st.nextGateAfter(now)
             : kInf;
-    const Seconds stop =
-        std::min(next_arrival, std::min(next_event, next_gate));
+    const Seconds stop = std::min(std::min(arrival, edge),
+                                  std::min(next_event, next_gate));
     const Seconds dmin_slack =
         (st.haveDeadlines ? st.deadlines.min() : kInf) + kDeadlineSlack;
 
@@ -1108,9 +1192,9 @@ BatchExecutor::cancelByTraceIndex(ServingState &st,
 }
 
 void
-BatchExecutor::sleepUntilWake(ServingState &st, Seconds next_arrival)
+BatchExecutor::sleepUntilWake(ServingState &st, Seconds bound)
 {
-    Seconds wake = next_arrival;
+    Seconds wake = bound;
     const auto &events = faults_.events();
     if (acc_.nextEvent < events.size())
         wake = std::min(wake, events[acc_.nextEvent].time);

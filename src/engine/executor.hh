@@ -7,8 +7,9 @@
  * plan), chunked prefill, step-synchronous decode, fault-event
  * application, and the per-request outcome records.  The scheduler
  * (engine/scheduler.hh) only decides *which* queued request is
- * admitted next; the arrival pump (ServingSimulator::run) only decides
- * *when* the executor runs.
+ * admitted next.  The serving cycle itself (runCycle) lives here too,
+ * written once for both of its drivers: ServingSimulator::run wraps
+ * it in durability, and FleetNode::advanceUntil in fleet sync.
  *
  * One executor instance drives one run: all accumulators start at
  * zero and report() snapshots them into a ServingReport.
@@ -155,6 +156,47 @@ struct ServingState
 };
 
 /**
+ * What a serving cycle reads from its driver: where arrivals come
+ * from, and the two inputs only a fleet node sets (a gray-failure
+ * speed latch and the lazy-sync laziness guard).  ServingSimulator
+ * reads a trace cursor; a FleetNode reads the legs routed to it.
+ */
+class ArrivalSource
+{
+  public:
+    /** @return the next arrival instant (+inf when none is left). */
+    virtual Seconds nextArrival() const = 0;
+    /** Remove and return the next arrival (called only when one is
+     *  due). */
+    virtual TrackedRequest popArrival() = 0;
+    /**
+     * Gray-failure latch at @p t: every busy work quantum costs
+     * @p scale× its nominal wall time (energy follows), and the scale
+     * can change next at @p edge.  Sets both and @return true; a
+     * source with no slowdown windows returns false, and the cycle
+     * then never touches the executor's scale, which keeps the
+     * bit-identical 1.0 path.  The scale is derived state (a pure
+     * function of the clock): never serialized, and deliberately
+     * invisible to the deadline-admission service estimates.
+     */
+    virtual bool slowdownAt(Seconds, double &, Seconds &) const
+    {
+        return false;
+    }
+    /**
+     * Laziness hook (DESIGN.md §15): whatever the cycle changed since
+     * it began, or since the previous call, happened at or after
+     * @p at.  Called once the pre-decode part of the cycle is done
+     * (with the cycle start) and after a decode segment (with the
+     * start of its last step, less half a step of slack).
+     */
+    virtual void changedSince(Seconds) {}
+
+  protected:
+    ~ArrivalSource() = default;
+};
+
+/**
  * Batch executor: engine stepping, KV admission, and fault/derating
  * application for one serving run.  Borrowed engines and the fault
  * plan must outlive the executor.  Engines are used only through
@@ -205,6 +247,67 @@ class BatchExecutor
     /** Restore serialize() output; fatal() on a mode mismatch. */
     void restore(ByteReader &r);
 
+    /**
+     * One serving cycle (DESIGN.md §8), the only one in the stack:
+     * pull the arrivals due by the clock from @p src, apply due fault
+     * events, idle to the next arrival when nothing is queued or in
+     * flight, latch @p src's speed scale, shed expired queued
+     * requests, admit through @p sched, then either sleep while the
+     * queue is gated or run one prefill chunk, abort expired
+     * prefills, and decode one step (exact mode) or one macro
+     * segment.  The gated sleep and the segment stop at the next
+     * arrival, @p target and the next slowdown edge, whichever comes
+     * first.  @return false when the cycle ended at that bound with
+     * nothing to do before it (the caller moves its target on), true
+     * otherwise.
+     */
+    bool runCycle(ServingState &st, const Scheduler &sched,
+                  ArrivalSource &src, Seconds target);
+
+    /**
+     * Non-committing peek at the cycle runCycle(@p st, ..., @p src,
+     * target) would run now (DESIGN.md §15, lazy fleet sync).
+     * @return the clock at the start of the last step of the decode
+     * segment it runs: every request the segment retires, and
+     * anything the cycle after it changes, happens at or after that
+     * instant.  The segment is bounded by the next arrival and
+     * slowdown edge but not the target (a split there changes nothing
+     * a caller reads), and its step additions are replayed in
+     * decodeSteps' own order, so the value is bit-exact.  Degenerates
+     * to clock() whenever the cycle starts with something else: an
+     * arrival due, an admission into a free slot, an expired queued
+     * entry, a prefill, a fault event, or thermal coupling (whose
+     * governor needs the real RC integration).
+     */
+    Seconds peekCycle(const ServingState &st,
+                      const ArrivalSource &src) const;
+
+    /**
+     * Cancel a live request by its trace index (fleet hedging and
+     * failover): the request retires immediately with
+     * RequestOutcome::Cancelled, releasing its KV reservation and
+     * batch slot at the current clock.  @return false when no live
+     * request carries @p trace_index (already retired — the benign
+     * hedge race where both legs ran to completion).
+     */
+    bool cancelByTraceIndex(ServingState &st, std::int64_t trace_index);
+
+    /** @return true while the thermal governor holds a derated mode
+     *  (fleet health probes treat this as a degraded node). */
+    bool throttled() const
+    {
+        return thermalOn_ && thermal_.throttled();
+    }
+
+    /** Snapshot the run's aggregate metrics. */
+    ServingReport report(Seconds first_arrival,
+                         SchedulerPolicy policy,
+                         const ServingState &st) const;
+
+  private:
+    /** The cycle's stages, in runCycle's order. */
+    void pullArrivals(ServingState &st, ArrivalSource &src);
+
     /** Jump the clock to @p t with the device idle (thermal cooling
      *  integrates on the way; exact assignment keeps idle jumps
      *  bit-stable). */
@@ -217,15 +320,6 @@ class BatchExecutor
      *  (deadline admission control, part 1).  O(1) when the earliest
      *  live deadline is still in the future. */
     void shedExpiredQueued(ServingState &st);
-
-    /**
-     * Latch the degraded-mode decision and cost engine for the
-     * current scheduling cycle.  The legacy loop sampled the thermal
-     * governor once per cycle and reused that decision for admission,
-     * prefill, and decode; calling this at cycle start preserves
-     * those semantics.
-     */
-    void beginCycle();
 
     /**
      * Admission: ask @p sched for the next request while batch slots
@@ -252,11 +346,11 @@ class BatchExecutor
     /**
      * Macro-stepping decode (DESIGN.md §10): fast-forward whole-batch
      * decode steps until the next scheduler-visible boundary — the
-     * next arrival (@p next_arrival, +inf when the trace is
-     * exhausted), the next fault event, the earliest completion or
-     * deadline expiry, a retry gate opening, a thermal-latch flip, or
-     * @p horizon_cap steps (0 = unbounded; durable runs pass the
-     * checkpoint cadence).  Each fast-forwarded step performs the
+     * cycle's @p bound (next arrival, sync target or slowdown edge;
+     * +inf when there is none), the next fault event, the earliest
+     * completion or deadline expiry, a retry gate opening, a
+     * thermal-latch flip, or ServerConfig::macroHorizonCap steps
+     * (0 = unbounded).  Each fast-forwarded step performs the
      * same arithmetic in the same order as decodeStep(), so every
      * accumulator and report field is bit-identical to the exact
      * loop; what the segment skips is the per-step scheduler
@@ -268,79 +362,15 @@ class BatchExecutor
      * from the ServingState calendar queues in amortized O(1) instead
      * of per-segment container scans.
      */
-    void decodeSteps(ServingState &st, Seconds next_arrival,
-                     std::uint64_t horizon_cap);
-
-    /**
-     * Non-committing peek at the segment decodeSteps(@p st,
-     * @p next_arrival, @p horizon_cap) would run if it were called
-     * now with speed scale @p scale latched (DESIGN.md §15, lazy fleet
-     * sync).  @return the clock at the start of the segment's last
-     * step: every request the segment retires, and anything the cycle
-     * after it changes, happens at or after that instant.  The step
-     * additions are replayed in the loop's own order, so the value is
-     * bit-exact.  Degenerates to clock() whenever the next cycle does
-     * something other than a multi-step decode segment: nothing
-     * active, a prefill in flight, a fault event due, an admission
-     * that could intervene, or thermal coupling (whose governor needs
-     * the real RC integration).
-     */
-    Seconds peekSegmentLastStep(const ServingState &st,
-                                Seconds next_arrival,
-                                std::uint64_t horizon_cap,
-                                double scale) const;
-
-    /** @return the wall time of the last decode step taken. */
-    Seconds lastStepDt() const { return lastStepDt_; }
+    void decodeSteps(ServingState &st, Seconds bound);
 
     /**
      * All in-flight work drained but the queue is gated (retry
      * backoff or a shrunken KV pool): sleep to the next wake-up
-     * (arrival, fault event, or backoff expiry).  @p next_arrival is
-     * +inf when the trace is exhausted.
+     * (fault event or backoff expiry), or to @p bound if sooner.
      */
-    void sleepUntilWake(ServingState &st, Seconds next_arrival);
+    void sleepUntilWake(ServingState &st, Seconds bound);
 
-    /**
-     * Cancel a live request by its trace index (fleet hedging and
-     * failover): the request retires immediately with
-     * RequestOutcome::Cancelled, releasing its KV reservation and
-     * batch slot at the current clock.  @return false when no live
-     * request carries @p trace_index (already retired — the benign
-     * hedge race where both legs ran to completion).
-     */
-    bool cancelByTraceIndex(ServingState &st, std::int64_t trace_index);
-
-    /** @return true while the thermal governor holds a derated mode
-     *  (fleet health probes treat this as a degraded node). */
-    bool throttled() const
-    {
-        return thermalOn_ && thermal_.throttled();
-    }
-
-    /**
-     * Externally imposed gray-failure speed scale: every busy work
-     * quantum costs @p scale× its nominal wall time (energy follows —
-     * the device is alive and burning for the whole stretch).  The
-     * fleet layer drives this from a node's SlowdownWindow schedule as
-     * a pure function of the executor clock, so it is derived state:
-     * never serialized, recomputed after restore.  Deliberately
-     * invisible to the deadline-admission service estimates — a gray
-     * node keeps optimistically accepting work it will run slowly,
-     * which is exactly what makes gray failures hard to catch.
-     * 1.0 (the default) is the bit-identical legacy path.
-     */
-    void setSpeedScale(double scale) { speedScale_ = scale; }
-
-    /** @return the gray-failure speed scale in force. */
-    double speedScale() const { return speedScale_; }
-
-    /** Snapshot the run's aggregate metrics. */
-    ServingReport report(Seconds first_arrival,
-                         SchedulerPolicy policy,
-                         const ServingState &st) const;
-
-  private:
     double speedNow() const;
     Seconds advanceWork(Seconds base_dt, Watts maxn_power);
     Seconds stepLatency(const InferenceEngine &eng, Tokens ctx,
@@ -380,6 +410,8 @@ class BatchExecutor
 
     bool faulty_ = false;
     bool thermalOn_ = false;
+    /** Gray-failure scale latched by runCycle (ArrivalSource::
+     *  slowdownAt); 1.0 is the legacy path. */
     double speedScale_ = 1.0;
     double kvBudget_ = 0.0;
     double kvPerToken_ = 0.0;
@@ -391,7 +423,7 @@ class BatchExecutor
     SeqId ballast_ = 0;
     hw::ThermalSimulator thermal_;
 
-    // --- Per-cycle latch (beginCycle) ------------------------------
+    // --- Per-cycle degrade latch (runCycle) ------------------------
     bool degradedNow_ = false;
     const InferenceEngine *costEng_ = nullptr;
 

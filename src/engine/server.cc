@@ -135,6 +135,34 @@ buildServingReport(const std::vector<ServedRequest> &served,
     return rep;
 }
 
+namespace {
+
+/** The single-node arrival source: a cursor over a sorted trace. */
+struct TraceCursor final : ArrivalSource
+{
+    explicit TraceCursor(const std::vector<ServerRequest> &t) : trace(t) {}
+
+    Seconds nextArrival() const override
+    {
+        return next < trace.size()
+            ? trace[next].arrival
+            : std::numeric_limits<Seconds>::infinity();
+    }
+
+    TrackedRequest popArrival() override
+    {
+        TrackedRequest r;
+        r.req = trace[next];
+        r.traceIndex = static_cast<std::int64_t>(next++);
+        return r;
+    }
+
+    const std::vector<ServerRequest> &trace;
+    std::size_t next = 0; //!< next request to arrive (checkpointed)
+};
+
+} // namespace
+
 ServingSimulator::ServingSimulator(InferenceEngine &engine,
                                    ServerConfig config)
     : engine_(engine), config_(config)
@@ -270,7 +298,7 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
         : std::string();
 
     // --- Resume: latest checkpoint + journal tail -------------------
-    std::size_t next_arrival = 0;
+    TraceCursor arrivals(trace);
     std::uint64_t step = 0;
     std::uint64_t restoredStep = 0;
     bool resumed = false;
@@ -296,9 +324,9 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
             engine::restore(r, s);
             served_.push_back(std::move(s));
         }
-        next_arrival = static_cast<std::size_t>(r.u64());
-        fatal_if(next_arrival > trace.size(),
-                 "checkpoint arrival cursor ", next_arrival,
+        arrivals.next = static_cast<std::size_t>(r.u64());
+        fatal_if(arrivals.next > trace.size(),
+                 "checkpoint arrival cursor ", arrivals.next,
                  " exceeds trace size ", trace.size());
         exec.restore(r);
         if (r.u8() != 0) {
@@ -338,39 +366,23 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
            crashTimes[crashCursor] <= exec.clock())
         ++crashCursor;
 
-    // Macro-stepping horizon cap: only the user-configured cap is
-    // applied.  Durability must NOT shorten segments: the deferred
-    // energy sums are grouped per bucket-run, so a durable-only cap
-    // would regroup them and break the bit-identity between durable
-    // and plain runs (DESIGN.md §9).  Checkpoint marks and
-    // crash-at-step triggers fire at cycle boundaries, which are
-    // identical in both modes; checkpointEvery counts cycles (one
-    // macro segment each), not decode steps.
-    const std::uint64_t macroCap = config_.macroHorizonCap;
+    // Durability never shortens a macro segment: the deferred energy
+    // sums are grouped per bucket-run, so a durable-only cap would
+    // regroup them and break the bit-identity between durable and
+    // plain runs (DESIGN.md §9).  Checkpoint marks and crash-at-step
+    // triggers fire at cycle boundaries, which are identical in both
+    // modes; checkpointEvery counts cycles (one macro segment each),
+    // not decode steps.
 
     Auditor auditor;
     const auto audit = [&]() {
         if (dur.paranoid)
             auditor.check(
-                exec.auditView(st, trace.size(), next_arrival));
-    };
-
-    const auto pull_arrivals = [&]() {
-        while (next_arrival < trace.size() &&
-               trace[next_arrival].arrival <=
-                   exec.clock() + kTimeSlack) {
-            TrackedRequest r;
-            r.req = trace[next_arrival];
-            r.traceIndex = static_cast<std::int64_t>(next_arrival);
-            st.enqueueNew(r);
-            if (journal.active())
-                journal.emitArrival(r, st.queue.size());
-            ++next_arrival;
-        }
+                exec.auditView(st, trace.size(), arrivals.next));
     };
 
     while (!st.queue.empty() || st.hasInFlight() ||
-           next_arrival < trace.size()) {
+           arrivals.next < trace.size()) {
         // --- Batch-step boundary: audit, checkpoint, crash ----------
         audit();
         const bool ckptDue = durable &&
@@ -386,7 +398,7 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
             w.u64(served_.size());
             for (const auto &s : served_)
                 engine::serialize(w, s);
-            w.u64(next_arrival);
+            w.u64(arrivals.next);
             exec.serialize(w);
             if (dur.rngBank != nullptr) {
                 w.u8(1);
@@ -416,50 +428,9 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
         }
         ++step;
 
-        pull_arrivals();
-        exec.pumpEvents(st);
-
-        if (st.queue.empty() && !st.hasInFlight() &&
-            next_arrival < trace.size()) {
-            // Idle until the next arrival.
-            exec.idleTo(trace[next_arrival].arrival);
-            pull_arrivals();
-            exec.pumpEvents(st);
-        }
-
-        if (st.haveDeadlines)
-            exec.shedExpiredQueued(st);
-
-        exec.beginCycle();
-        exec.admit(st, *scheduler_);
-
-        // All in-flight work drained but the queue is gated (retry
-        // backoff or a shrunken KV pool): sleep to the next wake-up.
-        if (!st.hasInFlight()) {
-            if (st.queue.empty())
-                continue; // outer loop idles to the next arrival
-            exec.sleepUntilWake(
-                st, next_arrival < trace.size()
-                        ? trace[next_arrival].arrival
-                        : std::numeric_limits<Seconds>::infinity());
-            continue;
-        }
-
-        exec.prefillStep(st);
-        if (st.haveDeadlines)
-            exec.abortExpiredPrefills(st);
-        if (st.active.empty())
-            continue;
-        if (config_.exactSteps) {
-            exec.decodeStep(st);
-        } else {
-            exec.decodeSteps(
-                st,
-                next_arrival < trace.size()
-                    ? trace[next_arrival].arrival
-                    : std::numeric_limits<Seconds>::infinity(),
-                macroCap);
-        }
+        // No sync target: only the next arrival bounds a cycle.
+        exec.runCycle(st, *scheduler_, arrivals,
+                      std::numeric_limits<Seconds>::infinity());
     }
 
     audit();

@@ -16,8 +16,9 @@
  *  - engine/executor.hh — the BatchExecutor, which owns engine
  *    stepping, KV admission, chunked prefill, and fault/derating
  *    application;
- *  - ServingSimulator::run — a thin arrival pump over scheduler +
- *    executor.
+ *  - ServingSimulator::run — a trace cursor and durability (audit,
+ *    checkpoints, crash injection) around BatchExecutor::runCycle,
+ *    the serving cycle it shares with fleet nodes.
  *
  * The decode loop is step-synchronous, which is how continuous
  * batching behaves on a single GPU: every active sequence advances one

@@ -23,8 +23,9 @@
  * order).  The other busy nodes stay where they are until the fleet
  * submits to one, cancels a leg on it or crashes it, which first
  * brings it to where advancing it to every event would have left it.
- * A node may overshoot T by at most one scheduling cycle — a macro
- * decode segment is never split — which is itself deterministic; the
+ * A node may overshoot T by at most one prefill chunk or decode step
+ * (the serving cycle bounds its segments and sleeps by T), which is
+ * itself deterministic; the
  * documented consequence is that work a crashed node simulated past
  * the crash instant is discarded by the fleet (failover wins) while
  * the node's own energy tallies keep it.

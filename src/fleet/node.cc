@@ -11,7 +11,6 @@
 namespace edgereason {
 namespace fleet {
 
-using engine::kDeadlineSlack;
 using engine::kTimeSlack;
 
 std::unique_ptr<engine::InferenceEngine>
@@ -130,96 +129,61 @@ FleetNode::submit(const engine::ServerRequest &req, std::int64_t gid)
     return local;
 }
 
-void
-FleetNode::pullArrivals()
-{
-    while (!pending_.empty() &&
-           pending_.front().req.arrival <= exec_->clock() + kTimeSlack) {
-        engine::TrackedRequest t;
-        t.req = pending_.front().req;
-        t.traceIndex = pending_.front().local;
-        st_.haveDeadlines =
-            st_.haveDeadlines || t.req.deadline > 0.0;
-        const engine::ReqId id = st_.enqueueNew(t);
-        (void)id;
-        if (journal_.active())
-            journal_.emitArrival(t, st_.queue.size());
-        pending_.pop_front();
-    }
-}
-
 Seconds
-FleetNode::nextPendingArrival() const
+FleetNode::nextArrival() const
 {
     return pending_.empty()
         ? std::numeric_limits<Seconds>::infinity()
         : pending_.front().req.arrival;
 }
 
-double
-FleetNode::slowdownScaleAt(Seconds t) const
+engine::TrackedRequest
+FleetNode::popArrival()
 {
-    // Windows are sorted and non-overlapping.
-    for (const SlowdownWindow &w : slowdowns_) {
-        if (t < w.start)
-            break;
-        if (t < w.start + w.duration)
-            return w.multiplier;
-    }
-    return 1.0;
+    engine::TrackedRequest t;
+    t.req = pending_.front().req;
+    t.traceIndex = pending_.front().local;
+    pending_.pop_front();
+    return t;
 }
 
-Seconds
-FleetNode::nextSlowdownEdge(Seconds t) const
+bool
+FleetNode::slowdownAt(Seconds t, double &scale, Seconds &edge) const
 {
-    // The same `<` tests as slowdownScaleAt: the first instant past
-    // @p t at which the latched scale can change.
+    if (slowdowns_.empty())
+        return false;
+    // Windows are sorted and non-overlapping.
+    scale = 1.0;
+    edge = std::numeric_limits<Seconds>::infinity();
     for (const SlowdownWindow &w : slowdowns_) {
-        if (t < w.start)
-            return w.start;
-        if (t < w.start + w.duration)
-            return w.start + w.duration;
+        if (t < w.start) {
+            edge = w.start;
+            break;
+        }
+        if (t < w.start + w.duration) {
+            scale = w.multiplier;
+            edge = w.start + w.duration;
+            break;
+        }
     }
-    return std::numeric_limits<Seconds>::infinity();
+    return true;
+}
+
+void
+FleetNode::changedSince(Seconds at)
+{
+    const Visible now = visible();
+    fatal_if(now != lazySeen_ && at + kTimeSlack < lazyKey_,
+             "fleet node ", id_, ": router-visible change at ", at,
+             " precedes its lazy-sync key ", lazyKey_);
+    lazySeen_ = now;
 }
 
 Seconds
 FleetNode::nextVisibleChange() const
 {
-    if (!busy())
-        return std::numeric_limits<Seconds>::infinity();
-    // Keyed on the clock: the next cycle starts with something other
-    // than a pure decode segment — an idle jump to a pending arrival
-    // (admitted within that same cycle), an arrival it pulls, an
-    // admission into a free slot, or an expired queued entry to shed.
-    // A prefill, a fault event or thermal coupling is the executor
-    // peek's to spot.
-    const Seconds c = exec_->clock();
-    const Seconds arrival = nextPendingArrival();
-    if (arrival <= c + kTimeSlack ||
-        (!st_.queue.empty() && st_.inFlight() < cfg_.maxBatch) ||
-        (st_.haveDeadlines && c > st_.deadlines.min() + kDeadlineSlack))
-        return c;
-    // Otherwise the next cycle runs exactly the segment advanceUntil
-    // would, minus the sync target: a split there changes nothing the
-    // fleet reads.  Exact mode runs the same steps one per cycle, with
-    // nothing visible between them.
-    double scale = 1.0;
-    Seconds edge = std::numeric_limits<Seconds>::infinity();
-    if (!slowdowns_.empty()) {
-        scale = slowdownScaleAt(c);
-        edge = nextSlowdownEdge(c);
-    }
-    return exec_->peekSegmentLastStep(st_, std::min(arrival, edge),
-                                      cfg_.macroHorizonCap, scale);
-}
-
-void
-FleetNode::checkLazy(Seconds at, Seconds key) const
-{
-    fatal_if(at + kTimeSlack < key, "fleet node ", id_,
-             ": router-visible change at ", at,
-             " precedes its lazy-sync key ", key);
+    return busy() ? exec_->peekCycle(st_, *this)
+                  : std::numeric_limits<Seconds>::infinity();
 }
 
 void
@@ -228,89 +192,12 @@ FleetNode::advanceUntil(Seconds target, bool stop_on_outcome,
 {
     if (!up_)
         return;
+    lazyKey_ = key;
     while (busy() && exec_->clock() + kTimeSlack < target) {
         const std::size_t before = served_.size();
-        // Laziness guard: whatever this cycle changes before decoding
-        // happens at its start; a retirement in the decode segment at
-        // the start of its last step (within half a step).
-        const Seconds start = exec_->clock();
-        const Visible seen = visible();
-
-        pullArrivals();
-        exec_->pumpEvents(st_);
-
-        if (st_.queue.empty() && !st_.hasInFlight()) {
-            // Idle until the next dispatched arrival.  busy() above
-            // guarantees pending_ is non-empty here, and pullArrivals
-            // left only strictly-future arrivals.
-            exec_->idleTo(pending_.front().req.arrival);
-            pullArrivals();
-            exec_->pumpEvents(st_);
-        }
-
-        // Gray-failure latch: pick the slowdown scale for this cycle
-        // from the post-idle-jump clock.  A zero-window node never
-        // touches the executor (setSpeedScale(1.0) included), keeping
-        // the legacy fast path and bit-identity untouched.  The decode
-        // segment and the gated sleep stop at the next window edge, so
-        // the next cycle re-latches at the step that crosses it — the
-        // step the exact loop re-latches at — wherever the fleet
-        // happens to split the run.
-        Seconds edge = std::numeric_limits<Seconds>::infinity();
-        if (!slowdowns_.empty()) {
-            exec_->setSpeedScale(slowdownScaleAt(exec_->clock()));
-            edge = nextSlowdownEdge(exec_->clock());
-        }
-
-        if (st_.haveDeadlines)
-            exec_->shedExpiredQueued(st_);
-
-        exec_->beginCycle();
-        exec_->admit(st_, *scheduler_);
-
-        if (!st_.hasInFlight()) {
-            if (visible() != seen)
-                checkLazy(start, key);
-            if (st_.queue.empty()) {
-                // Everything drained this cycle (e.g. expired-queue
-                // shed); re-evaluate busy() at the top.
-                if (stop_on_outcome && served_.size() > before)
-                    return;
-                continue;
-            }
-            // Queue fully gated (retry backoff / shrunken KV): sleep
-            // to the next wake-up, never past the sync target or the
-            // next window edge (one closer than the slack cannot be
-            // slept to; the next cycle's latch is then already right).
-            Seconds bound = std::min(nextPendingArrival(), target);
-            if (edge > exec_->clock() + kTimeSlack)
-                bound = std::min(bound, edge);
-            if (bound <= exec_->clock() + kTimeSlack)
-                return; // at the target; the driver re-syncs
-            exec_->sleepUntilWake(st_, bound);
-            if (stop_on_outcome && served_.size() > before)
-                return;
-            continue;
-        }
-
-        exec_->prefillStep(st_);
-        if (st_.haveDeadlines)
-            exec_->abortExpiredPrefills(st_);
-        const Visible pre = visible();
-        if (pre != seen)
-            checkLazy(start, key);
-        if (!st_.active.empty()) {
-            if (cfg_.exactSteps)
-                exec_->decodeStep(st_);
-            else
-                exec_->decodeSteps(
-                    st_,
-                    std::min({nextPendingArrival(), target, edge}),
-                    cfg_.macroHorizonCap);
-            if (visible() != pre)
-                checkLazy(exec_->clock() - 0.5 * exec_->lastStepDt(),
-                          key);
-        }
+        lazySeen_ = visible();
+        if (!exec_->runCycle(st_, *scheduler_, *this, target))
+            return; // at the target; the driver re-syncs
         if (stop_on_outcome && served_.size() > before)
             return;
     }

@@ -10,10 +10,11 @@
  *
  * The node's execution is a pure function of its submission sequence:
  * every request is identified by a node-local trace index (a monotone
- * submit counter) mapped to the fleet-global id, and the internal loop
- * mirrors the single-node arrival pump cycle for cycle, so per-node
- * arithmetic is bit-identical however the driver chunks its
- * advanceUntil() calls and whatever thread advances it.
+ * submit counter) mapped to the fleet-global id, and the node runs the
+ * single-node serving cycle (engine::BatchExecutor::runCycle) as the
+ * arrival source of its own dispatched legs, so per-node arithmetic
+ * is bit-identical however the driver chunks its advanceUntil() calls
+ * and whatever thread advances it.
  *
  * Crash/reboot: crash() discards the executor, scheduling state, and
  * pending arrivals (the fleet driver fails the lost requests over);
@@ -72,7 +73,7 @@ struct NodeTotals
     std::uint64_t crashes = 0;
 };
 
-class FleetNode
+class FleetNode : private engine::ArrivalSource
 {
   public:
     /**
@@ -162,16 +163,19 @@ class FleetNode
                         std::int64_t gid);
 
     /**
-     * Run scheduling cycles until the clock reaches @p target, the
-     * node runs out of work, or (with @p stop_on_outcome) at least one
-     * new served record was produced.  The clock may overshoot
-     * @p target by up to one cycle (a macro decode segment or prefill
-     * chunk is never split); the overshoot is deterministic.
+     * Run serving cycles (engine::BatchExecutor::runCycle, with
+     * @p target as the cycle bound) until the clock reaches
+     * @p target, the node runs out of work, a cycle ends at the
+     * target with its queue gated, or (with @p stop_on_outcome) at
+     * least one new served record was produced.  The clock may
+     * overshoot @p target by up to one cycle (a prefill chunk or a
+     * decode step is never split); the overshoot is deterministic.
      *
      * @p key is the node's lazy-sync key (nextVisibleChange() as of
      * its last state change): a change of visible() that happens
      * more than kTimeSlack before it is fatal, since the fleet would
-     * have shown it to a router late.
+     * have shown it to a router late.  The cycle dates its changes
+     * through changedSince().
      */
     void advanceUntil(Seconds target, bool stop_on_outcome,
                       Seconds key =
@@ -197,7 +201,8 @@ class FleetNode
      * visible() — the clock at the start of the cycle, or of the
      * decode step, that changes it — when advanced with no further
      * submissions, cancels or crashes.  +inf when the node is down or
-     * idle.  A pure function of the node's state; commits nothing.
+     * idle; otherwise engine::BatchExecutor::peekCycle.  A pure
+     * function of the node's state; commits nothing.
      */
     Seconds nextVisibleChange() const;
 
@@ -319,17 +324,21 @@ class FleetNode
         std::int64_t local = -1;
     };
 
-    void pullArrivals();
-    Seconds nextPendingArrival() const;
+    // --- The serving cycle's arrival source (engine::runCycle) -----
+    /** @return the next dispatched leg's arrival (+inf if none). */
+    Seconds nextArrival() const override;
+    engine::TrackedRequest popArrival() override;
+    /** The slowdown window in force at @p t and its next edge (the
+     *  same `<` tests both ways); false on a zero-window node. */
+    bool slowdownAt(Seconds t, double &scale,
+                    Seconds &edge) const override;
+    /** Laziness guard: fatal when visible() changed since the last
+     *  snapshot more than kTimeSlack before the lazy-sync key. */
+    void changedSince(Seconds at) override;
+
     void openJournal();
     std::string journalPath() const;
     std::uint64_t journalFingerprint() const;
-    double slowdownScaleAt(Seconds t) const;
-    /** @return the first window edge after @p t (+inf if none). */
-    Seconds nextSlowdownEdge(Seconds t) const;
-    /** Laziness guard: fatal when a visible change at @p at comes
-     *  more than kTimeSlack before @p key. */
-    void checkLazy(Seconds at, Seconds key) const;
 
     int id_;
     NodeSpec spec_;
@@ -347,6 +356,10 @@ class FleetNode
 
     std::deque<Pending> pending_;
     std::vector<SlowdownWindow> slowdowns_;
+    /** The key and visible() snapshot the laziness guard checks
+     *  against (set by advanceUntil, per call and per cycle). */
+    Seconds lazyKey_ = -std::numeric_limits<Seconds>::infinity();
+    Visible lazySeen_;
     std::int64_t submitted_ = 0;
     bool up_ = true;
     std::uint64_t incarnation_ = 0;
