@@ -223,23 +223,29 @@ BM_ServingDecodeMacro(benchmark::State &state)
 }
 BENCHMARK(BM_ServingDecodeMacro);
 
-// --- Columnar request state + calendar-queue horizon (DESIGN.md §11) -
+// --- Columnar request state + time indexes (DESIGN.md §11) ----------
 
-void
-BM_ServingDecodeColumnar(benchmark::State &state)
+/** 16k requests at 50 qps against one device: the wait queue grows
+ *  thousands of entries long. */
+const std::vector<er::engine::ServerRequest> &
+deepBacklogTrace()
 {
-    // Horizon-scan-bound workload: a deep backlog (16k requests at
-    // 50 qps against one device) keeps the wait queue thousands of
-    // entries long, so pre-columnar macro segments paid an O(queue)
-    // deadline/eligibility rescan per segment.  The calendar-queue
-    // indexes turn that into amortized O(1); this benchmark is the
-    // regression guard on that path.
-    auto &eng = sharedEngine();
     static const auto trace = [] {
         er::Rng rng(33, "bench-columnar");
         return er::engine::ServingSimulator::poissonTrace(
             rng, 16384, 50.0, 64, 256);
     }();
+    return trace;
+}
+
+void
+BM_ServingDecodeColumnar(benchmark::State &state)
+{
+    // Guards the columnar pool and the wait queue on a deep backlog.
+    // The trace carries no deadlines and no faults, so the three time
+    // indexes stay empty here; BM_ServingDeadlineBacklog covers them.
+    auto &eng = sharedEngine();
+    const auto &trace = deepBacklogTrace();
     er::engine::ServerConfig cfg;
     cfg.maxBatch = 256;
     double generated = 0.0;
@@ -254,6 +260,40 @@ BM_ServingDecodeColumnar(benchmark::State &state)
     state.counters["sim_tokens"] = generated;
 }
 BENCHMARK(BM_ServingDecodeColumnar);
+
+void
+BM_ServingDeadlineBacklog(benchmark::State &state)
+{
+    // The same deep backlog with a 600 s deadline on every request
+    // under EDF: every live request holds a key in the live-deadline
+    // index and every queued one in the queued-deadline-gate index,
+    // so the macro horizon, the shed/abort guards and the admission
+    // scan read indexes thousands of keys deep.
+    auto &eng = sharedEngine();
+    static const auto trace = [] {
+        auto t = deepBacklogTrace();
+        for (auto &r : t)
+            r.deadline = 600.0;
+        return t;
+    }();
+    er::engine::ServerConfig cfg;
+    cfg.maxBatch = 256;
+    cfg.scheduler = er::engine::SchedulerPolicy::Edf;
+    double generated = 0.0;
+    double peak_queue = 0.0;
+    for (auto _ : state) {
+        er::engine::ServingSimulator srv(eng, cfg);
+        auto rep = srv.run(trace);
+        generated = rep.generatedTokens;
+        peak_queue = static_cast<double>(rep.peakQueueDepth);
+        benchmark::DoNotOptimize(rep);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(generated));
+    state.counters["sim_tokens"] = generated;
+    state.counters["peak_queue"] = peak_queue;
+}
+BENCHMARK(BM_ServingDeadlineBacklog)->Unit(benchmark::kMillisecond);
 
 // --- Shared-prefix KV reuse (DESIGN.md §13) --------------------------
 

@@ -1,7 +1,9 @@
 #include "cli/serve_options.hh"
 
+#include <cmath>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -9,6 +11,8 @@ namespace edgereason {
 namespace cli {
 
 namespace {
+
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
 /** Whole-token numeric parses (rejects trailing junk like "12x"). */
 bool
@@ -78,15 +82,23 @@ parseServeOptions(const std::vector<std::string> &args,
             return std::string();
         });
     };
+    // A finite double in [min, below); @p range, when given, words
+    // the bound in the error message instead of ">= min".
     const auto doubleOpt = [&](double *dst, double min,
-                               const char *what) {
-        return Handler([dst, min, what](const std::string &v) {
+                               const char *what,
+                               const char *range = nullptr,
+                               double below = kUnbounded) {
+        return Handler([=](const std::string &v) {
             double x = 0.0;
             if (!parseDouble(v, &x))
                 return std::string(what) + ": not a number: " + v;
-            if (x < min)
-                return std::string(what) + " must be >= " +
-                    std::to_string(min) + ", got " + v;
+            if (!std::isfinite(x))
+                return std::string(what) + " must be finite, got " + v;
+            if (x < min || x >= below)
+                return std::string(what) + " must be " +
+                    (range ? std::string(range)
+                           : ">= " + std::to_string(min)) +
+                    ", got " + v;
             *dst = x;
             return std::string();
         });
@@ -213,29 +225,16 @@ parseServeOptions(const std::vector<std::string> &args,
         {"adaptive-timeout",
          doubleOpt(&opt.adaptiveTimeout, 0.0, "--adaptive-timeout")},
         {"retry", longOpt(&opt.retry, 0, "--retry")},
-        {"retry-backoff", [&](const std::string &v) {
-             double x = 0.0;
-             if (!parseDouble(v, &x))
-                 return "--retry-backoff: not a number: " + v;
-             if (!(x >= 0.0)) // NaN-safe
-                 return "--retry-backoff must be non-negative "
-                        "(seconds of base backoff), got " + v;
-             opt.retryBackoff = x;
-             return std::string();
-         }},
+        {"retry-backoff",
+         doubleOpt(&opt.retryBackoff, 0.0, "--retry-backoff",
+                   "non-negative (seconds of base backoff)")},
         {"request-timeout",
          doubleOpt(&opt.requestTimeout, 0.0, "--request-timeout")},
-        {"hedge", [&](const std::string &v) {
-             double x = 0.0;
-             if (!parseDouble(v, &x))
-                 return "--hedge: not a number: " + v;
-             if (!(x >= 0.0 && x < 1.0)) // NaN-safe
-                 return "--hedge must be in [0, 1) — the fraction of "
-                        "the deadline budget to wait before hedging, "
-                        "got " + v;
-             opt.hedge = x;
-             return std::string();
-         }},
+        {"hedge",
+         doubleOpt(&opt.hedge, 0.0, "--hedge",
+                   "in [0, 1) — the fraction of the deadline budget "
+                   "to wait before hedging",
+                   1.0)},
         {"cloud", [&](const std::string &v) {
              if (v != "o4-mini" && v != "o1-preview")
                  return "invalid --cloud tier: " + v +
@@ -243,16 +242,9 @@ parseServeOptions(const std::vector<std::string> &args,
              opt.cloud = v;
              return std::string();
          }},
-        {"cloud-rtt", [&](const std::string &v) {
-             double x = 0.0;
-             if (!parseDouble(v, &x))
-                 return "--cloud-rtt: not a number: " + v;
-             if (!(x >= 0.0)) // NaN-safe
-                 return "--cloud-rtt must be non-negative (seconds "
-                        "of cloud round trip), got " + v;
-             opt.cloudRtt = x;
-             return std::string();
-         }},
+        {"cloud-rtt",
+         doubleOpt(&opt.cloudRtt, 0.0, "--cloud-rtt",
+                   "non-negative (seconds of cloud round trip)")},
         {"fleet-journals", [&](const std::string &v) {
              opt.fleetJournals = v;
              return std::string();
@@ -324,135 +316,131 @@ parseServeOptions(const std::vector<std::string> &args,
             return fail(err);
     }
 
-    if (opt.qps <= 0.0)
-        return fail("--qps must be positive");
+    // Per-mode flag scopes and exclusions, one row each: in a run
+    // where `mode` holds, `conflict` is an error.  Rows are checked in
+    // order and the first violated one is reported.
     const bool crash_on = opt.crashAtStep >= 0 ||
         opt.crashAtEvent >= 0 || opt.crashAtTime >= 0.0 ||
         opt.crashRate > 0.0;
-    if (crash_on && opt.checkpointDir.empty())
-        return fail("crash injection needs --checkpoint-dir (or "
-                    "--resume) so the run can be recovered");
-    if (opt.replications > 1) {
+    const bool durable = !opt.checkpointDir.empty() || opt.resume;
+    const bool fallback = opt.degrade == engine::DegradeMode::Fallback;
+    const bool replicated = opt.replications > 1;
+    const bool fleet = opt.fleet >= 1;
+    const bool sessions = opt.sessions > 0;
+    const bool prefix = opt.prefixCacheOn();
+    struct Rule
+    {
+        bool mode;
+        bool conflict;
+        const char *error;
+    };
+    const Rule rules[] = {
+        {true, opt.qps <= 0.0, "--qps must be positive"},
+        {true, crash_on && opt.checkpointDir.empty(),
+         "crash injection needs --checkpoint-dir (or --resume) so the "
+         "run can be recovered"},
+
         // Sharded replications are trace-parallel plain runs; the
         // single-run machinery does not compose with them.
-        if (opt.faults || crash_on)
-            return fail("--replications > 1 excludes fault/crash "
-                        "injection (per-run fault plans)");
-        if (!opt.checkpointDir.empty() || opt.resume)
-            return fail("--replications > 1 excludes "
-                        "--checkpoint-dir/--resume (per-run "
-                        "durability)");
-        if (opt.degrade == engine::DegradeMode::Fallback)
-            return fail("--replications > 1 excludes "
-                        "--degrade fallback (per-run fallback "
-                        "engine)");
-    } else if (opt.shards > 1) {
-        return fail("--shards needs --replications > 1 (nothing to "
-                    "shard over)");
-    }
-    if (opt.fleet >= 1) {
+        {replicated, opt.faults || crash_on,
+         "--replications > 1 excludes fault/crash injection (per-run "
+         "fault plans)"},
+        {replicated, durable,
+         "--replications > 1 excludes --checkpoint-dir/--resume "
+         "(per-run durability)"},
+        {replicated, fallback,
+         "--replications > 1 excludes --degrade fallback (per-run "
+         "fallback engine)"},
+        {!replicated, opt.shards > 1,
+         "--shards needs --replications > 1 (nothing to shard over)"},
+
         // The fleet path owns faults and routing itself; per-run
         // single-node machinery does not compose with it, but fleet
         // durability (checkpoint/resume + fleet crash injection) does.
-        if (opt.replications > 1)
-            return fail("--fleet excludes --replications > 1 (fleet "
-                        "runs are already multi-node)");
-        if (opt.crashAtStep >= 0 || opt.crashRate > 0.0)
-            return fail("--fleet excludes --crash-at-step/"
-                        "--crash-rate (fleet crash injection is "
-                        "--crash-at-event/--crash-at-time)");
-        if (opt.faults)
-            return fail("--fleet excludes --faults (use "
-                        "--node-faults for per-node behavioural "
-                        "faults)");
-        if (opt.scheduler == engine::SchedulerPolicy::Spjf)
-            return fail("--fleet excludes --scheduler spjf (nodes "
-                        "carry no fitted latency model)");
-        if (opt.degrade == engine::DegradeMode::Fallback)
-            return fail("--fleet excludes --degrade fallback (no "
-                        "per-node fallback engine)");
-        if (opt.nodeCrashRate > 0.0 && opt.nodeReboot <= 0.0)
-            return fail("--node-reboot must be positive when "
-                        "--node-crash-rate is set");
-        if (opt.nodeDegradeRate > 0.0 && opt.nodeDegradeMean <= 0.0)
-            return fail("--node-degrade-mean must be positive when "
-                        "--node-degrade-rate is set");
-        if (opt.nodeSlowdownRate > 0.0) {
-            if (opt.nodeSlowdownMean <= 0.0)
-                return fail("--node-slowdown-mean must be positive "
-                            "when --node-slowdown-rate is set");
-            if (opt.nodeSlowdownMult <= 1.0)
-                return fail("--node-slowdown-mult must be > 1 when "
-                            "--node-slowdown-rate is set (1 is no "
-                            "slowdown)");
-        }
-        if (opt.nodeFlapRate > 0.0 && opt.nodeFlapMean <= 0.0)
-            return fail("--node-flap-mean must be positive when "
-                        "--node-flap-rate is set");
-        if (opt.healthQuantile <= 0.0 || opt.healthQuantile >= 1.0)
-            return fail("--health-quantile must be in (0, 1)");
-        if (opt.healthMultiple <= 1.0)
-            return fail("--health-multiple must be > 1 (the fleet "
-                        "median itself would trip)");
-        if (opt.adaptiveTimeout > 0.0 && !opt.adaptiveHealth)
-            return fail("--adaptive-timeout needs --adaptive-health "
-                        "(it caps per-try budgets from the streamed "
-                        "quantiles)");
-        if (opt.stream) {
-            // The checkpoint fingerprint hashes the whole trace, and a
-            // streamed run holds only the next request.  (Fleet crash
-            // injection is excluded with them: it needs a checkpoint
-            // directory.)
-            if (!opt.checkpointDir.empty() || opt.resume)
-                return fail("--stream excludes --checkpoint-dir/"
-                            "--resume (the checkpoint fingerprint "
-                            "needs the whole trace)");
-            if (!opt.fleetJournals.empty())
-                return fail("--stream excludes --fleet-journals "
-                            "(per-node WALs are a crash-recovery "
-                            "artifact, and a streamed run cannot "
-                            "resume)");
-        } else if (opt.approxStats) {
-            return fail("--approx-stats needs --stream (it replaces "
-                        "the exact latency vector the materialized "
-                        "path keeps anyway)");
-        }
-    } else {
-        if (fleet_only_flag)
-            return fail("fleet flags (--router, --hedge, --cloud, "
-                        "--adaptive-health, --node-*) need "
-                        "--fleet N");
-        if (opt.crashAtEvent >= 0)
-            return fail("--crash-at-event needs --fleet N (the "
-                        "single-node crash coordinate is "
-                        "--crash-at-step)");
-    }
-    if (opt.sessions > 0) {
+        {fleet, replicated,
+         "--fleet excludes --replications > 1 (fleet runs are already "
+         "multi-node)"},
+        {fleet, opt.crashAtStep >= 0 || opt.crashRate > 0.0,
+         "--fleet excludes --crash-at-step/--crash-rate (fleet crash "
+         "injection is --crash-at-event/--crash-at-time)"},
+        {fleet, opt.faults,
+         "--fleet excludes --faults (use --node-faults for per-node "
+         "behavioural faults)"},
+        {fleet, opt.scheduler == engine::SchedulerPolicy::Spjf,
+         "--fleet excludes --scheduler spjf (nodes carry no fitted "
+         "latency model)"},
+        {fleet, fallback,
+         "--fleet excludes --degrade fallback (no per-node fallback "
+         "engine)"},
+        {fleet, opt.nodeCrashRate > 0.0 && opt.nodeReboot <= 0.0,
+         "--node-reboot must be positive when --node-crash-rate is "
+         "set"},
+        {fleet, opt.nodeDegradeRate > 0.0 && opt.nodeDegradeMean <= 0.0,
+         "--node-degrade-mean must be positive when "
+         "--node-degrade-rate is set"},
+        {fleet,
+         opt.nodeSlowdownRate > 0.0 && opt.nodeSlowdownMean <= 0.0,
+         "--node-slowdown-mean must be positive when "
+         "--node-slowdown-rate is set"},
+        {fleet,
+         opt.nodeSlowdownRate > 0.0 && opt.nodeSlowdownMult <= 1.0,
+         "--node-slowdown-mult must be > 1 when --node-slowdown-rate "
+         "is set (1 is no slowdown)"},
+        {fleet, opt.nodeFlapRate > 0.0 && opt.nodeFlapMean <= 0.0,
+         "--node-flap-mean must be positive when --node-flap-rate is "
+         "set"},
+        {fleet, opt.healthQuantile <= 0.0 || opt.healthQuantile >= 1.0,
+         "--health-quantile must be in (0, 1)"},
+        {fleet, opt.healthMultiple <= 1.0,
+         "--health-multiple must be > 1 (the fleet median itself would "
+         "trip)"},
+        {fleet, opt.adaptiveTimeout > 0.0 && !opt.adaptiveHealth,
+         "--adaptive-timeout needs --adaptive-health (it caps per-try "
+         "budgets from the streamed quantiles)"},
+        // The checkpoint fingerprint hashes the whole trace, and a
+        // streamed run holds only the next request.  (Fleet crash
+        // injection is excluded with them: it needs a checkpoint
+        // directory.)
+        {fleet && opt.stream, durable,
+         "--stream excludes --checkpoint-dir/--resume (the checkpoint "
+         "fingerprint needs the whole trace)"},
+        {fleet && opt.stream, !opt.fleetJournals.empty(),
+         "--stream excludes --fleet-journals (per-node WALs are a "
+         "crash-recovery artifact, and a streamed run cannot resume)"},
+        {fleet && !opt.stream, opt.approxStats,
+         "--approx-stats needs --stream (it replaces the exact latency "
+         "vector the materialized path keeps anyway)"},
+        {!fleet, fleet_only_flag,
+         "fleet flags (--router, --hedge, --cloud, --adaptive-health, "
+         "--node-*) need --fleet N"},
+        {!fleet, opt.crashAtEvent >= 0,
+         "--crash-at-event needs --fleet N (the single-node crash "
+         "coordinate is --crash-at-step)"},
+
         // Session traces are single-run workloads.
-        if (opt.replications > 1)
-            return fail("--sessions excludes --replications > 1 "
-                        "(session traces are single-run)");
-        if (opt.fleet >= 1)
-            return fail("--sessions excludes --fleet (fleet requests "
-                        "carry no prefix identity)");
-    } else {
-        if (session_only_flag)
-            return fail("session flags (--turns-per-session, "
-                        "--session-qps, --turn-gap, --system-prompt) "
-                        "need --sessions N");
-    }
-    if (opt.prefixCacheOn()) {
-        if (opt.fleet >= 1)
-            return fail("--prefix-cache on excludes --fleet (nodes "
-                        "run the single-node executor without a "
-                        "shared index)");
-        if (opt.replications > 1)
-            return fail("--prefix-cache on excludes "
-                        "--replications > 1");
-    } else if (prefix_evict_given) {
-        return fail("--prefix-evict needs the prefix cache on "
-                    "(--prefix-cache on or --sessions N)");
-    }
+        {sessions, replicated,
+         "--sessions excludes --replications > 1 (session traces are "
+         "single-run)"},
+        {sessions, fleet,
+         "--sessions excludes --fleet (fleet requests carry no prefix "
+         "identity)"},
+        {!sessions, session_only_flag,
+         "session flags (--turns-per-session, --session-qps, "
+         "--turn-gap, --system-prompt) need --sessions N"},
+
+        {prefix, fleet,
+         "--prefix-cache on excludes --fleet (nodes run the "
+         "single-node executor without a shared index)"},
+        {prefix, replicated,
+         "--prefix-cache on excludes --replications > 1"},
+        {!prefix, prefix_evict_given,
+         "--prefix-evict needs the prefix cache on (--prefix-cache on "
+         "or --sessions N)"},
+    };
+    for (const Rule &r : rules)
+        if (r.mode && r.conflict)
+            return fail(r.error);
+
     opt.maxBatch = static_cast<int>(max_batch);
     opt.prefillChunk = static_cast<Tokens>(prefill_chunk);
     opt.degradeBudget = static_cast<Tokens>(degrade_budget);

@@ -171,19 +171,18 @@ Auditor::check(const AuditView &v)
              " generated tokens below ", v.acc.decodeSteps,
              " decode steps");
 
-    // 8. Calendar-queue indexes.  All three are derived state; drift
-    // would make sleepUntilWake, the macro horizon stops, and the
-    // O(1) shed/abort guards silently wrong.  Rebuild each key
-    // multiset brute-force from the containers and compare as sorted
-    // vectors (the wheel's bucket geometry is irrelevant to its
-    // contract, so sortedKeys() is the right observable).
-    const auto check_index = [](const CalendarQueue &cq,
+    // 8. Time indexes.  All three are derived state; drift would
+    // make sleepUntilWake, the macro horizon stops, and the
+    // shed/abort guards silently wrong.  Rebuild each key multiset
+    // brute-force from the containers and compare as sorted vectors.
+    const auto check_index = [](const InstantSet &index,
                                 std::vector<Seconds> expect,
                                 const char *what) {
         std::sort(expect.begin(), expect.end());
-        panic_if(cq.sortedKeys() != expect, "auditor: ", what,
-                 " index out of sync: ", cq.size(), " indexed keys vs ",
-                 expect.size(), " rebuilt from the containers");
+        panic_if(index.sortedKeys() != expect, "auditor: ", what,
+                 " index out of sync: ", index.size(),
+                 " indexed keys vs ", expect.size(),
+                 " rebuilt from the containers");
     };
     std::vector<Seconds> gates;
     std::vector<Seconds> queuedGates;

@@ -26,8 +26,8 @@
  *     of the current depth.
  *  7. Macro-stepping bookkeeping: segments never exceed steps, tokens
  *     never fall below steps.
- *  8. Calendar-queue indexes: the retry-gate, live-deadline, and
- *     queued-deadline-gate indexes (engine/event_queue.hh) match
+ *  8. Time indexes: the retry-gate, live-deadline, and
+ *     queued-deadline-gate instant sets (engine/instant_set.hh) match
  *     brute-force rebuilds from the containers — derived-state drift
  *     panics instead of silently corrupting the macro horizon.
  *  9. Prefix-index conservation (prefix cache only): every paged

@@ -17,7 +17,7 @@ void
 ServingState::serialize(ByteWriter &w) const
 {
     // Pre-columnar wire format: TrackedRequest records in container
-    // order.  Ids and calendar queues are derived state and stay off
+    // order.  Ids and instant sets are derived state and stay off
     // the wire, so checkpoints written before and after the columnar
     // refactor are byte-identical.
     w.u64(queue.size());
@@ -770,7 +770,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
     // Earliest deadline the outer machinery could act on: an active
     // expiry retires at the step that crosses it, a queued expiry is
     // shed by shedExpiredQueued() at the next cycle boundary.  The
-    // calendar queue serves the min over all live deadlines; the
+    // instant set serves the min over all live deadlines; the
     // superset (prefilling entries included) is behaviour-identical
     // because a non-empty prefill set forces kmax = 1 below, where
     // the deadline bound cannot alter any accumulator addition.

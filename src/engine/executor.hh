@@ -25,7 +25,7 @@
 
 #include "common/open_hash.hh"
 #include "engine/auditor.hh"
-#include "engine/event_queue.hh"
+#include "engine/instant_set.hh"
 #include "engine/request_batch.hh"
 #include "engine/server.hh"
 #include "hw/thermal.hh"
@@ -44,8 +44,9 @@ class Journal;
  * admission order; the front request owns the current prefill), and
  * `active` holds the Decoding batch.
  *
- * Three calendar queues (engine/event_queue.hh) index future instants
- * the executor would otherwise rediscover by scanning containers:
+ * Three ordered instant sets (engine/instant_set.hh) index future
+ * instants the executor would otherwise rediscover by scanning
+ * containers:
  *
  *  - retryGates: one key per queued entry with notBefore > 0 — the
  *    next gate opening for sleepUntilWake and the macro gate stop;
@@ -77,9 +78,9 @@ struct ServingState
     bool haveDeadlines = false;
     /** Largest wait-queue depth observed (queueing observability). */
     std::size_t peakQueueDepth = 0;
-    CalendarQueue retryGates;
-    CalendarQueue deadlines;
-    CalendarQueue queuedDeadlineGates;
+    InstantSet retryGates;
+    InstantSet deadlines;
+    InstantSet queuedDeadlineGates;
 
     /** Adopt a fresh trace arrival into the pool and wait queue. */
     ReqId enqueueNew(const TrackedRequest &t)
@@ -135,7 +136,7 @@ struct ServingState
     /**
      * Checkpoint serialization of the full scheduling state.  The wire
      * format is the pre-columnar one: TrackedRequest records in
-     * container order (pool ids and the calendar queues are derived
+     * container order (pool ids and the instant sets are derived
      * state, rebuilt on restore), so checkpoints stay byte-compatible.
      */
     void serialize(ByteWriter &w) const;
@@ -359,8 +360,8 @@ class BatchExecutor
      * equivalent: the horizon never extends past the earliest
      * completion or deadline expiry.  The horizon inputs (earliest
      * deadline, next gate, eligible deadline-carrying entries) come
-     * from the ServingState calendar queues in amortized O(1) instead
-     * of per-segment container scans.
+     * from the ServingState instant sets in O(log n) instead of
+     * per-segment container scans.
      */
     void decodeSteps(ServingState &st, Seconds bound);
 

@@ -96,7 +96,7 @@ class RequestBatch
 
     /** Absolute deadline instant, precomputed at adoption (+inf when
      *  the request carries none) — the decodeSteps horizon scan and
-     *  the deadline calendar queue read this column directly. */
+     *  the live-deadline instant set read this column directly. */
     Seconds absoluteDeadline(ReqId i) const { return absDeadline_[i]; }
 
     bool deadlineExpired(ReqId i, Seconds now) const

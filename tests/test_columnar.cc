@@ -1,17 +1,16 @@
 /**
  * @file
- * Columnar request-state + calendar-queue regression suite
- * (DESIGN.md §11).  The SoA RequestBatch and the three calendar-queue
- * indexes replaced the executor's per-request objects and per-cycle
- * scans; the contract of that refactor is "not one reported bit
- * moves".  This suite pins that contract with a pre-refactor golden
- * matrix — 3 scenarios (zero-fault, faulted, KV-pressure) × 3
+ * Columnar request-state + time-index regression suite
+ * (DESIGN.md §11).  The SoA RequestBatch and the three instant-set
+ * time indexes replaced the executor's per-request objects and
+ * per-cycle scans; the contract of that refactor is "not one reported
+ * bit moves".  This suite pins that contract with a pre-refactor
+ * golden matrix — 3 scenarios (zero-fault, faulted, KV-pressure) × 3
  * schedulers × exact/macro stepping, every ServingReport field
  * compared with EXPECT_EQ at full double precision — plus
  * checkpoint/resume legs over the same goldens, sharded-execution
- * bit-identity at several thread counts, CalendarQueue unit tests
- * against a std::multiset reference, and the degenerate-percentile
- * guarantees of buildServingReport().
+ * bit-identity at several thread counts, InstantSet contract tests,
+ * and the degenerate-percentile guarantees of buildServingReport().
  */
 
 #include <gtest/gtest.h>
@@ -20,13 +19,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
-#include <random>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "engine/event_queue.hh"
+#include "engine/instant_set.hh"
 #include "engine/faults.hh"
 #include "engine/server.hh"
 #include "model/calibration.hh"
@@ -574,166 +571,62 @@ TEST(ShardedServing, ReplicatedTracesAreOrderIndependent)
     }
 }
 
-// --- CalendarQueue vs std::multiset reference ------------------------
+// --- InstantSet contract ---------------------------------------------
 
-namespace {
-
-/** Reference answers from a std::multiset. */
-Seconds
-refMin(const std::multiset<Seconds> &m)
+TEST(InstantSet, EmptyQueries)
 {
-    return m.empty() ? kInf : *m.begin();
+    InstantSet set;
+    EXPECT_TRUE(set.empty());
+    EXPECT_EQ(set.size(), 0u);
+    EXPECT_EQ(set.min(), kInf);
+    EXPECT_EQ(set.firstAfter(0.0), kInf);
+    EXPECT_EQ(set.firstAfter(-1e18), kInf);
+    EXPECT_TRUE(set.sortedKeys().empty());
 }
 
-Seconds
-refFirstAfter(const std::multiset<Seconds> &m, Seconds t)
+TEST(InstantSet, DuplicateKeysAreMultisetSemantics)
 {
-    const auto it = m.upper_bound(t);
-    return it == m.end() ? kInf : *it;
+    InstantSet set;
+    set.insert(5.0);
+    set.insert(5.0);
+    set.insert(5.0);
+    EXPECT_EQ(set.size(), 3u);
+    set.erase(5.0);
+    EXPECT_EQ(set.size(), 2u);
+    EXPECT_EQ(set.min(), 5.0);
+    set.erase(5.0);
+    set.erase(5.0);
+    EXPECT_TRUE(set.empty());
+    EXPECT_EQ(set.min(), kInf);
 }
 
-} // namespace
-
-TEST(CalendarQueue, EmptyQueries)
+TEST(InstantSet, FirstAfterIsStrict)
 {
-    CalendarQueue cq;
-    EXPECT_TRUE(cq.empty());
-    EXPECT_EQ(cq.size(), 0u);
-    EXPECT_EQ(cq.min(), kInf);
-    EXPECT_EQ(cq.firstAfter(0.0), kInf);
-    EXPECT_EQ(cq.firstAfter(-1e18), kInf);
-    EXPECT_TRUE(cq.sortedKeys().empty());
+    InstantSet set;
+    set.insert(1.0);
+    set.insert(2.0);
+    set.insert(2.0);
+    set.insert(3.0);
+    EXPECT_EQ(set.firstAfter(0.5), 1.0);
+    EXPECT_EQ(set.firstAfter(1.0), 2.0);  // strictly greater
+    EXPECT_EQ(set.firstAfter(2.0), 3.0);  // skips both duplicates
+    EXPECT_EQ(set.firstAfter(3.0), kInf);
 }
 
-TEST(CalendarQueue, DuplicateKeysAreMultisetSemantics)
+TEST(InstantSet, EraseAbsentKeyPanics)
 {
-    CalendarQueue cq;
-    cq.insert(5.0);
-    cq.insert(5.0);
-    cq.insert(5.0);
-    EXPECT_EQ(cq.size(), 3u);
-    cq.erase(5.0);
-    EXPECT_EQ(cq.size(), 2u);
-    EXPECT_EQ(cq.min(), 5.0);
-    cq.erase(5.0);
-    cq.erase(5.0);
-    EXPECT_TRUE(cq.empty());
-    EXPECT_EQ(cq.min(), kInf);
-}
-
-TEST(CalendarQueue, FirstAfterIsStrict)
-{
-    CalendarQueue cq;
-    cq.insert(1.0);
-    cq.insert(2.0);
-    cq.insert(2.0);
-    cq.insert(3.0);
-    EXPECT_EQ(cq.firstAfter(0.5), 1.0);
-    EXPECT_EQ(cq.firstAfter(1.0), 2.0);  // strictly greater
-    EXPECT_EQ(cq.firstAfter(2.0), 3.0);  // skips both duplicates
-    EXPECT_EQ(cq.firstAfter(3.0), kInf);
-}
-
-TEST(CalendarQueue, EraseAbsentKeyPanics)
-{
-    CalendarQueue cq;
-    cq.insert(1.0);
-    // An absent key means derived-state drift; the queue must refuse
+    InstantSet set;
+    set.insert(1.0);
+    // An absent key means derived-state drift; the set must refuse
     // rather than silently diverge from the containers it indexes.
-    EXPECT_THROW(cq.erase(2.0), std::logic_error);
-    EXPECT_THROW(CalendarQueue().erase(0.0), std::logic_error);
+    EXPECT_THROW(set.erase(2.0), std::logic_error);
+    EXPECT_THROW(InstantSet().erase(0.0), std::logic_error);
 }
 
-TEST(CalendarQueue, NanKeyPanics)
+TEST(InstantSet, NanKeyPanics)
 {
-    CalendarQueue cq;
-    EXPECT_THROW(cq.insert(std::nan("")), std::logic_error);
-}
-
-TEST(CalendarQueue, MatchesMultisetUnderRandomChurn)
-{
-    // Deterministic churn over key ranges chosen to exercise every
-    // structural regime: dense sub-width duplicates, keys far below
-    // the origin (bucket-0 clamp), keys far past the wheel (overflow
-    // clamp), and enough volume to trigger rebuilds.
-    std::mt19937 gen(0xC0FFEE);
-    std::uniform_real_distribution<double> spans[] = {
-        std::uniform_real_distribution<double>(0.0, 0.5),
-        std::uniform_real_distribution<double>(-500.0, -1.0),
-        std::uniform_real_distribution<double>(1e4, 1e6),
-        std::uniform_real_distribution<double>(0.0, 64.0),
-    };
-    CalendarQueue cq;
-    std::multiset<Seconds> ref;
-    std::vector<Seconds> live;
-    for (int op = 0; op < 20000; ++op) {
-        const bool do_insert =
-            live.empty() || (gen() % 100) < 60;
-        if (do_insert) {
-            const auto key = spans[gen() % 4](gen);
-            cq.insert(key);
-            ref.insert(key);
-            live.push_back(key);
-        } else {
-            const auto idx = gen() % live.size();
-            const auto key = live[idx];
-            cq.erase(key);
-            ref.erase(ref.find(key));
-            live[idx] = live.back();
-            live.pop_back();
-        }
-        ASSERT_EQ(cq.size(), ref.size());
-        ASSERT_EQ(cq.min(), refMin(ref)) << "op " << op;
-        if (op % 16 == 0) {
-            // Probe firstAfter at the min, at a random live key, and
-            // past the max.
-            const Seconds probes[] = {
-                refMin(ref),
-                live.empty() ? 0.0 : live[gen() % live.size()],
-                1e7,
-                -1e4,
-            };
-            for (const auto t : probes)
-                ASSERT_EQ(cq.firstAfter(t), refFirstAfter(ref, t))
-                    << "op " << op << " t=" << t;
-        }
-    }
-    const auto keys = cq.sortedKeys();
-    ASSERT_EQ(keys.size(), ref.size());
-    std::size_t i = 0;
-    for (const auto k : ref)
-        EXPECT_EQ(keys[i++], k);
-}
-
-TEST(CalendarQueue, MonotoneDrainMatchesSimulatorUsage)
-{
-    // The executor's access pattern: insert future instants, then
-    // repeatedly take min() and erase it as the clock advances.  The
-    // lowHint_ cursor must never skip a key.
-    std::mt19937 gen(42);
-    std::exponential_distribution<double> gap(2.0);
-    CalendarQueue cq;
-    std::multiset<Seconds> ref;
-    double t = 0.0;
-    for (int i = 0; i < 4000; ++i) {
-        t += gap(gen);
-        cq.insert(t);
-        ref.insert(t);
-    }
-    while (!ref.empty()) {
-        ASSERT_EQ(cq.min(), refMin(ref));
-        cq.erase(*ref.begin());
-        ref.erase(ref.begin());
-        // Occasionally re-arm a future instant mid-drain, as retry
-        // gates do.
-        if (!ref.empty() && (gen() % 8) == 0) {
-            const auto key = *ref.begin() + gap(gen);
-            cq.insert(key);
-            ref.insert(key);
-        }
-    }
-    EXPECT_TRUE(cq.empty());
-    EXPECT_EQ(cq.min(), kInf);
+    InstantSet set;
+    EXPECT_THROW(set.insert(std::nan("")), std::logic_error);
 }
 
 // --- Degenerate percentile contracts ---------------------------------

@@ -499,6 +499,39 @@ TEST(ServeOptions, RejectsNegativeCloudRttAndRetryBackoff)
     EXPECT_NE(err.find("not a number"), std::string::npos) << err;
 }
 
+TEST(ServeOptions, RejectsNonFiniteNumbers)
+{
+    // std::stod accepts "nan" and "inf", and NaN passes every
+    // `x < min` bound: `--qps nan` and `--turn-gap nan` ran forever,
+    // `--mean-out inf` reported sub-second latencies, and the rest
+    // were accepted silently.
+    const std::vector<std::vector<std::string>> cases = {
+        {"--qps", "nan"},
+        {"--sessions", "2", "--turn-gap", "nan"},
+        {"--deadline", "nan"},
+        {"--mean-in", "nan"},
+        {"--fleet", "2", "--health-quantile", "nan"},
+        {"--mean-out", "inf"},
+        {"--qps", "inf"},
+        {"--deadline", "-inf"},
+        {"--fleet", "2", "--node-reboot", "infinity"},
+        // The fleet handlers with worded bounds: an infinite backoff
+        // or round trip used to pass their `x >= 0` test.
+        {"--fleet", "2", "--retry-backoff", "inf"},
+        {"--fleet", "2", "--hedge", "inf"},
+        {"--fleet", "2", "--cloud", "o4-mini", "--cloud-rtt", "inf"},
+        {"--fleet", "2", "--cloud", "o4-mini", "--cloud-rtt", "nan"},
+    };
+    for (const auto &args : cases) {
+        const std::string &flag = args[args.size() - 2];
+        SCOPED_TRACE(flag + " " + args.back());
+        std::string err;
+        EXPECT_FALSE(parseServeOptions(args, &err).has_value());
+        EXPECT_NE(err.find(flag + " must be finite"), std::string::npos)
+            << err;
+    }
+}
+
 TEST(ServeOptions, FleetFlagsNeedFleet)
 {
     // Fleet-scoped flags are rejected outside a fleet run by name,
