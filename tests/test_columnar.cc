@@ -9,8 +9,10 @@
  * schedulers × exact/macro stepping, every ServingReport field
  * compared with EXPECT_EQ at full double precision — plus
  * checkpoint/resume legs over the same goldens, sharded-execution
- * bit-identity at several thread counts, InstantSet contract tests,
- * and the degenerate-percentile guarantees of buildServingReport().
+ * bit-identity at several thread counts, InstantSet contract tests
+ * (one against a std::multiset reference under the executor's drain
+ * pattern), and the degenerate-percentile guarantees of
+ * buildServingReport().
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -627,6 +631,49 @@ TEST(InstantSet, NanKeyPanics)
 {
     InstantSet set;
     EXPECT_THROW(set.insert(std::nan("")), std::logic_error);
+}
+
+namespace {
+
+/** Reference answer from a std::multiset. */
+Seconds
+refMin(const std::multiset<Seconds> &m)
+{
+    return m.empty() ? kInf : *m.begin();
+}
+
+} // namespace
+
+TEST(InstantSet, MonotoneDrainMatchesSimulatorUsage)
+{
+    // The executor's access pattern: insert future instants, then
+    // repeatedly take min() and erase it as the clock advances.
+    // min() must never skip or repeat a key across thousands of
+    // erase-of-min calls interleaved with re-inserts.
+    std::mt19937 gen(42);
+    std::exponential_distribution<double> gap(2.0);
+    InstantSet set;
+    std::multiset<Seconds> ref;
+    double t = 0.0;
+    for (int i = 0; i < 4000; ++i) {
+        t += gap(gen);
+        set.insert(t);
+        ref.insert(t);
+    }
+    while (!ref.empty()) {
+        ASSERT_EQ(set.min(), refMin(ref));
+        set.erase(*ref.begin());
+        ref.erase(ref.begin());
+        // Occasionally re-arm a future instant mid-drain, as retry
+        // gates do.
+        if (!ref.empty() && (gen() % 8) == 0) {
+            const auto key = *ref.begin() + gap(gen);
+            set.insert(key);
+            ref.insert(key);
+        }
+    }
+    EXPECT_TRUE(set.empty());
+    EXPECT_EQ(set.min(), kInf);
 }
 
 // --- Degenerate percentile contracts ---------------------------------
