@@ -486,6 +486,69 @@ BENCHMARK(BM_FleetScaling100k)
     ->Unit(benchmark::kMillisecond);
 
 void
+BM_RouterDecision(benchmark::State &state)
+{
+    // One routing decision (ROADMAP direction 6's router rung): the
+    // deadline router over N identical boxes on one shared engine,
+    // mid-run (backlogs of 1-8 legs, some admitted and decoding).
+    // Each decision's leg is submitted to the picked node and reported
+    // through Router::loadChanged, so the load classes are patched in
+    // place between decisions as the fleet driver does.  Arg = node
+    // count.  items/s = routing decisions per second.
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const er::fleet::NodeSpec spec{ModelId::DeepScaleR1_5B};
+    const auto engine = er::fleet::makeNodeEngine(spec);
+    er::engine::ServerConfig server;
+    server.maxBatch = 30;
+    static const auto trace = [] {
+        er::Rng rng(55, "bench-router");
+        auto t = er::engine::ServingSimulator::poissonTrace(
+            rng, 4096, 200.0, 64, 32);
+        for (auto &r : t) {
+            r.arrival = 0.0;
+            r.deadline = 5.0;
+        }
+        return t;
+    }();
+    const std::size_t decisions = 2 * n;
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<std::unique_ptr<er::fleet::FleetNode>> nodes;
+        std::vector<er::fleet::NodeView> views;
+        for (std::size_t i = 0; i < n; ++i) {
+            nodes.push_back(std::make_unique<er::fleet::FleetNode>(
+                static_cast<int>(i), spec, *engine, server,
+                er::engine::FaultPlan{}));
+            for (std::size_t k = 0; k <= i % 8; ++k)
+                nodes.back()->submit(trace[(i * 8 + k) % trace.size()],
+                                     static_cast<std::int64_t>(k));
+            nodes.back()->advanceUntil(0.05 * static_cast<double>(i % 3),
+                                       false);
+            views.push_back({nodes.back().get(), true, false});
+        }
+        auto router =
+            er::fleet::makeRouter(er::fleet::RouterPolicy::DeadlineAware);
+        er::fleet::CloudTier cloud;
+        state.ResumeTiming();
+        for (std::size_t d = 0; d < decisions; ++d) {
+            const auto &r = trace[d % trace.size()];
+            const auto pick =
+                router->route(r, 0.0, r.deadline, views, 1, cloud, -1);
+            benchmark::DoNotOptimize(pick);
+            nodes[static_cast<std::size_t>(pick.node)]->submit(
+                r, static_cast<std::int64_t>(8 + d));
+            router->loadChanged(pick.node);
+        }
+        state.PauseTiming();
+        nodes.clear();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(decisions));
+}
+BENCHMARK(BM_RouterDecision)->Arg(256)->Arg(1024);
+
+void
 BM_FleetCheckpointResume(benchmark::State &state)
 {
     // The fleet durability tax end to end: a checkpointed run killed

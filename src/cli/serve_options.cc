@@ -14,6 +14,11 @@ namespace {
 
 constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
+/** --mean-in/--mean-out are capped at 1e9 tokens, so a sampled length
+ *  stays far inside the token range. */
+constexpr const char *kMeanTokensRange = "in [1, 1e9]";
+const double kMeanTokensBelow = std::nextafter(1e9, kUnbounded);
+
 /** Whole-token numeric parses (rejects trailing junk like "12x"). */
 bool
 parseLong(const std::string &s, long long *out)
@@ -136,8 +141,10 @@ parseServeOptions(const std::vector<std::string> &args,
          }},
         {"requests", longOpt(&opt.requests, 1, "--requests")},
         {"qps", doubleOpt(&opt.qps, 0.0, "--qps")},
-        {"mean-in", doubleOpt(&opt.meanIn, 1.0, "--mean-in")},
-        {"mean-out", doubleOpt(&opt.meanOut, 1.0, "--mean-out")},
+        {"mean-in", doubleOpt(&opt.meanIn, 1.0, "--mean-in",
+                              kMeanTokensRange, kMeanTokensBelow)},
+        {"mean-out", doubleOpt(&opt.meanOut, 1.0, "--mean-out",
+                               kMeanTokensRange, kMeanTokensBelow)},
         {"seed", longOpt(&opt.seed, 0, "--seed")},
         {"deadline", doubleOpt(&opt.deadline, 0.0, "--deadline")},
         {"max-batch", longOpt(&max_batch, 1, "--max-batch")},

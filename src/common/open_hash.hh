@@ -1,17 +1,18 @@
 /**
  * @file
- * Minimal open-addressed hash map for hot memoization paths (the
- * executor's per-(engine, bucket, batch) step-latency and chunk-latency
- * caches).  std::map's red-black tree costs ~6 dependent pointer chases
- * per lookup on keys that are three machine words; here a lookup is one
- * FNV-1a over the packed key bytes (the same hash primitive the journal
- * uses, common/binio.hh) plus a short linear probe over a flat array.
+ * Minimal open-addressed hash map for hot lookup paths (the executor's
+ * per-(engine, bucket, batch) step-latency and chunk-latency caches,
+ * the router's load-class index).  std::map's red-black tree costs ~6
+ * dependent pointer chases per lookup on keys that are three machine
+ * words; here a lookup is one FNV-1a over the packed key bytes (the
+ * same hash primitive the journal uses, common/binio.hh) plus a short
+ * linear probe over a flat array.
  *
- * Deliberately narrow: no single-key erase (memo caches only insert or
- * clear()), keys must be trivially copyable with unique object
- * representations (no padding bytes — enforced at compile time, so
- * hashing the raw bytes is well-defined), and growth rehashes in place
- * at ~0.7 load.
+ * Deliberately narrow: keys must be trivially copyable with unique
+ * object representations (no padding bytes — enforced at compile
+ * time, so hashing the raw bytes is well-defined), growth rehashes in
+ * place at ~0.7 load, and erase() shifts the probe run back instead of
+ * leaving tombstones.
  */
 
 #ifndef EDGEREASON_COMMON_OPEN_HASH_HH
@@ -71,6 +72,37 @@ class OpenHashMap
                 return s.value;
             }
         }
+    }
+
+    /**
+     * Remove @p key if present (backward-shift deletion: later entries
+     * of the probe run move up, so no tombstones accumulate).
+     * @return true if an entry was removed.
+     */
+    bool erase(const Key &key)
+    {
+        if (slots_.empty())
+            return false;
+        std::size_t i = indexOf(key);
+        for (;; i = (i + 1) & mask_) {
+            if (!slots_[i].used)
+                return false;
+            if (equal(slots_[i].key, key))
+                break;
+        }
+        for (std::size_t j = (i + 1) & mask_; slots_[j].used;
+             j = (j + 1) & mask_) {
+            // An entry whose home lies cyclically in (i, j] is still
+            // reachable from it; any other one moves into the hole.
+            const std::size_t home = indexOf(slots_[j].key);
+            if (((j - home) & mask_) < ((j - i) & mask_))
+                continue;
+            slots_[i] = slots_[j];
+            i = j;
+        }
+        slots_[i] = Slot{};
+        --size_;
+        return true;
     }
 
     std::size_t size() const { return size_; }

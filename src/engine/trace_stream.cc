@@ -1,5 +1,6 @@
 #include "engine/trace_stream.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -27,6 +28,22 @@ PoissonTraceStream::PoissonTraceStream(std::uint64_t seed,
     fatal_if(qps_ <= 0.0, "qps must be positive");
 }
 
+namespace {
+
+/** A sampled request length as a token count (at least 8).  A sample
+ *  at or past 2^63 has no long long to round to, so it is an error
+ *  naming the mean it came from rather than an unspecified length. */
+Tokens
+sampledLength(double x, const char *mean_name, double mean)
+{
+    fatal_if(!(x < 0x1p63), "sampled request length ", x,
+             " tokens is past the token range (", mean_name, " ", mean,
+             ")");
+    return std::max<Tokens>(8, static_cast<Tokens>(std::llround(x)));
+}
+
+} // namespace
+
 ServerRequest
 PoissonTraceStream::next()
 {
@@ -38,12 +55,10 @@ PoissonTraceStream::next()
     t_ += -std::log(1.0 - rng_->uniform()) / qps_;
     ServerRequest r;
     r.arrival = t_;
-    r.inputTokens = std::max<Tokens>(
-        8, static_cast<Tokens>(std::llround(
-               rng_->logNormalMeanStd(meanIn_, cv_ * meanIn_))));
-    r.outputTokens = std::max<Tokens>(
-        8, static_cast<Tokens>(std::llround(
-               rng_->logNormalMeanStd(meanOut_, cv_ * meanOut_))));
+    const double in = rng_->logNormalMeanStd(meanIn_, cv_ * meanIn_);
+    const double out = rng_->logNormalMeanStd(meanOut_, cv_ * meanOut_);
+    r.inputTokens = sampledLength(in, "mean-in", meanIn_);
+    r.outputTokens = sampledLength(out, "mean-out", meanOut_);
     if (deadline_ > 0.0)
         r.deadline = deadline_;
     ++drawn_;

@@ -269,6 +269,7 @@ void
 FleetSimulator::refreshNode(std::size_t i)
 {
     stopIndex_.update(i, nodes_[i]->nextVisibleChange());
+    router_->loadChanged(static_cast<int>(i));
 }
 
 void
@@ -775,6 +776,32 @@ FleetSimulator::auditStopIndex() const
 }
 
 void
+FleetSimulator::auditRouteClasses() const
+{
+    // The router's load classes are derived state, patched through
+    // refreshNode between views rebuilds; cross-check them against a
+    // from-scratch grouping of the same views.
+    const auto got = router_->loadClasses(viewsBuf_, viewsGen_);
+    if (!got)
+        return; // not built for these views: the next route rebuilds
+    const auto want = Router::loadClassesFromScratch(viewsBuf_);
+    fatal_if(got->size() != want.size(), "fleet audit: router holds ",
+             got->size(), " load classes but the views group into ",
+             want.size());
+    for (std::size_t k = 0; k < want.size(); ++k) {
+        const auto &g = (*got)[k];
+        const auto &w = want[k];
+        fatal_if(!(g == w), "fleet audit: load class ", k,
+                 " (by lowest member) is held as lowest ", g.lowest,
+                 " with ", g.members.size(), " members at backlog ",
+                 g.key.backlog, ", in flight ", g.key.inFlight,
+                 ", but the views give lowest ", w.lowest, " with ",
+                 w.members.size(), " members at backlog ", w.key.backlog,
+                 ", in flight ", w.key.inFlight);
+    }
+}
+
+void
 FleetSimulator::auditMedianSet() const
 {
     const std::vector<double> want = medianSetBrute();
@@ -809,6 +836,7 @@ FleetSimulator::audit(Seconds now) const
     fatal_if(now + kTimeSlack < now_,
              "fleet audit: time ran backwards");
     auditStopIndex();
+    auditRouteClasses();
     auditMedianSet();
 }
 

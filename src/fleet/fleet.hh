@@ -300,6 +300,10 @@ class FleetSimulator
     std::uint64_t nodeAdvances() const { return nodeAdvances_; }
     /** @return sync rounds that advanced at least one node. */
     std::uint64_t syncRounds() const { return syncRounds_; }
+    /** @return routes the router scored over load classes, and the
+     *  classes they examined (Router::classRoutes/classVisits). */
+    std::uint64_t classRoutes() const { return router_->classRoutes(); }
+    std::uint64_t classVisits() const { return router_->classVisits(); }
 
   private:
     struct Leg
@@ -380,7 +384,8 @@ class FleetSimulator
     /** Brute-force minimum key over all nodes: the paranoid auditor's
      *  reference for stopIndex_.minKey(). */
     Seconds nextNodeStopBrute() const;
-    /** Re-key node @p i in the stop index after any state change. */
+    /** Re-key node @p i in the stop index and re-file it in the
+     *  router's load classes after any state change. */
     void refreshNode(std::size_t i);
     /** Refresh the reusable router view buffer for dispatch at
      *  @p now (allocation-free; cached across a health-state-stable
@@ -443,6 +448,9 @@ class FleetSimulator
     void audit(Seconds now) const;
     void auditTrack(const Track &t, std::size_t &edge_legs) const;
     void auditStopIndex() const;
+    /** Cross-check the router's load classes against a from-scratch
+     *  grouping of viewsBuf_. */
+    void auditRouteClasses() const;
     void auditMedianSet() const;
     /** The report, from the folded aggregates. */
     FleetReport buildReport() const;

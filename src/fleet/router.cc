@@ -1,6 +1,7 @@
 #include "fleet/router.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/logging.hh"
@@ -83,49 +84,233 @@ Router::candidates(const std::vector<NodeView> &views,
     return candBuf_;
 }
 
-void
-Router::beginEstimates(std::size_t candidates)
+Router::LoadClassKey
+Router::classKeyOf(const NodeView &v)
 {
-    std::size_t cap = 16;
-    while (cap < 2 * candidates)
-        cap *= 2;
-    if (cap > estSlots_.size())
-        estSlots_.assign(cap, EstimateSlot{});
-    ++estGen_; // fresh slots carry gen 0, which is never current
+    LoadClassKey k;
+    k.engine = &v.node->engine();
+    k.backlog = v.node->backlog();
+    k.inFlight = v.node->inFlight();
+    k.mode = static_cast<std::uint16_t>(v.node->spec().powerMode);
+    k.draining = v.draining;
+    return k;
 }
 
-Seconds
-Router::serviceEstimate(const engine::ServerRequest &req,
-                        const FleetNode &node)
+void
+Router::joinClass(int node, const LoadClassKey &key)
 {
-    const engine::InferenceEngine *eng = &node.engine();
-    const int load = node.inFlight();
-    std::uint64_t h = reinterpret_cast<std::uintptr_t>(eng) ^
-        static_cast<std::uint64_t>(load) * 0x9E3779B97F4A7C15ull;
-    h ^= h >> 33;
-    h *= 0xFF51AFD7ED558CCDull;
-    h ^= h >> 33;
-    const std::size_t mask = estSlots_.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-        EstimateSlot &slot = estSlots_[i];
-        if (slot.gen != estGen_) {
-            slot = {eng, load, estGen_,
-                    FleetNode::estimateServiceTime(*eng, load, req)};
-            return slot.value;
+    int c;
+    if (const int *found = slotOf_.find(key)) {
+        c = *found;
+    } else {
+        if (freeSlots_.empty()) {
+            c = static_cast<int>(classes_.size());
+            classes_.emplace_back();
+            bits_.resize(bits_.size() + words_, 0);
+        } else {
+            c = freeSlots_.back();
+            freeSlots_.pop_back();
         }
-        if (slot.engine == eng && slot.inFlight == load)
-            return slot.value;
+        classes_[static_cast<std::size_t>(c)] = {
+            key, node, 0, static_cast<int>(live_.size())};
+        live_.push_back(c);
+        slotOf_.insert(key, c);
     }
+    LoadClass &cls = classes_[static_cast<std::size_t>(c)];
+    const auto n = static_cast<std::size_t>(node);
+    row(c)[n / 64] |= std::uint64_t{1} << (n % 64);
+    cls.lowest = std::min(cls.lowest, node);
+    ++cls.count;
+    classOf_[n] = c;
+}
+
+void
+Router::leaveClass(int node)
+{
+    const auto n = static_cast<std::size_t>(node);
+    const int c = classOf_[n];
+    LoadClass &cls = classes_[static_cast<std::size_t>(c)];
+    row(c)[n / 64] &= ~(std::uint64_t{1} << (n % 64));
+    classOf_[n] = -1;
+    if (--cls.count > 0) {
+        if (cls.lowest == node)
+            cls.lowest = nextMember(c, node);
+        return;
+    }
+    // Emptied: unlink from live_ (swap-remove) and recycle the slot;
+    // its row is all zero again.
+    const int moved = live_.back();
+    live_[static_cast<std::size_t>(cls.pos)] = moved;
+    classes_[static_cast<std::size_t>(moved)].pos = cls.pos;
+    live_.pop_back();
+    slotOf_.erase(cls.key);
+    freeSlots_.push_back(c);
+}
+
+int
+Router::nextMember(int c, int from) const
+{
+    const std::uint64_t *bits = row(c);
+    std::size_t w = static_cast<std::size_t>(from + 1) / 64;
+    const unsigned shift = static_cast<unsigned>(from + 1) % 64;
+    if (w >= words_)
+        return -1;
+    std::uint64_t word = bits[w] & (~std::uint64_t{0} << shift);
+    while (word == 0) {
+        if (++w == words_)
+            return -1;
+        word = bits[w];
+    }
+    return static_cast<int>(w * 64) + std::countr_zero(word);
+}
+
+void
+Router::rebuildClasses(const std::vector<NodeView> &views,
+                       std::uint64_t views_gen)
+{
+    for (const int c : live_)
+        slotOf_.erase(classes_[static_cast<std::size_t>(c)].key);
+    classes_.clear();
+    freeSlots_.clear();
+    live_.clear();
+    bits_.clear();
+    words_ = (views.size() + 63) / 64;
+    classOf_.assign(views.size(), -1);
+    for (std::size_t i = 0; i < views.size(); ++i)
+        if (views[i].up)
+            joinClass(static_cast<int>(i), classKeyOf(views[i]));
+    indexViews_ = &views;
+    indexGen_ = views_gen;
+}
+
+void
+Router::loadChanged(int node)
+{
+    if (indexViews_ == nullptr)
+        return;
+    const auto n = static_cast<std::size_t>(node);
+    const int c = classOf_[n];
+    if (c < 0)
+        return; // down in the indexed views: in no class
+    const FleetNode &fn = *(*indexViews_)[n].node;
+    const LoadClassKey &old = classes_[static_cast<std::size_t>(c)].key;
+    if (old.backlog == fn.backlog() && old.inFlight == fn.inFlight())
+        return;
+    LoadClassKey key = old;
+    key.backlog = fn.backlog();
+    key.inFlight = fn.inFlight();
+    leaveClass(node);
+    joinClass(node, key);
+}
+
+const std::vector<Router::ClassCandidate> &
+Router::candidateClasses(const std::vector<NodeView> &views,
+                         std::uint64_t views_gen, int exclude)
+{
+    if (indexViews_ != &views || indexGen_ != views_gen)
+        rebuildClasses(views, views_gen);
+    // Progressive relaxation, as buildCandidates: drain and
+    // failure-avoidance are preferences, not availability losses.
+    const auto collect = [&](bool allow_draining, bool allow_excluded) {
+        classCands_.clear();
+        classVisits_ += live_.size();
+        for (const int c : live_) {
+            const LoadClass &cls = classes_[static_cast<std::size_t>(c)];
+            if (!allow_draining && cls.key.draining)
+                continue;
+            int pick = cls.lowest;
+            if (!allow_excluded && pick == exclude)
+                pick = nextMember(c, pick);
+            if (pick >= 0)
+                classCands_.push_back({&cls.key, pick});
+        }
+    };
+    collect(false, false);
+    if (classCands_.empty())
+        collect(true, false);
+    if (classCands_.empty())
+        collect(true, true);
+    if (!classCands_.empty())
+        ++classRoutes_;
+    return classCands_;
+}
+
+std::optional<std::vector<Router::LoadClassState>>
+Router::loadClasses(const std::vector<NodeView> &views,
+                    std::uint64_t views_gen) const
+{
+    if (indexViews_ != &views || indexGen_ != views_gen)
+        return std::nullopt;
+    std::vector<LoadClassState> out;
+    for (const int c : live_) {
+        const LoadClass &cls = classes_[static_cast<std::size_t>(c)];
+        LoadClassState st{cls.key, cls.lowest, {}};
+        for (int i = nextMember(c, -1); i >= 0; i = nextMember(c, i)) {
+            panic_if(classOf_[static_cast<std::size_t>(i)] != c,
+                     "node ", i, " is a member of load class ", c,
+                     " but filed under ",
+                     classOf_[static_cast<std::size_t>(i)]);
+            st.members.push_back(i);
+        }
+        panic_if(st.members.size() != static_cast<std::size_t>(cls.count),
+                 "load class ", c, " counts ", cls.count, " members but ",
+                 "holds ", st.members.size());
+        out.push_back(std::move(st));
+    }
+    std::sort(out.begin(), out.end(),
+              [](const LoadClassState &a, const LoadClassState &b) {
+                  return a.lowest < b.lowest;
+              });
+    return out;
+}
+
+std::vector<Router::LoadClassState>
+Router::loadClassesFromScratch(const std::vector<NodeView> &views)
+{
+    std::vector<LoadClassState> out;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        if (!views[i].up)
+            continue;
+        const LoadClassKey key = classKeyOf(views[i]);
+        auto it = std::find_if(
+            out.begin(), out.end(),
+            [&](const LoadClassState &st) { return st.key == key; });
+        if (it == out.end()) {
+            out.push_back({key, static_cast<int>(i), {}});
+            it = out.end() - 1;
+        }
+        it->members.push_back(static_cast<int>(i));
+    }
+    // Classes open in ascending order of their lowest member.
+    return out;
 }
 
 namespace {
 
-/** Backlog-scaled predicted finish on @p node: the optimistic service
+/** Backlog-scaled predicted finish on a class: the optimistic service
  *  estimate @p est stretched by the queue ahead of it. */
 Seconds
-predictedFinish(Seconds est, Seconds now, const FleetNode &node)
+predictedFinish(Seconds est, Seconds now, std::size_t backlog)
 {
-    return now + est * (1.0 + static_cast<double>(node.backlog()));
+    return now + est * (1.0 + static_cast<double>(backlog));
+}
+
+/** FleetNode::estimateServiceTime of @p req on a node of class @p k. */
+Seconds
+serviceEstimate(const engine::ServerRequest &req,
+                const Router::LoadClassKey &k)
+{
+    return FleetNode::estimateServiceTime(*k.engine, k.inFlight, req);
+}
+
+/** @return true if a class scoring @p v on lowest id @p id beats the
+ *  best so far (@p best_v on @p best; best < 0 = none yet): strictly
+ *  lower, or equal on a lower id — the node a scan in id order keeps.
+ *  A score that never compares below +inf is never picked. */
+bool
+beats(double v, int id, double best_v, int best)
+{
+    return v < best_v || (v == best_v && best >= 0 && id < best);
 }
 
 class RoundRobinRouter final : public Router
@@ -186,21 +371,18 @@ class LeastLoadedRouter final : public Router
         (void)req;
         (void)now;
         (void)abs_deadline;
-        const auto &ids = candidates(views, views_gen, exclude);
-        if (ids.empty())
+        const auto &cands = candidateClasses(views, views_gen, exclude);
+        if (cands.empty())
             return cloud.enabled ? RouteDecision::toCloud()
                                  : RouteDecision::reject();
-        int best = ids.front();
-        std::size_t best_load =
-            views[static_cast<std::size_t>(best)].node->backlog() +
-            static_cast<std::size_t>(
-                views[static_cast<std::size_t>(best)].node->inFlight());
-        for (const int i : ids) {
-            const auto &v = views[static_cast<std::size_t>(i)];
-            const std::size_t load = v.node->backlog() +
-                static_cast<std::size_t>(v.node->inFlight());
-            if (load < best_load) {
-                best = i;
+        int best = -1;
+        std::size_t best_load = 0;
+        for (const auto &c : cands) {
+            const std::size_t load = c.key->backlog +
+                static_cast<std::size_t>(c.key->inFlight);
+            if (best < 0 || load < best_load ||
+                (load == best_load && c.node < best)) {
+                best = c.node;
                 best_load = load;
             }
         }
@@ -222,20 +404,18 @@ class DeadlineAwareRouter final : public Router
                         std::uint64_t views_gen,
                         const CloudTier &cloud, int exclude) override
     {
-        const auto &ids = candidates(views, views_gen, exclude);
-        if (ids.empty())
+        const auto &cands = candidateClasses(views, views_gen, exclude);
+        if (cands.empty())
             return cloud.enabled ? RouteDecision::toCloud()
                                  : RouteDecision::reject();
-        beginEstimates(ids.size());
         int best = -1;
         Seconds best_finish =
             std::numeric_limits<Seconds>::infinity();
-        for (const int i : ids) {
-            const FleetNode &node = *views[static_cast<std::size_t>(i)].node;
-            const Seconds f =
-                predictedFinish(serviceEstimate(req, node), now, node);
-            if (f < best_finish) {
-                best = i;
+        for (const auto &c : cands) {
+            const Seconds f = predictedFinish(serviceEstimate(req, *c.key),
+                                              now, c.key->backlog);
+            if (beats(f, c.node, best_finish, best)) {
+                best = c.node;
                 best_finish = f;
             }
         }
@@ -265,8 +445,8 @@ class CostAwareRouter final : public Router
                         std::uint64_t views_gen,
                         const CloudTier &cloud, int exclude) override
     {
-        const auto &ids = candidates(views, views_gen, exclude);
-        if (ids.empty())
+        const auto &cands = candidateClasses(views, views_gen, exclude);
+        if (cands.empty())
             return cloud.enabled ? RouteDecision::toCloud()
                                  : RouteDecision::reject();
 
@@ -276,7 +456,6 @@ class CostAwareRouter final : public Router
 
         // Cheapest deadline-feasible edge candidate; energy proxy =
         // optimistic service time x the node's power-mode cap.
-        beginEstimates(ids.size());
         int best_feasible = -1;
         double best_cost =
             std::numeric_limits<double>::infinity();
@@ -285,20 +464,19 @@ class CostAwareRouter final : public Router
             std::numeric_limits<Seconds>::infinity();
         std::size_t min_backlog =
             std::numeric_limits<std::size_t>::max();
-        for (const int i : ids) {
-            const FleetNode &node = *views[static_cast<std::size_t>(i)].node;
-            const Seconds est = serviceEstimate(req, node);
-            const Seconds f = predictedFinish(est, now, node);
-            if (f < best_finish) {
-                best_any = i;
+        for (const auto &c : cands) {
+            const Seconds est = serviceEstimate(req, *c.key);
+            const Seconds f = predictedFinish(est, now, c.key->backlog);
+            if (beats(f, c.node, best_finish, best_any)) {
+                best_any = c.node;
                 best_finish = f;
             }
-            min_backlog = std::min(min_backlog, node.backlog());
+            min_backlog = std::min(min_backlog, c.key->backlog);
             if (f <= abs_deadline + engine::kDeadlineSlack) {
-                const double cost =
-                    est * hw::powerModeCap(node.spec().powerMode);
-                if (cost < best_cost) {
-                    best_feasible = i;
+                const double cost = est *
+                    hw::powerModeCap(static_cast<hw::PowerMode>(c.key->mode));
+                if (beats(cost, c.node, best_cost, best_feasible)) {
+                    best_feasible = c.node;
                     best_cost = cost;
                 }
             }

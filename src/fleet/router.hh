@@ -29,9 +29,20 @@
  *    deadline order when nothing is feasible, and offloads to the
  *    cloud on edge saturation or edge-infeasible deadlines.
  *
- * The service estimate is a pure function of (engine, in-flight legs),
- * so the deadline- and cost-aware policies compute it once per
- * distinct pair per route(), not once per node.
+ * The least-loaded, deadline and cost policies read nothing of a node
+ * but its engine, power mode, in-flight legs, backlog and draining
+ * flag, so the router keeps the up nodes grouped into load classes —
+ * nodes equal in all five — and scores each class once per route(),
+ * on its lowest eligible node id.  Ties between classes go to the
+ * lower id, which is the node a per-node scan in id order picks.  A
+ * fleet of identical boxes holds a handful of classes however many
+ * nodes it has.
+ *
+ * Index contract: the index is rebuilt from the views whenever
+ * views_gen changes, and patched in between by loadChanged().  A
+ * caller that changes a node's backlog() or inFlight() must therefore
+ * either bump views_gen before the next route() or call
+ * loadChanged(node) after the change.
  */
 
 #ifndef EDGEREASON_FLEET_ROUTER_HH
@@ -44,6 +55,7 @@
 #include <vector>
 
 #include "common/binio.hh"
+#include "common/open_hash.hh"
 #include "cost/cost_model.hh"
 #include "engine/request_state.hh"
 
@@ -163,6 +175,52 @@ class Router
      *  fleet fingerprint). */
     virtual void restore(ByteReader &r) { (void)r; }
 
+    /**
+     * Re-file @p node under its current load after its backlog() or
+     * inFlight() changed (the index contract above).  O(1) when the
+     * node's class did not move, and O(nodes / 64) at worst when it
+     * did; a no-op before the first class-scored route().
+     */
+    void loadChanged(int node);
+
+    /** @return route() calls scored over load classes so far (every
+     *  call of the least-loaded, deadline and cost policies that found
+     *  a candidate). */
+    std::uint64_t classRoutes() const { return classRoutes_; }
+    /** @return load classes those calls examined in total. */
+    std::uint64_t classVisits() const { return classVisits_; }
+
+    /** What the nodes of one load class share: every node input the
+     *  least-loaded, deadline and cost policies read. */
+    struct LoadClassKey
+    {
+        const engine::InferenceEngine *engine = nullptr;
+        std::size_t backlog = 0;
+        std::int32_t inFlight = 0;
+        std::uint16_t mode = 0; //!< hw::PowerMode
+        std::uint16_t draining = 0;
+
+        bool operator==(const LoadClassKey &) const = default;
+    };
+    /** One live class as the paranoid auditor compares it. */
+    struct LoadClassState
+    {
+        LoadClassKey key;
+        int lowest = -1;          //!< the index's cached lowest member
+        std::vector<int> members; //!< ascending node ids
+        bool operator==(const LoadClassState &) const = default;
+    };
+    /** @return the live classes ordered by lowest member, if the index
+     *  was last rebuilt from @p views at @p views_gen (nullopt
+     *  otherwise: the next route() rebuilds it anyway). */
+    std::optional<std::vector<LoadClassState>>
+    loadClasses(const std::vector<NodeView> &views,
+                std::uint64_t views_gen) const;
+    /** @return what loadClasses() must return for @p views, computed
+     *  from scratch by a per-node scan. */
+    static std::vector<LoadClassState>
+    loadClassesFromScratch(const std::vector<NodeView> &views);
+
   protected:
     /**
      * Shared candidate filter: up nodes first without draining or the
@@ -182,20 +240,24 @@ class Router
     candidates(const std::vector<NodeView> &views,
                std::uint64_t views_gen, int exclude);
 
-    /** Open a route() call's service-estimate memo, sized for
-     *  @p candidates nodes; earlier calls' entries are dropped in
-     *  O(1). */
-    void beginEstimates(std::size_t candidates);
+    /** One candidate load class: its key and its lowest eligible node
+     *  id, the node a per-node scan in id order would pick from it. */
+    struct ClassCandidate
+    {
+        const LoadClassKey *key;
+        int node;
+    };
 
     /**
-     * FleetNode::estimateServiceTime of @p req on @p node, memoized
-     * since the last beginEstimates() on (engine, inFlight) — the
-     * estimate's only node-dependent inputs, so a hit is bit-identical
-     * to recomputing.  Hashed, so a lookup stays O(1) even when every
-     * node has its own engine.
+     * The candidate filter over load classes: the classes holding a
+     * candidate() node, each with its lowest candidate id, in no
+     * particular order (policies break ties on the lower id).
+     * Rebuilds the index when @p views or @p views_gen changed.  The
+     * reference is valid until the next call.
      */
-    Seconds serviceEstimate(const engine::ServerRequest &req,
-                            const FleetNode &node);
+    const std::vector<ClassCandidate> &
+    candidateClasses(const std::vector<NodeView> &views,
+                     std::uint64_t views_gen, int exclude);
 
   private:
     /** Unconditional filter pass behind the candidates() cache. */
@@ -207,16 +269,44 @@ class Router
     std::uint64_t candGen_ = 0;   //!< views_gen candBuf_ was built at
     bool candPrimed_ = false;     //!< candBuf_ holds a real build
 
-    /** Open-addressed estimate memo slot; live iff gen == estGen_. */
-    struct EstimateSlot
+    /** A live load class.  Its members are the set bits of its row
+     *  of bits_. */
+    struct LoadClass
     {
-        const engine::InferenceEngine *engine = nullptr;
-        int inFlight = 0;
-        std::uint64_t gen = 0;
-        Seconds value = 0.0;
+        LoadClassKey key;
+        int lowest = -1;
+        int count = 0;
+        int pos = -1; //!< index in live_
     };
-    std::vector<EstimateSlot> estSlots_; //!< power-of-two size
-    std::uint64_t estGen_ = 0;
+
+    static LoadClassKey classKeyOf(const NodeView &v);
+    void rebuildClasses(const std::vector<NodeView> &views,
+                        std::uint64_t views_gen);
+    void joinClass(int node, const LoadClassKey &key);
+    void leaveClass(int node);
+    /** @return the lowest member of class @p c above @p from, or -1. */
+    int nextMember(int c, int from) const;
+    std::uint64_t *row(int c)
+    {
+        return bits_.data() + static_cast<std::size_t>(c) * words_;
+    }
+    const std::uint64_t *row(int c) const
+    {
+        return bits_.data() + static_cast<std::size_t>(c) * words_;
+    }
+
+    const std::vector<NodeView> *indexViews_ = nullptr;
+    std::uint64_t indexGen_ = 0;
+    std::vector<LoadClass> classes_; //!< slots, recycled via freeSlots_
+    std::vector<int> freeSlots_;
+    std::vector<int> live_;          //!< live class slots
+    std::vector<int> classOf_;       //!< per node; -1 when not indexed
+    std::vector<std::uint64_t> bits_; //!< words_ member bits per slot
+    std::size_t words_ = 0;
+    OpenHashMap<LoadClassKey, int> slotOf_;
+    std::vector<ClassCandidate> classCands_;
+    std::uint64_t classRoutes_ = 0;
+    std::uint64_t classVisits_ = 0;
 };
 
 /** Policy factory. */

@@ -6,8 +6,9 @@
  * hedging cancel-on-first-win, failover conservation under a forced
  * node crash, graceful drain, per-try timeouts with retry, the
  * cloud-offload tier, one engine per distinct node spec, and the
- * routers' per-route service-estimate memo against a per-node
- * brute-force reference.
+ * class-scored routers (least-loaded, deadline, cost) against per-node
+ * brute-force references, across index rebuilds and in-place
+ * loadChanged patches.
  */
 
 #include <gtest/gtest.h>
@@ -613,9 +614,116 @@ refCost(const ServerRequest &req, Seconds now, Seconds abs_deadline,
     return RouteDecision::toNode(best_any);
 }
 
-/** Drive both memoized routers and the reference over randomized
- *  health flags, exclusions, cloud settings, deadlines and request
- *  shapes, advancing the nodes between rounds so load levels move. */
+RouteDecision
+refLeast(const std::vector<NodeView> &views, const CloudTier &cloud,
+         int exclude)
+{
+    const auto ids = refCandidates(views, exclude);
+    if (ids.empty())
+        return cloud.enabled ? RouteDecision::toCloud()
+                             : RouteDecision::reject();
+    int best = ids.front();
+    std::size_t best_load = std::numeric_limits<std::size_t>::max();
+    for (const int i : ids) {
+        const FleetNode &n = *views[i].node;
+        const std::size_t load =
+            n.backlog() + static_cast<std::size_t>(n.inFlight());
+        if (load < best_load) {
+            best = i;
+            best_load = load;
+        }
+    }
+    return RouteDecision::toNode(best);
+}
+
+/** The three class-scored routers, checked together against their
+ *  per-node references. */
+struct ScoredRouters
+{
+    std::unique_ptr<Router> least = makeRouter(RouterPolicy::LeastLoaded);
+    std::unique_ptr<Router> deadline =
+        makeRouter(RouterPolicy::DeadlineAware);
+    std::unique_ptr<Router> cost = makeRouter(RouterPolicy::CostAware);
+
+    /** Route one dispatch through all three and the references;
+     *  @return the cloud decisions among the references. */
+    std::size_t expectMatch(const ServerRequest &req, Seconds now,
+                            Seconds abs_deadline,
+                            const std::vector<NodeView> &views,
+                            std::uint64_t gen, const CloudTier &cloud,
+                            int exclude)
+    {
+        const auto want_l = refLeast(views, cloud, exclude);
+        const auto got_l = least->route(req, now, abs_deadline, views,
+                                        gen, cloud, exclude);
+        EXPECT_EQ(got_l.node, want_l.node);
+        EXPECT_EQ(got_l.cloud, want_l.cloud);
+        const auto want_d =
+            refDeadline(req, now, abs_deadline, views, cloud, exclude);
+        const auto got_d = deadline->route(req, now, abs_deadline, views,
+                                           gen, cloud, exclude);
+        EXPECT_EQ(got_d.node, want_d.node);
+        EXPECT_EQ(got_d.cloud, want_d.cloud);
+        const auto want_c =
+            refCost(req, now, abs_deadline, views, cloud, exclude);
+        const auto got_c = cost->route(req, now, abs_deadline, views, gen,
+                                       cloud, exclude);
+        EXPECT_EQ(got_c.node, want_c.node);
+        EXPECT_EQ(got_c.cloud, want_c.cloud);
+        return want_d.cloud + want_c.cloud;
+    }
+
+    void loadChanged(int node)
+    {
+        least->loadChanged(node);
+        deadline->loadChanged(node);
+        cost->loadChanged(node);
+    }
+
+    /** Every router's incremental index equals a from-scratch one. */
+    void expectIndexCurrent(const std::vector<NodeView> &views,
+                            std::uint64_t gen)
+    {
+        const auto want = Router::loadClassesFromScratch(views);
+        for (const Router *r : {least.get(), deadline.get(), cost.get()}) {
+            const auto got = r->loadClasses(views, gen);
+            ASSERT_TRUE(got.has_value());
+            EXPECT_TRUE(*got == want);
+        }
+    }
+};
+
+/** A random request, deadline and exclusion for one dispatch. */
+struct Dispatch
+{
+    ServerRequest req;
+    Seconds absDeadline;
+    int exclude;
+};
+
+Dispatch
+randomDispatch(er::Rng &rng, Seconds now, std::size_t nodes)
+{
+    Dispatch d;
+    d.req.inputTokens = rng.uniformInt(16, 256);
+    d.req.outputTokens = rng.uniformInt(8, 512);
+    d.absDeadline = rng.bernoulli(0.25)
+        ? std::numeric_limits<Seconds>::infinity()
+        : now + rng.uniform(0.05, 30.0);
+    d.exclude = rng.bernoulli(0.5)
+        ? -1
+        : static_cast<int>(
+              rng.uniformInt(0, static_cast<std::int64_t>(nodes) - 1));
+    return d;
+}
+
+/** Drive the three class-scored routers and the per-node references
+ *  over randomized health flags, exclusions, cloud settings, deadlines
+ *  and request shapes.  Phase 1 advances the nodes between rounds and
+ *  bumps the views generation every window, so the index is rebuilt;
+ *  phase 2 keeps one generation and moves loads between dispatches
+ *  (advances and new legs) reported through loadChanged, so the index
+ *  is patched in place. */
 void
 expectRoutersMatchReference(std::vector<std::unique_ptr<FleetNode>> &nodes,
                             std::uint64_t seed)
@@ -633,8 +741,7 @@ expectRoutersMatchReference(std::vector<std::unique_ptr<FleetNode>> &nodes,
         nodes[i]->advanceUntil(0.02 * static_cast<double>(i % 4), false);
     }
 
-    auto deadline_router = makeRouter(RouterPolicy::DeadlineAware);
-    auto cost_router = makeRouter(RouterPolicy::CostAware);
+    ScoredRouters routers;
     std::vector<NodeView> views(nodes.size());
     std::uint64_t gen = 0;
     std::size_t clouds = 0, in_flight_levels = 0;
@@ -659,40 +766,58 @@ expectRoutersMatchReference(std::vector<std::unique_ptr<FleetNode>> &nodes,
             cloud.saturationBacklog =
                 static_cast<std::size_t>(rng.uniformInt(2, 64));
             // Several dispatches per views window, so the routers'
-            // cached candidate lists and the memo both get reused.
+            // cached candidate lists and load classes get reused.
             for (int d = 0; d < 4; ++d) {
-                ServerRequest req;
-                req.inputTokens = rng.uniformInt(16, 256);
-                req.outputTokens = rng.uniformInt(8, 512);
                 const Seconds now = 0.1 * round;
-                const Seconds abs_deadline = rng.bernoulli(0.25)
-                    ? std::numeric_limits<Seconds>::infinity()
-                    : now + rng.uniform(0.05, 30.0);
-                const int exclude = rng.bernoulli(0.5)
-                    ? -1
-                    : static_cast<int>(rng.uniformInt(
-                          0, static_cast<std::int64_t>(nodes.size()) - 1));
-                const auto want_d = refDeadline(req, now, abs_deadline,
-                                                views, cloud, exclude);
-                const auto got_d = deadline_router->route(
-                    req, now, abs_deadline, views, gen, cloud, exclude);
-                EXPECT_EQ(got_d.node, want_d.node);
-                EXPECT_EQ(got_d.cloud, want_d.cloud);
-                const auto want_c = refCost(req, now, abs_deadline, views,
-                                            cloud, exclude);
-                const auto got_c = cost_router->route(
-                    req, now, abs_deadline, views, gen, cloud, exclude);
-                EXPECT_EQ(got_c.node, want_c.node);
-                EXPECT_EQ(got_c.cloud, want_c.cloud);
-                clouds += want_d.cloud + want_c.cloud;
+                const Dispatch x = randomDispatch(rng, now, nodes.size());
+                clouds += routers.expectMatch(x.req, now, x.absDeadline,
+                                              views, gen, cloud,
+                                              x.exclude);
             }
         }
         for (auto &n : nodes)
             n->advanceUntil(0.1 * (round + 1), false);
     }
+
+    // Phase 2: one views generation; loads move between dispatches.
+    for (std::size_t i = 0; i < nodes.size(); ++i)
+        views[i] = {nodes[i].get(), i % 5 != 3, i % 4 == 1};
+    ++gen;
+    CloudTier cloud;
+    cloud.enabled = true;
+    cloud.price = er::cost::o4Mini();
+    cloud.saturationBacklog = 6;
+    std::size_t moves = 0;
+    Seconds now = 0.6;
+    for (int step = 0; step < 120; ++step) {
+        const Dispatch x = randomDispatch(rng, now, nodes.size());
+        clouds += routers.expectMatch(x.req, now, x.absDeadline, views,
+                                      gen, cloud, x.exclude);
+        // Touch a few nodes: a new leg, or an advance that admits,
+        // decodes or retires legs.
+        now += 0.02;
+        for (int k = 0; k < 3; ++k) {
+            const auto i = static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(nodes.size()) - 1));
+            const FleetNode::Visible before = nodes[i]->visible();
+            if (rng.bernoulli(0.5)) {
+                ServerRequest leg = x.req;
+                leg.arrival = std::max(now, nodes[i]->clock());
+                nodes[i]->submit(leg, 1000 + step * 3 + k);
+            } else {
+                nodes[i]->advanceUntil(now, false);
+            }
+            const FleetNode::Visible after = nodes[i]->visible();
+            moves += after.backlog != before.backlog ||
+                after.inFlight != before.inFlight;
+            routers.loadChanged(static_cast<int>(i));
+        }
+        routers.expectIndexCurrent(views, gen);
+    }
     // The sweep must reach the branches it claims to cover.
     EXPECT_GT(clouds, 0u);
     EXPECT_GT(in_flight_levels, 2u);
+    EXPECT_GT(moves, 60u);
 }
 
 TEST(RouteMemo, MatchesPerNodeReferenceOnSharedEngines)

@@ -111,6 +111,25 @@ TEST(TraceStream, MatchesMaterializedPoissonTrace)
     }
 }
 
+TEST(TraceStream, RejectsLengthsPastTheTokenRange)
+{
+    // A length sample past 2^63 has no long long to round to; both
+    // the stream and the materialized trace it backs refuse it by
+    // name instead of serving an unspecified (clamped to 8) length.
+    PoissonTraceStream src(1, "trace-overflow", 3, 2.0, 96, 1e30);
+    try {
+        src.next();
+        ADD_FAILURE() << "a 1e30-token mean produced a request";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("mean-out 1e+30"),
+                  std::string::npos)
+            << e.what();
+    }
+    er::Rng rng(1, "trace-overflow");
+    EXPECT_THROW(ServingSimulator::poissonTrace(rng, 3, 2.0, 1e30, 96),
+                 std::runtime_error);
+}
+
 // --- Golden matrix: router x fault mix x thread count ----------------
 
 /** Fault mixes the matrix sweeps; each stresses a different index
@@ -552,6 +571,46 @@ TEST(FleetScale, LazySyncAdvancesAFewTimesPerRequest)
     // fleet advances a node.
     EXPECT_EQ(sim.nodeAdvances(), 947u);
     EXPECT_EQ(sim.syncRounds(), 561u);
+}
+
+// --- Routing per load class -----------------------------------------
+
+TEST(FleetScale, RoutesVisitClassesNotNodes)
+{
+    // The fleet_gray shape at a tenth of its trace: 256 identical
+    // boxes on one engine, deadline router, crashes, slowdowns, two
+    // retries, hedging and adaptive health.  The router scores load
+    // classes (engine, power mode, backlog, in flight, draining), and
+    // identical boxes under one router fall into a handful of those
+    // however many nodes there are.  Paranoid mode cross-checks the
+    // incrementally patched classes against a from-scratch grouping
+    // after every event.
+    FleetConfig fc;
+    fc.nodes.assign(256, NodeSpec{er::model::ModelId::DeepScaleR1_5B});
+    fc.server.maxBatch = 30;
+    fc.router = RouterPolicy::DeadlineAware;
+    fc.paranoid = true;
+    fc.maxRetries = 2;
+    fc.hedgeFraction = 0.3;
+    fc.adaptiveHealth = true;
+    fc.nodeFaults.seed = 0xF1EE7;
+    fc.nodeFaults.horizon = 3600.0;
+    fc.nodeFaults.crashesPerHour = 2.0;
+    fc.nodeFaults.meanRebootSeconds = 30.0;
+    fc.nodeFaults.slowdownsPerHour = 2.0;
+    er::Rng rng(1, "fleet-scale-classes");
+    auto trace = ServingSimulator::poissonTrace(rng, 4000, 200.0, 64, 32);
+    for (auto &r : trace)
+        r.deadline = 5.0;
+    FleetSimulator sim(fc);
+    const FleetReport rep = sim.run(trace);
+    EXPECT_GT(rep.failovers + rep.retries + rep.hedgesLaunched, 0u);
+    EXPECT_GE(sim.classRoutes(), rep.arrivals);
+    EXPECT_LE(sim.classVisits(), 8 * sim.classRoutes());
+    // Pinned: the classes examined per route are the cost model of
+    // routing; a change that scores nodes again moves them.
+    EXPECT_EQ(sim.classRoutes(), 4008u);
+    EXPECT_EQ(sim.classVisits(), 11590u);
 }
 
 // --- Cross-layer oracle: a 1-node fleet is the single-node server ----

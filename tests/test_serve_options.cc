@@ -532,6 +532,26 @@ TEST(ServeOptions, RejectsNonFiniteNumbers)
     }
 }
 
+TEST(ServeOptions, RejectsMeanLengthsPastTheTokenRange)
+{
+    // `serve --requests 3 --mean-out 1e30` used to serve 8-token
+    // requests: the sampled length overflowed llround and the result
+    // was clamped to the minimum.  The means are now capped.
+    for (const char *flag : {"--mean-in", "--mean-out"}) {
+        SCOPED_TRACE(flag);
+        std::string err;
+        EXPECT_FALSE(
+            parse({"--requests", "3", flag, "1e30"}, &err).has_value());
+        EXPECT_NE(err.find(std::string(flag) + " must be in [1, 1e9]"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("1e30"), std::string::npos) << err;
+        EXPECT_TRUE(parse({"--requests", "3", flag, "1e9"}, &err)
+                        .has_value())
+            << err;
+    }
+}
+
 TEST(ServeOptions, FleetFlagsNeedFleet)
 {
     // Fleet-scoped flags are rejected outside a fleet run by name,
