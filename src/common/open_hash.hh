@@ -1,12 +1,12 @@
 /**
  * @file
- * Minimal open-addressed hash map for hot lookup paths (the executor's
- * per-(engine, bucket, batch) step-latency and chunk-latency caches,
- * the router's load-class index).  std::map's red-black tree costs ~6
- * dependent pointer chases per lookup on keys that are three machine
- * words; here a lookup is one FNV-1a over the packed key bytes (the
- * same hash primitive the journal uses, common/binio.hh) plus a short
- * linear probe over a flat array.
+ * Minimal open-addressed hash map for hot lookup paths (the engine's
+ * step-cost memo and its thread-local L1, the executor's chunk-latency
+ * cache, the router's load-class index).  std::map's red-black tree
+ * costs ~6 dependent pointer chases per lookup on keys that are a few
+ * machine words; here a lookup is one FNV-1a over the packed key bytes
+ * (the same hash primitive the journal uses, common/binio.hh) plus a
+ * short linear probe over a flat array.
  *
  * Deliberately narrow: keys must be trivially copyable with unique
  * object representations (no padding bytes — enforced at compile

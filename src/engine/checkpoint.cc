@@ -128,20 +128,9 @@ listCheckpoints(const std::string &dir)
     return out;
 }
 
-std::uint64_t
-runFingerprint(const InferenceEngine &engine,
-               const ServerConfig &config,
-               const std::vector<ServerRequest> &trace,
-               const FaultPlan &faults)
+void
+fingerprintServerConfig(ByteWriter &w, const ServerConfig &config)
 {
-    ByteWriter w;
-    // Engine identity: name plus the quantities serving arithmetic
-    // actually reads (KV geometry, budget, idle power).
-    w.str(engine.spec().name);
-    w.f64(engine.spec().kvBytesPerToken());
-    w.i64(engine.kvBudget());
-    w.f64(engine.calib().power.idle);
-
     w.i64(config.maxBatch);
     w.f64(config.kvWatermark);
     w.i64(config.prefillChunk);
@@ -166,14 +155,11 @@ runFingerprint(const InferenceEngine &engine,
     // wire payload, so a resume must match the writer's mode exactly.
     w.u8(config.prefixCache.enabled ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(config.prefixCache.evict));
+}
 
-    w.u64(trace.size());
-    for (const auto &r : trace)
-        serialize(w, r);
-
-    // Behavioural fault content only: the crash schedule decides when
-    // the process dies, never what the run computes, and a resume
-    // legitimately runs without one.
+void
+fingerprintFaultPlan(ByteWriter &w, const FaultPlan &faults)
+{
     const FaultConfig &fc = faults.config();
     w.u8(fc.thermal ? 1 : 0);
     w.f64(fc.thermalSpec.ambientC);
@@ -189,6 +175,29 @@ runFingerprint(const InferenceEngine &engine,
         w.f64(e.duration);
         w.f64(e.magnitude);
     }
+}
+
+std::uint64_t
+runFingerprint(const InferenceEngine &engine,
+               const ServerConfig &config,
+               const std::vector<ServerRequest> &trace,
+               const FaultPlan &faults)
+{
+    ByteWriter w;
+    // Engine identity: name plus the quantities serving arithmetic
+    // actually reads (KV geometry, budget, idle power).
+    w.str(engine.spec().name);
+    w.f64(engine.spec().kvBytesPerToken());
+    w.i64(engine.kvBudget());
+    w.f64(engine.calib().power.idle);
+
+    fingerprintServerConfig(w, config);
+
+    w.u64(trace.size());
+    for (const auto &r : trace)
+        serialize(w, r);
+
+    fingerprintFaultPlan(w, faults);
 
     return fnv1a(w.bytes());
 }

@@ -75,6 +75,24 @@ std::vector<std::pair<std::uint64_t, std::string>>
 listCheckpoints(const std::string &dir);
 
 /**
+ * Write every ServerConfig field that shapes serving arithmetic —
+ * limits, scheduler and its SPJF model, degrade policy, stepping mode,
+ * prefix cache — into a fingerprint under construction.  The
+ * single-node and fleet fingerprints both hash their server knobs
+ * through it.
+ */
+void fingerprintServerConfig(ByteWriter &w, const ServerConfig &config);
+
+/**
+ * Write a fault plan's behavioural content — thermal model and the
+ * materialized event list — into a fingerprint under construction.
+ * The crash schedule is left out: it decides when the process dies,
+ * never what the run computes, and a resume legitimately runs without
+ * one.
+ */
+void fingerprintFaultPlan(ByteWriter &w, const FaultPlan &faults);
+
+/**
  * Hash everything that determines a serving run's arithmetic (engine
  * identity, config, trace, behavioural fault schedule).  Stored in
  * journal and checkpoint headers; a resume under a different

@@ -315,10 +315,10 @@ InferenceEngine::decodeStepCost(Tokens context, int batch) const
         (static_cast<std::uint64_t>(context) << 16) |
         static_cast<std::uint64_t>(batch & 0xFFFF);
     // Per-thread read-through L1 over the shared locked map: the
-    // serving fast-forward path re-creates its per-simulator memo
-    // each run, so warm lookups land here every time — two atomic
-    // ops (shared_lock) would otherwise dominate the macro-step
-    // budget.  Entries are exact and immutable (see StepCostL1).
+    // executor asks the engine for every decode bucket it steps
+    // through, so warm lookups land here every time — two atomic ops
+    // (shared_lock) would otherwise dominate the macro-step budget.
+    // Entries are exact and immutable (see StepCostL1).
     auto &l1 = tl_cost_l1.sync().decode;
     const StepCostL1::DecodeKey lk{costCache_->generation, key};
     if (const hw::StepCost *hit = l1.find(lk)) {

@@ -173,12 +173,8 @@ Seconds
 BatchExecutor::stepLatency(const InferenceEngine &eng, Tokens ctx,
                            int batch)
 {
-    const Tokens bucket = std::max<Tokens>(64, (ctx + 63) / 64 * 64);
-    const StepKey key{reinterpret_cast<std::uintptr_t>(&eng), bucket,
-                      batch};
-    if (const Seconds *hit = stepCache_.find(key))
-        return *hit;
-    return stepCache_.insert(key, eng.decodeStepLatency(bucket, batch));
+    return eng.decodeStepLatency(
+        std::max<Tokens>(64, (ctx + 63) / 64 * 64), batch);
 }
 
 Seconds
@@ -866,10 +862,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
         bool stopped = false;
         while (k < kmax && !stopped) {
             // One bucket-run: constant step latency until the average
-            // context crosses the next 64-token boundary.  The
-            // per-simulator stepCache_ is skipped here: each (bucket,
-            // batch) pair occurs once per segment sweep, so the
-            // engine's own memo is the only layer that can hit.
+            // context crosses the next 64-token boundary.
             const Tokens b =
                 std::max<Tokens>(64, (avg_ctx + 63) / 64 * 64);
             const Seconds dt = costEng_->decodeStepLatency(b, batch);
@@ -1236,9 +1229,8 @@ BatchExecutor::serialize(ByteWriter &w) const
         w.u64(ballast_);
         paged_->serialize(w);
     }
-    // stepCache_/chunkCache_/rebuildCost_ are pure memoization over the
-    // engine's noiseless const query surface: rebuilt identically on
-    // resume.
+    // chunkCache_/rebuildCost_ are pure memoization over the engine's
+    // noiseless const query surface: rebuilt identically on resume.
 }
 
 void

@@ -374,8 +374,10 @@ class BatchExecutor
 
     double speedNow() const;
     Seconds advanceWork(Seconds base_dt, Watts maxn_power);
-    Seconds stepLatency(const InferenceEngine &eng, Tokens ctx,
-                        int batch);
+    /** Noiseless decode step latency over @p ctx rounded up to its
+     *  64-token bucket; the engine's step-cost memo is the cache. */
+    static Seconds stepLatency(const InferenceEngine &eng, Tokens ctx,
+                               int batch);
     Seconds chunkLatency(const InferenceEngine &eng, Tokens prefix,
                          Tokens chunk);
     /** Retire @p id (emit + served record + deadline unindex); the
@@ -434,13 +436,7 @@ class BatchExecutor
      *  right after the step that set it). */
     Seconds lastStepDt_ = 0.0;
 
-    /** Packed padding-free memo keys (hashed by raw bytes). */
-    struct StepKey
-    {
-        std::uintptr_t eng;
-        Tokens bucket;
-        std::int64_t batch;
-    };
+    /** Packed padding-free memo key (hashed by raw bytes). */
     struct ChunkKey
     {
         std::uintptr_t eng;
@@ -448,9 +444,6 @@ class BatchExecutor
         Tokens chunk;
     };
 
-    /** Memoized noiseless step latency over bucketed context, keyed
-     *  per cost engine (primary vs degraded fallback). */
-    OpenHashMap<StepKey, Seconds> stepCache_;
     /** Memoized chunk costs (chunked prefill), keyed per cost engine
      *  on the exact (cached prefix, chunk) pair. */
     OpenHashMap<ChunkKey, Seconds> chunkCache_;

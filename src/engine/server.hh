@@ -213,9 +213,9 @@ struct ServerConfig
     bool exactSteps = false;
     /**
      * Upper bound on decode steps fast-forwarded per macro segment
-     * (0 = unbounded).  Durable runs additionally cap segments at
-     * the checkpoint cadence so checkpoint marks stay an event
-     * horizon boundary.
+     * (0 = unbounded).  Durability never shortens a segment:
+     * checkpoints fall at cycle boundaries, which durable and plain
+     * runs share (DESIGN.md §9).
      */
     std::uint64_t macroHorizonCap = 0;
     /**

@@ -944,9 +944,6 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
                           bool durable, std::uint64_t fp, bool resumed,
                           std::uint64_t restored_event)
 {
-    // The arrival-burst fast path would race the per-event durability
-    // gates.
-    const bool burst = !durable;
     while (true) {
         if (heap_.empty()) {
             if (stopIndex_.minKey() == kInf)
@@ -1028,31 +1025,6 @@ FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
         if (cfg_.paranoid)
             audit(now_);
         ++eventCount_;
-
-        if (!burst || e.kind != KArrival)
-            continue;
-        // Batched admission: while the next event is also an arrival
-        // and no node lags it, the syncNodesTo above would collect
-        // nothing — a pure no-op — so every arrival landing in this
-        // inter-event window is routed in one pass, consulting the
-        // heap and the sync machinery once per window instead of once
-        // per request.  The per-arrival accounting (audit, event
-        // count) is replicated exactly, so the path is value-identical
-        // to popping them one loop iteration at a time.
-        while (!heap_.empty() && heap_.front().kind == KArrival &&
-               !(stopIndex_.minKey() + kTimeSlack <
-                 heap_.front().time)) {
-            e = heap_.front();
-            std::pop_heap(heap_.begin(), heap_.end(),
-                          std::greater<>());
-            heap_.pop_back();
-            noteSyncTarget(e.time); // the sync it skips is a no-op
-            now_ = std::max(now_, e.time);
-            onArrival(e);
-            if (cfg_.paranoid)
-                audit(now_);
-            ++eventCount_;
-        }
     }
 }
 
@@ -1061,9 +1033,11 @@ FleetSimulator::fleetFingerprint(
     const std::vector<engine::ServerRequest> &trace) const
 {
     // Hash everything that determines the fleet's arithmetic: router
-    // policy, node specs, per-node server knobs, fleet resilience
-    // knobs, the materialized fault schedules (whatever their source),
-    // and the full trace.  Deliberately excluded, following the
+    // policy, node specs, per-node server knobs and behavioural fault
+    // content (through the single-node fingerprint's own writers, so
+    // the two cannot drift apart), fleet resilience knobs, the
+    // materialized fault schedules (whatever their source), and the
+    // full trace.  Deliberately excluded, following the
     // single-node checkpoint discipline: paranoid, journalDir, and
     // every crash-injection knob — resuming under a different (or no)
     // crash plan is the normal recovery flow.
@@ -1079,15 +1053,7 @@ FleetSimulator::fleetFingerprint(
         w.u8(s.quantized ? 1 : 0);
         w.u32(static_cast<std::uint32_t>(s.powerMode));
     }
-    w.i64(cfg_.server.maxBatch);
-    w.f64(cfg_.server.kvWatermark);
-    w.i64(cfg_.server.prefillChunk);
-    w.u8(static_cast<std::uint8_t>(cfg_.server.scheduler));
-    w.u8(static_cast<std::uint8_t>(cfg_.server.degrade.mode));
-    w.u8(cfg_.server.exactSteps ? 1 : 0);
-    w.u64(cfg_.server.macroHorizonCap);
-    w.u8(cfg_.server.prefixCache.enabled ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(cfg_.server.prefixCache.evict));
+    engine::fingerprintServerConfig(w, cfg_.server);
     w.i64(cfg_.maxRetries);
     w.f64(cfg_.retryBackoff);
     w.f64(cfg_.retryBackoffCap);
@@ -1128,14 +1094,7 @@ FleetSimulator::fleetFingerprint(
             w.f64(f.start);
             w.f64(f.duration);
         }
-        w.u8(s.behavioural.config().thermal ? 1 : 0);
-        w.u64(s.behavioural.events().size());
-        for (const auto &e : s.behavioural.events()) {
-            w.u8(static_cast<std::uint8_t>(e.kind));
-            w.f64(e.time);
-            w.f64(e.duration);
-            w.f64(e.magnitude);
-        }
+        engine::fingerprintFaultPlan(w, s.behavioural);
     }
     w.u64(trace.size());
     for (const auto &req : trace)

@@ -506,8 +506,8 @@ class FleetSimulator
     bool viewsDirty_ = true;
     Seconds viewsBuiltAt_ = 0.0;
     Seconds viewsValidUntil_ = 0.0;
-    /** Bumped on every views rebuild; lets the router cache its
-     *  candidate filter for the lifetime of one views window. */
+    /** Bumped on every views rebuild; lets the router keep its
+     *  load-class index for the lifetime of one views window. */
     std::uint64_t viewsGen_ = 0;
 
     // Request source and track store.

@@ -279,7 +279,7 @@ class FleetNode : private engine::ArrivalSource
 
     /** The same estimate for any node on @p engine with @p in_flight
      *  legs running: a pure function of its three arguments, which
-     *  is what lets the router memoize it per (engine, load). */
+     *  is what lets the router score a whole load class at once. */
     static Seconds
     estimateServiceTime(const engine::InferenceEngine &engine,
                         int in_flight, const engine::ServerRequest &r);

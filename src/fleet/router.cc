@@ -41,49 +41,6 @@ routerPolicyFromName(const std::string &name)
     return std::nullopt;
 }
 
-void
-Router::buildCandidates(const std::vector<NodeView> &views, int exclude,
-                        std::vector<int> *out)
-{
-    const auto collect = [&](bool allow_draining, bool allow_excluded) {
-        out->clear();
-        for (std::size_t i = 0; i < views.size(); ++i) {
-            if (!views[i].up)
-                continue;
-            if (!allow_draining && views[i].draining)
-                continue;
-            if (!allow_excluded && static_cast<int>(i) == exclude)
-                continue;
-            out->push_back(static_cast<int>(i));
-        }
-    };
-    // Progressive relaxation: drain and failure-avoidance are
-    // preferences, not availability losses.
-    collect(false, false);
-    if (out->empty())
-        collect(true, false);
-    if (out->empty())
-        collect(true, true);
-}
-
-const std::vector<int> &
-Router::candidates(const std::vector<NodeView> &views,
-                   std::uint64_t views_gen, int exclude)
-{
-    if (exclude >= 0) {
-        // Retry/failover path: the excluded node perturbs the filter,
-        // so build fresh — these are a tiny fraction of dispatches.
-        buildCandidates(views, exclude, &excludeBuf_);
-        return excludeBuf_;
-    }
-    if (!candPrimed_ || candGen_ != views_gen) {
-        buildCandidates(views, -1, &candBuf_);
-        candGen_ = views_gen;
-        candPrimed_ = true;
-    }
-    return candBuf_;
-}
-
 Router::LoadClassKey
 Router::classKeyOf(const NodeView &v)
 {
@@ -209,8 +166,8 @@ Router::candidateClasses(const std::vector<NodeView> &views,
 {
     if (indexViews_ != &views || indexGen_ != views_gen)
         rebuildClasses(views, views_gen);
-    // Progressive relaxation, as buildCandidates: drain and
-    // failure-avoidance are preferences, not availability losses.
+    // Progressive relaxation: drain and failure-avoidance are
+    // preferences, not availability losses.
     const auto collect = [&](bool allow_draining, bool allow_excluded) {
         classCands_.clear();
         classVisits_ += live_.size();
@@ -330,18 +287,26 @@ class RoundRobinRouter final : public Router
         (void)req;
         (void)now;
         (void)abs_deadline;
-        const auto &ids = candidates(views, views_gen, exclude);
-        if (ids.empty())
-            return cloud.enabled ? RouteDecision::toCloud()
-                                 : RouteDecision::reject();
-        // First candidate at/after the cursor in cyclic id order; the
-        // ids are ascending, so that is a binary search (same pick as
-        // the linear scan it replaces).
-        const auto it =
-            std::lower_bound(ids.begin(), ids.end(), cursor_);
-        const int pick = it == ids.end() ? ids.front() : *it;
-        cursor_ = (pick + 1) % static_cast<int>(views.size());
-        return RouteDecision::toNode(pick);
+        (void)views_gen;
+        // First node at/after the cursor in cyclic id order, under the
+        // progressive relaxation: up and neither draining nor
+        // excluded, then draining allowed, then the excluded node too.
+        // Unsigned, so a cursor restored out of range still indexes
+        // in bounds.
+        const std::size_t n = views.size();
+        const auto start = static_cast<std::size_t>(cursor_);
+        for (int pass = 0; pass < 3; ++pass) {
+            for (std::size_t k = 0; k < n; ++k) {
+                const std::size_t i = (start + k) % n;
+                if (!views[i].up || (pass < 1 && views[i].draining) ||
+                    (pass < 2 && static_cast<int>(i) == exclude))
+                    continue;
+                cursor_ = static_cast<int>((i + 1) % n);
+                return RouteDecision::toNode(static_cast<int>(i));
+            }
+        }
+        return cloud.enabled ? RouteDecision::toCloud()
+                             : RouteDecision::reject();
     }
 
     void serialize(ByteWriter &w) const override { w.i64(cursor_); }

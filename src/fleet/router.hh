@@ -17,7 +17,8 @@
  *    actually move the request.
  *
  * Policies:
- *  - round-robin: rotating cursor over the candidates;
+ *  - round-robin: the first candidate at or after a rotating cursor,
+ *    in cyclic node-id order;
  *  - least-loaded: minimum backlog + in-flight, ties to the lowest
  *    node id;
  *  - deadline-aware: minimum predicted finish (optimistic service
@@ -150,9 +151,9 @@ class Router
      * @param abs_deadline  absolute deadline instant (+inf when none)
      * @param views  per-node health snapshots, indexed by node id
      * @param views_gen  generation stamp of @p views — the driver
-     *        bumps it whenever the up/draining flags are rebuilt, so
-     *        equal stamps guarantee identical flags and the shared
-     *        candidate filter can be reused across dispatches
+     *        bumps it whenever the views are rebuilt, so equal stamps
+     *        guarantee identical up/draining flags and the load-class
+     *        index (see the index contract above) can be reused
      * @param cloud  offload tier (ignored when not enabled)
      * @param exclude  node of the leg that just failed (-1 none)
      */
@@ -222,24 +223,6 @@ class Router
     loadClassesFromScratch(const std::vector<NodeView> &views);
 
   protected:
-    /**
-     * Shared candidate filter: up nodes first without draining or the
-     * excluded node, then progressively relaxed (draining allowed,
-     * then the excluded node) so a lone surviving node still serves.
-     *
-     * The result is a pure function of (up/draining flags, exclude),
-     * so the common exclude-free list is cached per @p views_gen: the
-     * O(nodes) filter runs once per admission window, not once per
-     * dispatch.  Retry/failover dispatches (exclude >= 0) are rare
-     * and rebuild into a scratch buffer every time.
-     *
-     * @return candidate node ids in ascending order; empty when every
-     * node is down.  The reference is valid until the next call.
-     */
-    const std::vector<int> &
-    candidates(const std::vector<NodeView> &views,
-               std::uint64_t views_gen, int exclude);
-
     /** One candidate load class: its key and its lowest eligible node
      *  id, the node a per-node scan in id order would pick from it. */
     struct ClassCandidate
@@ -250,8 +233,9 @@ class Router
 
     /**
      * The candidate filter over load classes: the classes holding a
-     * candidate() node, each with its lowest candidate id, in no
-     * particular order (policies break ties on the lower id).
+     * candidate node (the relaxation above), each with its lowest
+     * candidate id, in no particular order (policies break ties on
+     * the lower id).
      * Rebuilds the index when @p views or @p views_gen changed.  The
      * reference is valid until the next call.
      */
@@ -260,15 +244,6 @@ class Router
                      std::uint64_t views_gen, int exclude);
 
   private:
-    /** Unconditional filter pass behind the candidates() cache. */
-    static void buildCandidates(const std::vector<NodeView> &views,
-                                int exclude, std::vector<int> *out);
-
-    std::vector<int> candBuf_;    //!< cached exclude == -1 list
-    std::vector<int> excludeBuf_; //!< scratch for exclude >= 0
-    std::uint64_t candGen_ = 0;   //!< views_gen candBuf_ was built at
-    bool candPrimed_ = false;     //!< candBuf_ holds a real build
-
     /** A live load class.  Its members are the set bits of its row
      *  of bits_. */
     struct LoadClass

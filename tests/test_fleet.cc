@@ -8,7 +8,8 @@
  * cloud-offload tier, one engine per distinct node spec, and the
  * class-scored routers (least-loaded, deadline, cost) against per-node
  * brute-force references, across index rebuilds and in-place
- * loadChanged patches.
+ * loadChanged patches, and round-robin's cyclic scan against the
+ * filtered-list cursor pick it replaced.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "engine/server.hh"
@@ -766,7 +768,7 @@ expectRoutersMatchReference(std::vector<std::unique_ptr<FleetNode>> &nodes,
             cloud.saturationBacklog =
                 static_cast<std::size_t>(rng.uniformInt(2, 64));
             // Several dispatches per views window, so the routers'
-            // cached candidate lists and load classes get reused.
+            // load classes get reused.
             for (int d = 0; d < 4; ++d) {
                 const Seconds now = 0.1 * round;
                 const Dispatch x = randomDispatch(rng, now, nodes.size());
@@ -818,6 +820,119 @@ expectRoutersMatchReference(std::vector<std::unique_ptr<FleetNode>> &nodes,
     EXPECT_GT(clouds, 0u);
     EXPECT_GT(in_flight_levels, 2u);
     EXPECT_GT(moves, 60u);
+}
+
+/** Round-robin's pick as it was made before the cyclic scan: the
+ *  first relaxed candidate at or after the cursor in ascending id
+ *  order, wrapping to the lowest. */
+RouteDecision
+refRoundRobin(const std::vector<NodeView> &views, const CloudTier &cloud,
+              int exclude, int *cursor)
+{
+    const auto ids = refCandidates(views, exclude);
+    if (ids.empty())
+        return cloud.enabled ? RouteDecision::toCloud()
+                             : RouteDecision::reject();
+    const auto it = std::lower_bound(ids.begin(), ids.end(), *cursor);
+    const int pick = it == ids.end() ? ids.front() : *it;
+    *cursor = (pick + 1) % static_cast<int>(views.size());
+    return RouteDecision::toNode(pick);
+}
+
+TEST(RouteMemo, RoundRobinMatchesFilteredCursorReference)
+{
+    constexpr int kNodes = 11;
+    auto rr = makeRouter(RouterPolicy::RoundRobin);
+    int cursor = 0;
+    std::vector<NodeView> views(kNodes); // the policy reads no node
+    CloudTier cloud;
+    std::uint64_t gen = 0;
+    std::size_t picks = 0, wraps = 0, clouds = 0, rejects = 0;
+    const auto expect_pick = [&](int exclude) {
+        const int before = cursor;
+        const auto want = refRoundRobin(views, cloud, exclude, &cursor);
+        const auto got =
+            rr->route(ServerRequest{}, 0.0,
+                      std::numeric_limits<Seconds>::infinity(), views,
+                      gen, cloud, exclude);
+        EXPECT_EQ(got.node, want.node) << "exclude " << exclude;
+        EXPECT_EQ(got.cloud, want.cloud) << "exclude " << exclude;
+        picks += want.node >= 0;
+        wraps += want.node >= 0 && want.node < before;
+        clouds += want.cloud;
+        rejects += want.rejected();
+    };
+    // Every exclusion, three dispatches each, so the cursor moves
+    // under one views generation.
+    const auto sweep_excludes = [&] {
+        for (int exclude = -1; exclude < kNodes; ++exclude)
+            for (int d = 0; d < 3; ++d)
+                expect_pick(exclude);
+    };
+
+    er::Rng rng(0x5EED, "route-rr");
+    for (int trial = 0; trial < 200; ++trial) {
+        const double p_down = trial % 5 == 0 ? 0.85 : 0.3;
+        const double p_drain = trial % 7 == 0 ? 0.9 : 0.25;
+        for (auto &v : views) {
+            v.up = !rng.bernoulli(p_down);
+            v.draining = rng.bernoulli(p_drain);
+        }
+        cloud.enabled = rng.bernoulli(0.5);
+        ++gen;
+        sweep_excludes();
+    }
+
+    // Only the excluded node is up: the third pass still serves it.
+    for (int only = 0; only < kNodes; ++only) {
+        for (int i = 0; i < kNodes; ++i)
+            views[i] = {nullptr, i == only, i == only && only % 2 == 1};
+        ++gen;
+        const std::size_t before = picks;
+        expect_pick(only);
+        EXPECT_EQ(picks, before + 1);
+    }
+    // All draining: the second pass serves them.
+    for (auto &v : views)
+        v = {nullptr, true, true};
+    ++gen;
+    sweep_excludes();
+    // All down: the cloud when enabled, else a rejection.
+    for (auto &v : views)
+        v = {nullptr, false, false};
+    for (const bool enabled : {false, true}) {
+        cloud.enabled = enabled;
+        ++gen;
+        sweep_excludes();
+    }
+
+    // The cursor survives a checkpoint: a restored router continues
+    // the rotation exactly where the original stands.
+    for (auto &v : views)
+        v = {nullptr, true, false};
+    views[3].up = false;
+    views[7].draining = true;
+    ++gen;
+    expect_pick(-1);
+    er::ByteWriter w;
+    rr->serialize(w);
+    auto restored = makeRouter(RouterPolicy::RoundRobin);
+    er::ByteReader r(w.bytes());
+    restored->restore(r);
+    for (int d = 0; d < 2 * kNodes; ++d) {
+        const auto want = rr->route(ServerRequest{}, 0.0, 0.0, views, gen,
+                                    cloud, d % 4 == 0 ? d % kNodes : -1);
+        const auto got = restored->route(ServerRequest{}, 0.0, 0.0, views,
+                                         gen, cloud,
+                                         d % 4 == 0 ? d % kNodes : -1);
+        EXPECT_EQ(got.node, want.node);
+    }
+
+    // The sweep must reach the branches it claims to cover.
+    EXPECT_GT(picks, 1000u);
+    EXPECT_GT(wraps, 100u);
+    EXPECT_GT(clouds, 0u);
+    EXPECT_GT(rejects, 0u);
 }
 
 TEST(RouteMemo, MatchesPerNodeReferenceOnSharedEngines)

@@ -309,6 +309,51 @@ TEST(FleetRecovery, ResumeRefusesAPerturbedTrace)
         std::filesystem::remove_all(kArtifacts);
 }
 
+TEST(FleetRecovery, ResumeRefusesAChangedDegradePolicy)
+{
+    // The fleet fingerprint hashes the server knobs and behavioural
+    // fault content through the single-node fingerprint's writers: a
+    // resume under a different degrade budget, preemption retry limit
+    // or backoff, or thermal ambient is refused like a changed trace.
+    std::filesystem::remove_all(kArtifacts);
+    const auto trace = recoveryTrace();
+    FleetConfig fc = recoveryConfig(RouterPolicy::LeastLoaded);
+    fc.server.degrade.mode = er::engine::DegradeMode::Budget;
+    fc.server.degrade.budget = er::strategy::TokenPolicy::hard(256);
+    FleetDurabilityOptions dur;
+    dur.checkpointDir = (kArtifacts / "ckpt").string();
+    dur.checkpointEvery = 20;
+    dur.crashAtEvent = 50;
+    {
+        FleetSimulator sim(fc);
+        EXPECT_THROW(sim.run(trace, dur), FleetSimulatedCrash);
+    }
+    std::vector<FleetConfig> changed(4, fc);
+    changed[0].server.degrade.budget = er::strategy::TokenPolicy::hard(16);
+    changed[1].server.degrade.maxRetries += 1;
+    changed[2].server.degrade.retryBackoff *= 2.0;
+    changed[3].nodeFaults.behavioural.thermalSpec.ambientC += 10.0;
+    FleetDurabilityOptions res;
+    res.checkpointDir = dur.checkpointDir;
+    res.resume = true;
+    for (const FleetConfig &c : changed) {
+        FleetSimulator sim(c);
+        try {
+            sim.run(trace, res);
+            ADD_FAILURE() << "resume accepted a different configuration";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("fingerprint"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The unchanged configuration still resumes.
+    FleetSimulator same(fc);
+    EXPECT_NO_THROW(same.run(trace, res));
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
+}
+
 TEST(FleetRecovery, ResumesWithHedgedLegsAndTrippedBreaker)
 {
     // A gray node 0 (12x slowdown, never crashed) with a 10 s per-try
@@ -518,8 +563,9 @@ TEST(FleetRecovery, CrashResumeUnderAdaptiveHealthIsBitIdentical)
     // A checkpoint every event, so each resume restores the state at
     // its crash point.  Both resumes leave the uninterrupted durable
     // run's full checkpoint set: the crashed run wrote the files up
-    // to its crash, the resumed run the rest.
-    const std::uint64_t kCkptHash = 0x5ad0edd31e64a869ull;
+    // to its crash, the resumed run the rest.  The pin covers each
+    // file's header, so it moves with the fleet fingerprint's layout.
+    const std::uint64_t kCkptHash = 0x2dddb8faa0b5c6bdull;
     for (const er::Seconds crash_at : {before, after}) {
         SCOPED_TRACE("crash at t=" + std::to_string(crash_at));
         const auto dir = kArtifacts /
