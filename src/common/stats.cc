@@ -204,15 +204,6 @@ mean(const std::vector<double> &xs)
 }
 
 double
-stddev(const std::vector<double> &xs)
-{
-    RunningStats s;
-    for (double x : xs)
-        s.add(x);
-    return s.stddev();
-}
-
-double
 percentile(std::vector<double> xs, double p)
 {
     std::sort(xs.begin(), xs.end());
@@ -232,6 +223,35 @@ sortedPercentile(const std::vector<double> &sorted, double p)
     const auto hi = std::min(lo + 1, sorted.size() - 1);
     const double frac = rank - static_cast<double>(lo);
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+SampleSummary
+summarizeSamples(std::vector<double> &xs)
+{
+    SampleSummary s;
+    if (xs.empty())
+        return s;
+    s.mean = mean(xs);
+    std::sort(xs.begin(), xs.end());
+    s.p50 = sortedPercentile(xs, 50.0);
+    s.p95 = sortedPercentile(xs, 95.0);
+    s.p99 = sortedPercentile(xs, 99.0);
+    s.p999 = sortedPercentile(xs, 99.9);
+    return s;
+}
+
+RunSummary
+summarizeRun(double first_arrival, double end, std::size_t finished,
+             std::size_t met, std::vector<double> &latencies)
+{
+    RunSummary r;
+    r.makespan = end - first_arrival;
+    if (r.makespan > 0.0) {
+        r.throughput = static_cast<double>(finished) / r.makespan;
+        r.goodput = static_cast<double>(met) / r.makespan;
+    }
+    r.latency = summarizeSamples(latencies);
+    return r;
 }
 
 double

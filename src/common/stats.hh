@@ -104,11 +104,8 @@ class P2Quantile
 double mape(const std::vector<double> &predicted,
             const std::vector<double> &actual, double eps = 1e-12);
 
-/** Arithmetic mean of a vector (0 when empty). */
+/** Arithmetic mean of a vector, a RunningStats in order (0 when empty). */
 double mean(const std::vector<double> &xs);
-
-/** Sample standard deviation of a vector (0 when n < 2). */
-double stddev(const std::vector<double> &xs);
 
 /**
  * Linear-interpolated percentile.
@@ -124,6 +121,36 @@ double percentile(std::vector<double> xs, double p);
  * @param p  percentile in [0, 100]
  */
 double sortedPercentile(const std::vector<double> &sorted, double p);
+
+/** Mean and percentiles of one sample set (all 0 when empty). */
+struct SampleSummary
+{
+    double mean = 0.0;
+    double p50 = 0.0;
+    double p95 = 0.0;
+    double p99 = 0.0;
+    double p999 = 0.0;
+};
+
+/** mean(@p xs) in the order given, then every percentile from one
+ *  in-place sort through sortedPercentile(). */
+SampleSummary summarizeSamples(std::vector<double> &xs);
+
+/** Makespan, rates and latency statistics of one serving run. */
+struct RunSummary
+{
+    double makespan = 0.0;   //!< first arrival -> end of the run
+    double throughput = 0.0; //!< finished requests per second
+    double goodput = 0.0;    //!< deadline-met requests per second
+    SampleSummary latency;   //!< over the finished requests
+};
+
+/** The report fold the server and the fleet share: rates over
+ *  @p end - @p first_arrival (0 unless positive), @p latencies in
+ *  completion order summarized (and sorted) by summarizeSamples(). */
+RunSummary summarizeRun(double first_arrival, double end,
+                        std::size_t finished, std::size_t met,
+                        std::vector<double> &latencies);
 
 /** Coefficient of determination R^2 of predictions vs actuals. */
 double rSquared(const std::vector<double> &predicted,

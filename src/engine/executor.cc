@@ -170,14 +170,6 @@ BatchExecutor::idleTo(Seconds t)
 }
 
 Seconds
-BatchExecutor::stepLatency(const InferenceEngine &eng, Tokens ctx,
-                           int batch)
-{
-    return eng.decodeStepLatency(
-        std::max<Tokens>(64, (ctx + 63) / 64 * 64), batch);
-}
-
-Seconds
 BatchExecutor::chunkLatency(const InferenceEngine &eng, Tokens prefix,
                             Tokens chunk)
 {
@@ -515,9 +507,10 @@ BatchExecutor::admit(ServingState &st, const Scheduler &sched)
             const Seconds est_prefill = est_cached > 0
                 ? chunkLatency(*costEng_, est_cached, input - est_cached)
                 : costEng_->prefillLatency(input);
+            const Seconds est_step = costEng_->decodeStepLatency(
+                stepBucket(mid_ctx), est_batch);
             const Seconds est_finish = acc_.clock + est_prefill / s +
-                static_cast<double>(eff_out) *
-                    stepLatency(*costEng_, mid_ctx, est_batch) / s;
+                static_cast<double>(eff_out) * est_step / s;
             if (est_finish >
                 st.pool.arrival(id) + st.pool.deadline(id) +
                     kDeadlineSlack) {
@@ -632,7 +625,8 @@ BatchExecutor::decodeStep(ServingState &st)
     }
     const Tokens avg_ctx = static_cast<Tokens>(
         std::llround(ctx_sum / batch));
-    const Seconds base_dt = stepLatency(*costEng_, avg_ctx, batch);
+    const Seconds base_dt =
+        costEng_->decodeStepLatency(stepBucket(avg_ctx), batch);
     const Tokens avg_o = std::max<Tokens>(
         1, static_cast<Tokens>(std::llround(gen_sum / batch)) + 1);
     const Watts pw = costEng_->soc().power().decode(
@@ -863,8 +857,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
         while (k < kmax && !stopped) {
             // One bucket-run: constant step latency until the average
             // context crosses the next 64-token boundary.
-            const Tokens b =
-                std::max<Tokens>(64, (avg_ctx + 63) / 64 * 64);
+            const Tokens b = stepBucket(avg_ctx);
             const Seconds dt = costEng_->decodeStepLatency(b, batch);
             const double bdt = batch * dt;
             const std::uint64_t n = std::min(
@@ -915,16 +908,15 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
             avg_o += static_cast<Tokens>(j);
         }
     } else {
-        Tokens bucket = 0; // current stepLatency bucket (0 = none yet)
+        Tokens bucket = 0; // current stepBucket (0 = none yet)
         Seconds base_dt = 0.0;
         while (true) {
             const Tokens avg_ctx = static_cast<Tokens>(
                 std::llround(ctx_sum / batch));
-            const Tokens b =
-                std::max<Tokens>(64, (avg_ctx + 63) / 64 * 64);
+            const Tokens b = stepBucket(avg_ctx);
             if (b != bucket) {
                 bucket = b;
-                base_dt = stepLatency(*costEng_, avg_ctx, batch);
+                base_dt = costEng_->decodeStepLatency(b, batch);
             }
             const Tokens avg_o = std::max<Tokens>(
                 1,
@@ -1135,7 +1127,7 @@ BatchExecutor::peekCycle(const ServingState &st,
     for (std::uint64_t k = 1;; ++k) {
         const Tokens avg_ctx =
             static_cast<Tokens>(std::llround(ctx_sum / batch));
-        const Tokens b = std::max<Tokens>(64, (avg_ctx + 63) / 64 * 64);
+        const Tokens b = stepBucket(avg_ctx);
         if (b != bucket) {
             bucket = b;
             dt = engine_.decodeStepLatency(b, batch);

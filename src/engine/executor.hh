@@ -18,6 +18,7 @@
 #ifndef EDGEREASON_ENGINE_EXECUTOR_HH
 #define EDGEREASON_ENGINE_EXECUTOR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -374,10 +375,14 @@ class BatchExecutor
 
     double speedNow() const;
     Seconds advanceWork(Seconds base_dt, Watts maxn_power);
-    /** Noiseless decode step latency over @p ctx rounded up to its
-     *  64-token bucket; the engine's step-cost memo is the cache. */
-    static Seconds stepLatency(const InferenceEngine &eng, Tokens ctx,
-                               int batch);
+    /** The decode step-cost bucket of context @p ctx: rounded up to
+     *  a multiple of 64 tokens, at least 64.  Every decode path prices
+     *  a step by this one rule (the engine's step-cost memo is the
+     *  cache), which keeps macro, exact and peeked steps bit-identical. */
+    static Tokens stepBucket(Tokens ctx)
+    {
+        return std::max<Tokens>(64, (ctx + 63) / 64 * 64);
+    }
     Seconds chunkLatency(const InferenceEngine &eng, Tokens prefix,
                          Tokens chunk);
     /** Retire @p id (emit + served record + deadline unindex); the

@@ -39,10 +39,16 @@ buildServingReport(const std::vector<ServedRequest> &served,
     std::size_t met = 0;
     std::size_t with_deadline = 0;
     std::size_t with_deadline_met = 0;
+    std::vector<double> latencies;
+    std::vector<double> waits;
+    latencies.reserve(served.size());
+    waits.reserve(served.size());
     for (const auto &s : served) {
+        waits.push_back(s.queueDelay);
         switch (s.outcome) {
           case RequestOutcome::Completed:
             ++rep.completed;
+            latencies.push_back(s.latency());
             if (s.preemptions > 0)
                 ++rep.retriedCompleted;
             if (s.degraded)
@@ -66,10 +72,18 @@ buildServingReport(const std::vector<ServedRequest> &served,
                 ++with_deadline_met;
         }
     }
-    rep.makespan = acc.clock - first_arrival;
-    rep.throughputQps = rep.makespan > 0.0
-        ? static_cast<double>(rep.completed) / rep.makespan
-        : 0.0;
+    // The fleet report's fold; a run with zero completions reports 0.0
+    // latency statistics and rates, for live report and replay alike.
+    const RunSummary run = summarizeRun(first_arrival, acc.clock,
+                                        rep.completed, met, latencies);
+    rep.makespan = run.makespan;
+    rep.throughputQps = run.throughput;
+    rep.goodputQps = run.goodput;
+    rep.meanLatency = run.latency.mean;
+    rep.p50Latency = run.latency.p50;
+    rep.p95Latency = run.latency.p95;
+    rep.p99Latency = run.latency.p99;
+
     rep.totalEnergy = acc.energy;
     rep.energyPerQuery = rep.completed > 0
         ? acc.energy / static_cast<double>(rep.completed)
@@ -80,9 +94,6 @@ buildServingReport(const std::vector<ServedRequest> &served,
     rep.utilization = rep.makespan > 0.0 ? acc.busy / rep.makespan
                                          : 0.0;
     rep.preemptions = acc.preemptions;
-    rep.goodputQps = rep.makespan > 0.0
-        ? static_cast<double>(met) / rep.makespan
-        : 0.0;
     rep.deadlineHitRate = with_deadline > 0
         ? static_cast<double>(with_deadline_met) /
             static_cast<double>(with_deadline)
@@ -97,40 +108,11 @@ buildServingReport(const std::vector<ServedRequest> &served,
     rep.prefillSecondsSaved = acc.prefillSecondsSaved;
     rep.prefixEvictions = acc.prefixEvictions;
 
-    // Degenerate-run contract: percentile() panics on an empty sample
-    // set, so guard it here once for every caller (live report and
-    // journal replay alike).  A run with zero completions reports 0.0
-    // latency percentiles — same convention as meanLatency (and
-    // throughput) — never NaN and never a panic; a single sample is
-    // its own percentile for every p.
-    const auto pct = [](const std::vector<double> &xs, double p) {
-        return xs.empty() ? 0.0 : percentile(xs, p);
-    };
-    std::vector<double> latencies;
-    latencies.reserve(served.size());
-    RunningStats lat;
-    for (const auto &s : served) {
-        if (s.outcome != RequestOutcome::Completed)
-            continue;
-        latencies.push_back(s.latency());
-        lat.add(s.latency());
-    }
-    rep.meanLatency = lat.mean();
-    rep.p50Latency = pct(latencies, 50.0);
-    rep.p95Latency = pct(latencies, 95.0);
-    rep.p99Latency = pct(latencies, 99.0);
-
     rep.schedulerPolicy = policy;
-    std::vector<double> waits;
-    waits.reserve(served.size());
-    RunningStats wait;
-    for (const auto &s : served) {
-        waits.push_back(s.queueDelay);
-        wait.add(s.queueDelay);
-    }
-    rep.meanQueueDelay = wait.mean();
-    rep.p95QueueDelay = pct(waits, 95.0);
-    rep.p99QueueDelay = pct(waits, 99.0);
+    const SampleSummary wait = summarizeSamples(waits);
+    rep.meanQueueDelay = wait.mean;
+    rep.p95QueueDelay = wait.p95;
+    rep.p99QueueDelay = wait.p99;
     rep.peakQueueDepth = peak_queue_depth;
     return rep;
 }

@@ -64,22 +64,6 @@ class VectorTraceSource final : public engine::TraceSource
 
 } // namespace
 
-const char *
-fleetOutcomeName(FleetOutcome o)
-{
-    switch (o) {
-      case FleetOutcome::Served:
-        return "served";
-      case FleetOutcome::TimedOut:
-        return "timed-out";
-      case FleetOutcome::Shed:
-        return "shed";
-      case FleetOutcome::Offloaded:
-        return "offloaded";
-    }
-    panic("unknown fleet outcome");
-}
-
 FleetSimulator::FleetSimulator(FleetConfig cfg) : cfg_(std::move(cfg))
 {
     fatal_if(cfg_.nodes.empty(), "fleet needs at least one node");
@@ -432,13 +416,12 @@ FleetSimulator::finishTrack(Track &t, FleetOutcome o, Seconds finish)
     if (t.absDeadline == kInf || finish <= t.absDeadline + kDeadlineSlack)
         ++foldDeadlineMet_;
     if (approxStats_) {
-        latSum_ += lat;
-        ++latCount_;
+        latStats_.add(lat);
         latP50_.add(lat);
         latP99_.add(lat);
         latP999_.add(lat);
     } else {
-        foldLat_.emplace_back(t.gid, lat);
+        foldLat_.push_back(lat);
     }
 }
 
@@ -591,6 +574,8 @@ FleetSimulator::onArrival(const Event &e)
 {
     Track &t = allocTrack(e.gid);
     t.req = streamPending_;
+    if (e.gid == 0)
+        firstArrival_ = t.req.arrival;
     t.absDeadline = t.req.deadline > 0.0
         ? t.req.arrival + t.req.deadline
         : kInf;
@@ -1043,9 +1028,11 @@ FleetSimulator::fleetFingerprint(
     // crash plan is the normal recovery flow.
     // v3: the payload holds live track slots, the trace cursor, the
     // folded aggregates and compacted node records.  v4: lazily synced
-    // nodes, plus the sync-target marks that place them.
+    // nodes, plus the sync-target marks that place them.  v5: the
+    // first arrival, and folded latencies in completion order without
+    // their gids.
     ByteWriter w;
-    w.str("edgereason-fleet-ckpt-v4");
+    w.str("edgereason-fleet-ckpt-v5");
     w.u8(static_cast<std::uint8_t>(cfg_.router));
     w.u64(cfg_.nodes.size());
     for (const NodeSpec &s : cfg_.nodes) {
@@ -1180,11 +1167,10 @@ FleetSimulator::serializeState(ByteWriter &w) const
     w.u64(foldOffloaded_);
     w.u64(foldDeadlineMet_);
     w.f64(foldMakespan_);
+    w.f64(firstArrival_);
     w.u64(foldLat_.size());
-    for (const auto &[gid, lat] : foldLat_) {
-        w.i64(gid);
+    for (const double lat : foldLat_)
         w.f64(lat);
-    }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         w.u64(liveOnNode_[i].size());
         for (const std::int64_t gid : liveOnNode_[i])
@@ -1295,11 +1281,10 @@ FleetSimulator::restoreState(ByteReader &r,
     foldOffloaded_ = static_cast<std::size_t>(r.u64());
     foldDeadlineMet_ = static_cast<std::size_t>(r.u64());
     foldMakespan_ = r.f64();
+    firstArrival_ = r.f64();
     foldLat_.resize(static_cast<std::size_t>(r.u64()));
-    for (auto &[gid, lat] : foldLat_) {
-        gid = r.i64();
+    for (double &lat : foldLat_)
         lat = r.f64();
-    }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         liveOnNode_[i].clear();
         const std::uint64_t nlegs = r.u64();
@@ -1362,45 +1347,24 @@ FleetSimulator::buildReport() const
     r.cancelledLegs = cancelledLegs_;
     r.adaptiveHealth = cfg_.adaptiveHealth;
     r.adaptiveEjections = adaptiveEjections_;
-    r.makespan = foldMakespan_;
-
     const std::size_t finished = r.served + r.offloaded;
-    if (r.makespan > 0.0) {
-        r.throughput = static_cast<double>(finished) / r.makespan;
-        r.goodput =
-            static_cast<double>(foldDeadlineMet_) / r.makespan;
-    }
     if (r.arrivals > 0)
         r.deadlineHitRate = static_cast<double>(foldDeadlineMet_) /
             static_cast<double>(r.arrivals);
-
-    if (!approxStats_) {
-        // Exact mode: tracks fold in completion order, so re-sort by
-        // gid — the FP sum and percentile inputs then follow the
-        // trace order.
-        auto by_gid = foldLat_;
-        std::sort(by_gid.begin(), by_gid.end());
-        std::vector<double> latencies;
-        latencies.reserve(by_gid.size());
-        for (const auto &kv : by_gid)
-            latencies.push_back(kv.second);
-        if (!latencies.empty()) {
-            double sum = 0.0;
-            for (const double v : latencies)
-                sum += v;
-            r.meanLatency =
-                sum / static_cast<double>(latencies.size());
-            r.p50Latency = percentile(latencies, 50.0);
-            r.p99Latency = percentile(latencies, 99.0);
-            r.p999Latency = percentile(latencies, 99.9);
-        }
-    } else if (latCount_ > 0) {
-        r.approxLatency = true;
-        r.meanLatency = latSum_ / static_cast<double>(latCount_);
-        r.p50Latency = latP50_.value();
-        r.p99Latency = latP99_.value();
-        r.p999Latency = latP999_.value();
-    }
+    // The single-node report's fold; approx mode keeps no samples and
+    // reads the latency statistics from its stream.
+    std::vector<double> latencies = foldLat_;
+    const RunSummary run = summarizeRun(firstArrival_, foldMakespan_,
+                                        finished, foldDeadlineMet_,
+                                        latencies);
+    r.makespan = run.makespan;
+    r.throughput = run.throughput;
+    r.goodput = run.goodput;
+    r.approxLatency = approxStats_ && latStats_.count() > 0;
+    r.meanLatency = approxStats_ ? latStats_.mean() : run.latency.mean;
+    r.p50Latency = approxStats_ ? latP50_.value() : run.latency.p50;
+    r.p99Latency = approxStats_ ? latP99_.value() : run.latency.p99;
+    r.p999Latency = approxStats_ ? latP999_.value() : run.latency.p999;
 
     r.events = eventCount_;
     Seconds total_busy = 0.0;

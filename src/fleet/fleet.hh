@@ -66,9 +66,6 @@ enum class FleetOutcome {
     Offloaded, //!< completed by the cloud tier
 };
 
-/** @return lowercase outcome name. */
-const char *fleetOutcomeName(FleetOutcome o);
-
 struct FleetConfig
 {
     /** One spec per node; size() is the fleet size. */
@@ -174,7 +171,7 @@ struct FleetReport
     bool adaptiveHealth = false;
     std::size_t adaptiveEjections = 0; //!< latency-quantile breaker trips
 
-    Seconds makespan = 0.0;
+    Seconds makespan = 0.0;       //!< first arrival -> last fold
     double throughput = 0.0;      //!< finished (served+offloaded)/s
     double goodput = 0.0;         //!< deadline-met served/s
     double deadlineHitRate = 0.0; //!< deadline-met / arrivals
@@ -194,8 +191,9 @@ struct FleetReport
     /** Fleet events processed over the run (not printed — the bench
      *  throughput denominator, so goldens are untouched). */
     std::uint64_t events = 0;
-    /** True when latency mean/percentiles came from streaming P²
-     *  estimators instead of the exact per-request latencies. */
+    /** True when the latency percentiles came from streaming P²
+     *  estimators instead of the exact per-request latencies (the
+     *  mean is exact either way). */
     bool approxLatency = false;
 
     std::vector<NodeSummary> nodes;
@@ -281,8 +279,8 @@ class FleetSimulator
      * @p approx_stats false (the default) the per-request latencies
      * of finished requests are retained and the report is
      * bit-identical to run() on the materialized trace; with it true,
-     * latency mean/percentiles come from streaming P² estimators and
-     * the run is constant-memory outright.
+     * the latency percentiles come from streaming P² estimators (the
+     * mean stays exact) and the run is constant-memory outright.
      *
      * A source cannot be checkpointed: the checkpoint fingerprint
      * hashes the whole trace, which only run() holds.
@@ -527,13 +525,14 @@ class FleetSimulator
     std::size_t foldServed_ = 0, foldTimedOut_ = 0, foldShed_ = 0,
                 foldOffloaded_ = 0, foldDeadlineMet_ = 0;
     Seconds foldMakespan_ = 0.0;
-    /** Exact mode: (gid, latency) of finished requests, re-sorted by
-     *  gid at report time so FP sums do not depend on fold order. */
-    std::vector<std::pair<std::int64_t, double>> foldLat_;
-    /** Approx mode: constant-space latency statistics. */
+    Seconds firstArrival_ = 0.0; //!< of the first request popped
+    /** Exact mode: latencies of finished requests in completion
+     *  order, summarized by summarizeRun at report time. */
+    std::vector<double> foldLat_;
+    /** Approx mode: constant-space latency statistics; the mean folds
+     *  in completion order, so it equals the exact mode's. */
     P2Quantile latP50_{0.50}, latP99_{0.99}, latP999_{0.999};
-    double latSum_ = 0.0;
-    std::size_t latCount_ = 0;
+    RunningStats latStats_;
 
     /** Per-node sets of live gids: the authority for leg liveness
      *  (stale outcome events are dropped against these). */

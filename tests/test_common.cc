@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 
@@ -59,6 +60,63 @@ TEST(Stats, PercentileInterpolation)
     EXPECT_DOUBLE_EQ(er::percentile(xs, 0.0), 1.0);
     EXPECT_DOUBLE_EQ(er::percentile(xs, 100.0), 4.0);
     EXPECT_DOUBLE_EQ(er::percentile(xs, 50.0), 2.5);
+}
+
+TEST(Stats, SummarizeEmptyIsAllZeros)
+{
+    // The degenerate-run contract: no samples and no makespan give
+    // zeros, never NaN and never a panic.
+    std::vector<double> none;
+    const er::RunSummary r = er::summarizeRun(3.0, 3.0, 0, 0, none);
+    EXPECT_EQ(r.makespan, 0.0);
+    EXPECT_EQ(r.throughput, 0.0);
+    EXPECT_EQ(r.goodput, 0.0);
+    EXPECT_EQ(r.latency.mean, 0.0);
+    EXPECT_EQ(r.latency.p50, 0.0);
+    EXPECT_EQ(r.latency.p95, 0.0);
+    EXPECT_EQ(r.latency.p99, 0.0);
+    EXPECT_EQ(r.latency.p999, 0.0);
+}
+
+TEST(Stats, SummarizeOneSampleIsEveryPercentile)
+{
+    std::vector<double> one = {4.25};
+    const er::SampleSummary s = er::summarizeSamples(one);
+    EXPECT_EQ(s.mean, 4.25);
+    EXPECT_EQ(s.p50, 4.25);
+    EXPECT_EQ(s.p95, 4.25);
+    EXPECT_EQ(s.p99, 4.25);
+    EXPECT_EQ(s.p999, 4.25);
+}
+
+TEST(Stats, SummarizeMatchesRunningStatsAndPercentile)
+{
+    // A shuffled sample set: the mean is a RunningStats over the
+    // input order, and each percentile is percentile()'s bit for bit
+    // although the fold sorts only once.
+    er::Rng rng(17, "summarize-run");
+    std::vector<double> xs;
+    for (int i = 0; i < 5000; ++i)
+        xs.push_back(rng.logNormalMeanStd(2.0, 1.5));
+    std::sort(xs.begin(), xs.end());
+    for (std::size_t i = xs.size() - 1; i > 0; --i)
+        std::swap(xs[i], xs[static_cast<std::size_t>(rng.uniformInt(
+                              0, static_cast<std::int64_t>(i)))]);
+    const std::vector<double> input = xs;
+    er::RunningStats rs;
+    for (const double x : input)
+        rs.add(x);
+
+    const er::RunSummary r = er::summarizeRun(10.0, 60.0, 40, 30, xs);
+    EXPECT_EQ(r.makespan, 50.0);
+    EXPECT_EQ(r.throughput, 40.0 / 50.0);
+    EXPECT_EQ(r.goodput, 30.0 / 50.0);
+    EXPECT_EQ(r.latency.mean, rs.mean());
+    EXPECT_EQ(r.latency.p50, er::percentile(input, 50.0));
+    EXPECT_EQ(r.latency.p95, er::percentile(input, 95.0));
+    EXPECT_EQ(r.latency.p99, er::percentile(input, 99.0));
+    EXPECT_EQ(r.latency.p999, er::percentile(input, 99.9));
+    EXPECT_TRUE(std::is_sorted(xs.begin(), xs.end()));
 }
 
 TEST(P2Quantile, SeedPhaseIsTheExactOrderStatistic)

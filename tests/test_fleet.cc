@@ -160,8 +160,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=rr)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 47.666028644293519 throughput 0.50350324293008275 goodput 0.50350324293008275 deadline-hit 1\n"
-     "latency mean 8.4049464283088202 p50 7.5189087971696349 p99 24.796064154665871 p999 26.81431800342008\n"
+     "makespan 45.602337345675195 throughput 0.52628881318242549 goodput 0.52628881318242549 deadline-hit 1\n"
+     "latency mean 8.4049464283088184 p50 7.5189087971696349 p99 24.796064154665871 p999 26.81431800342008\n"
      "energy 906.62602349787289 J (37.776084312411371 J/query) tokens 4850\n"
      "dollars edge 0.00091343076254209827 cloud 0 (3.8059615105920764e-05 $/query)\n"
      "node 0: served 12 timed-out 0 cancelled 0 crashes 0 energy 522.7618930317642 busy 24.567952446609219 tokens 2539 up\n"
@@ -171,8 +171,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=rr)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 46.716681925238916 throughput 0.51373511582880382 goodput 0.51373511582880382 deadline-hit 1\n"
-     "latency mean 7.7127663113675782 p50 6.7152883148864273 p99 23.705129299884593 p999 25.850812470792814\n"
+     "makespan 44.652990626620593 throughput 0.53747799784975692 goodput 0.53747799784975692 deadline-hit 1\n"
+     "latency mean 7.7127663113675773 p50 6.7152883148864273 p99 23.705129299884593 p999 25.850812470792814\n"
      "energy 1363.5329737627414 J (56.813873906780891 J/query) tokens 4850\n"
      "dollars edge 0.0015441562368844176 cloud 0 (6.4339843203517393e-05 $/query)\n"
      "node 0: served 6 timed-out 0 cancelled 0 crashes 0 energy 369.62286010459508 busy 22.378951346340241 tokens 1174 up\n"
@@ -184,7 +184,7 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=rr)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 6 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 49.101244478931648 throughput 0.4887859819988456 goodput 0.4887859819988456 deadline-hit 1\n"
+     "makespan 47.037553180313324 throughput 0.51023062164816735 goodput 0.51023062164816735 deadline-hit 1\n"
      "latency mean 10.499515122001007 p50 8.0740855185784923 p99 35.476217204453235 p999 37.358689436040848\n"
      "energy 761.17984827720784 J (31.715827011550328 J/query) tokens 5337\n"
      "dollars edge 0.00086950177193010237 cloud 0 (3.6229240497087599e-05 $/query)\n"
@@ -195,7 +195,7 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=rr)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 6 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 55.501603733082476 throughput 0.43241993718632815 goodput 0.43241993718632815 deadline-hit 1\n"
+     "makespan 53.437912434464153 throughput 0.44911934068220605 goodput 0.44911934068220605 deadline-hit 1\n"
      "latency mean 8.2841748762012735 p50 5.7929724075575741 p99 31.558256096696596 p999 34.542554777533233\n"
      "energy 1348.2812825856317 J (56.178386774401325 J/query) tokens 5628\n"
      "dollars edge 0.0014150732814813211 cloud 0 (5.8961386728388381e-05 $/query)\n"
@@ -208,8 +208,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=deadline)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 35.164322106771799 throughput 0.68250995788080837 goodput 0.68250995788080837 deadline-hit 1\n"
-     "latency mean 6.2046713395407957 p50 5.0448649541618185 p99 17.844786687299006 p999 18.734059976011487\n"
+     "makespan 33.100630808153475 throughput 0.72506171072994252 goodput 0.72506171072994252 deadline-hit 1\n"
+     "latency mean 6.2046713395407966 p50 5.0448649541618185 p99 17.844786687299006 p999 18.734059976011487\n"
      "energy 739.26129149272401 J (30.802553812196834 J/query) tokens 4850\n"
      "dollars edge 0.00044456043891411256 cloud 0 (1.8523351621421357e-05 $/query)\n"
      "node 0: served 24 timed-out 0 cancelled 0 crashes 0 energy 739.26129149272401 busy 33.100630808153262 tokens 4850 up\n"
@@ -219,8 +219,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=deadline)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 34.555709807573471 throughput 0.69453066175303946 goodput 0.69453066175303946 deadline-hit 1\n"
-     "latency mean 5.6501187639258701 p50 4.6907424318509499 p99 16.386787215550591 p999 17.047718757876225\n"
+     "makespan 32.492018508955148 throughput 0.73864293759974753 goodput 0.73864293759974753 deadline-hit 1\n"
+     "latency mean 5.6501187639258692 p50 4.6907424318509499 p99 16.386787215550591 p999 17.047718757876225\n"
      "energy 1070.6980934518519 J (44.612420560493831 J/query) tokens 4850\n"
      "dollars edge 0.00075120856245638697 cloud 0 (3.1300356769016126e-05 $/query)\n"
      "node 0: served 11 timed-out 0 cancelled 0 crashes 0 energy 510.85636975548954 busy 24.153588376625819 tokens 2442 up\n"
@@ -232,8 +232,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=deadline)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 4 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 40.331737215266713 throughput 0.59506487092044513 goodput 0.59506487092044513 deadline-hit 1\n"
-     "latency mean 7.6291286002545329 p50 5.4176550693492578 p99 30.818922655505659 p999 33.218410346294284\n"
+     "makespan 38.26804591664839 throughput 0.62715509572331929 goodput 0.62715509572331929 deadline-hit 1\n"
+     "latency mean 7.6291286002545302 p50 5.4176550693492578 p99 30.818922655505659 p999 33.218410346294284\n"
      "energy 897.81633340058102 J (37.409013891690876 J/query) tokens 5147\n"
      "dollars edge 0.00082572274234016859 cloud 0 (3.4405114264173691e-05 $/query)\n"
      "node 0: served 20 timed-out 0 cancelled 0 crashes 4 energy 618.87320549138008 busy 32.086151953770809 tokens 3934 up\n"
@@ -243,8 +243,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=deadline)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 3 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 43.578119421907402 throughput 0.55073510097213663 goodput 0.55073510097213663 deadline-hit 1\n"
-     "latency mean 6.7093179194058274 p50 4.6805285500176552 p99 29.284550312508941 p999 30.987297661202462\n"
+     "makespan 41.514428123289079 throughput 0.57811226325279186 goodput 0.57811226325279186 deadline-hit 1\n"
+     "latency mean 6.7093179194058248 p50 4.6805285500176552 p99 29.284550312508941 p999 30.987297661202462\n"
      "energy 1421.2671579657872 J (59.219464915241133 J/query) tokens 5431\n"
      "dollars edge 0.0012497014505780113 cloud 0 (5.2070893774083804e-05 $/query)\n"
      "node 0: served 15 timed-out 0 cancelled 0 crashes 4 energy 664.99905116690888 busy 38.125230446613173 tokens 2884 up\n"
@@ -256,7 +256,7 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=cost)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 39.478081281198961 throughput 0.60793228092951312 goodput 0.60793228092951312 deadline-hit 1\n"
+     "makespan 37.414389982580637 throughput 0.64146442080637689 goodput 0.64146442080637689 deadline-hit 1\n"
      "latency mean 8.1986175582622067 p50 5.7280980903375465 p99 29.83237697519219 p999 32.351465437601959\n"
      "energy 916.30907313966372 J (38.179544714152655 J/query) tokens 4850\n"
      "dollars edge 0.00091279819022029908 cloud 0 (3.8033257925845795e-05 $/query)\n"
@@ -267,8 +267,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=cost)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 0 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 37.971053115789225 throughput 0.63206042578840815 goodput 0.63206042578840815 deadline-hit 1\n"
-     "latency mean 7.4753441678063304 p50 6.2324723381049258 p99 27.012008750916728 p999 30.713103266305676\n"
+     "makespan 35.907361817170901 throughput 0.66838661448313919 goodput 0.66838661448313919 deadline-hit 1\n"
+     "latency mean 7.4753441678063322 p50 6.2324723381049258 p99 27.012008750916728 p999 30.713103266305676\n"
      "energy 1388.4896561302053 J (57.853735672091886 J/query) tokens 4850\n"
      "dollars edge 0.0015471408782693065 cloud 0 (6.4464203261221099e-05 $/query)\n"
      "node 0: served 7 timed-out 0 cancelled 0 crashes 0 energy 399.69011758702896 busy 24.995944738374536 tokens 1368 up\n"
@@ -280,8 +280,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=cost)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 7 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 48.536156025833371 throughput 0.49447673580136836 goodput 0.49447673580136836 deadline-hit 1\n"
-     "latency mean 9.8945965140590815 p50 5.8770118036211985 p99 34.692470377886352 p999 36.516160423359679\n"
+     "makespan 46.472464727215048 throughput 0.51643484245726268 goodput 0.51643484245726268 deadline-hit 1\n"
+     "latency mean 9.8945965140590797 p50 5.8770118036211985 p99 34.692470377886352 p999 36.516160423359679\n"
      "energy 815.25490249267807 J (33.968954270528251 J/query) tokens 5515\n"
      "dollars edge 0.0008826540432836517 cloud 0 (3.677725180348549e-05 $/query)\n"
      "node 0: served 14 timed-out 0 cancelled 0 crashes 4 energy 427.81308504037702 busy 24.880919770814778 tokens 2851 up\n"
@@ -291,8 +291,8 @@ const GoldenCase kGoldens[] = {
      "fleet report (router=cost)\n"
      "arrivals 24 served 24 timed-out 0 shed 0 offloaded 0\n"
      "retries 0 failovers 3 hedges 0 (wins 0, waste 0) cancelled-legs 0\n"
-     "makespan 34.363287331994769 throughput 0.69841979226633011 goodput 0.69841979226633011 deadline-hit 1\n"
-     "latency mean 7.6101309413624065 p50 6.7446491821294146 p99 15.91493808169384 p999 16.20935663087592\n"
+     "makespan 32.299596033376446 throughput 0.74304334875271671 goodput 0.74304334875271671 deadline-hit 1\n"
+     "latency mean 7.6101309413624074 p50 6.7446491821294146 p99 15.91493808169384 p999 16.20935663087592\n"
      "energy 1236.0089235029475 J (51.500371812622809 J/query) tokens 5119\n"
      "dollars edge 0.0011568435058513446 cloud 0 (4.8201812743806027e-05 $/query)\n"
      "node 0: served 8 timed-out 0 cancelled 0 crashes 4 energy 551.03175007009963 busy 31.294012959566604 tokens 1985 up\n"

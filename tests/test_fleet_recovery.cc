@@ -565,7 +565,7 @@ TEST(FleetRecovery, CrashResumeUnderAdaptiveHealthIsBitIdentical)
     // run's full checkpoint set: the crashed run wrote the files up
     // to its crash, the resumed run the rest.  The pin covers each
     // file's header, so it moves with the fleet fingerprint's layout.
-    const std::uint64_t kCkptHash = 0x2dddb8faa0b5c6bdull;
+    const std::uint64_t kCkptHash = 0xe57ef10381240b1full;
     for (const er::Seconds crash_at : {before, after}) {
         SCOPED_TRACE("crash at t=" + std::to_string(crash_at));
         const auto dir = kArtifacts /
