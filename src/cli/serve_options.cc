@@ -7,12 +7,19 @@
 #include <map>
 #include <set>
 
+#include "engine/engine.hh"
+
 namespace edgereason {
 namespace cli {
 
 namespace {
 
 constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+constexpr long long kNoMax = std::numeric_limits<long long>::max();
+
+/** Counts that end up in an int (--max-batch, --retry) stay within the
+ *  largest batch the engine prices, far inside int. */
+constexpr long long kMaxCount = engine::InferenceEngine::kMaxStepRows;
 
 /** --mean-in/--mean-out are capped at 1e9 tokens, so a sampled length
  *  stays far inside the token range. */
@@ -74,15 +81,21 @@ parseServeOptions(const std::vector<std::string> &args,
     // Value-taking handlers: each consumes one value token and
     // returns an error message (empty = ok).
     using Handler = std::function<std::string(const std::string &)>;
+    // An integer in [min, max]; the message words the bound as
+    // ">= min" when no max is given.
     const auto longOpt = [&](long long *dst, long long min,
-                             const char *what) {
-        return Handler([dst, min, what](const std::string &v) {
+                             const char *what, long long max = kNoMax) {
+        return Handler([=](const std::string &v) {
             long long x = 0;
             if (!parseLong(v, &x))
                 return std::string(what) + ": not an integer: " + v;
-            if (x < min)
-                return std::string(what) + " must be >= " +
-                    std::to_string(min) + ", got " + v;
+            if (x < min || x > max)
+                return std::string(what) + " must be " +
+                    (max == kNoMax
+                         ? ">= " + std::to_string(min)
+                         : "in [" + std::to_string(min) + ", " +
+                             std::to_string(max) + "]") +
+                    ", got " + v;
             *dst = x;
             return std::string();
         });
@@ -147,7 +160,7 @@ parseServeOptions(const std::vector<std::string> &args,
                                kMeanTokensRange, kMeanTokensBelow)},
         {"seed", longOpt(&opt.seed, 0, "--seed")},
         {"deadline", doubleOpt(&opt.deadline, 0.0, "--deadline")},
-        {"max-batch", longOpt(&max_batch, 1, "--max-batch")},
+        {"max-batch", longOpt(&max_batch, 1, "--max-batch", kMaxCount)},
         {"prefill-chunk",
          longOpt(&prefill_chunk, 0, "--prefill-chunk")},
         {"scheduler", [&](const std::string &v) {
@@ -231,7 +244,7 @@ parseServeOptions(const std::vector<std::string> &args,
          doubleOpt(&opt.healthMultiple, 0.0, "--health-multiple")},
         {"adaptive-timeout",
          doubleOpt(&opt.adaptiveTimeout, 0.0, "--adaptive-timeout")},
-        {"retry", longOpt(&opt.retry, 0, "--retry")},
+        {"retry", longOpt(&opt.retry, 0, "--retry", kMaxCount)},
         {"retry-backoff",
          doubleOpt(&opt.retryBackoff, 0.0, "--retry-backoff",
                    "non-negative (seconds of base backoff)")},

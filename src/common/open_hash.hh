@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal open-addressed hash map for hot lookup paths (the engine's
- * step-cost memo and its thread-local L1, the executor's chunk-latency
- * cache, the router's load-class index).  std::map's red-black tree
+ * step-cost memo and its thread-local L1, the router's load-class
+ * index).  std::map's red-black tree
  * costs ~6 dependent pointer chases per lookup on keys that are a few
  * machine words; here a lookup is one FNV-1a over the packed key bytes
  * (the same hash primitive the journal uses, common/binio.hh) plus a

@@ -17,59 +17,36 @@ namespace {
 /** Step-cost caches destroyed so far, process-wide. */
 std::atomic<std::uint64_t> g_retired_cost_caches{0};
 
+/** The two phases the step-cost memo prices; indexes its maps. */
+enum Phase : std::size_t { kDecode, kPrefill, kPhases };
+
 /**
- * Per-thread read-through L1 over the shared locked maps of
- * StepCostCache.  Entries are tagged with the owning cache's generation,
- * so a reused engine address can never alias stale costs; and a thread
- * empties its maps at its first lookup after any engine has been
- * destroyed, so a dead engine's entries do not linger until a map hits
- * its bound.  Clearing on every generation switch instead would thrash,
- * because engines interleave on one thread: a heterogeneous fleet's
- * nodes (one engine per spec), standalone nodes, sweep workers.
- * Clearing keeps the slot arrays: freeing and regrowing them every run
- * fragments the heap.  The L1 is what keeps concurrent readers of one
- * engine off its shared mutex (sharded serving runs, sweeps).
+ * Pack a step's (tokens already in KV, rows processed) into one memo
+ * key word: (context, batch) for decode, (cached prefix, suffix) for
+ * prefill.  The rows take the low 24 bits, the KV length the high 40.
+ * The kernel builders validate their inputs only on a miss, so an
+ * input outside those fields is rejected here rather than allowed to
+ * alias another step's entry.
  */
-struct StepCostL1
+std::uint64_t
+packStepKey(const char *phase, Tokens kv_tokens, Tokens rows)
 {
-    struct DecodeKey
-    {
-        std::uint64_t gen;
-        std::uint64_t key;
-    };
-    struct PrefillKey
-    {
-        std::uint64_t gen;
-        Tokens key;
-    };
-    OpenHashMap<DecodeKey, hw::StepCost> decode;
-    OpenHashMap<PrefillKey, hw::StepCost> prefill;
-    std::uint64_t retiredSeen = 0;
-
-    /** Drop every entry if an engine died since the last lookup. */
-    StepCostL1 &sync()
-    {
-        const std::uint64_t r =
-            g_retired_cost_caches.load(std::memory_order_relaxed);
-        if (r != retiredSeen) {
-            decode.clear();
-            prefill.clear();
-            retiredSeen = r;
-        }
-        return *this;
-    }
-};
-
-thread_local StepCostL1 tl_cost_l1;
+    fatal_if(kv_tokens < 0 || kv_tokens >= Tokens{1} << 40 || rows < 0 ||
+                 rows > InferenceEngine::kMaxStepRows,
+             phase, " step (", kv_tokens, " tokens in KV, ", rows,
+             " rows) is outside the step-cost memo's range (rows <= ",
+             InferenceEngine::kMaxStepRows, ")");
+    return static_cast<std::uint64_t>(kv_tokens) << 24 |
+        static_cast<std::uint64_t>(rows);
+}
 
 } // namespace
 
 /**
- * Memo cache of noiseless step costs.  Key for decode is
- * (context << 16) | batch; prefill is keyed by input length.  Guarded
- * by a shared mutex so concurrent sweep workers can hit it; entries
- * are exact, so eviction (a blunt clear at the bound) only costs a
- * recomputation, never accuracy.
+ * Memo cache of noiseless step costs, one map per phase keyed by
+ * packStepKey().  Guarded by a shared mutex so concurrent sweep workers
+ * can hit it; entries are exact, so eviction (a blunt clear at the
+ * bound) only costs a recomputation, never accuracy.
  */
 struct InferenceEngine::StepCostCache
 {
@@ -77,8 +54,8 @@ struct InferenceEngine::StepCostCache
 
     /**
      * Identifies this cache instance across engine lifetimes so the
-     * thread-local L1 in decodeStepCost() can never serve an entry
-     * computed by a destroyed engine whose address was reused.
+     * thread-local L1 can never serve an entry computed by a destroyed
+     * engine whose address was reused.
      */
     static std::atomic<std::uint64_t> &generationCounter()
     {
@@ -93,26 +70,75 @@ struct InferenceEngine::StepCostCache
         g_retired_cost_caches.fetch_add(1, std::memory_order_relaxed);
     }
 
+    /**
+     * Per-thread read-through L1 over the shared locked maps.  Entries
+     * are tagged with the owning cache's generation, so a reused engine
+     * address can never alias stale costs; and a thread empties its
+     * maps at its first lookup after any engine has been destroyed, so
+     * a dead engine's entries do not linger until a map hits its bound.
+     * Clearing on every generation switch instead would thrash, because
+     * engines interleave on one thread: a heterogeneous fleet's nodes
+     * (one engine per spec), standalone nodes, sweep workers.  Clearing
+     * keeps the slot arrays: freeing and regrowing them every run
+     * fragments the heap.  The L1 is what keeps concurrent readers of
+     * one engine off its shared mutex (sharded serving runs, sweeps).
+     */
+    struct L1
+    {
+        /** 16 bytes: the decode macro-step path hashes no more. */
+        struct Key
+        {
+            std::uint64_t gen;
+            std::uint64_t key;
+        };
+        OpenHashMap<Key, StepTime> maps[kPhases];
+        /** L1 hits not yet added to the owning cache's shared counter. */
+        std::uint64_t pendingHits = 0;
+        std::uint64_t retiredSeen = 0;
+
+        /** Drop every entry if an engine died since the last lookup. */
+        L1 &sync()
+        {
+            const std::uint64_t r =
+                g_retired_cost_caches.load(std::memory_order_relaxed);
+            if (r != retiredSeen) {
+                for (auto &m : maps)
+                    m.clear();
+                retiredSeen = r;
+            }
+            return *this;
+        }
+    };
+
+    /** @return the calling thread's L1. */
+    static L1 &threadL1()
+    {
+        thread_local L1 l1;
+        return l1;
+    }
+
     mutable std::shared_mutex mu;
     // Flat maps: one slot array per map holds up to maxEntries entries
     // and frees them in one call rather than one call per entry.
-    OpenHashMap<std::uint64_t, hw::StepCost> decode;
-    OpenHashMap<Tokens, hw::StepCost> prefill;
+    OpenHashMap<std::uint64_t, StepTime> maps[kPhases];
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
 
-    template <typename Map, typename Key, typename Compute>
-    hw::StepCost lookup(Map &map, Key key, Compute &&compute)
+    /** The cost of @p phase step @p key from the shared map, computed
+     *  and stored on a miss. */
+    template <typename Compute>
+    StepTime lookup(Phase phase, std::uint64_t key, Compute &&compute)
     {
+        auto &map = maps[phase];
         {
             std::shared_lock<std::shared_mutex> g(mu);
-            if (const hw::StepCost *hit = map.find(key)) {
+            if (const StepTime *hit = map.find(key)) {
                 hits.fetch_add(1, std::memory_order_relaxed);
                 return *hit;
             }
         }
         misses.fetch_add(1, std::memory_order_relaxed);
-        const hw::StepCost cost = compute();
+        const StepTime cost = compute();
         std::unique_lock<std::shared_mutex> g(mu);
         // Another thread may have filled the key since the shared probe.
         if (map.find(key))
@@ -120,6 +146,39 @@ struct InferenceEngine::StepCostCache
         if (map.size() >= maxEntries)
             map.clear();
         map.insert(key, cost);
+        return cost;
+    }
+
+    /**
+     * The cost of @p phase step @p key: from this thread's L1, else
+     * lookup() in the shared map; either way the L1 holds it after.
+     * The executor asks for a cost at every decode bucket and every
+     * admission, so warm lookups land in the L1 — two atomic ops
+     * (shared_lock) would otherwise dominate the macro-step budget.
+     */
+    template <typename Compute>
+    StepTime readThrough(Phase phase, std::uint64_t key,
+                         Compute &&compute)
+    {
+        L1 &tl = threadL1().sync();
+        auto &l1 = tl.maps[phase];
+        const L1::Key lk{generation, key};
+        if (const StepTime *hit = l1.find(lk)) {
+            // Amortize the stats update: a locked add per hit is ~8% of
+            // the whole macro-step budget.  The shared counter lags by
+            // at most 255 per thread, which kernelCacheStats()
+            // consumers (the cache-hit bench counter) cannot observe
+            // meaningfully.
+            if (++tl.pendingHits == 256) {
+                hits.fetch_add(tl.pendingHits, std::memory_order_relaxed);
+                tl.pendingHits = 0;
+            }
+            return *hit;
+        }
+        const StepTime cost = lookup(phase, key, compute);
+        if (l1.size() >= maxEntries)
+            l1.clear();
+        l1.insert(lk, cost);
         return cost;
     }
 };
@@ -132,7 +191,8 @@ InferenceEngine::operator=(InferenceEngine &&) noexcept = default;
 std::size_t
 InferenceEngine::threadStepCostL1Entries()
 {
-    return tl_cost_l1.decode.size() + tl_cost_l1.prefill.size();
+    const auto &l1 = StepCostCache::threadL1();
+    return l1.maps[kDecode].size() + l1.maps[kPrefill].size();
 }
 
 KernelCacheStats
@@ -261,92 +321,45 @@ InferenceEngine::executeKernels(
     return combined;
 }
 
-hw::StepCost
-InferenceEngine::prefillCost(Tokens input_tokens) const
+InferenceEngine::StepTime
+InferenceEngine::prefillCost(Tokens cached_prefix,
+                             Tokens suffix_tokens) const
 {
-    // Same per-thread read-through L1 as decodeStepCost(): serving
-    // runs re-resolve every admission's prefill cost, and the
-    // shared_lock is the dominant cost of a warm hit.
-    auto &l1 = tl_cost_l1.sync().prefill;
-    const StepCostL1::PrefillKey lk{costCache_->generation, input_tokens};
-    if (const hw::StepCost *hit = l1.find(lk)) {
-        thread_local std::uint64_t pending = 0;
-        if (++pending == 256) {
-            costCache_->hits.fetch_add(pending,
-                                       std::memory_order_relaxed);
-            pending = 0;
-        }
-        return *hit;
-    }
-    const hw::StepCost cost = costCache_->lookup(
-        costCache_->prefill, input_tokens, [&] {
-            return executeKernels(prefillKernels(spec_, input_tokens,
-                                                 config_.kernelOpts));
+    return costCache_->readThrough(
+        kPrefill, packStepKey("prefill", cached_prefix, suffix_tokens),
+        [&] {
+            const hw::StepCost c = executeKernels(prefillSuffixKernels(
+                spec_, cached_prefix, suffix_tokens, config_.kernelOpts));
+            return StepTime{c.seconds, c.avgBwUtil, c.avgComputeUtil};
         });
-    if (l1.size() >= StepCostCache::maxEntries)
-        l1.clear();
-    l1.insert(lk, cost);
-    return cost;
 }
 
 Seconds
 InferenceEngine::prefillLatency(Tokens input_tokens) const
 {
-    return prefillCost(input_tokens).seconds +
-        calib_.prefillEngineOverhead * overhead_.requestOverheadScale;
+    return prefillSuffixLatency(0, input_tokens);
 }
 
 Seconds
 InferenceEngine::prefillSuffixLatency(Tokens cached_prefix,
                                       Tokens suffix_tokens) const
 {
-    const auto kernels = prefillSuffixKernels(spec_, cached_prefix,
-                                              suffix_tokens,
-                                              config_.kernelOpts);
-    const hw::StepCost cost = executeKernels(kernels);
-    return cost.seconds + calib_.prefillEngineOverhead *
-        overhead_.requestOverheadScale;
+    return prefillCost(cached_prefix, suffix_tokens).seconds +
+        calib_.prefillEngineOverhead * overhead_.requestOverheadScale;
 }
 
-hw::StepCost
+InferenceEngine::StepTime
 InferenceEngine::decodeStepCost(Tokens context, int batch) const
 {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(context) << 16) |
-        static_cast<std::uint64_t>(batch & 0xFFFF);
-    // Per-thread read-through L1 over the shared locked map: the
-    // executor asks the engine for every decode bucket it steps
-    // through, so warm lookups land here every time — two atomic ops
-    // (shared_lock) would otherwise dominate the macro-step budget.
-    // Entries are exact and immutable (see StepCostL1).
-    auto &l1 = tl_cost_l1.sync().decode;
-    const StepCostL1::DecodeKey lk{costCache_->generation, key};
-    if (const hw::StepCost *hit = l1.find(lk)) {
-        // Amortize the stats update: a locked add per hit is ~8% of
-        // the whole macro-step budget.  The shared counter lags by at
-        // most 255 per thread, which kernelCacheStats() consumers
-        // (the cache-hit bench counter) cannot observe meaningfully.
-        thread_local std::uint64_t pending = 0;
-        if (++pending == 256) {
-            costCache_->hits.fetch_add(pending,
-                                       std::memory_order_relaxed);
-            pending = 0;
-        }
-        return *hit;
-    }
-    const hw::StepCost cost = costCache_->lookup(
-        costCache_->decode, key, [&] {
-            hw::StepCost c = executeKernels(decodeKernels(
+    return costCache_->readThrough(
+        kDecode, packStepKey("decode", context, batch), [&] {
+            const hw::StepCost c = executeKernels(decodeKernels(
                 spec_, context, batch, config_.kernelOpts));
-            c.seconds += calib_.decodeStepOverhead *
-                    overhead_.stepOverheadScale +
-                overhead_.extraStepOverhead;
-            return c;
+            return StepTime{c.seconds + (calib_.decodeStepOverhead *
+                                             overhead_.stepOverheadScale +
+                                         overhead_.extraStepOverhead),
+                            c.avgBwUtil, c.avgComputeUtil};
         });
-    if (l1.size() >= StepCostCache::maxEntries)
-        l1.clear();
-    l1.insert(lk, cost);
-    return cost;
 }
 
 Seconds
@@ -358,7 +371,7 @@ InferenceEngine::decodeStepLatency(Tokens context, int batch) const
 PhaseMetrics
 InferenceEngine::prefillOnly(Tokens input_tokens)
 {
-    const hw::StepCost cost = prefillCost(input_tokens);
+    const StepTime cost = prefillCost(0, input_tokens);
 
     PhaseMetrics m;
     m.tokens = input_tokens;
@@ -414,7 +427,7 @@ InferenceEngine::run(Tokens input_tokens, Tokens output_tokens, int batch)
                              static_cast<int>(output_tokens) + 1));
         // Checkpoint contexts span [I, I + O - 1].
         std::vector<Tokens> ctx(ncp);
-        std::vector<hw::StepCost> cost(ncp);
+        std::vector<StepTime> cost(ncp);
         for (int i = 0; i < ncp; ++i) {
             const double frac = static_cast<double>(i) / (ncp - 1);
             ctx[i] = input_tokens + static_cast<Tokens>(

@@ -103,12 +103,15 @@ struct KernelCacheStats
 /**
  * vLLM-like single-model inference engine over the SoC simulator.
  *
- * Kernel-level step costs are pure functions of (phase, context,
- * batch) for a fixed spec and config, and the sweep layers evaluate
- * the same checkpoints over and over (the two-point batch TBT solve,
- * the trapezoidal decode checkpoints of repeated request shapes), so
- * the engine memoizes them exactly — the cache changes no numerical
- * result, only skips re-enumerating identical kernel lists.
+ * Kernel-level step costs are pure functions of the step for a fixed
+ * spec and config — (context, batch) for decode, (cached prefix,
+ * suffix) for prefill — and the sweep and serving layers price the
+ * same steps over and over (the two-point batch TBT solve, the
+ * trapezoidal decode checkpoints of repeated request shapes, every
+ * chunk of every chunked or prefix-cached prefill), so the engine
+ * memoizes both phases exactly in one step-cost memo.  It is the only
+ * step-cost cache in the stack: it changes no numerical result, only
+ * skips re-enumerating identical kernel lists.
  *
  * Thread-safety: the const query surface (decodeStepLatency,
  * prefillLatency, prefillSuffixLatency, spec/calib accessors) is safe
@@ -119,6 +122,14 @@ struct KernelCacheStats
 class InferenceEngine
 {
   public:
+    /**
+     * Largest row count one step may process: a decode batch or a
+     * prefill suffix.  The step-cost memo packs it into 24 bits of its
+     * key and rejects larger values; option parsers bound batch-valued
+     * flags by it.
+     */
+    static constexpr Tokens kMaxStepRows = (Tokens{1} << 24) - 1;
+
     /**
      * Load a model onto the SoC.
      *
@@ -153,13 +164,14 @@ class InferenceEngine
      */
     Seconds decodeStepLatency(Tokens context, int batch = 1) const;
 
-    /** Noiseless kernel-level prefill latency. */
+    /** Noiseless kernel-level prefill latency: the zero-prefix
+     *  prefillSuffixLatency(). */
     Seconds prefillLatency(Tokens input_tokens) const;
 
     /**
      * Noiseless prefill latency when the first @p cached_prefix
-     * tokens are already in the KV cache (prefix caching): only the
-     * @p suffix_tokens suffix is processed.
+     * tokens are already in the KV cache (prefix caching, chunked
+     * prefill): only the @p suffix_tokens suffix is processed.
      */
     Seconds prefillSuffixLatency(Tokens cached_prefix,
                                  Tokens suffix_tokens) const;
@@ -193,8 +205,18 @@ class InferenceEngine
   private:
     struct StepCostCache; //!< defined in engine.cc
 
-    hw::StepCost decodeStepCost(Tokens context, int batch) const;
-    hw::StepCost prefillCost(Tokens input_tokens) const;
+    /** The part of a step's hw::StepCost the engine reads, and all
+     *  that its step-cost memo stores. */
+    struct StepTime
+    {
+        Seconds seconds;
+        double avgBwUtil;
+        double avgComputeUtil;
+    };
+
+    StepTime decodeStepCost(Tokens context, int batch) const;
+    StepTime prefillCost(Tokens cached_prefix,
+                         Tokens suffix_tokens) const;
     hw::StepCost executeKernels(
         const std::vector<hw::KernelDesc> &kernels) const;
     double noiseFactor(double cv, Rng &rng) const;

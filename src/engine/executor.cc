@@ -169,20 +169,6 @@ BatchExecutor::idleTo(Seconds t)
     acc_.clock = t; // exact assignment keeps idle jumps bit-stable
 }
 
-Seconds
-BatchExecutor::chunkLatency(const InferenceEngine &eng, Tokens prefix,
-                            Tokens chunk)
-{
-    // A fixed chunk size revisits the same (k * chunk, chunk) pairs
-    // for every long prompt, so exact-key memoization pays off.
-    const ChunkKey key{reinterpret_cast<std::uintptr_t>(&eng), prefix,
-                       chunk};
-    if (const Seconds *hit = chunkCache_.find(key))
-        return *hit;
-    return chunkCache_.insert(key,
-                              eng.prefillSuffixLatency(prefix, chunk));
-}
-
 void
 BatchExecutor::record(ServingState &st, ReqId id,
                       RequestOutcome outcome)
@@ -504,9 +490,8 @@ BatchExecutor::admit(ServingState &st, const Scheduler &sched)
                 !st.pool.prefixHashes(id).empty())
                 est_cached = paged_->peekPrefix(st.pool.prefixHashes(id),
                                                input - 1);
-            const Seconds est_prefill = est_cached > 0
-                ? chunkLatency(*costEng_, est_cached, input - est_cached)
-                : costEng_->prefillLatency(input);
+            const Seconds est_prefill = costEng_->prefillSuffixLatency(
+                est_cached, input - est_cached);
             const Seconds est_step = costEng_->decodeStepLatency(
                 stepBucket(mid_ctx), est_batch);
             const Seconds est_finish = acc_.clock + est_prefill / s +
@@ -546,7 +531,7 @@ BatchExecutor::admit(ServingState &st, const Scheduler &sched)
             if (cached > 0)
                 acc_.prefillSecondsSaved +=
                     costEng_->prefillLatency(input) -
-                    chunkLatency(*costEng_, cached, input - cached);
+                    costEng_->prefillSuffixLatency(cached, input - cached);
         }
         if (journal_)
             journal_->emitAdmit(st.pool.materialize(id), acc_.clock);
@@ -566,16 +551,14 @@ BatchExecutor::prefillStep(ServingState &st)
     const Tokens chunk = config_.prefillChunk > 0
         ? std::min<Tokens>(config_.prefillChunk, remaining)
         : remaining;
-    // An unchunked prefill costs exactly the legacy full prefill; a
-    // chunk is priced as a suffix prefill over the already-cached
+    // A chunk is priced as a suffix prefill over the already-cached
     // prefix, so the attention-over-prefix work of later chunks is
     // accounted for.  A cached prefix (prefillDone starts past zero)
     // takes the same suffix pricing even when chunking is off — that
-    // is precisely the prefix-hit discount.
-    const Seconds pf =
-        (config_.prefillChunk > 0 || st.pool.cachedPrefix(id) > 0)
-        ? chunkLatency(*costEng_, st.pool.prefillDone(id), chunk)
-        : costEng_->prefillLatency(chunk);
+    // is precisely the prefix-hit discount.  An unchunked, uncached
+    // prefill is the zero-prefix case: exactly the full prefill.
+    const Seconds pf = costEng_->prefillSuffixLatency(
+        st.pool.prefillDone(id), chunk);
     const Watts pw = costEng_->soc().power().prefill(
         costEng_->calib().power, st.pool.inputTokens(id));
     advanceWork(pf, pw);
@@ -1221,8 +1204,8 @@ BatchExecutor::serialize(ByteWriter &w) const
         w.u64(ballast_);
         paged_->serialize(w);
     }
-    // chunkCache_/rebuildCost_ are pure memoization over the engine's
-    // noiseless const query surface: rebuilt identically on resume.
+    // rebuildCost_ is pure memoization over the engine's noiseless
+    // const query surface: rebuilt identically on resume.
 }
 
 void

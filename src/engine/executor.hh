@@ -24,7 +24,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/open_hash.hh"
 #include "engine/auditor.hh"
 #include "engine/instant_set.hh"
 #include "engine/request_batch.hh"
@@ -383,8 +382,6 @@ class BatchExecutor
     {
         return std::max<Tokens>(64, (ctx + 63) / 64 * 64);
     }
-    Seconds chunkLatency(const InferenceEngine &eng, Tokens prefix,
-                         Tokens chunk);
     /** Retire @p id (emit + served record + deadline unindex); the
      *  caller still owns KV release, pool release, and container
      *  removal. */
@@ -441,17 +438,6 @@ class BatchExecutor
      *  right after the step that set it). */
     Seconds lastStepDt_ = 0.0;
 
-    /** Packed padding-free memo key (hashed by raw bytes). */
-    struct ChunkKey
-    {
-        std::uintptr_t eng;
-        Tokens prefix;
-        Tokens chunk;
-    };
-
-    /** Memoized chunk costs (chunked prefill), keyed per cost engine
-     *  on the exact (cached prefix, chunk) pair. */
-    OpenHashMap<ChunkKey, Seconds> chunkCache_;
     /** Primary-engine prefill cost of rebuilding the prefix block at
      *  depth i given blocks [0, i) — the cost-eviction score, grown on
      *  demand by maybeInsertPrefix. */

@@ -139,7 +139,8 @@ struct ServingReport
      *  is off or nothing was admitted). */
     double prefixHitRate = 0.0;
     /** Prefill seconds avoided by starting prefills past the cached
-     *  prefix (priced by prefillSuffixLatency at admission). */
+     *  prefix: prefillLatency(input) minus prefillSuffixLatency(cached,
+     *  input - cached), both from the engine's memo, at admission. */
     Seconds prefillSecondsSaved = 0.0;
     /** Index pages evicted under memory pressure. */
     std::uint64_t prefixEvictions = 0;
@@ -185,8 +186,8 @@ struct ServerConfig
      * Chunked prefill: process at most this many prompt tokens
      * between decode steps instead of stalling the whole batch for a
      * full prefill (0 disables chunking).  Chunk costs come from
-     * prefillSuffixLatency(), so the attention-over-prefix work of
-     * later chunks is priced in.  Long prompts then admit gradually,
+     * prefillSuffixLatency(done, chunk), memoized in the engine, so the
+     * attention-over-prefix work of later chunks is priced in.  Long prompts then admit gradually,
      * bounding the decode stall per step and improving tail latency
      * for in-flight requests.
      */

@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/stats.hh"
+#include "common/thread_pool.hh"
 #include "engine/engine.hh"
 #include "model/calibration.hh"
 #include "model/zoo.hh"
@@ -28,6 +33,24 @@ makeEngine(ModelId id, bool quant = false, EngineConfig cfg = {})
     auto calib = er::model::calibration(
         id, quant ? er::DType::W4A16 : er::DType::FP16);
     return InferenceEngine(std::move(spec), calib, cfg);
+}
+
+/** One engine per cost-path variant: GPU, CPU, unpadded, DLA offload. */
+std::vector<std::pair<std::string, InferenceEngine>>
+engineVariants(ModelId id)
+{
+    std::vector<std::pair<std::string, InferenceEngine>> out;
+    out.emplace_back("gpu", makeEngine(id));
+    EngineConfig cpu;
+    cpu.backend = er::hw::Backend::Cpu;
+    out.emplace_back("cpu", makeEngine(id, false, cpu));
+    EngineConfig unpadded;
+    unpadded.kernelOpts.disablePadding = true;
+    out.emplace_back("unpadded", makeEngine(id, false, unpadded));
+    EngineConfig dla;
+    dla.offloadFfnToDla = true;
+    out.emplace_back("dla", makeEngine(id, true, dla));
+    return out;
 }
 
 } // namespace
@@ -205,12 +228,135 @@ TEST(Engine, DecodePhaseDominates)
 
 TEST(Engine, PrefixCachingCutsPrefillTime)
 {
-    auto eng = makeEngine(ModelId::Dsr1Llama8B);
-    const double full = eng.prefillLatency(3000);
-    const double cached = eng.prefillSuffixLatency(2800, 200);
-    EXPECT_LT(cached, 0.3 * full);
-    // And a zero prefix degenerates to the plain prefill.
-    EXPECT_DOUBLE_EQ(eng.prefillSuffixLatency(0, 3000), full);
+    for (ModelId id : er::model::allModels()) {
+        for (auto &[name, eng] : engineVariants(id)) {
+            SCOPED_TRACE(std::string(er::model::modelName(id)) + " " +
+                         name);
+            const double full = eng.prefillLatency(3000);
+            const double cached = eng.prefillSuffixLatency(2800, 200);
+            EXPECT_LT(cached, 0.3 * full);
+            // A zero prefix is the plain prefill, bit for bit.
+            EXPECT_EQ(eng.prefillSuffixLatency(0, 3000), full);
+        }
+    }
+}
+
+TEST(Engine, PrefillMemoWarmEqualsCold)
+{
+    // A memo hit (this thread's L1, after the first call filled it)
+    // must return exactly what a fresh engine computes on its miss.
+    auto warm = makeEngine(ModelId::Dsr1Llama8B);
+    for (er::Tokens prefix : {0, 1, 127, 128, 2048}) {
+        for (er::Tokens suffix : {1, 64, 129, 512, 3000}) {
+            SCOPED_TRACE(std::to_string(prefix) + "+" +
+                         std::to_string(suffix));
+            const double cold = makeEngine(ModelId::Dsr1Llama8B)
+                                    .prefillSuffixLatency(prefix, suffix);
+            EXPECT_EQ(warm.prefillSuffixLatency(prefix, suffix), cold);
+            EXPECT_EQ(warm.prefillSuffixLatency(prefix, suffix), cold);
+        }
+    }
+}
+
+TEST(Engine, EnginesNeverShareStepCostEntries)
+{
+    // Two live engines of different specs price the same keys on one
+    // thread, interleaved; each must keep its own values.
+    auto small = makeEngine(ModelId::Dsr1Qwen1_5B);
+    auto large = makeEngine(ModelId::Dsr1Qwen14B);
+    const double small_pf = makeEngine(ModelId::Dsr1Qwen1_5B)
+                                .prefillSuffixLatency(256, 128);
+    const double large_pf = makeEngine(ModelId::Dsr1Qwen14B)
+                                .prefillSuffixLatency(256, 128);
+    const double small_dc = makeEngine(ModelId::Dsr1Qwen1_5B)
+                                .decodeStepLatency(512, 4);
+    const double large_dc = makeEngine(ModelId::Dsr1Qwen14B)
+                                .decodeStepLatency(512, 4);
+    ASSERT_NE(small_pf, large_pf);
+    ASSERT_NE(small_dc, large_dc);
+    for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(small.prefillSuffixLatency(256, 128), small_pf);
+        EXPECT_EQ(large.prefillSuffixLatency(256, 128), large_pf);
+        EXPECT_EQ(small.decodeStepLatency(512, 4), small_dc);
+        EXPECT_EQ(large.decodeStepLatency(512, 4), large_dc);
+    }
+}
+
+TEST(Engine, DecodeMemoKeyKeepsLargeBatchesApart)
+{
+    // The decode key once packed only the low 16 bits of the batch, so
+    // batch 65537 hit batch 1's entry on an engine that had priced it.
+    const double cold =
+        makeEngine(ModelId::Dsr1Qwen1_5B).decodeStepLatency(256, 65537);
+    auto eng = makeEngine(ModelId::Dsr1Qwen1_5B);
+    const double one = eng.decodeStepLatency(256, 1);
+    EXPECT_EQ(eng.decodeStepLatency(256, 65537), cold);
+    EXPECT_GT(cold, eng.decodeStepLatency(256, 65536));
+    EXPECT_GT(cold, 100.0 * one);
+}
+
+TEST(Engine, StepCostMemoRejectsKeysOutsideItsRange)
+{
+    // Out-of-range inputs fail loudly instead of aliasing an entry.
+    auto eng = makeEngine(ModelId::Dsr1Qwen1_5B);
+    const er::Tokens rows = InferenceEngine::kMaxStepRows;
+    EXPECT_GT(eng.decodeStepLatency(256, static_cast<int>(rows)), 0.0);
+    EXPECT_THROW(eng.decodeStepLatency(256, static_cast<int>(rows) + 1),
+                 std::runtime_error);
+    EXPECT_THROW(eng.decodeStepLatency(256, -1), std::runtime_error);
+    EXPECT_THROW(eng.prefillSuffixLatency(-1, 64), std::runtime_error);
+    EXPECT_THROW(eng.prefillSuffixLatency(0, rows + 1),
+                 std::runtime_error);
+}
+
+TEST(Engine, StepCostMemoIsBitIdenticalAcrossPoolThreads)
+{
+    // Sharded serving runs price one engine from several pool threads:
+    // every thread's answer (L1 miss, shared hit or L1 hit) must equal
+    // a single-thread fresh engine's bit for bit.
+    struct Point
+    {
+        bool decode;
+        er::Tokens a, b;
+    };
+    std::vector<Point> grid;
+    for (er::Tokens ctx : {64, 512, 4096})
+        for (er::Tokens batch : {1, 7, 128, 129})
+            grid.push_back({true, ctx, batch});
+    for (er::Tokens prefix : {0, 512, 1536})
+        for (er::Tokens suffix : {1, 200, 512, 2000})
+            grid.push_back({false, prefix, suffix});
+    const auto price = [](const InferenceEngine &e, const Point &p) {
+        return p.decode
+            ? e.decodeStepLatency(p.a, static_cast<int>(p.b))
+            : e.prefillSuffixLatency(p.a, p.b);
+    };
+    const auto fresh = makeEngine(ModelId::Dsr1Llama8B);
+    std::vector<double> want;
+    for (const Point &p : grid)
+        want.push_back(price(fresh, p));
+
+    const auto shared = makeEngine(ModelId::Dsr1Llama8B);
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kPasses = 3;
+    std::vector<std::vector<double>> got(
+        kThreads * kPasses, std::vector<double>(grid.size()));
+    er::ThreadPool pool(kThreads);
+    pool.parallelFor(
+        kThreads * kPasses,
+        [&](std::size_t job) {
+            // Each job walks the grid from its own offset so threads
+            // race on different keys first.
+            for (std::size_t k = 0; k < grid.size(); ++k) {
+                const std::size_t i = (k + job * 5) % grid.size();
+                got[job][i] = price(shared, grid[i]);
+            }
+        },
+        1);
+    for (std::size_t job = 0; job < got.size(); ++job)
+        for (std::size_t i = 0; i < grid.size(); ++i)
+            EXPECT_EQ(got[job][i], want[i]) << "job " << job << " point "
+                                            << i;
 }
 
 TEST(Engine, W8A8SitsBetweenFp16AndW4OnLatency)
@@ -259,19 +405,21 @@ TEST(Engine, CpuBackendMatchesTableXvii)
 
 TEST(Engine, StepCostL1DropsDestroyedEnginesEntries)
 {
-    // Each engine fills this thread's step-cost L1 with kLookups decode
-    // and kLookups prefill entries.  After it is destroyed, the next
-    // lookup by any engine must start from an empty L1 instead of
-    // keeping the dead engine's entries until a map reaches its bound.
+    // Each engine fills this thread's step-cost L1 with kLookups decode,
+    // kLookups full-prefill and kLookups suffix-prefill entries.  After
+    // it is destroyed, the next lookup by any engine must start from an
+    // empty L1 instead of keeping the dead engine's entries until a map
+    // reaches its bound.
     constexpr int kLookups = 50;
     for (int round = 0; round < 4; ++round) {
         const auto e = makeEngine(ModelId::Dsr1Qwen1_5B);
         for (int i = 0; i < kLookups; ++i) {
             e.decodeStepLatency(256 + i);
             e.prefillLatency(64 + i);
+            e.prefillSuffixLatency(128 + i, 64);
         }
         EXPECT_EQ(InferenceEngine::threadStepCostL1Entries(),
-                  2u * kLookups)
+                  3u * kLookups)
             << "round " << round;
     }
 }

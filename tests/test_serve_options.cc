@@ -130,6 +130,40 @@ TEST(ServeOptions, RejectsOutOfRangeNumbers)
     EXPECT_FALSE(parse({"--mean-out", "0.5"}, &err).has_value());
 }
 
+TEST(ServeOptions, RejectsIntegerFlagsPastIntRange)
+{
+    // --max-batch 4294967297 used to narrow to 1 and serve; 4294967296
+    // narrowed to 0 and died inside the server.  Batch-valued and
+    // retry counts are bounded by the engine's largest step batch.
+    const std::string max =
+        std::to_string(er::engine::InferenceEngine::kMaxStepRows);
+    const std::string past =
+        std::to_string(er::engine::InferenceEngine::kMaxStepRows + 1);
+    std::string err;
+    for (const char *v : {"4294967297", "4294967296", "2147483648",
+                          past.c_str()}) {
+        SCOPED_TRACE(v);
+        EXPECT_FALSE(parse({"--max-batch", v}, &err).has_value());
+        EXPECT_NE(err.find("--max-batch must be in [1, " + max + "]"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find(v), std::string::npos) << err;
+        EXPECT_FALSE(
+            parse({"--fleet", "2", "--retry", v}, &err).has_value());
+        EXPECT_NE(err.find("--retry must be in [0, " + max + "]"),
+                  std::string::npos)
+            << err;
+    }
+    EXPECT_EQ(parse({"--max-batch", max.c_str()}, &err)->maxBatch,
+              er::engine::InferenceEngine::kMaxStepRows);
+    EXPECT_EQ(parse({"--fleet", "2", "--retry", max.c_str()}, &err)->retry,
+              er::engine::InferenceEngine::kMaxStepRows);
+    // The lower bounds keep their wording.
+    EXPECT_FALSE(parse({"--max-batch", "0"}, &err).has_value());
+    EXPECT_NE(err.find("--max-batch must be in [1, "), std::string::npos)
+        << err;
+}
+
 TEST(ServeOptions, RejectsUnknownAndMalformedTokens)
 {
     std::string err;

@@ -159,6 +159,21 @@ class Args
         return fallback; // unreachable: usage() exits
     }
 
+    /** getInt() bounded to [lo, hi]: out-of-range values exit through
+     *  usage() naming the flag rather than narrowing silently. */
+    long long
+    getIntIn(const std::string &key, long long fallback, long long lo,
+             long long hi) const
+    {
+        const long long v = getInt(key, fallback);
+        if (v < lo || v > hi)
+            usage(("--" + key + " must be in [" + std::to_string(lo) +
+                   ", " + std::to_string(hi) + "], got " +
+                   std::to_string(v))
+                      .c_str());
+        return v;
+    }
+
     bool
     getBool(const std::string &key) const
     {
@@ -282,7 +297,8 @@ cmdEvaluate(const Args &args)
                                               "DSR1-Llama-8B"));
     s.quantized = args.getBool("quant");
     s.policy = parsePolicy(args.get("policy", "Base"));
-    s.parallel = static_cast<int>(args.getInt("parallel", 1));
+    s.parallel = static_cast<int>(args.getIntIn(
+        "parallel", 1, 1, engine::InferenceEngine::kMaxStepRows));
     const auto dataset = parseDataset(args.get("dataset",
                                                "mmlu-redux"));
     const auto limit = static_cast<std::size_t>(
@@ -310,7 +326,8 @@ cmdPlan(const Args &args)
     req.dataset = parseDataset(args.get("dataset", "mmlu-redux"));
     req.latencyBudget = args.getDouble("budget", 5.0);
     req.promptTokens = args.getInt("prompt-tokens", 0);
-    req.maxParallel = static_cast<int>(args.getInt("max-parallel", 8));
+    req.maxParallel = static_cast<int>(args.getIntIn(
+        "max-parallel", 8, 1, engine::InferenceEngine::kMaxStepRows));
     req.allowQuantized = !args.getBool("no-quant");
 
     core::EdgeReasoning er;
@@ -344,7 +361,8 @@ cmdSweep(const Args &args)
 {
     core::PlanRequest req;
     req.dataset = parseDataset(args.get("dataset", "mmlu-redux"));
-    req.maxParallel = static_cast<int>(args.getInt("max-parallel", 8));
+    req.maxParallel = static_cast<int>(args.getIntIn(
+        "max-parallel", 8, 1, engine::InferenceEngine::kMaxStepRows));
     req.allowQuantized = !args.getBool("no-quant");
     const auto questions = static_cast<std::size_t>(
         args.getInt("questions", 500));
