@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 
+#include "common/thread_pool.hh"
 #include "engine/engine.hh"
 
 namespace edgereason {
@@ -26,7 +27,8 @@ constexpr long long kMaxCount = engine::InferenceEngine::kMaxStepRows;
 constexpr const char *kMeanTokensRange = "in [1, 1e9]";
 const double kMeanTokensBelow = std::nextafter(1e9, kUnbounded);
 
-/** Whole-token numeric parses (rejects trailing junk like "12x"). */
+} // namespace
+
 bool
 parseLong(const std::string &s, long long *out)
 {
@@ -50,6 +52,8 @@ parseDouble(const std::string &s, double *out)
         return false;
     }
 }
+
+namespace {
 
 bool
 parseDegradeMode(const std::string &s, engine::DegradeMode *out)
@@ -297,7 +301,8 @@ parseServeOptions(const std::vector<std::string> &args,
              prefix_evict_given = true;
              return std::string();
          }},
-        {"threads", longOpt(&opt.threads, 0, "--threads")},
+        {"threads", longOpt(&opt.threads, 0, "--threads",
+                             ThreadPool::kMaxThreads)},
     };
     const std::map<std::string, bool *> bool_flags = {
         {"quant", &opt.quant},

@@ -172,6 +172,14 @@ struct ServeOptions
 };
 
 /**
+ * Whole-string numeric parses shared by every CLI flag: false on
+ * anything std::stoll/std::stod rejects and on trailing characters
+ * ("12x", "2.5s").
+ */
+bool parseLong(const std::string &s, long long *out);
+bool parseDouble(const std::string &s, double *out);
+
+/**
  * Parse `serve` flags ("--key value ..." tokens, without the leading
  * program/command names).  Unknown flags, missing values, malformed
  * numbers, and out-of-range values are all rejected.

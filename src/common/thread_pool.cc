@@ -290,8 +290,9 @@ unsigned
 ThreadPool::defaultThreads()
 {
     if (const char *env = std::getenv("EDGEREASON_THREADS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
+        char *end = nullptr;
+        const long v = std::strtol(env, &end, 10);
+        if (*end == '\0' && v >= 1 && v <= kMaxThreads)
             return static_cast<unsigned>(v);
         warn("ignoring invalid EDGEREASON_THREADS=", env);
     }

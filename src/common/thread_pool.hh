@@ -44,6 +44,9 @@ namespace edgereason {
 class ThreadPool
 {
   public:
+    /** Largest pool size a flag or EDGEREASON_THREADS may ask for. */
+    static constexpr unsigned kMaxThreads = 1024;
+
     /**
      * @param threads  total worker count including the calling thread;
      *   0 resolves EDGEREASON_THREADS, then hardware concurrency.
@@ -124,7 +127,11 @@ class ThreadPool
      */
     static void setGlobalThreads(unsigned threads);
 
-    /** @return thread count resolved from the environment. */
+    /**
+     * @return thread count resolved from the environment: a whole
+     *   EDGEREASON_THREADS value in [1, kMaxThreads], else the hardware
+     *   concurrency.
+     */
     static unsigned defaultThreads();
 
   private:

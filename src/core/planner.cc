@@ -86,40 +86,72 @@ DeploymentPlanner::plan(const PlanRequest &request)
         : static_cast<Tokens>(
               acc::datasetInfo(request.dataset).meanPromptTokens);
 
-    // Candidate evaluations are independent; fan them out over the
-    // work-stealing pool and keep input order so the feasible list
-    // (and every downstream tie-break) matches the serial run.
+    // 1. The analytic 2x pre-filter: skip candidates whose expected
+    // output length already misses the budget by 2x.  It fans out so
+    // a cold evaluator characterizes the models in parallel; the
+    // survivors keep candidate order.
     const auto candidates = candidateStrategies(request);
-    auto reports = ThreadPool::global().parallelMap(
-        candidates,
-        [&](const InferenceStrategy &cand)
-            -> std::optional<StrategyReport> {
-            // Fast pre-filter via the analytic latency model: skip
-            // candidates whose expected output length already misses
-            // the budget by 2x.
-            const auto &prof = evaluator_.profile(cand.model,
-                                                  request.dataset,
-                                                  cand.quantized);
-            const double mean_toks = prof.meanTokens(cand.policy);
+    const auto pass = ThreadPool::global().parallelMap(
+        candidates, [&](const InferenceStrategy &cand) -> char {
+            const auto &prof = evaluator_.profile(
+                cand.model, request.dataset, cand.quantized);
             const Seconds rough = evaluator_.questionLatency(
-                cand, prompt, static_cast<Tokens>(mean_toks));
-            if (rough > 2.0 * request.latencyBudget)
-                return std::nullopt;
+                cand, prompt,
+                static_cast<Tokens>(prof.meanTokens(cand.policy)));
+            return rough <= 2.0 * request.latencyBudget;
+        });
+    std::vector<InferenceStrategy> passing;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (pass[i])
+            passing.push_back(candidates[i]);
+    }
+    const auto keyOf = [&](const InferenceStrategy &s) {
+        return CandidateKey{s.model, s.quantized, s.policy, s.parallel,
+                            request.dataset, request.sampleQuestions};
+    };
 
-            StrategyReport rep = evaluator_.evaluate(
-                cand, request.dataset, request.sampleQuestions);
-            if (rep.avgLatency > request.latencyBudget)
-                return std::nullopt;
-            if (request.energyBudgetJ > 0.0 &&
-                rep.avgEnergy > request.energyBudgetJ)
-                return std::nullopt;
-            return rep;
+    // 2. Evaluate the survivors the table lacks.  Evaluations are
+    // independent, so they fan out over the work-stealing pool; map
+    // nodes are stable, so the pointers outlive the lock.
+    std::vector<const StrategyReport *> reports(passing.size());
+    std::vector<InferenceStrategy> missing;
+    {
+        std::lock_guard<std::mutex> g(tableMu_);
+        for (std::size_t i = 0; i < passing.size(); ++i) {
+            auto it = table_.find(keyOf(passing[i]));
+            if (it != table_.end())
+                reports[i] = &it->second;
+            else
+                missing.push_back(passing[i]);
+        }
+    }
+    auto fresh = ThreadPool::global().parallelMap(
+        missing, [&](const InferenceStrategy &cand) {
+            return evaluator_.evaluate(cand, request.dataset,
+                                       request.sampleQuestions);
         });
 
+    // 3. Insert the new reports serially.
+    {
+        std::lock_guard<std::mutex> g(tableMu_);
+        for (std::size_t i = 0, m = 0; i < passing.size(); ++i) {
+            if (!reports[i])
+                reports[i] = &table_.emplace(keyOf(passing[i]),
+                                             std::move(fresh[m++]))
+                                  .first->second;
+        }
+    }
+
+    // 4. Feasibility in candidate order, so the sort's ties break as
+    // in a serial run.
     std::vector<StrategyReport> feasible;
-    for (auto &rep : reports) {
-        if (rep)
-            feasible.push_back(std::move(*rep));
+    for (const StrategyReport *rep : reports) {
+        if (rep->avgLatency > request.latencyBudget)
+            continue;
+        if (request.energyBudgetJ > 0.0 &&
+            rep->avgEnergy > request.energyBudgetJ)
+            continue;
+        feasible.push_back(*rep);
     }
     if (feasible.empty())
         return std::nullopt;

@@ -12,7 +12,10 @@
 #ifndef EDGEREASON_CORE_PLANNER_HH
 #define EDGEREASON_CORE_PLANNER_HH
 
+#include <map>
+#include <mutex>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "core/evaluator.hh"
@@ -53,7 +56,24 @@ struct PlanDecision
     std::vector<StrategyReport> candidates;
 };
 
-/** Latency-budget-driven strategy selection. */
+/**
+ * Latency-budget-driven strategy selection.
+ *
+ * Candidate table: a candidate's StrategyReport depends only on the
+ * strategy, the dataset and the question count (the evaluator's seed,
+ * question limit and cost rates are fixed for its lifetime), never on
+ * the budget.  So the planner keeps, for as long as it lives, the
+ * report evaluate() returned for each (model, quantized, policy,
+ * parallel, dataset, question count) it has evaluated.  A plan() call
+ * evaluates only the pre-filter survivors not yet in the table, so a
+ * ladder of budgets costs one evaluation per candidate in total.  The
+ * prompt length enters only the pre-filter and maxTokensForBudget().
+ *
+ * plan() is safe to call concurrently on one planner: the table's
+ * lookups and inserts are serialized, the evaluation fan-out is not.
+ * Two callers may then evaluate the same missing candidate; the first
+ * insert wins and both reports are bit-identical anyway.
+ */
 class DeploymentPlanner
 {
   public:
@@ -84,7 +104,14 @@ class DeploymentPlanner
     candidateStrategies(const PlanRequest &request);
 
   private:
+    /** (model, quantized, policy, parallel, dataset, questions). */
+    using CandidateKey = std::tuple<model::ModelId, bool,
+                                    strategy::TokenPolicy, int,
+                                    acc::Dataset, std::size_t>;
+
     StrategyEvaluator &evaluator_;
+    std::mutex tableMu_; //!< guards the map shape; reports are immutable
+    std::map<CandidateKey, StrategyReport> table_;
 };
 
 } // namespace core

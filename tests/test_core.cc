@@ -5,7 +5,11 @@
  * planner.
  */
 
+#include <optional>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -592,6 +596,135 @@ TEST(Planner, PlanGoldens)
         expectReport(plan->predicted, r.want,
                      "plan " + std::to_string(r.budget));
     }
+}
+
+namespace {
+
+void
+expectSameReport(const StrategyReport &got, const StrategyReport &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(got.strat.label(), want.strat.label()) << what;
+    EXPECT_EQ(got.strat.model, want.strat.model) << what;
+    EXPECT_EQ(got.strat.quantized, want.strat.quantized) << what;
+    EXPECT_EQ(got.strat.policy, want.strat.policy) << what;
+    EXPECT_EQ(got.strat.parallel, want.strat.parallel) << what;
+    EXPECT_EQ(got.dataset, want.dataset) << what;
+    EXPECT_EQ(got.accuracyPct, want.accuracyPct) << what;
+    EXPECT_EQ(got.avgTokens, want.avgTokens) << what;
+    EXPECT_EQ(got.avgSumTokens, want.avgSumTokens) << what;
+    EXPECT_EQ(got.avgLatency, want.avgLatency) << what;
+    EXPECT_EQ(got.avgEnergy, want.avgEnergy) << what;
+    EXPECT_EQ(got.cost.energyPerMTok, want.cost.energyPerMTok) << what;
+    EXPECT_EQ(got.cost.hardwarePerMTok, want.cost.hardwarePerMTok)
+        << what;
+    EXPECT_EQ(got.questions, want.questions) << what;
+}
+
+/** Field-by-field equality of two decisions, candidate list included. */
+void
+expectSameDecision(const std::optional<PlanDecision> &got,
+                   const std::optional<PlanDecision> &want,
+                   const std::string &what)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << what;
+    if (!want)
+        return;
+    EXPECT_EQ(got->strategy.label(), want->strategy.label()) << what;
+    EXPECT_EQ(got->maxTokenBudget, want->maxTokenBudget) << what;
+    expectSameReport(got->predicted, want->predicted, what + " predicted");
+    ASSERT_EQ(got->candidates.size(), want->candidates.size()) << what;
+    for (std::size_t i = 0; i < want->candidates.size(); ++i) {
+        expectSameReport(got->candidates[i], want->candidates[i],
+                         what + " candidate " + std::to_string(i));
+    }
+}
+
+/** A small-sample request; Debug builds evaluate the grid per budget. */
+PlanRequest
+ladderRequest(double budget)
+{
+    PlanRequest req;
+    req.latencyBudget = budget;
+    req.sampleQuestions = 24;
+    req.maxParallel = 4;
+    return req;
+}
+
+/** The decision a planner with an empty candidate table makes. */
+std::optional<PlanDecision>
+freshPlan(const PlanRequest &req)
+{
+    DeploymentPlanner fresh(facade().evaluator());
+    return fresh.plan(req);
+}
+
+} // namespace
+
+TEST(Planner, LadderMatchesFreshPlannerPerBudget)
+{
+    // One planner keeps every candidate report it evaluates; each
+    // decision along the ladder must still equal a fresh planner's.
+    std::vector<std::pair<std::string, PlanRequest>> ladder;
+    for (double budget : {1, 2, 3, 5, 8, 10, 15, 20, 30, 60}) {
+        ladder.push_back({"budget " + std::to_string(budget),
+                          ladderRequest(budget)});
+    }
+    ladder.push_back({"repeated budget 5", ladderRequest(5)});
+    ladder.push_back({"below every prefill", ladderRequest(0.01)});
+    PlanRequest req = ladderRequest(60);
+    req.energyBudgetJ = 40.0;
+    ladder.push_back({"energy budget", req});
+    req = ladderRequest(10);
+    req.promptTokens = 900;
+    ladder.push_back({"long prompt", req});
+    req = ladderRequest(10);
+    req.sampleQuestions = 16;
+    ladder.push_back({"other sample size", req});
+    req = ladderRequest(60);
+    req.dataset = Dataset::NaturalPlanCalendar;
+    ladder.push_back({"second dataset", req});
+
+    for (unsigned threads : {1u, 4u}) {
+        er::ThreadPool::setGlobalThreads(threads);
+        DeploymentPlanner planner(facade().evaluator());
+        for (const auto &[what, r] : ladder) {
+            expectSameDecision(planner.plan(r), freshPlan(r),
+                               what + " at " + std::to_string(threads) +
+                                   " threads");
+        }
+    }
+    er::ThreadPool::setGlobalThreads(0);
+}
+
+TEST(Planner, ConcurrentCallersShareOneTable)
+{
+    // Two callers plan overlapping budget ladders on one planner, so
+    // both may evaluate and insert the same candidates at once.
+    er::ThreadPool::setGlobalThreads(4);
+    DeploymentPlanner planner(facade().evaluator());
+    const std::vector<double> ladders[2] = {{1, 5, 15, 60},
+                                            {60, 2, 8, 5}};
+    std::vector<std::optional<PlanDecision>> got[2];
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 2; ++c) {
+        callers.emplace_back([&, c] {
+            for (double budget : ladders[c])
+                got[c].push_back(planner.plan(ladderRequest(budget)));
+        });
+    }
+    for (auto &t : callers)
+        t.join();
+    for (int c = 0; c < 2; ++c) {
+        for (std::size_t i = 0; i < ladders[c].size(); ++i) {
+            expectSameDecision(got[c][i],
+                               freshPlan(ladderRequest(ladders[c][i])),
+                               "caller " + std::to_string(c) +
+                                   " budget " +
+                                   std::to_string(ladders[c][i]));
+        }
+    }
+    er::ThreadPool::setGlobalThreads(0);
 }
 
 TEST(Pareto, ParallelSweepMatchesDirectEvaluation)

@@ -158,6 +158,14 @@ TEST(ServeOptions, RejectsIntegerFlagsPastIntRange)
               er::engine::InferenceEngine::kMaxStepRows);
     EXPECT_EQ(parse({"--fleet", "2", "--retry", max.c_str()}, &err)->retry,
               er::engine::InferenceEngine::kMaxStepRows);
+    // --threads sizes the pool: bounded by ThreadPool::kMaxThreads.
+    for (const char *v : {"4294967297", "1025", "-1"}) {
+        EXPECT_FALSE(parse({"--threads", v}, &err).has_value()) << v;
+        EXPECT_NE(err.find("--threads must be in [0, 1024]"),
+                  std::string::npos)
+            << err;
+    }
+    EXPECT_EQ(parse({"--threads", "4"}, &err)->threads, 4);
     // The lower bounds keep their wording.
     EXPECT_FALSE(parse({"--max-batch", "0"}, &err).has_value());
     EXPECT_NE(err.find("--max-batch must be in [1, "), std::string::npos)

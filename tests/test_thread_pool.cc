@@ -408,5 +408,13 @@ TEST(ThreadPool, DefaultThreadsHonorsEnvironment)
     ::setenv("EDGEREASON_THREADS", "bogus", 1);
     EXPECT_GE(ThreadPool::defaultThreads(), 1u);
     ::unsetenv("EDGEREASON_THREADS");
-    EXPECT_GE(ThreadPool::defaultThreads(), 1u);
+    const unsigned fallback = ThreadPool::defaultThreads();
+    EXPECT_GE(fallback, 1u);
+    // Out-of-range or trailing-junk values fall back to the hardware
+    // count; only the resolved size is checked, no pool is built.
+    for (const char *bad : {"4294967297", "1025", "0", "-3", "4x", ""}) {
+        ::setenv("EDGEREASON_THREADS", bad, 1);
+        EXPECT_EQ(ThreadPool::defaultThreads(), fallback) << bad;
+    }
+    ::unsetenv("EDGEREASON_THREADS");
 }

@@ -77,6 +77,10 @@ using namespace edgereason;
 
 namespace {
 
+/** Upper bound of --questions (0 = the full benchmark; a count above
+ *  a bank's size also runs the whole bank). */
+constexpr long long kMaxQuestions = 1000000;
+
 [[noreturn]] void
 usage(const char *msg = nullptr)
 {
@@ -133,30 +137,22 @@ class Args
     getDouble(const std::string &key, double fallback) const
     {
         auto it = kv_.find(key);
-        if (it == kv_.end())
-            return fallback;
-        try {
-            return std::stod(it->second);
-        } catch (const std::exception &) {
+        double v = fallback;
+        if (it != kv_.end() && !cli::parseDouble(it->second, &v))
             usage(("invalid number for --" + key + ": " + it->second)
                       .c_str());
-        }
-        return fallback; // unreachable: usage() exits
+        return v;
     }
 
     long long
     getInt(const std::string &key, long long fallback) const
     {
         auto it = kv_.find(key);
-        if (it == kv_.end())
-            return fallback;
-        try {
-            return std::stoll(it->second);
-        } catch (const std::exception &) {
+        long long v = fallback;
+        if (it != kv_.end() && !cli::parseLong(it->second, &v))
             usage(("invalid number for --" + key + ": " + it->second)
                       .c_str());
-        }
-        return fallback; // unreachable: usage() exits
+        return v;
     }
 
     /** getInt() bounded to [lo, hi]: out-of-range values exit through
@@ -210,12 +206,20 @@ parsePolicy(const std::string &s)
         return TokenPolicy::base();
     if (s == "NR" || s == "nr")
         return TokenPolicy::noReasoning();
+    // The token budget of L1-<n>, <n>NC or <n>T: a whole number >= 1.
+    const auto budget = [&](const std::string &n) -> Tokens {
+        long long v = 0;
+        if (!cli::parseLong(n, &v) || v < 1)
+            usage(("--policy " + s + ": the token budget must be a " +
+                   "whole number >= 1").c_str());
+        return v;
+    };
     if (s.rfind("L1-", 0) == 0)
-        return TokenPolicy::l1(std::stoll(s.substr(3)));
+        return TokenPolicy::l1(budget(s.substr(3)));
     if (s.size() > 2 && s.substr(s.size() - 2) == "NC")
-        return TokenPolicy::soft(std::stoll(s.substr(0, s.size() - 2)));
+        return TokenPolicy::soft(budget(s.substr(0, s.size() - 2)));
     if (s.size() > 1 && s.back() == 'T')
-        return TokenPolicy::hard(std::stoll(s.substr(0, s.size() - 1)));
+        return TokenPolicy::hard(budget(s.substr(0, s.size() - 1)));
     usage(("unknown policy: " + s +
            " (expected Base, NR, <n>T, <n>NC, L1-<n>)").c_str());
 }
@@ -302,7 +306,7 @@ cmdEvaluate(const Args &args)
     const auto dataset = parseDataset(args.get("dataset",
                                                "mmlu-redux"));
     const auto limit = static_cast<std::size_t>(
-        args.getInt("questions", 0));
+        args.getIntIn("questions", 0, 0, kMaxQuestions));
 
     core::EdgeReasoning er;
     const auto rep = er.evaluate(s, dataset, limit);
@@ -365,7 +369,7 @@ cmdSweep(const Args &args)
         "max-parallel", 8, 1, engine::InferenceEngine::kMaxStepRows));
     req.allowQuantized = !args.getBool("no-quant");
     const auto questions = static_cast<std::size_t>(
-        args.getInt("questions", 500));
+        args.getIntIn("questions", 500, 0, kMaxQuestions));
 
     const std::string axis_name = args.get("axis", "latency");
     core::FrontierAxis axis;
@@ -926,8 +930,10 @@ main(int argc, char **argv)
     }
     const Args pre(cmd_at, argv, 1);
     const Args args(argc, argv, cmd_at + 1);
-    const long long threads =
-        args.getInt("threads", pre.getInt("threads", 0));
+    const long long threads = args.getIntIn(
+        "threads",
+        pre.getIntIn("threads", 0, 0, ThreadPool::kMaxThreads), 0,
+        ThreadPool::kMaxThreads);
     if (threads > 0)
         ThreadPool::setGlobalThreads(static_cast<unsigned>(threads));
     try {

@@ -6,3 +6,41 @@ target_link_libraries(edgereason_cli PRIVATE edgereason)
 set_target_properties(edgereason_cli PROPERTIES
     OUTPUT_NAME edgereason
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/tools)
+
+# Flag-rejection cases: each bad value must exit through usage() with a
+# message naming the flag, before any evaluation or thread pool starts.
+if(BUILD_TESTING)
+    function(edgereason_cli_rejects name regex)
+        add_test(NAME cli_rejects_${name} COMMAND edgereason_cli ${ARGN})
+        set_tests_properties(cli_rejects_${name} PROPERTIES
+            PASS_REGULAR_EXPRESSION "${regex}" LABELS cli)
+    endfunction()
+
+    edgereason_cli_rejects(threads_before_command
+        "--threads must be in \\[0, 1024\\], got 4294967297"
+        --threads 4294967297 sweep --questions 2)
+    edgereason_cli_rejects(threads_after_command
+        "--threads must be in \\[0, 1024\\], got 4294967297"
+        sweep --threads 4294967297 --questions 2)
+    edgereason_cli_rejects(evaluate_negative_questions
+        "--questions must be in \\[0, 1000000\\], got -1"
+        evaluate --model DSR1-Qwen-1.5B --questions -1)
+    edgereason_cli_rejects(sweep_negative_questions
+        "--questions must be in \\[0, 1000000\\], got -1"
+        sweep --questions -1)
+    edgereason_cli_rejects(int_trailing_characters
+        "invalid number for --parallel: 2x"
+        evaluate --parallel 2x --questions 5)
+    edgereason_cli_rejects(double_trailing_characters
+        "invalid number for --budget: 5x"
+        plan --budget 5x)
+    edgereason_cli_rejects(policy_trailing_characters
+        "--policy 12xT: the token budget must be a whole number >= 1"
+        evaluate --policy 12xT --questions 5)
+    edgereason_cli_rejects(policy_negative_budget
+        "--policy -5T: the token budget must be a whole number >= 1"
+        evaluate --policy -5T --questions 5)
+    edgereason_cli_rejects(policy_not_a_number
+        "--policy xT: the token budget must be a whole number >= 1"
+        evaluate --policy xT --questions 5)
+endif()
