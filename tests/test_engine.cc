@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -421,5 +422,119 @@ TEST(Engine, StepCostL1DropsDestroyedEnginesEntries)
         EXPECT_EQ(InferenceEngine::threadStepCostL1Entries(),
                   3u * kLookups)
             << "round " << round;
+    }
+}
+
+TEST(Engine, StepCostGoldens)
+{
+    // %.17g values recorded from the flat kernel-list pricing, before
+    // the builders emitted layered programs.  They pin the paths no
+    // other golden pins exactly: CPU-elementwise offload, DLA FFN
+    // offload (W4A16), the CPU backend, unpadded kernels and every
+    // power mode.  Columns: prefillLatency(2048),
+    // prefillSuffixLatency(2048, 256), decodeStepLatency(512, b) for
+    // b = 1, 4, 130 (below and above the 128-row batch tile).
+    struct Variant
+    {
+        const char *name;
+        bool quantized;
+        EngineConfig cfg;
+    };
+    std::vector<Variant> variants;
+    EngineConfig cfg;
+    cfg.offloadElementwiseToCpu = true;
+    variants.push_back({"cpu_offload", false, cfg});
+    cfg = {};
+    cfg.offloadFfnToDla = true;
+    variants.push_back({"dla_offload", true, cfg});
+    cfg = {};
+    cfg.backend = er::hw::Backend::Cpu;
+    variants.push_back({"cpu", false, cfg});
+    cfg = {};
+    cfg.kernelOpts.disablePadding = true;
+    variants.push_back({"unpadded", false, cfg});
+    for (const auto mode : {er::hw::PowerMode::W15, er::hw::PowerMode::W30,
+                            er::hw::PowerMode::W50,
+                            er::hw::PowerMode::MaxN}) {
+        cfg = {};
+        cfg.powerMode = mode;
+        variants.push_back({er::hw::powerModeName(mode), false, cfg});
+    }
+
+    // One row per (variant, dsr1Family() model), in that order.
+    const double want[][5] = {
+        // cpu_offload
+        {0.77593332071245857, 0.22346351519775062, 0.023930823275862066,
+         0.027946331610851909, 0.060007432224246614},
+        {3.3370116672525096, 0.89295652592564312, 0.097267386421319615,
+         0.1143766120759495, 0.24313896472948565},
+        {6.176942194479814, 1.6353771904338268, 0.1849934646596858,
+         0.21728701178032769, 0.43168396889100197},
+        // dla_offload
+        {0.34404905815451742, 0.10515092547984563, 0.013087677222222215,
+         0.015301173595442658, 0.058373783811654457},
+        {0.82340482020072536, 0.21640218342955964, 0.036814995344827552,
+         0.044333397088043486, 0.18180853498174485},
+        {3.4181621628721768, 0.90691714550314839, 0.064475358333333052,
+         0.077256823050627435, 0.28336124212853986},
+        // cpu
+        {137.05779185454517, 19.594602909090884, 0.10660158254545446,
+         0.31161425454545522, 9.7847432727272601},
+        {706.10369149090877, 94.734135709090864, 0.47323219878787898,
+         1.4587704484848489, 47.036449575757608},
+        {1334.8737069090894, 177.88068290909141, 0.87762398448484613,
+         2.7151672727272662, 87.692316363636351},
+        // unpadded
+        {0.78375636071245758, 0.22505039519775077, 0.024630303275862072,
+         0.02865876024912779, 0.061442101660346762},
+        {3.3594305472525128, 0.89645188592564262, 0.098069946421319498,
+         0.1152178789248073, 0.24610562288471602},
+        {6.2182589944798217, 1.6415707904338295, 0.18618906465968563,
+         0.21855445403767731, 0.43689626622457395},
+        // 15W
+        {2.4052001272264327, 0.65924398499297043, 0.067356197737068912,
+         0.079945125778524403, 0.18239306768858382},
+        {10.45336596016408, 2.7565576435176378, 0.29667658256662516,
+         0.35026387164002099, 0.75928807151473965},
+        {19.383940857749323, 5.0817902201057104, 0.56772232706151859,
+         0.66886416886774147, 1.3511823319517884},
+        // 30W
+        {1.6441971078988473, 0.4554610110590443, 0.047303368672046965,
+         0.055874553721548592, 0.12562634395818462},
+        {7.1239219303245056, 1.883541799841794, 0.20346320515174399,
+         0.23994816792512191, 0.51843272954195019},
+        {13.204803562722994, 3.4671690860294206, 0.38865477587167108,
+         0.45751730646314182, 0.9220743536693039},
+        // 50W
+        {1.024713948305868, 0.2895745199970407, 0.030979662205081662,
+         0.036280263485694526, 0.07941623902677207},
+        {4.4136376674375191, 1.1728762709547962, 0.12758424529121057,
+         0.15014731437474596, 0.32236803011146997},
+        {8.1747689927365155, 2.1528108295181974, 0.24288750613116569,
+         0.28547354478641696, 0.57276540292706768},
+        // MAXN
+        {0.78375636071245758, 0.22505039519775077, 0.024630303275862072,
+         0.02865876024912779, 0.061442101660346762},
+        {3.3594305472525128, 0.89645188592564262, 0.098069946421319498,
+         0.1152178789248073, 0.24610562288471602},
+        {6.2182589944798217, 1.6415707904338295, 0.18618906465968563,
+         0.21855445403767731, 0.43689626622457395},
+    };
+    const auto &family = er::model::dsr1Family();
+    ASSERT_EQ(std::size(want), variants.size() * family.size());
+
+    std::size_t row = 0;
+    for (const auto &v : variants) {
+        for (const ModelId id : family) {
+            const auto eng = makeEngine(id, v.quantized, v.cfg);
+            const double *w = want[row++];
+            SCOPED_TRACE(std::string(v.name) + " " +
+                         er::model::modelName(id));
+            EXPECT_EQ(eng.prefillLatency(2048), w[0]);
+            EXPECT_EQ(eng.prefillSuffixLatency(2048, 256), w[1]);
+            EXPECT_EQ(eng.decodeStepLatency(512, 1), w[2]);
+            EXPECT_EQ(eng.decodeStepLatency(512, 4), w[3]);
+            EXPECT_EQ(eng.decodeStepLatency(512, 130), w[4]);
+        }
     }
 }
