@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 
 #include "accuracy/simulate.hh"
 #include "accuracy/trace_gen.hh"
@@ -124,6 +125,44 @@ BM_KernelCacheHit(benchmark::State &state)
         static_cast<double>(stats.hits + stats.misses);
 }
 BENCHMARK(BM_KernelCacheHit);
+
+void
+BM_StepCostCold(benchmark::State &state)
+{
+    // The roofline kernel -> engine step rung: every lookup misses the
+    // step-cost memo, so each one builds and prices a kernel program.
+    // A fresh engine per iteration keeps the memo cold; building and
+    // destroying it is not timed.
+    const auto spec = er::model::spec(ModelId::Dsr1Llama8B);
+    const auto calib = er::model::calibration(ModelId::Dsr1Llama8B);
+    er::engine::EngineConfig cfg;
+    cfg.measurementNoise = false;
+    constexpr int kKeys = 32;
+    std::optional<er::engine::InferenceEngine> eng;
+    er::engine::KernelCacheStats stats;
+    for (auto _ : state) {
+        state.PauseTiming();
+        eng.emplace(spec, calib, cfg);
+        state.ResumeTiming();
+        for (int i = 0; i < kKeys; ++i) {
+            benchmark::DoNotOptimize(
+                eng->prefillSuffixLatency(128 * i, 64 + 3 * i));
+            benchmark::DoNotOptimize(
+                eng->decodeStepLatency(512 + 16 * i, 1 + i % 8));
+        }
+        state.PauseTiming();
+        const auto s = eng->kernelCacheStats();
+        stats.hits += s.hits;
+        stats.misses += s.misses;
+        eng.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * kKeys);
+    state.counters["miss_rate"] =
+        static_cast<double>(stats.misses) /
+        static_cast<double>(stats.hits + stats.misses);
+}
+BENCHMARK(BM_StepCostCold);
 
 void
 BM_ParallelSweep(benchmark::State &state)

@@ -1,6 +1,7 @@
 #include "core/planner.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "accuracy/anchors.hh"
@@ -79,8 +80,10 @@ DeploymentPlanner::candidateStrategies(const PlanRequest &request)
 std::optional<PlanDecision>
 DeploymentPlanner::plan(const PlanRequest &request)
 {
-    fatal_if(request.latencyBudget <= 0.0,
-             "latency budget must be positive");
+    fatal_if(!std::isfinite(request.latencyBudget) ||
+                 request.latencyBudget <= 0.0,
+             "latency budget must be finite and positive, got ",
+             request.latencyBudget);
     const Tokens prompt = request.promptTokens > 0
         ? request.promptTokens
         : static_cast<Tokens>(

@@ -257,56 +257,62 @@ InferenceEngine::noiseFactor(double cv, Rng &rng) const
 }
 
 hw::StepCost
-InferenceEngine::executeKernels(
-    const std::vector<hw::KernelDesc> &kernels) const
+InferenceEngine::executeKernels(const hw::KernelProgram &program) const
 {
     const bool cpu_off = config_.offloadElementwiseToCpu &&
         config_.backend == hw::Backend::Gpu;
     const bool dla_off = config_.offloadFfnToDla &&
         config_.backend == hw::Backend::Gpu;
     if (!cpu_off && !dla_off)
-        return soc_.execute(config_.backend, kernels);
+        return soc_.execute(config_.backend, program);
 
     // Heterogeneous mode (Section VI): elementwise work can run on
     // the CPU cluster and FFN matmuls on the NVDLA complex, both
     // overlapped with the GPU (shared-memory SoC, no copy cost).
-    std::vector<hw::KernelDesc> gpu_side;
-    std::vector<hw::KernelDesc> cpu_side;
-    std::vector<hw::KernelDesc> dla_side;
-    gpu_side.reserve(kernels.size());
-    double total_bytes = 0.0;
-    for (const auto &k : kernels) {
-        total_bytes += k.weightBytes + k.actBytes;
-        if (cpu_off && k.cls == hw::KernelClass::Elementwise) {
-            cpu_side.push_back(k);
-        } else if (dla_off && k.name.rfind("ffn_", 0) == 0 &&
-                   k.cls == hw::KernelClass::GemmTensorCore) {
-            // Only compute-bound (prefill) FFN GEMMs go to the DLA;
-            // decode FFN is weight-streaming-bound, and the DLA's
-            // narrower DRAM interface would slow it down.
-            dla_side.push_back(k);
-        } else {
-            gpu_side.push_back(k);
+    // Each section is split by device in order, so every device
+    // prices its kernels in launch order.
+    hw::KernelProgram gpu_side;
+    hw::KernelProgram cpu_side;
+    hw::KernelProgram dla_side;
+    for (auto section : {&hw::KernelProgram::head, &hw::KernelProgram::body,
+                         &hw::KernelProgram::tail}) {
+        for (const auto &k : program.*section) {
+            hw::KernelProgram *side = &gpu_side;
+            if (cpu_off && k.cls == hw::KernelClass::Elementwise) {
+                side = &cpu_side;
+            } else if (dla_off && k.name.rfind("ffn_", 0) == 0 &&
+                       k.cls == hw::KernelClass::GemmTensorCore) {
+                // Only compute-bound (prefill) FFN GEMMs go to the DLA;
+                // decode FFN is weight-streaming-bound, and the DLA's
+                // narrower DRAM interface would slow it down.
+                side = &dla_side;
+            }
+            (side->*section).push_back(k);
         }
     }
+    gpu_side.layers = cpu_side.layers = dla_side.layers = program.layers;
 
     hw::StepCost combined = soc_.execute(hw::Backend::Gpu, gpu_side);
     const Seconds gpu_seconds = combined.seconds;
-    if (!cpu_side.empty()) {
+    if (cpu_side.size() > 0) {
         const hw::StepCost cpu = soc_.execute(hw::Backend::Cpu,
                                               cpu_side);
         combined.seconds = std::max(combined.seconds, cpu.seconds);
         combined.actBytes += cpu.actBytes;
         combined.flops += cpu.flops;
     }
-    if (!dla_side.empty()) {
-        const hw::StepCost dla = soc_.dla().executeAll(dla_side);
+    if (dla_side.size() > 0) {
+        const hw::StepCost dla = hw::replay(soc_.dla(), dla_side);
         combined.seconds = std::max(combined.seconds, dla.seconds);
         combined.weightBytes += dla.weightBytes;
         combined.actBytes += dla.actBytes;
         combined.flops += dla.flops;
         // The DLAs share the LPDDR5 bus with the GPU: no amount of
-        // overlap can move the step's bytes faster than the bus.
+        // overlap can move the step's bytes faster than the bus.  The
+        // bytes are summed in launch order.
+        double total_bytes = 0.0;
+        for (const auto &k : program.expand())
+            total_bytes += k.weightBytes + k.actBytes;
         const double shared_floor = total_bytes /
             (soc_.gpu().effectivePeakBandwidth() *
              soc_.gpu().efficiency().bandwidthDecode);
@@ -328,7 +334,7 @@ InferenceEngine::prefillCost(Tokens cached_prefix,
     return costCache_->readThrough(
         kPrefill, packStepKey("prefill", cached_prefix, suffix_tokens),
         [&] {
-            const hw::StepCost c = executeKernels(prefillSuffixKernels(
+            const hw::StepCost c = executeKernels(prefillSuffixProgram(
                 spec_, cached_prefix, suffix_tokens, config_.kernelOpts));
             return StepTime{c.seconds, c.avgBwUtil, c.avgComputeUtil};
         });
@@ -353,7 +359,7 @@ InferenceEngine::decodeStepCost(Tokens context, int batch) const
 {
     return costCache_->readThrough(
         kDecode, packStepKey("decode", context, batch), [&] {
-            const hw::StepCost c = executeKernels(decodeKernels(
+            const hw::StepCost c = executeKernels(decodeProgram(
                 spec_, context, batch, config_.kernelOpts));
             return StepTime{c.seconds + (calib_.decodeStepOverhead *
                                              overhead_.stepOverheadScale +

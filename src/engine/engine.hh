@@ -111,7 +111,8 @@ struct KernelCacheStats
  * chunk of every chunked or prefix-cached prefill), so the engine
  * memoizes both phases exactly in one step-cost memo.  It is the only
  * step-cost cache in the stack: it changes no numerical result, only
- * skips re-enumerating identical kernel lists.
+ * skips re-pricing identical kernel programs.  A miss prices one
+ * transformer layer's kernels once and replays them (hw::replay()).
  *
  * Thread-safety: the const query surface (decodeStepLatency,
  * prefillLatency, prefillSuffixLatency, spec/calib accessors) is safe
@@ -217,8 +218,7 @@ class InferenceEngine
     StepTime decodeStepCost(Tokens context, int batch) const;
     StepTime prefillCost(Tokens cached_prefix,
                          Tokens suffix_tokens) const;
-    hw::StepCost executeKernels(
-        const std::vector<hw::KernelDesc> &kernels) const;
+    hw::StepCost executeKernels(const hw::KernelProgram &program) const;
     double noiseFactor(double cv, Rng &rng) const;
 
     model::TransformerSpec spec_;

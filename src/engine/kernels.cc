@@ -22,6 +22,8 @@ padToTile(Tokens tokens, Tokens tile)
 namespace {
 
 constexpr double fp16Bytes = 2.0;
+/** Kernels one transformer layer launches (a program's body). */
+constexpr std::size_t kLayerKernels = 8;
 
 /** Append a dense GEMM/GEMV kernel over @p rows token rows. */
 void
@@ -62,8 +64,8 @@ pushElementwise(std::vector<KernelDesc> &out, const char *name,
 
 } // namespace
 
-std::vector<KernelDesc>
-prefillKernels(const TransformerSpec &spec, Tokens input_tokens,
+hw::KernelProgram
+prefillProgram(const TransformerSpec &spec, Tokens input_tokens,
                const KernelBuildOptions &opts)
 {
     fatal_if(input_tokens < 1, "prefill needs at least one token");
@@ -77,85 +79,84 @@ prefillKernels(const TransformerSpec &spec, Tokens input_tokens,
         : padToTile(input_tokens, opts.tileTokens);
     const double prows = static_cast<double>(padded);
 
-    std::vector<KernelDesc> out;
-    out.reserve(static_cast<std::size_t>(spec.layers) * 8 + 4);
+    hw::KernelProgram p;
+    p.layers = spec.layers;
+    p.body.reserve(kLayerKernels);
 
     // Embedding lookup.
-    pushElementwise(out, "embed", rows, spec.hidden, 1);
+    pushElementwise(p.head, "embed", rows, spec.hidden, 1);
 
     const int qkv_out = (spec.heads + 2 * spec.kvHeads) * spec.headDim;
-    for (int l = 0; l < spec.layers; ++l) {
-        pushElementwise(out, "input_norm", rows, spec.hidden, 1);
-        pushLinear(out, "qkv_proj", KernelClass::GemmTensorCore, spec,
-                   rows, prows, spec.hidden, qkv_out, 1);
+    pushElementwise(p.body, "input_norm", rows, spec.hidden, 1);
+    pushLinear(p.body, "qkv_proj", KernelClass::GemmTensorCore, spec,
+               rows, prows, spec.hidden, qkv_out, 1);
 
-        // Causal attention: score + value matmuls over the padded
-        // token count (the padding is the source of the plateau
-        // behaviour within 128-token segments).
-        KernelDesc attn;
-        attn.name = "attn_prefill";
-        attn.cls = KernelClass::AttentionPrefill;
-        attn.compute = DType::FP32;
-        attn.batch = 1;
-        attn.flops = 2.0 * spec.attnWidth() * prows * prows;
-        attn.actBytes = rows * spec.attnWidth() * 3.0 * fp16Bytes +
-            rows * spec.kvHeads * spec.headDim * 2.0 * fp16Bytes;
-        out.push_back(std::move(attn));
+    // Causal attention: score + value matmuls over the padded token
+    // count (the padding is the source of the plateau behaviour within
+    // 128-token segments).
+    KernelDesc attn;
+    attn.name = "attn_prefill";
+    attn.cls = KernelClass::AttentionPrefill;
+    attn.compute = DType::FP32;
+    attn.batch = 1;
+    attn.flops = 2.0 * spec.attnWidth() * prows * prows;
+    attn.actBytes = rows * spec.attnWidth() * 3.0 * fp16Bytes +
+        rows * spec.kvHeads * spec.headDim * 2.0 * fp16Bytes;
+    p.body.push_back(std::move(attn));
 
-        pushLinear(out, "o_proj", KernelClass::GemmTensorCore, spec,
-                   rows, prows, spec.attnWidth(), spec.hidden, 1);
-        pushElementwise(out, "post_norm", rows, spec.hidden, 1);
-        pushLinear(out, "ffn_gate", KernelClass::GemmTensorCore, spec,
-                   rows, prows, spec.hidden, spec.ffnHidden, 1);
-        pushLinear(out, "ffn_up", KernelClass::GemmTensorCore, spec,
-                   rows, prows, spec.hidden, spec.ffnHidden, 1);
-        pushLinear(out, "ffn_down", KernelClass::GemmTensorCore, spec,
-                   rows, prows, spec.ffnHidden, spec.hidden, 1);
-    }
+    pushLinear(p.body, "o_proj", KernelClass::GemmTensorCore, spec, rows,
+               prows, spec.attnWidth(), spec.hidden, 1);
+    pushElementwise(p.body, "post_norm", rows, spec.hidden, 1);
+    pushLinear(p.body, "ffn_gate", KernelClass::GemmTensorCore, spec,
+               rows, prows, spec.hidden, spec.ffnHidden, 1);
+    pushLinear(p.body, "ffn_up", KernelClass::GemmTensorCore, spec, rows,
+               prows, spec.hidden, spec.ffnHidden, 1);
+    pushLinear(p.body, "ffn_down", KernelClass::GemmTensorCore, spec,
+               rows, prows, spec.ffnHidden, spec.hidden, 1);
 
-    pushElementwise(out, "final_norm", rows, spec.hidden, 1);
+    pushElementwise(p.tail, "final_norm", rows, spec.hidden, 1);
     // Only the last position goes through the LM head during prefill.
-    pushLinear(out, "lm_head", KernelClass::GemmTensorCore, spec, 1.0,
+    pushLinear(p.tail, "lm_head", KernelClass::GemmTensorCore, spec, 1.0,
                static_cast<double>(opts.tileTokens), spec.hidden,
                spec.vocab, 1);
-    return out;
+    return p;
 }
 
-std::vector<KernelDesc>
-prefillSuffixKernels(const TransformerSpec &spec, Tokens cached_prefix,
+hw::KernelProgram
+prefillSuffixProgram(const TransformerSpec &spec, Tokens cached_prefix,
                      Tokens suffix_tokens, const KernelBuildOptions &opts)
 {
     fatal_if(cached_prefix < 0, "negative cached prefix");
     if (cached_prefix == 0)
-        return prefillKernels(spec, suffix_tokens, opts);
+        return prefillProgram(spec, suffix_tokens, opts);
     fatal_if(suffix_tokens < 1, "suffix prefill needs >= 1 token");
     fatal_if(cached_prefix + suffix_tokens > spec.maxContext, spec.name,
              ": context ", cached_prefix + suffix_tokens,
              " exceeds max context ", spec.maxContext);
 
     // Linear work covers only the suffix rows...
-    auto out = prefillKernels(spec, suffix_tokens, opts);
+    auto p = prefillProgram(spec, suffix_tokens, opts);
     // ...but attention must also read the cached prefix's KV and run
-    // the suffix-vs-prefix score/value matmuls.  Patch the attention
-    // kernels: causal FLOPs over the full context minus the part the
-    // prefix already computed.
+    // the suffix-vs-prefix score/value matmuls.  Patch the layer's
+    // attention kernel: causal FLOPs over the full context minus the
+    // part the prefix already computed.
     const double full = spec.attentionPrefillFlops(cached_prefix +
                                                    suffix_tokens);
     const double done = spec.attentionPrefillFlops(cached_prefix);
     const double per_layer_flops = (full - done) / spec.layers;
     const double prefix_kv_bytes = static_cast<double>(cached_prefix) *
         spec.kvBytesPerToken() / spec.layers;
-    for (auto &k : out) {
+    for (auto &k : p.body) {
         if (k.cls == hw::KernelClass::AttentionPrefill) {
             k.flops = per_layer_flops;
             k.actBytes += prefix_kv_bytes;
         }
     }
-    return out;
+    return p;
 }
 
-std::vector<KernelDesc>
-decodeKernels(const TransformerSpec &spec, Tokens context, int batch,
+hw::KernelProgram
+decodeProgram(const TransformerSpec &spec, Tokens context, int batch,
               const KernelBuildOptions &opts)
 {
     fatal_if(context < 1, "decode needs context >= 1");
@@ -173,45 +174,65 @@ decodeKernels(const TransformerSpec &spec, Tokens context, int batch,
     const double rows = static_cast<double>(batch);
     const double prows = static_cast<double>(padded_batch);
 
-    std::vector<KernelDesc> out;
-    out.reserve(static_cast<std::size_t>(spec.layers) * 8 + 4);
+    hw::KernelProgram p;
+    p.layers = spec.layers;
+    p.body.reserve(kLayerKernels);
 
-    pushElementwise(out, "embed", rows, spec.hidden, batch);
+    pushElementwise(p.head, "embed", rows, spec.hidden, batch);
 
     const int qkv_out = (spec.heads + 2 * spec.kvHeads) * spec.headDim;
-    for (int l = 0; l < spec.layers; ++l) {
-        pushElementwise(out, "input_norm", rows, spec.hidden, batch);
-        pushLinear(out, "qkv_proj", KernelClass::GemvBandwidth, spec,
-                   rows, prows, spec.hidden, qkv_out, batch);
+    pushElementwise(p.body, "input_norm", rows, spec.hidden, batch);
+    pushLinear(p.body, "qkv_proj", KernelClass::GemvBandwidth, spec, rows,
+               prows, spec.hidden, qkv_out, batch);
 
-        // Attention over the KV cache: every sample streams the shared
-        // prompt KV plus its own generated KV.
-        KernelDesc attn;
-        attn.name = "attn_decode";
-        attn.cls = KernelClass::AttentionDecode;
-        attn.compute = DType::FP16;
-        attn.batch = batch;
-        attn.flops = spec.attentionDecodeFlops(context) / spec.layers *
-            rows;
-        attn.actBytes = rows * static_cast<double>(context) *
-            spec.kvBytesPerToken() / spec.layers;
-        out.push_back(std::move(attn));
+    // Attention over the KV cache: every sample streams the shared
+    // prompt KV plus its own generated KV.
+    KernelDesc attn;
+    attn.name = "attn_decode";
+    attn.cls = KernelClass::AttentionDecode;
+    attn.compute = DType::FP16;
+    attn.batch = batch;
+    attn.flops = spec.attentionDecodeFlops(context) / spec.layers * rows;
+    attn.actBytes = rows * static_cast<double>(context) *
+        spec.kvBytesPerToken() / spec.layers;
+    p.body.push_back(std::move(attn));
 
-        pushLinear(out, "o_proj", KernelClass::GemvBandwidth, spec, rows,
-                   prows, spec.attnWidth(), spec.hidden, batch);
-        pushElementwise(out, "post_norm", rows, spec.hidden, batch);
-        pushLinear(out, "ffn_gate", KernelClass::GemvBandwidth, spec,
-                   rows, prows, spec.hidden, spec.ffnHidden, batch);
-        pushLinear(out, "ffn_up", KernelClass::GemvBandwidth, spec, rows,
-                   prows, spec.hidden, spec.ffnHidden, batch);
-        pushLinear(out, "ffn_down", KernelClass::GemvBandwidth, spec,
-                   rows, prows, spec.ffnHidden, spec.hidden, batch);
-    }
+    pushLinear(p.body, "o_proj", KernelClass::GemvBandwidth, spec, rows,
+               prows, spec.attnWidth(), spec.hidden, batch);
+    pushElementwise(p.body, "post_norm", rows, spec.hidden, batch);
+    pushLinear(p.body, "ffn_gate", KernelClass::GemvBandwidth, spec, rows,
+               prows, spec.hidden, spec.ffnHidden, batch);
+    pushLinear(p.body, "ffn_up", KernelClass::GemvBandwidth, spec, rows,
+               prows, spec.hidden, spec.ffnHidden, batch);
+    pushLinear(p.body, "ffn_down", KernelClass::GemvBandwidth, spec, rows,
+               prows, spec.ffnHidden, spec.hidden, batch);
 
-    pushElementwise(out, "final_norm", rows, spec.hidden, batch);
-    pushLinear(out, "lm_head", KernelClass::GemvBandwidth, spec, rows,
+    pushElementwise(p.tail, "final_norm", rows, spec.hidden, batch);
+    pushLinear(p.tail, "lm_head", KernelClass::GemvBandwidth, spec, rows,
                prows, spec.hidden, spec.vocab, batch);
-    return out;
+    return p;
+}
+
+std::vector<KernelDesc>
+prefillKernels(const TransformerSpec &spec, Tokens input_tokens,
+               const KernelBuildOptions &opts)
+{
+    return prefillProgram(spec, input_tokens, opts).expand();
+}
+
+std::vector<KernelDesc>
+prefillSuffixKernels(const TransformerSpec &spec, Tokens cached_prefix,
+                     Tokens suffix_tokens, const KernelBuildOptions &opts)
+{
+    return prefillSuffixProgram(spec, cached_prefix, suffix_tokens, opts)
+        .expand();
+}
+
+std::vector<KernelDesc>
+decodeKernels(const TransformerSpec &spec, Tokens context, int batch,
+              const KernelBuildOptions &opts)
+{
+    return decodeProgram(spec, context, batch, opts).expand();
 }
 
 Flops

@@ -39,15 +39,5 @@ CpuDevice::execute(const KernelDesc &k) const
     return cost;
 }
 
-StepCost
-CpuDevice::executeAll(const std::vector<KernelDesc> &kernels) const
-{
-    StepCost total;
-    for (const auto &k : kernels)
-        total.add(k, execute(k));
-    total.finalize();
-    return total;
-}
-
 } // namespace hw
 } // namespace edgereason

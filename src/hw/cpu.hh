@@ -10,7 +10,6 @@
 #define EDGEREASON_HW_CPU_HH
 
 #include <string>
-#include <vector>
 
 #include "hw/kernel.hh"
 
@@ -56,8 +55,6 @@ class CpuDevice
 
     /** Execute one kernel; @return its cost. */
     KernelCost execute(const KernelDesc &k) const;
-    /** Execute a kernel sequence and aggregate. */
-    StepCost executeAll(const std::vector<KernelDesc> &kernels) const;
 
     /** @return the spec. */
     const CpuSpec &spec() const { return spec_; }

@@ -42,15 +42,5 @@ DlaDevice::execute(const KernelDesc &k) const
     return cost;
 }
 
-StepCost
-DlaDevice::executeAll(const std::vector<KernelDesc> &kernels) const
-{
-    StepCost total;
-    for (const auto &k : kernels)
-        total.add(k, execute(k));
-    total.finalize();
-    return total;
-}
-
 } // namespace hw
 } // namespace edgereason

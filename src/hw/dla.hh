@@ -12,7 +12,6 @@
 #ifndef EDGEREASON_HW_DLA_HH
 #define EDGEREASON_HW_DLA_HH
 
-#include <vector>
 
 #include "hw/gpu_spec.hh"
 #include "hw/kernel.hh"
@@ -46,9 +45,6 @@ class DlaDevice
      * callers route FP16/FP32 kernels elsewhere.
      */
     KernelCost execute(const KernelDesc &k) const;
-
-    /** Execute a kernel sequence and aggregate. */
-    StepCost executeAll(const std::vector<KernelDesc> &kernels) const;
 
     /** @return the efficiency profile. */
     const DlaEfficiency &efficiency() const { return eff_; }

@@ -23,6 +23,18 @@ kernelClassName(KernelClass c)
     panic("unknown kernel class");
 }
 
+std::vector<KernelDesc>
+KernelProgram::expand() const
+{
+    std::vector<KernelDesc> out;
+    out.reserve(size());
+    out.insert(out.end(), head.begin(), head.end());
+    for (int l = 0; l < layers; ++l)
+        out.insert(out.end(), body.begin(), body.end());
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+}
+
 void
 StepCost::add(const KernelDesc &k, const KernelCost &c)
 {

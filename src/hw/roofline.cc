@@ -98,15 +98,5 @@ RooflineGpu::execute(const KernelDesc &k) const
     return cost;
 }
 
-StepCost
-RooflineGpu::executeAll(const std::vector<KernelDesc> &kernels) const
-{
-    StepCost total;
-    for (const auto &k : kernels)
-        total.add(k, execute(k));
-    total.finalize();
-    return total;
-}
-
 } // namespace hw
 } // namespace edgereason

@@ -12,7 +12,6 @@
 #ifndef EDGEREASON_HW_ROOFLINE_HH
 #define EDGEREASON_HW_ROOFLINE_HH
 
-#include <vector>
 
 #include "hw/gpu_spec.hh"
 #include "hw/kernel.hh"
@@ -67,9 +66,6 @@ class RooflineGpu
 
     /** Execute one kernel; @return its cost. */
     KernelCost execute(const KernelDesc &k) const;
-
-    /** Execute a kernel sequence and aggregate. */
-    StepCost executeAll(const std::vector<KernelDesc> &kernels) const;
 
     /** @return the hardware spec. */
     const GpuSpec &spec() const { return spec_; }

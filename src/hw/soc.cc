@@ -30,17 +30,35 @@ JetsonOrin::JetsonOrin(PowerMode mode, GpuEfficiency gpu_eff,
 {
 }
 
+namespace {
+
+/** replay() @p sections on @p soc's @p backend device. */
+template <typename... Sections>
+StepCost
+replayOn(const JetsonOrin &soc, Backend backend, const Sections &...sections)
+{
+    switch (backend) {
+      case Backend::Gpu:
+        return replay(soc.gpu(), sections...);
+      case Backend::Cpu:
+        return replay(soc.cpu(), sections...);
+    }
+    panic("unknown backend");
+}
+
+} // namespace
+
 StepCost
 JetsonOrin::execute(Backend backend,
                     const std::vector<KernelDesc> &kernels) const
 {
-    switch (backend) {
-      case Backend::Gpu:
-        return gpu_.executeAll(kernels);
-      case Backend::Cpu:
-        return cpu_.executeAll(kernels);
-    }
-    panic("unknown backend");
+    return replayOn(*this, backend, std::span<const KernelDesc>(kernels));
+}
+
+StepCost
+JetsonOrin::execute(Backend backend, const KernelProgram &program) const
+{
+    return replayOn(*this, backend, program);
 }
 
 Bytes

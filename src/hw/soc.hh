@@ -48,9 +48,11 @@ class JetsonOrin
     /** @return the active power mode. */
     PowerMode powerMode() const { return mode_; }
 
-    /** Execute kernels on the selected backend. */
+    /** Execute a flat kernel sequence on the selected backend. */
     StepCost execute(Backend backend,
                      const std::vector<KernelDesc> &kernels) const;
+    /** Execute a layered program on the selected backend (replay()). */
+    StepCost execute(Backend backend, const KernelProgram &program) const;
 
     /** @return available DRAM for weights + KV cache, in bytes. */
     Bytes usableMemory() const;

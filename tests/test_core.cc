@@ -5,6 +5,7 @@
  * planner.
  */
 
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -255,6 +256,18 @@ TEST(Planner, ImpossibleBudgetReturnsNothing)
     req.latencyBudget = 0.01; // below any model's prefill time
     req.sampleQuestions = 100;
     EXPECT_FALSE(facade().plan(req).has_value());
+}
+
+TEST(Planner, RejectsNonFiniteOrNonPositiveBudgets)
+{
+    for (const double budget : {0.0, -1.0,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+        PlanRequest req;
+        req.latencyBudget = budget;
+        EXPECT_THROW(facade().plan(req), std::runtime_error)
+            << "budget " << budget;
+    }
 }
 
 TEST(Facade, HardwareSummaryAndCharacterizationAccess)

@@ -538,3 +538,27 @@ TEST(Engine, StepCostGoldens)
         }
     }
 }
+
+TEST(Engine, UnpaddedPrefillGoldens)
+{
+    // StepCostGoldens' shapes are tile multiples or bandwidth bound, so
+    // padded and unpadded kernels price them alike.  A 2000-token
+    // prefill is compute bound and pads to 2048: pin both sides
+    // (%.17g, recorded from the flat kernel-list pricing), in
+    // dsr1Family() order.
+    const double padded[] = {0.78358932071245924, 3.3589236672525153,
+                             6.2173181944798062};
+    const double unpadded[] = {0.75098085733801645, 3.2175682474583067,
+                               5.9552693548831552};
+    const auto &family = er::model::dsr1Family();
+    ASSERT_EQ(std::size(padded), family.size());
+    for (std::size_t i = 0; i < family.size(); ++i) {
+        SCOPED_TRACE(er::model::modelName(family[i]));
+        EngineConfig cfg;
+        EXPECT_EQ(makeEngine(family[i], false, cfg).prefillLatency(2000),
+                  padded[i]);
+        cfg.kernelOpts.disablePadding = true;
+        EXPECT_EQ(makeEngine(family[i], false, cfg).prefillLatency(2000),
+                  unpadded[i]);
+    }
+}

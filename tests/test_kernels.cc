@@ -1,12 +1,19 @@
 /**
  * @file
  * Unit tests for kernel enumeration: tile padding (the Fig. 2 stepped
- * pattern), FLOP/byte bookkeeping, and batch padding (Section V-E).
+ * pattern), FLOP/byte bookkeeping, batch padding (Section V-E), and
+ * layered-program replay against flat per-kernel pricing.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "engine/kernels.hh"
+#include "hw/soc.hh"
+#include "model/model_id.hh"
 #include "model/zoo.hh"
 
 namespace er = edgereason;
@@ -176,4 +183,94 @@ TEST(DecodeKernels, RejectsBadArguments)
     EXPECT_THROW(decodeKernels(s, 0), std::runtime_error);
     EXPECT_THROW(decodeKernels(s, 512, 0), std::runtime_error);
     EXPECT_THROW(decodeKernels(s, 1 << 20), std::runtime_error);
+}
+
+namespace {
+
+/** The flat reference: price every launched kernel, in launch order. */
+template <typename Device>
+er::hw::StepCost
+executeAll(const Device &device,
+           const std::vector<er::hw::KernelDesc> &kernels)
+{
+    er::hw::StepCost total;
+    for (const auto &k : kernels)
+        total.add(k, device.execute(k));
+    total.finalize();
+    return total;
+}
+
+void
+expectSameCost(const er::hw::StepCost &got, const er::hw::StepCost &want)
+{
+    EXPECT_EQ(got.seconds, want.seconds);
+    EXPECT_EQ(got.avgBwUtil, want.avgBwUtil);
+    EXPECT_EQ(got.avgComputeUtil, want.avgComputeUtil);
+    EXPECT_EQ(got.weightBytes, want.weightBytes);
+    EXPECT_EQ(got.actBytes, want.actBytes);
+    EXPECT_EQ(got.flops, want.flops);
+}
+
+} // namespace
+
+TEST(KernelProgram, ReplayEqualsFlatPricing)
+{
+    // Pricing one layer and replaying it must be bit-identical to
+    // pricing the expanded kernel list kernel by kernel, on every
+    // device and power mode; decode runs below and above the batch
+    // tile.
+    using er::hw::Backend;
+    using er::hw::PowerMode;
+    const int tile = KernelBuildOptions{}.batchTile;
+    for (const ModelId id : er::model::allModels()) {
+        const auto spec = er::model::spec(id);
+        const std::pair<std::string, er::hw::KernelProgram> programs[] = {
+            {"prefill", prefillProgram(spec, 1000)},
+            {"suffix prefill", prefillSuffixProgram(spec, 1024, 300)},
+            {"decode", decodeProgram(spec, 512, tile - 1)},
+            {"decode above tile", decodeProgram(spec, 512, tile + 2)},
+        };
+        for (const auto mode : {PowerMode::W15, PowerMode::W30,
+                                PowerMode::W50, PowerMode::MaxN}) {
+            const er::hw::JetsonOrin soc(mode);
+            for (const auto &[what, program] : programs) {
+                SCOPED_TRACE(std::string(er::model::modelName(id)) +
+                             " " + what + " " +
+                             er::hw::powerModeName(mode));
+                const auto flat = program.expand();
+                ASSERT_EQ(flat.size(),
+                          8 * static_cast<std::size_t>(spec.layers) + 3);
+                ASSERT_EQ(program.size(), flat.size());
+                expectSameCost(er::hw::replay(soc.gpu(), program),
+                               executeAll(soc.gpu(), flat));
+                expectSameCost(er::hw::replay(soc.cpu(), program),
+                               executeAll(soc.cpu(), flat));
+                expectSameCost(er::hw::replay(soc.dla(), program),
+                               executeAll(soc.dla(), flat));
+                for (const auto backend : {Backend::Gpu, Backend::Cpu}) {
+                    expectSameCost(soc.execute(backend, program),
+                                   soc.execute(backend, flat));
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelProgram, ExpandLaysOutHeadLayersTail)
+{
+    const auto spec = er::model::spec(ModelId::Dsr1Qwen1_5B);
+    const auto program = decodeProgram(spec, 512, 4);
+    const auto flat = program.expand();
+    ASSERT_EQ(program.head.size(), 1u);
+    ASSERT_EQ(program.body.size(), 8u);
+    ASSERT_EQ(program.tail.size(), 2u);
+    EXPECT_EQ(program.layers, spec.layers);
+    EXPECT_EQ(flat.front().name, "embed");
+    for (int l = 0; l < spec.layers; ++l) {
+        for (std::size_t i = 0; i < program.body.size(); ++i)
+            EXPECT_EQ(flat[1 + 8 * l + i].name, program.body[i].name);
+    }
+    EXPECT_EQ(flat[flat.size() - 2].name, "final_norm");
+    EXPECT_EQ(flat.back().name, "lm_head");
+    EXPECT_EQ(decodeKernels(spec, 512, 4).size(), flat.size());
 }

@@ -50,6 +50,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -329,7 +330,12 @@ cmdPlan(const Args &args)
     core::PlanRequest req;
     req.dataset = parseDataset(args.get("dataset", "mmlu-redux"));
     req.latencyBudget = args.getDouble("budget", 5.0);
-    req.promptTokens = args.getInt("prompt-tokens", 0);
+    if (!std::isfinite(req.latencyBudget) || req.latencyBudget <= 0.0)
+        usage(("--budget must be a finite number of seconds > 0, got " +
+               args.get("budget", ""))
+                  .c_str());
+    req.promptTokens = args.getIntIn(
+        "prompt-tokens", 0, 0, engine::InferenceEngine::kMaxStepRows);
     req.maxParallel = static_cast<int>(args.getIntIn(
         "max-parallel", 8, 1, engine::InferenceEngine::kMaxStepRows));
     req.allowQuantized = !args.getBool("no-quant");

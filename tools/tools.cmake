@@ -34,6 +34,18 @@ if(BUILD_TESTING)
     edgereason_cli_rejects(double_trailing_characters
         "invalid number for --budget: 5x"
         plan --budget 5x)
+    edgereason_cli_rejects(plan_negative_prompt_tokens
+        "--prompt-tokens must be in \\[0, 16777215\\], got -50"
+        plan --budget 5 --prompt-tokens -50)
+    edgereason_cli_rejects(plan_nan_budget
+        "--budget must be a finite number of seconds > 0, got nan"
+        plan --budget nan)
+    edgereason_cli_rejects(plan_inf_budget
+        "--budget must be a finite number of seconds > 0, got inf"
+        plan --budget inf)
+    edgereason_cli_rejects(plan_zero_budget
+        "--budget must be a finite number of seconds > 0, got 0"
+        plan --budget 0)
     edgereason_cli_rejects(policy_trailing_characters
         "--policy 12xT: the token budget must be a whole number >= 1"
         evaluate --policy 12xT --questions 5)
