@@ -361,6 +361,9 @@ parseServeOptions(const std::vector<std::string> &args,
     };
     const Rule rules[] = {
         {true, opt.qps <= 0.0, "--qps must be positive"},
+        {sessions, opt.sessionQps <= 0.0,
+         "--session-qps must be positive"},
+        {sessions, opt.turnGap <= 0.0, "--turn-gap must be positive"},
         {true, crash_on && opt.checkpointDir.empty(),
          "crash injection needs --checkpoint-dir (or --resume) so the "
          "run can be recovered"},

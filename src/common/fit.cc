@@ -9,33 +9,6 @@
 
 namespace edgereason {
 
-std::vector<double>
-polyFit(const std::vector<double> &x, const std::vector<double> &y,
-        std::size_t degree)
-{
-    panic_if(x.size() != y.size(), "polyFit: size mismatch");
-    fatal_if(x.size() < degree + 1, "polyFit: need at least ", degree + 1,
-             " points, got ", x.size());
-    Matrix design(x.size(), degree + 1);
-    for (std::size_t r = 0; r < x.size(); ++r) {
-        double pow_x = 1.0;
-        for (std::size_t d = 0; d <= degree; ++d) {
-            design.at(r, d) = pow_x;
-            pow_x *= x[r];
-        }
-    }
-    return leastSquares(design, y);
-}
-
-double
-polyEval(const std::vector<double> &coeffs, double x)
-{
-    double acc = 0.0;
-    for (std::size_t d = coeffs.size(); d-- > 0;)
-        acc = acc * x + coeffs[d];
-    return acc;
-}
-
 double
 LogFit::operator()(double x) const
 {
@@ -181,18 +154,6 @@ piecewiseLogFit(const std::vector<double> &x, const std::vector<double> &y,
     }
     fatal_if(!std::isfinite(best_err), "piecewiseLogFit failed");
     return best;
-}
-
-double
-sumSquaredError(const std::vector<double> &predicted,
-                const std::vector<double> &actual)
-{
-    panic_if(predicted.size() != actual.size(),
-             "sumSquaredError: size mismatch");
-    double acc = 0.0;
-    for (std::size_t i = 0; i < actual.size(); ++i)
-        acc += (predicted[i] - actual[i]) * (predicted[i] - actual[i]);
-    return acc;
 }
 
 } // namespace edgereason

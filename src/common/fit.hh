@@ -1,8 +1,7 @@
 /**
  * @file
  * Generic 1-D curve fitters used by the analytical performance models
- * (Section IV): polynomial, logarithmic, exponential-decay and piecewise
- * families.  Nonlinear parameters (decay rates, breakpoints) are resolved
+ * (Section IV): logarithmic, exponential-decay and piecewise families.  Nonlinear parameters (decay rates, breakpoints) are resolved
  * by profile search: the nonlinear parameter is scanned over a grid and
  * the remaining linear parameters are solved in closed form, picking the
  * combination with minimum squared error.
@@ -15,21 +14,6 @@
 #include <vector>
 
 namespace edgereason {
-
-/**
- * Fit y = c[0] + c[1] x + ... + c[d] x^d by least squares.
- *
- * @param x  abscissae
- * @param y  ordinates
- * @param degree  polynomial degree d
- * @return coefficients in ascending-power order, size degree + 1
- */
-std::vector<double> polyFit(const std::vector<double> &x,
-                            const std::vector<double> &y,
-                            std::size_t degree);
-
-/** Evaluate an ascending-power polynomial at x. */
-double polyEval(const std::vector<double> &coeffs, double x);
 
 /** Result of a logarithmic fit y = alpha * ln(x) + beta. */
 struct LogFit
@@ -92,10 +76,6 @@ struct PiecewiseLogFit
 PiecewiseLogFit piecewiseLogFit(const std::vector<double> &x,
                                 const std::vector<double> &y,
                                 bool exp_head);
-
-/** Sum of squared errors of a set of predictions. */
-double sumSquaredError(const std::vector<double> &predicted,
-                       const std::vector<double> &actual);
 
 } // namespace edgereason
 

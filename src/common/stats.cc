@@ -254,21 +254,4 @@ summarizeRun(double first_arrival, double end, std::size_t finished,
     return r;
 }
 
-double
-rSquared(const std::vector<double> &predicted,
-         const std::vector<double> &actual)
-{
-    panic_if(predicted.size() != actual.size(), "rSquared: size mismatch");
-    if (actual.empty())
-        return 0.0;
-    const double mu = mean(actual);
-    double ss_res = 0.0;
-    double ss_tot = 0.0;
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-        ss_res += (actual[i] - predicted[i]) * (actual[i] - predicted[i]);
-        ss_tot += (actual[i] - mu) * (actual[i] - mu);
-    }
-    return ss_tot == 0.0 ? 1.0 : 1.0 - ss_res / ss_tot;
-}
-
 } // namespace edgereason

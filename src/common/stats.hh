@@ -152,10 +152,6 @@ RunSummary summarizeRun(double first_arrival, double end,
                         std::size_t finished, std::size_t met,
                         std::vector<double> &latencies);
 
-/** Coefficient of determination R^2 of predictions vs actuals. */
-double rSquared(const std::vector<double> &predicted,
-                const std::vector<double> &actual);
-
 } // namespace edgereason
 
 #endif // EDGEREASON_COMMON_STATS_HH

@@ -200,6 +200,8 @@ BatchExecutor::record(ServingState &st, ReqId id,
         journal_->emitRetire(done);
     served_.push_back(done);
     st.unindexDeadline(id);
+    releaseKv(st, id);
+    st.pool.release(id);
 }
 
 void
@@ -584,8 +586,6 @@ BatchExecutor::abortExpiredPrefills(ServingState &st)
         const ReqId id = st.prefilling[i];
         if (st.pool.deadlineExpired(id, acc_.clock)) {
             record(st, id, RequestOutcome::TimedOut);
-            releaseKv(st, id);
-            st.pool.release(id);
             st.prefilling.erase(st.prefilling.begin() +
                                 static_cast<std::ptrdiff_t>(i));
         } else {
@@ -623,10 +623,15 @@ BatchExecutor::decodeStep(ServingState &st)
     if (journal_)
         journal_->emitStep(1, 1, acc_);
 
-    // Advance sequences; retire completed and timed-out ones.
+    advanceDecoded(st, 1);
+}
+
+void
+BatchExecutor::advanceDecoded(ServingState &st, Tokens gained)
+{
     for (std::size_t i = 0; i < st.active.size();) {
         const ReqId id = st.active[i];
-        const Tokens gen = st.pool.generated(id) + 1;
+        const Tokens gen = st.pool.generated(id) + gained;
         st.pool.setGenerated(id, gen);
         const bool done = gen >= st.pool.effOut(id);
         const bool expired =
@@ -634,8 +639,6 @@ BatchExecutor::decodeStep(ServingState &st)
         if (done || expired) {
             record(st, id, done ? RequestOutcome::Completed
                                 : RequestOutcome::TimedOut);
-            releaseKv(st, id);
-            st.pool.release(id);
             st.active[i] = st.active.back();
             st.active.pop_back();
         } else {
@@ -722,43 +725,32 @@ decodePowerSum(const hw::PowerModel &pm, const hw::PowerProfile &pp,
 
 } // namespace
 
-void
-BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
+BatchExecutor::SegmentPlan
+BatchExecutor::planSegment(const ServingState &st, Seconds bound) const
 {
     constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
-    const int batch = static_cast<int>(st.active.size());
+    SegmentPlan p;
+    p.batch = static_cast<int>(st.active.size());
 
     // Segment-start scan: the sums decodeStep() recomputes each step
     // (contiguous column gathers), plus the completion horizon.
-    double ctx_sum = 0.0;
-    double gen_sum = 0.0;
     Tokens min_remaining = std::numeric_limits<Tokens>::max();
     for (const ReqId id : st.active) {
         const Tokens gen = st.pool.generated(id);
-        ctx_sum += static_cast<double>(st.pool.inputTokens(id) + gen);
-        gen_sum += static_cast<double>(gen);
+        p.ctxSum += static_cast<double>(st.pool.inputTokens(id) + gen);
+        p.genSum += static_cast<double>(gen);
         min_remaining =
             std::min(min_remaining, st.pool.effOut(id) - gen);
     }
-    // Earliest deadline the outer machinery could act on: an active
-    // expiry retires at the step that crosses it, a queued expiry is
-    // shed by shedExpiredQueued() at the next cycle boundary.  The
-    // instant set serves the min over all live deadlines; the
-    // superset (prefilling entries included) is behaviour-identical
-    // because a non-empty prefill set forces kmax = 1 below, where
-    // the deadline bound cannot alter any accumulator addition.
-    Seconds dmin = kInf;
-    if (st.haveDeadlines)
-        dmin = st.deadlines.min();
 
     // Event horizon.  Completions bound the step count; arrivals,
-    // fault events, retry-gate openings, deadline expiries, and
-    // thermal-latch flips are checked per step against the advancing
-    // clock (their instants are fixed for the whole segment: nothing
-    // mid-segment can schedule new ones).
-    std::uint64_t kmax = static_cast<std::uint64_t>(min_remaining);
+    // fault events, retry-gate openings and deadline expiries are
+    // checked per step against the advancing clock (their instants are
+    // fixed for the whole segment: nothing mid-segment can schedule
+    // new ones).
+    p.kmax = static_cast<std::uint64_t>(min_remaining);
     if (config_.macroHorizonCap > 0)
-        kmax = std::min(kmax, config_.macroHorizonCap);
+        p.kmax = std::min(p.kmax, config_.macroHorizonCap);
 
     // Fast-forwarding skips per-cycle admission, which is only safe
     // when admission is a provable no-op for every skipped cycle: no
@@ -776,7 +768,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
         allow_multi =
             st.queuedDeadlineGates.min() > acc_.clock + kTimeSlack;
     if (!allow_multi)
-        kmax = 1;
+        p.kmax = 1;
 
     const auto &events = faults_.events();
     const Seconds next_event = acc_.nextEvent < events.size()
@@ -787,6 +779,29 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
         (!st.queue.empty() && st.inFlight() < config_.maxBatch)
             ? st.nextGateAfter(acc_.clock)
             : kInf;
+    p.stop = std::min(bound, std::min(next_event, next_gate));
+
+    // Earliest deadline the outer machinery could act on: an active
+    // expiry retires at the step that crosses it, a queued expiry is
+    // shed by shedExpiredQueued() at the next cycle boundary.  The
+    // instant set serves the min over all live deadlines; the
+    // superset (prefilling entries included) is behaviour-identical
+    // because a non-empty prefill set forces kmax = 1 above, where
+    // the deadline bound cannot alter any accumulator addition.
+    p.dminSlack =
+        (st.haveDeadlines ? st.deadlines.min() : kInf) + kDeadlineSlack;
+    return p;
+}
+
+void
+BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
+{
+    const SegmentPlan plan = planSegment(st, bound);
+    const int batch = plan.batch;
+    double ctx_sum = plan.ctxSum;
+    double gen_sum = plan.genSum;
+    std::uint64_t kmax = plan.kmax;
+
     // The degrade latch samples the governor once per cycle
     // (runCycle); stop the segment when the governor flips so the
     // next cycle re-latches at the same step the exact loop would.
@@ -829,13 +844,11 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
             ? pp.batchLogCoef * std::log(static_cast<double>(batch))
             : 0.0;
         const Watts cap = hw::powerModeCap(pm.powerMode());
-        const Seconds stop =
-            std::min(bound, std::min(next_event, next_gate));
-        const Seconds dmin_slack = dmin + kDeadlineSlack;
         // Latest clock that provably trips no stop check: the arrival
         // / event / gate check fires at clock >= stop - kTimeSlack,
-        // the deadline check at clock > dmin_slack.
-        const Seconds free_lim = std::min(stop - kTimeSlack, dmin_slack);
+        // the deadline check at clock > dminSlack.
+        const Seconds free_lim =
+            std::min(plan.stop - kTimeSlack, plan.dminSlack);
         bool stopped = false;
         while (k < kmax && !stopped) {
             // One bucket-run: constant step latency until the average
@@ -872,8 +885,8 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
                 acc_.busy += dt;
                 acc_.batchTimeWeighted += bdt;
                 ++j;
-                if (stop <= acc_.clock + kTimeSlack ||
-                    acc_.clock > dmin_slack) {
+                if (plan.stop <= acc_.clock + kTimeSlack ||
+                    acc_.clock > plan.dminSlack) {
                     stopped = true;
                     break;
                 }
@@ -916,15 +929,8 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
             ctx_sum += batch;
             gen_sum += batch;
 
-            if (k >= kmax)
-                break;
-            if (bound <= acc_.clock + kTimeSlack)
-                break;
-            if (next_event <= acc_.clock + kTimeSlack)
-                break;
-            if (next_gate <= acc_.clock + kTimeSlack)
-                break;
-            if (acc_.clock > dmin + kDeadlineSlack)
+            if (k >= kmax || plan.stop <= acc_.clock + kTimeSlack ||
+                acc_.clock > plan.dminSlack)
                 break;
             if (watch_latch && thermal_.throttled() != start_throttled)
                 break;
@@ -951,25 +957,7 @@ BatchExecutor::decodeSteps(ServingState &st, Seconds bound)
     // completion, and the deadline stop breaks at the first step past
     // the earliest expiry, so retiring here visits the same requests
     // at the same clock as the per-step scan would.
-    const Tokens gained = static_cast<Tokens>(k);
-    for (std::size_t i = 0; i < st.active.size();) {
-        const ReqId id = st.active[i];
-        const Tokens gen = st.pool.generated(id) + gained;
-        st.pool.setGenerated(id, gen);
-        const bool done = gen >= st.pool.effOut(id);
-        const bool expired =
-            !done && st.pool.deadlineExpired(id, acc_.clock);
-        if (done || expired) {
-            record(st, id, done ? RequestOutcome::Completed
-                                : RequestOutcome::TimedOut);
-            releaseKv(st, id);
-            st.pool.release(id);
-            st.active[i] = st.active.back();
-            st.active.pop_back();
-        } else {
-            ++i;
-        }
-    }
+    advanceDecoded(st, static_cast<Tokens>(k));
 }
 
 bool
@@ -1050,77 +1038,46 @@ Seconds
 BatchExecutor::peekCycle(const ServingState &st,
                          const ArrivalSource &src) const
 {
-    constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
-    // Keyed on the clock: the cycle starts with something other than
-    // a pure decode segment — an arrival it pulls, an admission into
-    // a free slot, an expired queued entry to shed, an idle jump (its
-    // arrival is admitted within that same cycle), a prefill, a fault
-    // event — or thermal coupling, whose governor needs the real RC
-    // integration.
+    // Keyed on the clock: the cycle admits into a free slot, has no
+    // decode batch, or runs under thermal coupling, whose governor
+    // needs the real RC integration.
     const Seconds now = acc_.clock;
-    const Seconds arrival = src.nextArrival();
-    if (arrival <= now + kTimeSlack ||
-        (!st.queue.empty() && st.inFlight() < config_.maxBatch) ||
-        (st.haveDeadlines && now > st.deadlines.min() + kDeadlineSlack) ||
-        thermalOn_ || st.active.empty() || !st.prefilling.empty())
+    if ((!st.queue.empty() && st.inFlight() < config_.maxBatch) ||
+        thermalOn_ || st.active.empty())
         return now;
-    const auto &events = faults_.events();
-    const Seconds next_event = acc_.nextEvent < events.size()
-        ? events[acc_.nextEvent].time
-        : kInf;
-    if (next_event <= now + kTimeSlack)
-        return now; // pumpEvents applies it first
     // Otherwise the cycle runs one decode segment, bounded by the next
     // arrival and slowdown edge but not the target: a split there
     // changes nothing a caller reads.  Exact mode runs the same steps
-    // one per cycle, with nothing visible between them.
+    // one per cycle, with nothing visible between them.  Whatever else
+    // the cycle starts with (an arrival or fault event due, an expired
+    // deadline, a prefill in flight) ends the plan at its first step.
     double scale = 1.0;
-    Seconds edge = kInf;
+    Seconds edge = std::numeric_limits<Seconds>::infinity();
     src.slowdownAt(now, scale, edge);
-    // decodeSteps' horizon inputs, in its order.
-    const int batch = static_cast<int>(st.active.size());
-    double ctx_sum = 0.0;
-    Tokens min_remaining = std::numeric_limits<Tokens>::max();
-    for (const ReqId id : st.active) {
-        const Tokens gen = st.pool.generated(id);
-        ctx_sum += static_cast<double>(st.pool.inputTokens(id) + gen);
-        min_remaining =
-            std::min(min_remaining, st.pool.effOut(id) - gen);
-    }
-    std::uint64_t kmax = static_cast<std::uint64_t>(min_remaining);
-    if (config_.macroHorizonCap > 0)
-        kmax = std::min(kmax, config_.macroHorizonCap);
-    if (st.haveDeadlines && st.inFlight() < config_.maxBatch &&
-        !(st.queuedDeadlineGates.min() > now + kTimeSlack))
-        return now; // single-step segment: admission re-evaluates
-    const Seconds next_gate =
-        (!st.queue.empty() && st.inFlight() < config_.maxBatch)
-            ? st.nextGateAfter(now)
-            : kInf;
-    const Seconds stop = std::min(std::min(arrival, edge),
-                                  std::min(next_event, next_gate));
-    const Seconds dmin_slack =
-        (st.haveDeadlines ? st.deadlines.min() : kInf) + kDeadlineSlack;
+    const SegmentPlan plan =
+        planSegment(st, std::min(src.nextArrival(), edge));
 
     // Replay the step clock: the exact loop's per-step bucket (a fresh
     // llround of the context sum) and advanceWork's scaled addition.
+    double ctx_sum = plan.ctxSum;
     Seconds clock = now, last = now;
     Tokens bucket = 0;
     Seconds dt = 0.0;
     for (std::uint64_t k = 1;; ++k) {
         const Tokens avg_ctx =
-            static_cast<Tokens>(std::llround(ctx_sum / batch));
+            static_cast<Tokens>(std::llround(ctx_sum / plan.batch));
         const Tokens b = stepBucket(avg_ctx);
         if (b != bucket) {
             bucket = b;
-            dt = engine_.decodeStepLatency(b, batch);
+            dt = engine_.decodeStepLatency(b, plan.batch);
             if (scale != 1.0)
                 dt *= scale;
         }
         last = clock;
         clock += dt;
-        ctx_sum += batch;
-        if (k >= kmax || stop <= clock + kTimeSlack || clock > dmin_slack)
+        ctx_sum += plan.batch;
+        if (k >= plan.kmax || plan.stop <= clock + kTimeSlack ||
+            clock > plan.dminSlack)
             return last;
     }
 }
@@ -1140,17 +1097,15 @@ BatchExecutor::cancelByTraceIndex(ServingState &st,
         shedWaiting(st, id, RequestOutcome::Cancelled);
         return true;
     }
-    // In-flight side: same retire sequence as a mid-flight abort
-    // (record + KV release + slot release), shifting erase so the
-    // prefill front / decode scan order stays canonical.
+    // In-flight side: the retire sequence of a mid-flight abort, with
+    // a shifting erase so the prefill front / decode scan order stays
+    // canonical.
     const auto retireInFlight = [&](std::vector<ReqId> &ids) {
         for (std::size_t i = 0; i < ids.size(); ++i) {
             const ReqId id = ids[i];
             if (st.pool.traceIndex(id) != trace_index)
                 continue;
             record(st, id, RequestOutcome::Cancelled);
-            releaseKv(st, id);
-            st.pool.release(id);
             ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(i));
             return true;
         }

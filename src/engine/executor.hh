@@ -271,14 +271,16 @@ class BatchExecutor
      * @return the clock at the start of the last step of the decode
      * segment it runs: every request the segment retires, and
      * anything the cycle after it changes, happens at or after that
-     * instant.  The segment is bounded by the next arrival and
-     * slowdown edge but not the target (a split there changes nothing
-     * a caller reads), and its step additions are replayed in
-     * decodeSteps' own order, so the value is bit-exact.  Degenerates
-     * to clock() whenever the cycle starts with something else: an
-     * arrival due, an admission into a free slot, an expired queued
-     * entry, a prefill, a fault event, or thermal coupling (whose
-     * governor needs the real RC integration).
+     * instant.  The segment is decodeSteps' own planSegment(), bounded
+     * by the next arrival and slowdown edge but not the target (a
+     * split there changes nothing a caller reads), and its step
+     * additions are replayed in decodeSteps' order, so the value is
+     * bit-exact.  An arrival or fault event due, an expired deadline
+     * or a prefill in flight ends that plan at its first step, so the
+     * peek reads clock() for them; it returns clock() up front only
+     * for an admission into a free slot, an empty decode batch, or
+     * thermal coupling (whose governor needs the real RC
+     * integration).
      */
     Seconds peekCycle(const ServingState &st,
                       const ArrivalSource &src) const;
@@ -341,8 +343,36 @@ class BatchExecutor
     void abortExpiredPrefills(ServingState &st);
 
     /** One decode step for the whole batch; retires completed and
-     *  timed-out sequences. */
+     *  timed-out sequences.  The --exact-steps oracle that
+     *  decodeSteps() is checked against. */
     void decodeStep(ServingState &st);
+
+    /** Credit every decoding sequence with @p gained tokens at the
+     *  clock and retire the completed and timed-out ones (the retire
+     *  loop of both decode paths). */
+    void advanceDecoded(ServingState &st, Tokens gained);
+
+    /** Where a decode segment from the clock stops (DESIGN.md §10). */
+    struct SegmentPlan
+    {
+        int batch = 0;
+        /** Context and generated-token sums over the batch. */
+        double ctxSum = 0.0;
+        double genSum = 0.0;
+        /** Step cap: the earliest completion, capped by
+         *  macroHorizonCap; 1 when admission could act between steps. */
+        std::uint64_t kmax = 0;
+        /** The segment ends once the clock reaches this instant (less
+         *  kTimeSlack): the bound, next fault event or gate opening. */
+        Seconds stop = 0.0;
+        /** ...or passes this one: the earliest live deadline plus
+         *  kDeadlineSlack. */
+        Seconds dminSlack = 0.0;
+    };
+
+    /** Plan the segment decodeSteps(@p st, @p bound) would run now;
+     *  peekCycle() replays the same plan. */
+    SegmentPlan planSegment(const ServingState &st, Seconds bound) const;
 
     /**
      * Macro-stepping decode (DESIGN.md §10): fast-forward whole-batch
@@ -358,10 +388,10 @@ class BatchExecutor
      * machinery and journal traffic (one coalesced Step record per
      * segment).  Retirement happens at the horizon, where it is
      * equivalent: the horizon never extends past the earliest
-     * completion or deadline expiry.  The horizon inputs (earliest
-     * deadline, next gate, eligible deadline-carrying entries) come
-     * from the ServingState instant sets in O(log n) instead of
-     * per-segment container scans.
+     * completion or deadline expiry.  The horizon is planSegment();
+     * its inputs (earliest deadline, next gate, eligible
+     * deadline-carrying entries) come from the ServingState instant
+     * sets in O(log n) instead of per-segment container scans.
      */
     void decodeSteps(ServingState &st, Seconds bound);
 
@@ -382,9 +412,9 @@ class BatchExecutor
     {
         return std::max<Tokens>(64, (ctx + 63) / 64 * 64);
     }
-    /** Retire @p id (emit + served record + deadline unindex); the
-     *  caller still owns KV release, pool release, and container
-     *  removal. */
+    /** Retire in-flight @p id in full: prefix donation, served
+     *  record, deadline unindex, KV release and slot release.  The
+     *  caller removes it from its container. */
     void record(ServingState &st, ReqId id, RequestOutcome outcome);
     /** Retire a waiting (never re-admitted) request and free its
      *  slot; @p id must already be out of the queue. */

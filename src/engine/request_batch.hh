@@ -88,7 +88,7 @@ class RequestBatch
      *  (seeded-bug tests corrupt state to verify the auditor trips). */
     void overrideState(ReqId i, RequestState s) { state_[i] = s; }
 
-    // --- TrackedRequest semantics over one slot --------------------
+    // --- Lifecycle rules over one slot -----------------------------
     /** Move to @p next; panics on an edge not in the state machine. */
     void transition(ReqId i, RequestState next);
 
@@ -110,7 +110,13 @@ class RequestBatch
         return notBefore_[i] <= now + kTimeSlack;
     }
 
-    /** TrackedRequest::resetForAdmission over slot @p i. */
+    /**
+     * (Re-)initialize slot @p i's in-flight fields at admission time
+     * (recompute-on-resume: prior prefill/decode progress is
+     * discarded work).  Transitions to Prefilling.  @p cached_prefix
+     * prompt tokens were attached from the prefix index, so prefill
+     * starts there instead of at zero.
+     */
     void resetForAdmission(ReqId i, Seconds now, Tokens eff_out,
                            bool degraded_now, SeqId kv_seq,
                            Tokens cached_prefix = 0);

@@ -62,31 +62,6 @@ requestTransitionAllowed(RequestState from, RequestState to)
 }
 
 void
-TrackedRequest::transitionTo(RequestState next)
-{
-    panic_if(!requestTransitionAllowed(state, next),
-             "illegal request lifecycle transition ",
-             requestStateName(state), " -> ", requestStateName(next));
-    state = next;
-}
-
-void
-TrackedRequest::resetForAdmission(Seconds now, Tokens eff_out,
-                                  bool degraded_now, SeqId kv_seq,
-                                  Tokens cached_prefix)
-{
-    transitionTo(RequestState::Prefilling);
-    effOut = eff_out;
-    prefillStart = now;
-    prefillDone = cached_prefix;
-    generated = 0;
-    degraded = degraded_now;
-    seq = kv_seq;
-    cachedPrefix = cached_prefix;
-    prefillEnd = 0.0;
-}
-
-void
 serialize(ByteWriter &w, const ServerRequest &r)
 {
     w.f64(r.arrival);

@@ -10,17 +10,17 @@
  *       └────────────── (re-queue) <────────┘   (retry, backoff-gated)
  *
  * Terminal Done covers every RequestOutcome (completed, timed out,
- * shed).  TrackedRequest carries one request through all of its states
- * — the scheduler ranks Queued/Preempted entries, the executor drives
- * Prefilling/Decoding ones — and transitionTo() panics on any edge not
- * in the diagram, so a scheduling bug trips an invariant instead of
- * silently corrupting accounting.
+ * shed).  The executor's columnar pool (engine/request_batch.hh)
+ * carries each request through its states — the scheduler ranks
+ * Queued/Preempted entries, the executor drives Prefilling/Decoding
+ * ones — and RequestBatch::transition() panics on any edge not in the
+ * diagram, so a scheduling bug trips an invariant instead of silently
+ * corrupting accounting.  TrackedRequest is one request's record in
+ * checkpoints and journals.
  */
 
 #ifndef EDGEREASON_ENGINE_REQUEST_STATE_HH
 #define EDGEREASON_ENGINE_REQUEST_STATE_HH
-
-#include <limits>
 
 #include "common/binio.hh"
 #include "common/types.hh"
@@ -154,15 +154,16 @@ bool requestTransitionAllowed(RequestState from, RequestState to);
  * entries live in the scheduler queue; Prefilling/Decoding ones in the
  * executor's in-flight sets.  Preemption is recompute-on-resume: the
  * in-flight fields are discarded on eviction and re-initialized by
- * resetForAdmission() on the next admission.
+ * RequestBatch::resetForAdmission() on the next admission.
  *
  * Since the columnar refactor (DESIGN.md §11) the executor's live
- * state is the struct-of-arrays RequestBatch pool; this struct is its
- * *materialized view* (`pool.materialize(id)` / `pool.adopt(t)`),
- * kept as the unit of the checkpoint/journal wire format and of
- * scheduler code that wants a whole request by value.  Field-for-field
- * it mirrors the pool's columns, so the serialized bytes are
- * unchanged from the pre-columnar executor.
+ * state is the struct-of-arrays RequestBatch pool; this plain struct
+ * is its *materialized view* (`pool.materialize(id)` /
+ * `pool.adopt(t)`), kept as the unit of the checkpoint/journal wire
+ * format and of code that wants a whole request by value.  Every
+ * lifecycle rule lives on the pool.  Field-for-field it mirrors the
+ * pool's columns, so the serialized bytes are unchanged from the
+ * pre-columnar executor.
  */
 struct TrackedRequest
 {
@@ -183,44 +184,6 @@ struct TrackedRequest
     SeqId seq = 0; //!< paged-mode KV sequence handle
     Tokens cachedPrefix = 0; //!< prompt tokens attached from the prefix index
     Seconds prefillEnd = 0.0; //!< instant prefill completed (TTFT marker)
-
-    /** Move to @p next; panics on an edge not in the state machine. */
-    void transitionTo(RequestState next);
-
-    /** @return true if the request carries a deadline. */
-    bool hasDeadline() const { return req.deadline > 0.0; }
-
-    /** @return absolute deadline instant (+inf when none). */
-    Seconds absoluteDeadline() const
-    {
-        return hasDeadline()
-            ? req.arrival + req.deadline
-            : std::numeric_limits<Seconds>::infinity();
-    }
-
-    /** @return true if the deadline has passed at @p now. */
-    bool deadlineExpired(Seconds now) const
-    {
-        return hasDeadline() &&
-            now > req.arrival + req.deadline + kDeadlineSlack;
-    }
-
-    /** @return true if the retry-backoff gate is open at @p now. */
-    bool eligibleAt(Seconds now) const
-    {
-        return notBefore <= now + kTimeSlack;
-    }
-
-    /**
-     * (Re-)initialize the in-flight fields at admission time
-     * (recompute-on-resume: prior prefill/decode progress is
-     * discarded work).  Transitions to Prefilling.  @p cached_prefix
-     * prompt tokens were attached from the prefix index, so prefill
-     * starts there instead of at zero.
-     */
-    void resetForAdmission(Seconds now, Tokens eff_out,
-                           bool degraded_now, SeqId kv_seq,
-                           Tokens cached_prefix = 0);
 };
 
 // --- Checkpoint/journal serialization (common/binio format) ----------

@@ -238,20 +238,6 @@ TEST(Linalg, SingularSystemFails)
     EXPECT_THROW(er::solveLinear(a, {1.0, 2.0}), std::runtime_error);
 }
 
-TEST(Fit, PolyFitRecoversQuadratic)
-{
-    std::vector<double> x, y;
-    for (int i = 1; i <= 20; ++i) {
-        x.push_back(i * 64.0);
-        y.push_back(1.5e-7 * x.back() * x.back() + 2e-4 * x.back() +
-                    0.05);
-    }
-    const auto c = er::polyFit(x, y, 2);
-    EXPECT_NEAR(c[0], 0.05, 1e-6);
-    EXPECT_NEAR(c[1], 2e-4, 1e-9);
-    EXPECT_NEAR(c[2], 1.5e-7, 1e-12);
-}
-
 TEST(Fit, LogFitRecoversCurve)
 {
     std::vector<double> x, y;

@@ -15,8 +15,9 @@
  * Matrix: {fcfs, edf, spjf} x {zero-fault, faulted, KV-pressure} x
  * {thermal on, off}, plus a horizon-splitting property test (capping
  * segments at K' < K must reproduce the same accumulators), journal
- * coalescing checks, and a crash/resume that tail-verifies across
- * coalesced segments.
+ * coalescing checks, a crash/resume that tail-verifies across
+ * coalesced segments, and the executor's lazy-sync peek checked
+ * against the cycle it predicts.
  */
 
 #include <gtest/gtest.h>
@@ -27,8 +28,11 @@
 #include <string>
 #include <vector>
 
+#include "accuracy/trace_gen.hh"
 #include "common/binio.hh"
+#include "engine/executor.hh"
 #include "engine/journal.hh"
+#include "engine/scheduler.hh"
 #include "engine/server.hh"
 #include "model/calibration.hh"
 #include "model/zoo.hh"
@@ -438,4 +442,176 @@ TEST(MacroStep, CrashResumeTailVerifiesAcrossCoalescedSegments)
     EXPECT_GT(maxCount, 1u);
 
     fs::remove_all(dir);
+}
+
+namespace {
+
+/**
+ * Arrival source over a sorted trace that snapshots the scheduling
+ * state at each cycle's first changedSince() call, which runCycle
+ * makes once the pre-decode part of the cycle is done.
+ */
+struct ProbeSource final : ArrivalSource
+{
+    ProbeSource(const std::vector<ServerRequest> &t,
+                const ServingState &s)
+        : trace(t), st(s)
+    {
+    }
+
+    Seconds nextArrival() const override
+    {
+        return next < trace.size()
+            ? trace[next].arrival
+            : std::numeric_limits<Seconds>::infinity();
+    }
+
+    TrackedRequest popArrival() override
+    {
+        TrackedRequest r;
+        r.req = trace[next];
+        r.traceIndex = static_cast<std::int64_t>(next++);
+        return r;
+    }
+
+    void changedSince(Seconds) override
+    {
+        if (preDecodeSeen)
+            return;
+        preDecodeSeen = true;
+        queueAtDecode = st.queue.size();
+        inFlightAtDecode = st.inFlight();
+    }
+
+    const std::vector<ServerRequest> &trace;
+    const ServingState &st;
+    std::size_t next = 0;
+    bool preDecodeSeen = false;
+    std::size_t queueAtDecode = 0;
+    int inFlightAtDecode = 0;
+};
+
+/**
+ * Drive @p s through BatchExecutor::runCycle directly, peeking before
+ * every cycle, and check each peek against the cycle that follows it:
+ * no served record lands more than kTimeSlack before the peek, and a
+ * peek later than the clock is followed by a pure decode segment (no
+ * arrival, admission, shed or prefill before it) whose last step
+ * starts exactly at the peek.  @return the number of such peeks.
+ */
+std::size_t
+checkPeeks(const Scenario &s, SchedulerPolicy policy)
+{
+    constexpr Seconds kInf = std::numeric_limits<Seconds>::infinity();
+    auto eng = makeEngine();
+    ServerConfig cfg = s.cfg;
+    cfg.scheduler = policy;
+    const FaultPlan faults = s.faulted ? FaultPlan(s.fc) : FaultPlan();
+    std::vector<ServedRequest> served;
+    BatchExecutor exec(eng, nullptr, cfg, faults, served);
+    const auto sched = makeScheduler(policy);
+    ServingState st;
+    for (const auto &r : s.trace)
+        st.haveDeadlines = st.haveDeadlines || r.deadline > 0.0;
+    ProbeSource src(s.trace, st);
+
+    std::size_t later = 0;
+    while (!st.queue.empty() || st.hasInFlight() ||
+           src.next < s.trace.size()) {
+        const Seconds now = exec.clock();
+        const Seconds peek = exec.peekCycle(st, src);
+        EXPECT_GE(peek, now);
+        const std::size_t served0 = served.size();
+        const std::size_t popped0 = src.next;
+        const std::size_t queue0 = st.queue.size();
+        const int inflight0 = st.inFlight();
+        const int batch = static_cast<int>(st.active.size());
+        double ctx_sum = 0.0;
+        for (const ReqId id : st.active)
+            ctx_sum += static_cast<double>(st.pool.inputTokens(id) +
+                                           st.pool.generated(id));
+        const std::uint64_t steps0 = exec.accumulators().decodeSteps;
+        src.preDecodeSeen = false;
+        exec.runCycle(st, *sched, src, kInf);
+
+        for (std::size_t i = served0; i < served.size(); ++i)
+            EXPECT_GE(served[i].finish + er::engine::kTimeSlack, peek)
+                << "record " << served[i].traceIndex << " at clock "
+                << now;
+        if (peek == now)
+            continue;
+        ++later;
+        SCOPED_TRACE("peek " + std::to_string(peek) + " at clock " +
+                     std::to_string(now));
+        EXPECT_EQ(src.next, popped0);
+        EXPECT_TRUE(src.preDecodeSeen);
+        EXPECT_EQ(src.queueAtDecode, queue0);
+        EXPECT_EQ(src.inFlightAtDecode, inflight0);
+        EXPECT_EQ(st.queue.size(), queue0);
+        EXPECT_EQ(st.inFlight() +
+                      static_cast<int>(served.size() - served0),
+                  inflight0);
+        // The segment's last step is priced at the 64-token context
+        // bucket the batch reached k - 1 steps in.
+        const std::uint64_t k = exec.accumulators().decodeSteps - steps0;
+        if (k == 0) {
+            ADD_FAILURE() << "no decode step after a later peek";
+            continue;
+        }
+        const Tokens avg_ctx = static_cast<Tokens>(std::llround(
+            (ctx_sum + static_cast<double>(k - 1) * batch) / batch));
+        const Tokens bucket =
+            std::max<Tokens>(64, (avg_ctx + 63) / 64 * 64);
+        EXPECT_EQ(exec.clock(),
+                  peek + eng.decodeStepLatency(bucket, batch));
+    }
+    return later;
+}
+
+} // namespace
+
+// peekCycle is the fleet's lazy-sync key: the instant before which a
+// node's next cycle changes nothing a router reads.  Each scenario
+// below reaches a different early end of the planned segment (fault
+// events, deadlines, prefill chunks, prefix hits) as well as long
+// decode segments.
+TEST(MacroStep, PeekCyclePredictsTheNextCycle)
+{
+    Scenario kv = kvPressureScenario(false);
+    kv.name = "kv-pressure/brownouts";
+    kv.fc.brownoutsPerHour = 120.0;
+
+    Scenario edf;
+    edf.name = "edf-deadlines";
+    edf.cfg.maxBatch = 8;
+    er::Rng rng(11, "peek-deadlines");
+    edf.trace = ServingSimulator::poissonTrace(rng, 80, 0.8, 120, 256);
+    for (std::size_t i = 0; i < edf.trace.size(); ++i)
+        if (i % 3 != 0)
+            edf.trace[i].deadline = 4.0 + 3.0 * static_cast<double>(i % 4);
+
+    const Scenario chunked = zeroFaultScenario(false);
+
+    Scenario sessions;
+    sessions.name = "prefix-sessions";
+    sessions.cfg.maxBatch = 16;
+    sessions.cfg.prefixCache.enabled = true;
+    er::acc::SessionTraceConfig sc;
+    sc.sessions = 10;
+    sc.turnsPerSession = 4;
+    sc.sessionQps = 0.05;
+    sc.meanTurnGap = 40.0;
+    er::Rng srng(5, "peek-sessions");
+    sessions.trace = er::acc::generateSessionTrace(sc, srng);
+
+    const std::pair<const Scenario *, SchedulerPolicy> runs[] = {
+        {&kv, SchedulerPolicy::Fcfs},
+        {&edf, SchedulerPolicy::Edf},
+        {&chunked, SchedulerPolicy::Fcfs},
+        {&sessions, SchedulerPolicy::Fcfs},
+    };
+    for (const auto &[s, policy] : runs) {
+        SCOPED_TRACE(s->name);
+        EXPECT_GT(checkPeeks(*s, policy), 10u);
+    }
 }

@@ -427,41 +427,43 @@ TEST(RequestState, StateNames)
 
 TEST(RequestState, ResetForAdmissionInitializesInFlightFields)
 {
-    auto t = tracked(1.0, 256, 512);
-    t.resetForAdmission(3.5, 128, true, 7);
-    EXPECT_EQ(t.state, RequestState::Prefilling);
-    EXPECT_EQ(t.effOut, 128);
-    EXPECT_EQ(t.prefillStart, 3.5);
-    EXPECT_EQ(t.prefillDone, 0);
-    EXPECT_EQ(t.generated, 0);
-    EXPECT_TRUE(t.degraded);
-    EXPECT_EQ(t.seq, 7u);
+    RequestBatch pool;
+    const ReqId id = pool.adopt(tracked(1.0, 256, 512));
+    pool.resetForAdmission(id, 3.5, 128, true, 7);
+    EXPECT_EQ(pool.state(id), RequestState::Prefilling);
+    EXPECT_EQ(pool.effOut(id), 128);
+    EXPECT_EQ(pool.prefillStart(id), 3.5);
+    EXPECT_EQ(pool.prefillDone(id), 0);
+    EXPECT_EQ(pool.generated(id), 0);
+    EXPECT_TRUE(pool.degraded(id));
+    EXPECT_EQ(pool.seq(id), 7u);
 
     // Recompute-on-resume: a preempted request re-admits from scratch.
-    t.transitionTo(RequestState::Preempted);
-    t.generated = 99; // stale progress, must be discarded
-    t.resetForAdmission(9.0, 512, false, 8);
-    EXPECT_EQ(t.state, RequestState::Prefilling);
-    EXPECT_EQ(t.generated, 0);
-    EXPECT_EQ(t.prefillDone, 0);
-    EXPECT_FALSE(t.degraded);
+    pool.transition(id, RequestState::Preempted);
+    pool.setGenerated(id, 99); // stale progress, must be discarded
+    pool.resetForAdmission(id, 9.0, 512, false, 8);
+    EXPECT_EQ(pool.state(id), RequestState::Prefilling);
+    EXPECT_EQ(pool.generated(id), 0);
+    EXPECT_EQ(pool.prefillDone(id), 0);
+    EXPECT_FALSE(pool.degraded(id));
 }
 
 TEST(RequestState, DeadlineHelpers)
 {
-    auto none = tracked(2.0, 64, 64);
-    EXPECT_FALSE(none.hasDeadline());
-    EXPECT_EQ(none.absoluteDeadline(),
+    RequestBatch pool;
+    const ReqId none = pool.adopt(tracked(2.0, 64, 64));
+    EXPECT_FALSE(pool.hasDeadline(none));
+    EXPECT_EQ(pool.absoluteDeadline(none),
               std::numeric_limits<Seconds>::infinity());
-    EXPECT_FALSE(none.deadlineExpired(1e12));
+    EXPECT_FALSE(pool.deadlineExpired(none, 1e12));
 
-    auto tight = tracked(2.0, 64, 64, 0, 10.0);
-    EXPECT_TRUE(tight.hasDeadline());
-    EXPECT_EQ(tight.absoluteDeadline(), 12.0);
-    EXPECT_FALSE(tight.deadlineExpired(12.0));
+    const ReqId tight = pool.adopt(tracked(2.0, 64, 64, 0, 10.0));
+    EXPECT_TRUE(pool.hasDeadline(tight));
+    EXPECT_EQ(pool.absoluteDeadline(tight), 12.0);
+    EXPECT_FALSE(pool.deadlineExpired(tight, 12.0));
     // Within the shared slack: still on time.
-    EXPECT_FALSE(tight.deadlineExpired(12.0 + 0.5 * kDeadlineSlack));
-    EXPECT_TRUE(tight.deadlineExpired(12.0 + 2.0 * kDeadlineSlack));
+    EXPECT_FALSE(pool.deadlineExpired(tight, 12.0 + 0.5 * kDeadlineSlack));
+    EXPECT_TRUE(pool.deadlineExpired(tight, 12.0 + 2.0 * kDeadlineSlack));
 }
 
 TEST(RequestState, DeadlineMetUsesSharedSlack)

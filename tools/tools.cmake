@@ -46,6 +46,12 @@ if(BUILD_TESTING)
     edgereason_cli_rejects(plan_zero_budget
         "--budget must be a finite number of seconds > 0, got 0"
         plan --budget 0)
+    edgereason_cli_rejects(session_qps_zero
+        "--session-qps must be positive"
+        serve --sessions 3 --session-qps 0)
+    edgereason_cli_rejects(turn_gap_zero
+        "--turn-gap must be positive"
+        serve --sessions 3 --turn-gap 0)
     edgereason_cli_rejects(policy_trailing_characters
         "--policy 12xT: the token budget must be a whole number >= 1"
         evaluate --policy 12xT --questions 5)
