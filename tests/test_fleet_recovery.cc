@@ -224,6 +224,19 @@ expectSameFiles(const std::filesystem::path &a,
     }
 }
 
+/** @return FNV-1a over every file in @p dir in name order, chaining
+ *  each file's name and bytes. */
+std::uint64_t
+hashFiles(const std::filesystem::path &dir)
+{
+    std::uint64_t h = er::fnv1a("");
+    for (const auto &[name, bytes] : readFiles(dir)) {
+        h = er::fnv1a(name, h);
+        h = er::fnv1a(bytes, h);
+    }
+    return h;
+}
+
 TEST(FleetRecovery, CheckpointBytesAreDeterministic)
 {
     // Live tracks and each node's local->gid map are hash maps; the
@@ -385,6 +398,11 @@ TEST(FleetRecovery, ResumesWithHedgedLegsAndTrippedBreaker)
               static_cast<std::size_t>(fc.healthFailureThreshold));
     EXPECT_EQ(base_rep.nodes[0].crashes, 0u);
 
+    // Pins over the checkpoint files (live legs, hedge slots, breaker
+    // state) and the per-node journals: both resumes leave the
+    // uninterrupted durable run's files.
+    const std::uint64_t kCkptHash = 0xfa6dd4734480da7cull;
+    const std::uint64_t kJournalHash = 0x697d5d47561c5d75ull;
     int idx = 0;
     for (const double crash_time : {15.0, 30.0}) {
         SCOPED_TRACE("crash at t=" + std::to_string(crash_time));
@@ -397,6 +415,8 @@ TEST(FleetRecovery, ResumesWithHedgedLegsAndTrippedBreaker)
         dur.checkpointEvery = 10;
         EXPECT_EQ(runCrashResume(jfc, trace, dir, dur),
                   uninterrupted);
+        EXPECT_EQ(hashFiles(dir / "ckpt"), kCkptHash);
+        EXPECT_EQ(hashFiles(dir / "journals"), kJournalHash);
     }
     if (!::testing::Test::HasFailure())
         std::filesystem::remove_all(kArtifacts);
@@ -474,19 +494,6 @@ TEST(FleetRecovery, AdaptiveBreakerBeatsStaticUnderStraggler)
 
     EXPECT_GE(adaptive_rep.adaptiveEjections, 1u);
     EXPECT_GT(adaptive_rep.goodput, static_rep.goodput);
-}
-
-/** @return FNV-1a over every file in @p dir in name order, chaining
- *  each file's name and bytes. */
-std::uint64_t
-hashFiles(const std::filesystem::path &dir)
-{
-    std::uint64_t h = er::fnv1a("");
-    for (const auto &[name, bytes] : readFiles(dir)) {
-        h = er::fnv1a(name, h);
-        h = er::fnv1a(bytes, h);
-    }
-    return h;
 }
 
 TEST(FleetRecovery, CrashResumeUnderAdaptiveHealthIsBitIdentical)

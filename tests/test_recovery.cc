@@ -18,9 +18,12 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/binio.hh"
 #include "engine/auditor.hh"
 #include "engine/checkpoint.hh"
 #include "engine/executor.hh"
@@ -206,15 +209,37 @@ expectIdenticalServed(const std::vector<ServedRequest> &a,
 }
 
 /**
+ * @return FNV-1a over every file in @p dir in name order, chaining
+ * each file's name and bytes onto @p h.
+ */
+std::uint64_t
+hashFiles(const std::string &dir, std::uint64_t h = er::fnv1a(""))
+{
+    std::map<std::string, std::string> files;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        files[entry.path().filename().string()] = bytes.str();
+    }
+    for (const auto &[name, bytes] : files) {
+        h = er::fnv1a(name, h);
+        h = er::fnv1a(bytes, h);
+    }
+    return h;
+}
+
+/**
  * Run a scenario to completion uninterrupted, then crash it at
  * @p crash_step and resume; assert the resumed run is bit-identical.
  * The crashing run checkpoints every 4 steps, so most crash points
  * land several steps past the restored checkpoint and genuinely
  * exercise journal-tail re-execution (with byte-level verification).
  */
-void
+std::uint64_t
 crashResumeRoundTrip(const Scenario &s, SchedulerPolicy policy,
-                     std::int64_t crash_step, const std::string &tag)
+                     std::int64_t crash_step, const std::string &tag,
+                     std::uint64_t pin = er::fnv1a(""))
 {
     SCOPED_TRACE(tag + " policy=" +
                  std::string(schedulerPolicyName(policy)) +
@@ -260,7 +285,9 @@ crashResumeRoundTrip(const Scenario &s, SchedulerPolicy policy,
     // exact same report through buildServingReport().
     expectIdenticalReports(
         baseline, replayServingReport(dir + "/journal.bin"));
+    pin = hashFiles(dir, pin);
     fs::remove_all(dir);
+    return pin;
 }
 
 } // namespace
@@ -285,6 +312,7 @@ TEST(Recovery, ZeroFaultCrashMatrix)
 TEST(Recovery, FaultedCrashMatrix)
 {
     const auto s = faultedScenario();
+    std::uint64_t pin = er::fnv1a("");
     for (const auto policy :
          {SchedulerPolicy::Fcfs, SchedulerPolicy::Edf,
           SchedulerPolicy::Spjf}) {
@@ -292,13 +320,16 @@ TEST(Recovery, FaultedCrashMatrix)
         // time, so mid-run crash points land inside/around brownout
         // windows; early points land during chunkless prefill.
         for (const std::int64_t step : {0, 3, 41, 90})
-            crashResumeRoundTrip(s, policy, step, "faulted");
+            pin = crashResumeRoundTrip(s, policy, step, "faulted", pin);
     }
+    // Pin over every checkpoint and journal file the matrix leaves.
+    EXPECT_EQ(pin, 0xee3f4edbee8728d1ull);
 }
 
 TEST(Recovery, KvPressureCrashMatrix)
 {
     const auto s = kvPressureScenario();
+    std::uint64_t pin = er::fnv1a("");
     for (const auto policy :
          {SchedulerPolicy::Fcfs, SchedulerPolicy::Edf,
           SchedulerPolicy::Spjf}) {
@@ -306,8 +337,10 @@ TEST(Recovery, KvPressureCrashMatrix)
         // queue in retry backoff for long stretches: the mid and late
         // crash points land during backoff sleeps.
         for (const std::int64_t step : {0, 25, 160})
-            crashResumeRoundTrip(s, policy, step, "kv");
+            pin = crashResumeRoundTrip(s, policy, step, "kv", pin);
     }
+    // Pin over every checkpoint and journal file the matrix leaves.
+    EXPECT_EQ(pin, 0xf8f40ae50cd6bf98ull);
 }
 
 // ---------------------------------------------------------------------
@@ -439,6 +472,9 @@ TEST(Recovery, RngBankRoundTripsThroughCheckpoint)
     auto srv2 = makeServer(eng, s, SchedulerPolicy::Fcfs);
     srv2.run(s.trace, planOf(s), res);
     EXPECT_EQ(bank.serialize(), expected_states);
+    // Pin over the checkpoints (each with its RNG-bank section) and
+    // the journal.
+    EXPECT_EQ(hashFiles(dir), 0x78d1c17e67db0cecull);
     fs::remove_all(dir);
 }
 
