@@ -34,7 +34,7 @@ void ByteReader::need(std::size_t n) const
 {
     fatal_if(data_.size() - pos_ < n,
              "binio: truncated buffer: need ", n, " byte(s) at offset ",
-             pos_, " but only ", data_.size() - pos_, " remain");
+             base_ + pos_, " but only ", data_.size() - pos_, " remain");
 }
 
 std::uint8_t ByteReader::u8()
@@ -81,11 +81,31 @@ std::string ByteReader::str()
     return s;
 }
 
+std::uint8_t ByteReader::byteAtMost(std::uint8_t max, const char *what)
+{
+    const std::size_t at = base_ + pos_;
+    const std::uint8_t v = u8();
+    fatal_if(v > max, "binio: ", what, " byte ", int(v), " at offset ",
+             at, " is above its maximum ", int(max));
+    return v;
+}
+
+std::uint64_t ByteReader::count(std::size_t min_elem_bytes)
+{
+    const std::size_t at = base_ + pos_;
+    const std::uint64_t n = u64();
+    fatal_if(n > remaining() / min_elem_bytes,
+             "binio: count ", n, " at offset ", at, " needs at least ",
+             min_elem_bytes, " byte(s) each but only ", remaining(),
+             " remain");
+    return n;
+}
+
 void ByteReader::expectEnd(const char *what) const
 {
     fatal_if(pos_ != data_.size(),
              "binio: ", what, ": ", data_.size() - pos_,
-             " trailing byte(s) after offset ", pos_);
+             " trailing byte(s) after offset ", base_ + pos_);
 }
 
 std::uint64_t fnv1a(std::string_view data, std::uint64_t h)

@@ -150,32 +150,6 @@ P2Quantile::value() const
     return q_[2];
 }
 
-void
-P2Quantile::serialize(ByteWriter &w) const
-{
-    w.f64(p_);
-    w.u64(static_cast<std::uint64_t>(n_));
-    for (int i = 0; i < 5; ++i)
-        w.f64(q_[i]);
-    for (int i = 0; i < 5; ++i)
-        w.f64(pos_[i]);
-    for (int i = 0; i < 5; ++i)
-        w.f64(want_[i]);
-}
-
-void
-P2Quantile::restore(ByteReader &r)
-{
-    p_ = r.f64();
-    n_ = static_cast<std::size_t>(r.u64());
-    for (int i = 0; i < 5; ++i)
-        q_[i] = r.f64();
-    for (int i = 0; i < 5; ++i)
-        pos_[i] = r.f64();
-    for (int i = 0; i < 5; ++i)
-        want_[i] = r.f64();
-}
-
 double
 mape(const std::vector<double> &predicted, const std::vector<double> &actual,
      double eps)

@@ -83,10 +83,17 @@ class P2Quantile
     /** @return the tracked quantile in (0, 1). */
     double quantile() const { return p_; }
 
-    /** Checkpoint serialization: every marker height/position plus the
+    /** Checkpoint field list: every marker height/position plus the
      *  sample count, bit-exact through binio's f64. */
-    void serialize(ByteWriter &w) const;
-    void restore(ByteReader &r);
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.f64(p_);
+        a.u64(n_);
+        for (double *m : {q_, pos_, want_})
+            for (int i = 0; i < 5; ++i)
+                a.f64(m[i]);
+    }
 
   private:
     double p_;

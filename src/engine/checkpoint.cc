@@ -195,7 +195,7 @@ runFingerprint(const InferenceEngine &engine,
 
     w.u64(trace.size());
     for (const auto &r : trace)
-        serialize(w, r);
+        put(w, r);
 
     fingerprintFaultPlan(w, faults);
 

@@ -13,61 +13,53 @@
 namespace edgereason {
 namespace engine {
 
+template <class Ar>
 void
-ServingState::serialize(ByteWriter &w) const
+ServingState::io(Ar &a)
 {
-    // Pre-columnar wire format: TrackedRequest records in container
-    // order.  Ids and instant sets are derived state and stay off
-    // the wire, so checkpoints written before and after the columnar
-    // refactor are byte-identical.
-    w.u64(queue.size());
-    for (std::size_t i = 0; i < queue.size(); ++i)
-        engine::serialize(w, pool.materialize(queue[i]));
-    w.u64(prefilling.size());
-    for (const ReqId id : prefilling)
-        engine::serialize(w, pool.materialize(id));
-    w.u64(active.size());
-    for (const ReqId id : active)
-        engine::serialize(w, pool.materialize(id));
-    w.u8(haveDeadlines ? 1 : 0);
-    w.u64(peakQueueDepth);
+    // Writing materializes the queue, prefilling and active records in
+    // container order; reading adopts them in that order and rebuilds
+    // every index.
+    std::vector<TrackedRequest> lists[3];
+    if constexpr (!Ar::kReading) {
+        for (std::size_t i = 0; i < queue.size(); ++i)
+            lists[0].push_back(pool.materialize(queue[i]));
+        for (const ReqId id : prefilling)
+            lists[1].push_back(pool.materialize(id));
+        for (const ReqId id : active)
+            lists[2].push_back(pool.materialize(id));
+    }
+    for (auto &list : lists)
+        a.seq(list, kTrackedRequestMinBytes,
+              [&](TrackedRequest &t) { engine::io(a, t); });
+    a.flag(haveDeadlines);
+    a.u64(peakQueueDepth);
+    if constexpr (Ar::kReading) {
+        const std::size_t peak = peakQueueDepth;
+        pool.clear();
+        queue.clear();
+        prefilling.clear();
+        active.clear();
+        retryGates.clear();
+        deadlines.clear();
+        queuedDeadlineGates.clear();
+        for (const TrackedRequest &t : lists[0])
+            enqueueNew(t);
+        for (int k = 1; k < 3; ++k) {
+            std::vector<ReqId> &ids = k == 1 ? prefilling : active;
+            for (const TrackedRequest &t : lists[k]) {
+                const ReqId id = pool.adopt(t);
+                if (pool.hasDeadline(id))
+                    deadlines.insert(pool.absoluteDeadline(id));
+                ids.push_back(id);
+            }
+        }
+        peakQueueDepth = peak;
+    }
 }
 
-void
-ServingState::restore(ByteReader &r)
-{
-    pool.clear();
-    queue.clear();
-    prefilling.clear();
-    active.clear();
-    retryGates.clear();
-    deadlines.clear();
-    queuedDeadlineGates.clear();
-    peakQueueDepth = 0;
-    // Adopt in container order; every index is derived state rebuilt
-    // here (enqueueNew rebuilds the queue-side ones).
-    const std::uint64_t nq = r.u64();
-    for (std::uint64_t i = 0; i < nq; ++i) {
-        TrackedRequest t;
-        engine::restore(r, t);
-        enqueueNew(t);
-    }
-    const auto read_in_flight = [this, &r](std::vector<ReqId> &ids) {
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            TrackedRequest t;
-            engine::restore(r, t);
-            const ReqId id = pool.adopt(t);
-            if (pool.hasDeadline(id))
-                deadlines.insert(pool.absoluteDeadline(id));
-            ids.push_back(id);
-        }
-    };
-    read_in_flight(prefilling);
-    read_in_flight(active);
-    haveDeadlines = r.u8() != 0;
-    peakQueueDepth = r.u64();
-}
+template void ServingState::io(ByteWriter &);
+template void ServingState::io(ByteReader &);
 
 BatchExecutor::BatchExecutor(const InferenceEngine &engine,
                              const InferenceEngine *fallback,
@@ -174,58 +166,47 @@ BatchExecutor::record(ServingState &st, ReqId id,
                       RequestOutcome outcome)
 {
     // Donate the fully prefilled prompt blocks to the prefix index
-    // before the caller releases the KV sequence (no-op when the index
-    // is off, the workload supplied no hashes, or prefill never
-    // finished).
+    // before the KV sequence is released (no-op when the index is off,
+    // the workload supplied no hashes, or prefill never finished).
     maybeInsertPrefix(st, id);
-    st.pool.transition(id, RequestState::Done);
-    ServedRequest done;
-    done.request.arrival = st.pool.arrival(id);
-    done.request.inputTokens = st.pool.inputTokens(id);
-    done.request.outputTokens = st.pool.outputTokens(id);
-    done.request.priority = st.pool.priority(id);
-    done.request.deadline = st.pool.deadline(id);
-    done.request.sessionId = st.pool.sessionId(id);
-    done.outcome = outcome;
-    done.queueDelay = st.pool.prefillStart(id) - st.pool.arrival(id);
-    done.serviceTime = acc_.clock - st.pool.prefillStart(id);
-    done.finish = acc_.clock;
-    done.generated = st.pool.generated(id);
-    done.preemptions = st.pool.preemptions(id);
-    done.degraded = st.pool.degraded(id);
-    done.traceIndex = st.pool.traceIndex(id);
-    done.cachedPrefix = st.pool.cachedPrefix(id);
-    done.firstToken = st.pool.prefillEnd(id);
-    if (journal_)
-        journal_->emitRetire(done);
-    served_.push_back(done);
-    st.unindexDeadline(id);
     releaseKv(st, id);
-    st.pool.release(id);
+    ServedRequest s;
+    s.outcome = outcome;
+    s.queueDelay = st.pool.prefillStart(id) - st.pool.arrival(id);
+    s.serviceTime = acc_.clock - st.pool.prefillStart(id);
+    s.generated = st.pool.generated(id);
+    s.degraded = st.pool.degraded(id);
+    s.cachedPrefix = st.pool.cachedPrefix(id);
+    s.firstToken = st.pool.prefillEnd(id);
+    retire(st, id, s);
 }
 
 void
 BatchExecutor::shedWaiting(ServingState &st, ReqId id,
                            RequestOutcome outcome)
 {
-    st.pool.transition(id, RequestState::Done);
     ServedRequest s;
+    s.outcome = outcome;
+    s.queueDelay = acc_.clock - st.pool.arrival(id);
+    retire(st, id, s);
+}
+
+void
+BatchExecutor::retire(ServingState &st, ReqId id, ServedRequest s)
+{
     s.request.arrival = st.pool.arrival(id);
     s.request.inputTokens = st.pool.inputTokens(id);
     s.request.outputTokens = st.pool.outputTokens(id);
     s.request.priority = st.pool.priority(id);
     s.request.deadline = st.pool.deadline(id);
     s.request.sessionId = st.pool.sessionId(id);
-    s.outcome = outcome;
-    s.queueDelay = acc_.clock - st.pool.arrival(id);
-    s.serviceTime = 0.0;
     s.finish = acc_.clock;
-    s.generated = 0;
     s.preemptions = st.pool.preemptions(id);
     s.traceIndex = st.pool.traceIndex(id);
+    st.pool.transition(id, RequestState::Done);
     if (journal_)
         journal_->emitRetire(s);
-    served_.push_back(s);
+    served_.push_back(std::move(s));
     st.unindexDeadline(id);
     st.pool.release(id);
 }
@@ -1149,36 +1130,29 @@ BatchExecutor::auditView(const ServingState &st, std::size_t trace_size,
     return v;
 }
 
+template <class Ar>
 void
-BatchExecutor::serialize(ByteWriter &w) const
+BatchExecutor::io(Ar &a)
 {
-    engine::serialize(w, acc_);
-    thermal_.serialize(w);
-    w.u8(paged_ ? 1 : 0);
-    if (paged_) {
-        w.u64(ballast_);
-        paged_->serialize(w);
-    }
-    // rebuildCost_ is pure memoization over the engine's noiseless
-    // const query surface: rebuilt identically on resume.
-}
-
-void
-BatchExecutor::restore(ByteReader &r)
-{
-    engine::restore(r, acc_);
-    thermal_.restore(r);
-    const bool paged = r.u8() != 0;
+    engine::io(a, acc_);
+    thermal_.io(a);
+    bool paged = paged_ != nullptr;
+    a.flag(paged);
     fatal_if(paged != (paged_ != nullptr),
              "checkpoint executor mode mismatch: checkpoint is ",
              paged ? "paged" : "scalar", "-KV but this run is ",
              paged_ ? "paged" : "scalar",
              "-KV (different fault plan?); refusing to restore");
     if (paged_) {
-        ballast_ = r.u64();
-        paged_->restore(r);
+        a.u64(ballast_);
+        paged_->io(a);
     }
+    // rebuildCost_ is pure memoization over the engine's noiseless
+    // const query surface: rebuilt identically on resume.
 }
+
+template void BatchExecutor::io(ByteWriter &);
+template void BatchExecutor::io(ByteReader &);
 
 ServingReport
 BatchExecutor::report(Seconds first_arrival, SchedulerPolicy policy,

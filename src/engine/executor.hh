@@ -134,13 +134,14 @@ struct ServingState
     }
 
     /**
-     * Checkpoint serialization of the full scheduling state.  The wire
+     * Checkpoint field list of the full scheduling state.  The wire
      * format is the pre-columnar one: TrackedRequest records in
      * container order (pool ids and the instant sets are derived
-     * state, rebuilt on restore), so checkpoints stay byte-compatible.
+     * state, rebuilt after a read), so checkpoints stay
+     * byte-compatible.
      */
-    void serialize(ByteWriter &w) const;
-    void restore(ByteReader &r);
+    template <class Ar>
+    void io(Ar &a);
 
   private:
     void pushQueue(ReqId id)
@@ -238,15 +239,15 @@ class BatchExecutor
                         std::size_t next_arrival) const;
 
     /**
-     * Serialize the executor's mutable run state: accumulators,
-     * thermal state, and (under an active fault plan) the paged KV
-     * pool with its ballast handle.  Memoization caches are skipped —
+     * Checkpoint field list of the executor's mutable run state:
+     * accumulators, thermal state, and (under an active fault plan)
+     * the paged KV pool with its ballast handle; reading fatal()s on a
+     * paged/scalar mode mismatch.  Memoization caches are skipped —
      * they rebuild from the engine's noiseless const query surface,
      * so a resumed run recomputes identical values.
      */
-    void serialize(ByteWriter &w) const;
-    /** Restore serialize() output; fatal() on a mode mismatch. */
-    void restore(ByteReader &r);
+    template <class Ar>
+    void io(Ar &a);
 
     /**
      * One serving cycle (DESIGN.md §8), the only one in the stack:
@@ -420,6 +421,10 @@ class BatchExecutor
      *  slot; @p id must already be out of the queue. */
     void shedWaiting(ServingState &st, ReqId id,
                      RequestOutcome outcome = RequestOutcome::Shed);
+    /** The shared tail of both: fill @p s's request fields,
+     *  preemptions, trace index and finish, mark @p id Done, journal
+     *  and keep @p s, then unindex and free the slot. */
+    void retire(ServingState &st, ReqId id, ServedRequest s);
     void releaseKv(const ServingState &st, ReqId id);
     /** Reserve KV for input+eff_out tokens; with the prefix index on,
      *  first attaches the longest cached prefix of @p hashes (capped

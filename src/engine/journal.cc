@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <iomanip>
+#include <optional>
 #include <ios>
 #include <ostream>
 #include <sstream>
@@ -39,6 +40,143 @@ frameRecord(JournalRecordType type, const std::string &payload)
     ByteWriter ck;
     ck.u64(fnv1a(frame));
     return frame + ck.bytes();
+}
+
+// --- Record payloads: one field list each, shared by the emitters,
+// replay and the text dump.
+
+struct RunBeginRecord
+{
+    std::uint64_t traceSize = 0;
+    SchedulerPolicy policy = SchedulerPolicy::Fcfs;
+    Seconds firstArrival = 0.0;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.u64(traceSize);
+        a.enum8(policy, SchedulerPolicy::Spjf);
+        a.f64(firstArrival);
+    }
+};
+
+struct ArrivalRecord
+{
+    std::int64_t traceIndex = -1;
+    ServerRequest req;
+    std::uint64_t queueDepth = 0;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.i64(traceIndex);
+        engine::io(a, req);
+        a.u64(queueDepth);
+    }
+};
+
+struct AdmitRecord
+{
+    std::int64_t traceIndex = -1;
+    Seconds clock = 0.0;
+    Tokens effOut = 0;
+    bool degraded = false;
+    SeqId seq = 0;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.i64(traceIndex);
+        a.f64(clock);
+        a.i64(effOut);
+        a.flag(degraded);
+        a.u64(seq);
+    }
+};
+
+struct StepRecord
+{
+    std::uint8_t kind = 0; //!< 0 = prefill chunk, 1 = decode step
+    std::uint32_t count = 0;
+    ExecAccumulators acc;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.enum8(kind, std::uint8_t{1});
+        a.u32(count);
+        engine::io(a, acc);
+    }
+};
+
+struct PreemptRecord
+{
+    std::int64_t traceIndex = -1;
+    bool requeued = false;
+    std::uint64_t queueDepth = 0;
+    std::uint64_t totalPreemptions = 0;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.i64(traceIndex);
+        a.flag(requeued);
+        a.u64(queueDepth);
+        a.u64(totalPreemptions);
+    }
+};
+
+struct FaultRecord
+{
+    FaultEvent event;
+    Seconds clockAfter = 0.0;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.enum8(event.kind, FaultKind::KvRestore);
+        a.f64(event.time);
+        a.f64(event.duration);
+        a.f64(event.magnitude);
+        a.f64(clockAfter);
+    }
+};
+
+struct CheckpointMarkRecord
+{
+    std::uint64_t step = 0;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        a.u64(step);
+    }
+};
+
+struct RunEndRecord
+{
+    ExecAccumulators acc;
+    std::uint64_t peakQueueDepth = 0;
+
+    template <class Ar>
+    void io(Ar &a)
+    {
+        engine::io(a, acc);
+        a.u64(peakQueueDepth);
+    }
+};
+
+/** Decode one record's payload through its field list; fatal() with
+ *  the file offset on a short, overlong or out-of-range payload. */
+template <class R>
+R
+decode(const JournalRawRecord &rec)
+{
+    ByteReader r(rec.payload, rec.offset + 5);
+    R out;
+    fields(r, out);
+    r.expectEnd(journalRecordTypeName(rec.type));
+    return out;
 }
 
 std::string
@@ -81,46 +219,6 @@ journalRecordTypeName(JournalRecordType t)
     panic("unknown journal record type");
 }
 
-void
-serialize(ByteWriter &w, const ExecAccumulators &acc)
-{
-    w.f64(acc.clock);
-    w.f64(acc.busy);
-    w.f64(acc.throttledBusy);
-    w.f64(acc.energy);
-    w.f64(acc.batchTimeWeighted);
-    w.f64(acc.committedKv);
-    w.f64(acc.generatedTokens);
-    w.u64(acc.preemptions);
-    w.u64(acc.nextEvent);
-    w.u64(acc.decodeSteps);
-    w.u64(acc.macroSegments);
-    w.f64(acc.admittedPromptTokens);
-    w.f64(acc.cachedPrefixTokens);
-    w.f64(acc.prefillSecondsSaved);
-    w.u64(acc.prefixEvictions);
-}
-
-void
-restore(ByteReader &r, ExecAccumulators &acc)
-{
-    acc.clock = r.f64();
-    acc.busy = r.f64();
-    acc.throttledBusy = r.f64();
-    acc.energy = r.f64();
-    acc.batchTimeWeighted = r.f64();
-    acc.committedKv = r.f64();
-    acc.generatedTokens = r.f64();
-    acc.preemptions = r.u64();
-    acc.nextEvent = r.u64();
-    acc.decodeSteps = r.u64();
-    acc.macroSegments = r.u64();
-    acc.admittedPromptTokens = r.f64();
-    acc.cachedPrefixTokens = r.f64();
-    acc.prefillSecondsSaved = r.f64();
-    acc.prefixEvictions = r.u64();
-}
-
 Journal
 Journal::createFresh(const std::string &path, std::uint64_t fingerprint)
 {
@@ -152,8 +250,7 @@ Journal::resumeAt(const std::string &path, std::uint64_t fingerprint,
         const auto &rec = contents.records[i];
         if (rec.type != JournalRecordType::CheckpointMark)
             continue;
-        ByteReader r(rec.payload);
-        if (r.u64() == step)
+        if (decode<CheckpointMarkRecord>(rec).step == step)
             mark = i;
     }
     fatal_if(mark == contents.records.size(),
@@ -207,48 +304,45 @@ Journal::emit(JournalRecordType type, const ByteWriter &payload)
     fatal_if(!*out_, "write failed on journal file: ", path_);
 }
 
+template <class R>
+void
+Journal::emitRecord(JournalRecordType type, const R &rec)
+{
+    if (!out_)
+        return;
+    ByteWriter w;
+    put(w, rec);
+    emit(type, w);
+}
+
 void
 Journal::emitRunBegin(std::size_t trace_size, SchedulerPolicy policy,
                       Seconds first_arrival)
 {
-    ByteWriter w;
-    w.u64(trace_size);
-    w.u8(static_cast<std::uint8_t>(policy));
-    w.f64(first_arrival);
-    emit(JournalRecordType::RunBegin, w);
+    emitRecord(JournalRecordType::RunBegin,
+               RunBeginRecord{trace_size, policy, first_arrival});
 }
 
 void
 Journal::emitArrival(const TrackedRequest &r, std::size_t queue_depth)
 {
-    ByteWriter w;
-    w.i64(r.traceIndex);
-    serialize(w, r.req);
-    w.u64(queue_depth);
-    emit(JournalRecordType::Arrival, w);
+    emitRecord(JournalRecordType::Arrival,
+               ArrivalRecord{r.traceIndex, r.req, queue_depth});
 }
 
 void
 Journal::emitAdmit(const TrackedRequest &r, Seconds clock)
 {
-    ByteWriter w;
-    w.i64(r.traceIndex);
-    w.f64(clock);
-    w.i64(r.effOut);
-    w.u8(r.degraded ? 1 : 0);
-    w.u64(r.seq);
-    emit(JournalRecordType::Admit, w);
+    emitRecord(JournalRecordType::Admit,
+               AdmitRecord{r.traceIndex, clock, r.effOut, r.degraded,
+                           r.seq});
 }
 
 void
 Journal::emitStep(std::uint8_t kind, std::uint32_t count,
                   const ExecAccumulators &acc)
 {
-    ByteWriter w;
-    w.u8(kind);
-    w.u32(count);
-    serialize(w, acc);
-    emit(JournalRecordType::Step, w);
+    emitRecord(JournalRecordType::Step, StepRecord{kind, count, acc});
 }
 
 void
@@ -256,50 +350,36 @@ Journal::emitPreempt(const TrackedRequest &r, bool requeued,
                      std::size_t queue_depth,
                      std::uint64_t total_preemptions)
 {
-    ByteWriter w;
-    w.i64(r.traceIndex);
-    w.u8(requeued ? 1 : 0);
-    w.u64(queue_depth);
-    w.u64(total_preemptions);
-    emit(JournalRecordType::Preempt, w);
+    emitRecord(JournalRecordType::Preempt,
+               PreemptRecord{r.traceIndex, requeued, queue_depth,
+                             total_preemptions});
 }
 
 void
 Journal::emitFault(const FaultEvent &e, Seconds clock_after)
 {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.f64(e.time);
-    w.f64(e.duration);
-    w.f64(e.magnitude);
-    w.f64(clock_after);
-    emit(JournalRecordType::Fault, w);
+    emitRecord(JournalRecordType::Fault, FaultRecord{e, clock_after});
 }
 
 void
 Journal::emitRetire(const ServedRequest &s)
 {
-    ByteWriter w;
-    serialize(w, s);
-    emit(JournalRecordType::Retire, w);
+    emitRecord(JournalRecordType::Retire, s);
 }
 
 void
 Journal::emitCheckpointMark(std::uint64_t step)
 {
-    ByteWriter w;
-    w.u64(step);
-    emit(JournalRecordType::CheckpointMark, w);
+    emitRecord(JournalRecordType::CheckpointMark,
+               CheckpointMarkRecord{step});
 }
 
 void
 Journal::emitRunEnd(const ExecAccumulators &acc,
                     std::size_t peak_queue_depth)
 {
-    ByteWriter w;
-    serialize(w, acc);
-    w.u64(peak_queue_depth);
-    emit(JournalRecordType::RunEnd, w);
+    emitRecord(JournalRecordType::RunEnd,
+               RunEndRecord{acc, peak_queue_depth});
 }
 
 JournalContents
@@ -363,60 +443,39 @@ replayServingReport(const std::string &path)
 {
     const JournalContents contents = readJournal(path);
 
-    bool haveBegin = false;
+    std::optional<RunBeginRecord> begin;
     bool haveAcc = false;
     bool haveEnd = false;
-    SchedulerPolicy policy = SchedulerPolicy::Fcfs;
-    Seconds firstArrival = 0.0;
     ExecAccumulators acc;
     std::size_t peak = 0;
     std::vector<ServedRequest> served;
 
     for (const auto &rec : contents.records) {
-        ByteReader r(rec.payload);
         switch (rec.type) {
-          case JournalRecordType::RunBegin: {
-            r.u64(); // trace size (informational)
-            const std::uint8_t p = r.u8();
-            fatal_if(p > static_cast<std::uint8_t>(
-                             SchedulerPolicy::Spjf),
-                     "journal ", path, ": invalid policy at offset ",
-                     rec.offset);
-            policy = static_cast<SchedulerPolicy>(p);
-            firstArrival = r.f64();
-            haveBegin = true;
+          case JournalRecordType::RunBegin:
+            begin = decode<RunBeginRecord>(rec);
             break;
-          }
-          case JournalRecordType::Arrival: {
-            r.i64();
-            ServerRequest req;
-            restore(r, req);
-            peak = std::max<std::size_t>(peak, r.u64());
+          case JournalRecordType::Arrival:
+            peak = std::max<std::size_t>(
+                peak, decode<ArrivalRecord>(rec).queueDepth);
             break;
-          }
-          case JournalRecordType::Step: {
-            r.u8();
-            r.u32(); // coalesced step count (observability only)
-            restore(r, acc);
+          case JournalRecordType::Step:
+            // The coalesced step count is observability only.
+            acc = decode<StepRecord>(rec).acc;
             haveAcc = true;
             break;
-          }
-          case JournalRecordType::Preempt: {
-            r.i64();
-            r.u8();
-            peak = std::max<std::size_t>(peak, r.u64());
-            r.u64(); // running preemption total (Step carries it too)
+          case JournalRecordType::Preempt:
+            // The running preemption total rides on Step records too.
+            peak = std::max<std::size_t>(
+                peak, decode<PreemptRecord>(rec).queueDepth);
             break;
-          }
-          case JournalRecordType::Retire: {
-            ServedRequest s;
-            restore(r, s);
-            served.push_back(std::move(s));
+          case JournalRecordType::Retire:
+            served.push_back(decode<ServedRequest>(rec));
             break;
-          }
           case JournalRecordType::RunEnd: {
-            restore(r, acc);
-            peak = std::max<std::size_t>(peak, r.u64());
+            const auto end = decode<RunEndRecord>(rec);
+            acc = end.acc;
+            peak = std::max<std::size_t>(peak, end.peakQueueDepth);
             haveAcc = true;
             haveEnd = true;
             break;
@@ -424,19 +483,19 @@ replayServingReport(const std::string &path)
           case JournalRecordType::Admit:
           case JournalRecordType::Fault:
           case JournalRecordType::CheckpointMark:
-            continue; // payload not needed for the report
+            break; // payload not needed for the report
         }
-        r.expectEnd(journalRecordTypeName(rec.type));
     }
 
-    fatal_if(!haveBegin, "journal ", path,
+    fatal_if(!begin, "journal ", path,
              " has no run-begin record; nothing to replay");
     fatal_if(!haveAcc, "journal ", path,
              " has no step or run-end record; nothing to replay");
     if (!haveEnd)
         warn("journal ", path, " has no run-end record (crashed run): "
              "replaying the prefix that was journaled");
-    return buildServingReport(served, acc, firstArrival, policy, peak);
+    return buildServingReport(served, acc, begin->firstArrival,
+                              begin->policy, peak);
 }
 
 void
@@ -448,61 +507,61 @@ dumpJournalText(const std::string &path, std::ostream &os)
        << std::dec << " (" << contents.records.size() << " records)\n";
     os << std::setprecision(17);
     for (const auto &rec : contents.records) {
-        ByteReader r(rec.payload);
         os << rec.offset << " " << journalRecordTypeName(rec.type);
         switch (rec.type) {
           case JournalRecordType::RunBegin: {
-            os << " trace=" << r.u64();
-            os << " policy="
-               << schedulerPolicyName(
-                      static_cast<SchedulerPolicy>(r.u8()));
-            os << " first-arrival=" << r.f64();
+            const auto b = decode<RunBeginRecord>(rec);
+            os << " trace=" << b.traceSize
+               << " policy=" << schedulerPolicyName(b.policy)
+               << " first-arrival=" << b.firstArrival;
             break;
           }
           case JournalRecordType::Arrival: {
-            os << " idx=" << r.i64();
-            ServerRequest req;
-            restore(r, req);
-            os << " arrival=" << req.arrival << " in="
-               << req.inputTokens << " out=" << req.outputTokens
-               << " prio=" << req.priority << " deadline="
-               << req.deadline << " depth=" << r.u64();
+            const auto a = decode<ArrivalRecord>(rec);
+            os << " idx=" << a.traceIndex << " arrival=" << a.req.arrival
+               << " in=" << a.req.inputTokens
+               << " out=" << a.req.outputTokens
+               << " prio=" << a.req.priority
+               << " deadline=" << a.req.deadline
+               << " depth=" << a.queueDepth;
             break;
           }
           case JournalRecordType::Admit: {
-            os << " idx=" << r.i64() << " clock=" << r.f64()
-               << " eff-out=" << r.i64()
-               << " degraded=" << int(r.u8()) << " seq=" << r.u64();
+            const auto a = decode<AdmitRecord>(rec);
+            os << " idx=" << a.traceIndex << " clock=" << a.clock
+               << " eff-out=" << a.effOut
+               << " degraded=" << int(a.degraded) << " seq=" << a.seq;
             break;
           }
           case JournalRecordType::Step: {
-            const std::uint8_t kind = r.u8();
-            const std::uint32_t count = r.u32();
-            ExecAccumulators acc;
-            restore(r, acc);
-            os << (kind == 0 ? " prefill" : " decode")
-               << " x" << count
-               << " clock=" << acc.clock << " busy=" << acc.busy
-               << " energy=" << acc.energy
-               << " generated=" << acc.generatedTokens
-               << " preemptions=" << acc.preemptions;
+            const auto st = decode<StepRecord>(rec);
+            os << (st.kind == 0 ? " prefill" : " decode")
+               << " x" << st.count << " clock=" << st.acc.clock
+               << " busy=" << st.acc.busy
+               << " energy=" << st.acc.energy
+               << " generated=" << st.acc.generatedTokens
+               << " preemptions=" << st.acc.preemptions;
             break;
           }
           case JournalRecordType::Preempt: {
-            os << " idx=" << r.i64() << " requeued=" << int(r.u8())
-               << " depth=" << r.u64() << " total=" << r.u64();
+            const auto p = decode<PreemptRecord>(rec);
+            os << " idx=" << p.traceIndex
+               << " requeued=" << int(p.requeued)
+               << " depth=" << p.queueDepth
+               << " total=" << p.totalPreemptions;
             break;
           }
           case JournalRecordType::Fault: {
-            os << " kind="
-               << faultKindName(static_cast<FaultKind>(r.u8()))
-               << " time=" << r.f64() << " duration=" << r.f64()
-               << " magnitude=" << r.f64() << " clock=" << r.f64();
+            const auto f = decode<FaultRecord>(rec);
+            os << " kind=" << faultKindName(f.event.kind)
+               << " time=" << f.event.time
+               << " duration=" << f.event.duration
+               << " magnitude=" << f.event.magnitude
+               << " clock=" << f.clockAfter;
             break;
           }
           case JournalRecordType::Retire: {
-            ServedRequest s;
-            restore(r, s);
+            const auto s = decode<ServedRequest>(rec);
             os << " idx=" << s.traceIndex << " outcome="
                << requestOutcomeName(s.outcome) << " finish="
                << s.finish << " latency=" << s.latency()
@@ -510,16 +569,14 @@ dumpJournalText(const std::string &path, std::ostream &os)
                << s.preemptions << " degraded=" << int(s.degraded);
             break;
           }
-          case JournalRecordType::CheckpointMark: {
-            os << " step=" << r.u64();
+          case JournalRecordType::CheckpointMark:
+            os << " step=" << decode<CheckpointMarkRecord>(rec).step;
             break;
-          }
           case JournalRecordType::RunEnd: {
-            ExecAccumulators acc;
-            restore(r, acc);
-            os << " clock=" << acc.clock << " busy=" << acc.busy
-               << " energy=" << acc.energy << " peak-depth="
-               << r.u64();
+            const auto e = decode<RunEndRecord>(rec);
+            os << " clock=" << e.acc.clock << " busy=" << e.acc.busy
+               << " energy=" << e.acc.energy
+               << " peak-depth=" << e.peakQueueDepth;
             break;
           }
         }

@@ -87,9 +87,27 @@ struct JournalContents
     std::uint64_t endOffset = 0; //!< file size consumed
 };
 
-// --- ExecAccumulators wire helpers (shared with checkpoints) ---------
-void serialize(ByteWriter &w, const ExecAccumulators &acc);
-void restore(ByteReader &r, ExecAccumulators &acc);
+/** ExecAccumulators field list (journal Step/RunEnd and checkpoints). */
+template <class Ar>
+void
+io(Ar &a, ExecAccumulators &acc)
+{
+    a.f64(acc.clock);
+    a.f64(acc.busy);
+    a.f64(acc.throttledBusy);
+    a.f64(acc.energy);
+    a.f64(acc.batchTimeWeighted);
+    a.f64(acc.committedKv);
+    a.f64(acc.generatedTokens);
+    a.u64(acc.preemptions);
+    a.u64(acc.nextEvent);
+    a.u64(acc.decodeSteps);
+    a.u64(acc.macroSegments);
+    a.f64(acc.admittedPromptTokens);
+    a.f64(acc.cachedPrefixTokens);
+    a.f64(acc.prefillSecondsSaved);
+    a.u64(acc.prefixEvictions);
+}
 
 /**
  * Append-mode journal writer.  A default-constructed Journal is
@@ -148,6 +166,9 @@ class Journal
                     std::size_t peak_queue_depth);
 
   private:
+    /** Encode @p rec through its field list and append it. */
+    template <class R>
+    void emitRecord(JournalRecordType type, const R &rec);
     void emit(JournalRecordType type, const ByteWriter &payload);
 
     std::unique_ptr<std::ofstream> out_;

@@ -514,208 +514,172 @@ KvCache::auditConservation() const
                  "prefix audit: free-list block ", f, " still referenced");
 }
 
+template <class Ar>
 void
-KvCache::serialize(ByteWriter &w) const
+KvCache::io(Ar &a)
 {
-    w.i64(block_tokens_);
-    w.i64(block_bytes_);
-    w.u64(block_capacity_);
-    w.u64(blocks_in_use_);
-    w.u64(next_seq_);
-    w.u64(blocks_.size());
-    for (const Block &b : blocks_) {
-        w.u32(static_cast<std::uint32_t>(b.refcount));
-        w.i64(b.filled);
-    }
-    w.u64(free_list_.size());
-    for (std::uint32_t f : free_list_)
-        w.u32(f);
-    // unordered_map iteration order is not deterministic; emit sequences
-    // sorted by handle so identical states produce identical bytes.
-    std::vector<SeqId> ids;
-    ids.reserve(seqs_.size());
-    for (const auto &[id, seq] : seqs_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (SeqId id : ids) {
-        const Sequence &s = seqs_.at(id);
-        w.u64(id);
-        w.i64(s.tokens);
-        w.u64(s.blocks.size());
-        for (std::uint32_t b : s.blocks)
-            w.u32(b);
-    }
-    if (!prefix_.enabled)
-        return;
-    // Prefix-index section.  Nodes go out sorted by (depth, hash) so two
-    // caches holding the same logical index emit identical bytes, and so
-    // every node's parent precedes it on restore.
-    w.u32(kPrefixIndexMagic);
-    w.u8(static_cast<std::uint8_t>(prefix_.evict));
-    w.u64(touch_clock_);
-    w.u64(insert_clock_);
-    w.u64(pstats_.hitBlocks);
-    w.u64(pstats_.missBlocks);
-    w.u64(pstats_.insertedBlocks);
-    w.u64(pstats_.evictions);
-    w.f64(pstats_.hitTokens);
-    w.f64(pstats_.hitBytes);
-    w.f64(pstats_.missBytes);
-    w.f64(pstats_.evictedBytes);
-    std::vector<std::uint32_t> live;
-    live.reserve(by_hash_.size());
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(nodes_.size()); ++i)
-        if (nodes_[i].live)
-            live.push_back(i);
-    std::sort(live.begin(), live.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  if (nodes_[a].depth != nodes_[b].depth)
-                      return nodes_[a].depth < nodes_[b].depth;
-                  return nodes_[a].hash < nodes_[b].hash;
-              });
-    w.u64(live.size());
-    for (std::uint32_t i : live) {
-        const PrefixNode &nd = nodes_[i];
-        w.u64(nd.hash);
-        w.u8(nd.parent != kNoNode ? 1 : 0);
-        w.u64(nd.parent != kNoNode ? nodes_[nd.parent].hash : 0);
-        w.u32(nd.block);
-        w.u32(nd.depth);
-        w.u64(nd.lastTouch);
-        w.u64(nd.insertSeq);
-        w.f64(nd.rebuildSeconds);
-    }
-}
-
-void
-KvCache::restore(ByteReader &r)
-{
-    const Tokens blockTokens = r.i64();
-    const Bytes blockBytes = r.i64();
-    const std::uint64_t blockCap = r.u64();
+    // Geometry is on the wire to be checked, never read into the cache.
+    Tokens blockTokens = block_tokens_;
+    Bytes blockBytes = block_bytes_;
+    std::uint64_t blockCap = block_capacity_;
+    a.i64(blockTokens);
+    a.i64(blockBytes);
+    a.u64(blockCap);
     fatal_if(blockTokens != block_tokens_ || blockBytes != block_bytes_ ||
                  blockCap != block_capacity_,
              "KvCache restore: geometry mismatch (checkpoint ", blockCap,
              " blocks of ", blockTokens, " tokens vs instance ",
              block_capacity_, " blocks of ", block_tokens_, " tokens)");
-    const std::uint64_t inUse = r.u64();
-    const std::uint64_t nextSeq = r.u64();
-    const std::uint64_t nBlocks = r.u64();
-    fatal_if(inUse > blockCap, "KvCache restore: blocks_in_use overflow");
-    std::vector<Block> blocks(nBlocks);
-    for (auto &b : blocks) {
-        b.refcount = static_cast<int>(r.u32());
-        b.filled = r.i64();
-        fatal_if(b.refcount < 0 || b.filled < 0 ||
-                     b.filled > block_tokens_,
-                 "KvCache restore: corrupt block record");
+    a.u64(blocks_in_use_);
+    a.u64(next_seq_);
+    a.seq(blocks_, 12, [&](Block &b) {
+        a.u32(b.refcount);
+        a.i64(b.filled);
+    });
+    a.seq(free_list_, 4, [&](std::uint32_t &f) { a.u32(f); });
+    // unordered_map iteration order is not deterministic; sequences go
+    // out sorted by handle so identical states produce identical bytes.
+    std::vector<std::pair<SeqId, Sequence>> seqs;
+    if constexpr (!Ar::kReading) {
+        seqs.assign(seqs_.begin(), seqs_.end());
+        std::sort(seqs.begin(), seqs.end(),
+                  [](const auto &x, const auto &y) {
+                      return x.first < y.first;
+                  });
     }
-    const std::uint64_t nFree = r.u64();
-    std::vector<std::uint32_t> freeList(nFree);
-    for (auto &f : freeList) {
-        f = r.u32();
-        fatal_if(f >= nBlocks, "KvCache restore: free-list entry ", f,
-                 " out of range");
-    }
-    const std::uint64_t nSeqs = r.u64();
-    std::unordered_map<SeqId, Sequence> seqs;
-    seqs.reserve(nSeqs);
-    for (std::uint64_t i = 0; i < nSeqs; ++i) {
-        const SeqId id = r.u64();
-        Sequence s;
-        s.tokens = r.i64();
-        const std::uint64_t nb = r.u64();
-        s.blocks.resize(nb);
-        for (auto &b : s.blocks) {
-            b = r.u32();
-            fatal_if(b >= nBlocks,
-                     "KvCache restore: sequence block out of range");
+    a.seq(seqs, 24, [&](std::pair<SeqId, Sequence> &s) {
+        a.u64(s.first);
+        a.i64(s.second.tokens);
+        a.seq(s.second.blocks, 4, [&](std::uint32_t &b) { a.u32(b); });
+    });
+    if constexpr (Ar::kReading) {
+        fatal_if(blocks_in_use_ > block_capacity_,
+                 "KvCache restore: blocks_in_use overflow");
+        for (const Block &b : blocks_)
+            fatal_if(b.refcount < 0 || b.filled < 0 ||
+                         b.filled > block_tokens_,
+                     "KvCache restore: corrupt block record");
+        for (const std::uint32_t f : free_list_)
+            fatal_if(f >= blocks_.size(), "KvCache restore: free-list entry ",
+                     f, " out of range");
+        seqs_.clear();
+        seqs_.reserve(seqs.size());
+        for (auto &[id, s] : seqs) {
+            for (const std::uint32_t b : s.blocks)
+                fatal_if(b >= blocks_.size(),
+                         "KvCache restore: sequence block out of range");
+            fatal_if(!seqs_.emplace(id, std::move(s)).second,
+                     "KvCache restore: duplicate sequence ", id);
         }
-        fatal_if(!seqs.emplace(id, std::move(s)).second,
-                 "KvCache restore: duplicate sequence ", id);
     }
-    PrefixStats pstats;
-    std::vector<PrefixNode> nodes;
-    std::unordered_map<std::uint64_t, std::uint32_t> byHash;
-    std::uint64_t touchClock = 0;
-    std::uint64_t insertClock = 0;
+
+    // Prefix-index section.  Nodes go out sorted by (depth, hash) so two
+    // caches holding the same logical index emit identical bytes, and so
+    // every node's parent precedes it on a read.
+    struct WireNode
+    {
+        PrefixNode nd;
+        bool hasParent = false;
+        std::uint64_t parentHash = 0;
+    };
+    std::vector<WireNode> wire;
     if (prefix_.enabled) {
-        fatal_if(r.u32() != kPrefixIndexMagic,
+        std::uint32_t magic = kPrefixIndexMagic;
+        a.u32(magic);
+        fatal_if(magic != kPrefixIndexMagic,
                  "KvCache restore: prefix-index section missing — "
                  "checkpoint written without --prefix-cache?");
-        const auto evict = static_cast<PrefixEvictPolicy>(r.u8());
+        PrefixEvictPolicy evict = prefix_.evict;
+        a.enum8(evict, PrefixEvictPolicy::Cost);
         fatal_if(evict != prefix_.evict,
                  "KvCache restore: eviction policy mismatch (checkpoint ",
                  prefixEvictPolicyName(evict), " vs instance ",
                  prefixEvictPolicyName(prefix_.evict), ")");
-        touchClock = r.u64();
-        insertClock = r.u64();
-        pstats.hitBlocks = r.u64();
-        pstats.missBlocks = r.u64();
-        pstats.insertedBlocks = r.u64();
-        pstats.evictions = r.u64();
-        pstats.hitTokens = r.f64();
-        pstats.hitBytes = r.f64();
-        pstats.missBytes = r.f64();
-        pstats.evictedBytes = r.f64();
-        const std::uint64_t nNodes = r.u64();
-        nodes.reserve(nNodes);
-        byHash.reserve(nNodes);
-        for (std::uint64_t i = 0; i < nNodes; ++i) {
-            PrefixNode nd;
-            nd.hash = r.u64();
-            const bool hasParent = r.u8() != 0;
-            const std::uint64_t parentHash = r.u64();
-            nd.block = r.u32();
-            nd.depth = r.u32();
-            nd.lastTouch = r.u64();
-            nd.insertSeq = r.u64();
-            nd.rebuildSeconds = r.f64();
+        a.u64(touch_clock_);
+        a.u64(insert_clock_);
+        a.u64(pstats_.hitBlocks);
+        a.u64(pstats_.missBlocks);
+        a.u64(pstats_.insertedBlocks);
+        a.u64(pstats_.evictions);
+        a.f64(pstats_.hitTokens);
+        a.f64(pstats_.hitBytes);
+        a.f64(pstats_.missBytes);
+        a.f64(pstats_.evictedBytes);
+        if constexpr (!Ar::kReading) {
+            std::vector<std::uint32_t> live;
+            live.reserve(by_hash_.size());
+            for (std::uint32_t i = 0;
+                 i < static_cast<std::uint32_t>(nodes_.size()); ++i)
+                if (nodes_[i].live)
+                    live.push_back(i);
+            std::sort(live.begin(), live.end(),
+                      [this](std::uint32_t x, std::uint32_t y) {
+                          if (nodes_[x].depth != nodes_[y].depth)
+                              return nodes_[x].depth < nodes_[y].depth;
+                          return nodes_[x].hash < nodes_[y].hash;
+                      });
+            for (const std::uint32_t i : live) {
+                const PrefixNode &nd = nodes_[i];
+                const bool root = nd.parent == kNoNode;
+                wire.push_back(
+                    {nd, !root, root ? 0 : nodes_[nd.parent].hash});
+            }
+        }
+        a.seq(wire, 49, [&](WireNode &w) {
+            a.u64(w.nd.hash);
+            a.flag(w.hasParent);
+            a.u64(w.parentHash);
+            a.u32(w.nd.block);
+            a.u32(w.nd.depth);
+            a.u64(w.nd.lastTouch);
+            a.u64(w.nd.insertSeq);
+            a.f64(w.nd.rebuildSeconds);
+        });
+    }
+    if constexpr (Ar::kReading) {
+        // Node ids are reassigned in wire order; the parent links, child
+        // counts and both indexes are rebuilt from the hashes.
+        nodes_.clear();
+        node_free_.clear();
+        by_hash_.clear();
+        leaves_.clear();
+        nodes_.reserve(wire.size());
+        by_hash_.reserve(wire.size());
+        for (const WireNode &w : wire) {
+            PrefixNode nd = w.nd;
             nd.live = true;
             fatal_if(std::isnan(nd.rebuildSeconds),
                      "KvCache restore: NaN index rebuild cost");
-            fatal_if(nd.block >= nBlocks,
+            fatal_if(nd.block >= blocks_.size(),
                      "KvCache restore: index page out of range");
-            fatal_if(blocks[nd.block].refcount < 1 ||
-                         blocks[nd.block].filled != block_tokens_,
+            fatal_if(blocks_[nd.block].refcount < 1 ||
+                         blocks_[nd.block].filled != block_tokens_,
                      "KvCache restore: index page ", nd.block,
                      " not a live full block");
-            if (hasParent) {
-                const auto p = byHash.find(parentHash);
-                fatal_if(p == byHash.end(),
+            if (w.hasParent) {
+                const auto p = by_hash_.find(w.parentHash);
+                fatal_if(p == by_hash_.end(),
                          "KvCache restore: index node parent missing");
                 nd.parent = p->second;
-                ++nodes[p->second].children;
+                ++nodes_[p->second].children;
             } else {
                 fatal_if(nd.depth != 0,
                          "KvCache restore: non-root node without parent");
             }
-            const std::uint32_t nid =
-                static_cast<std::uint32_t>(nodes.size());
-            fatal_if(!byHash.emplace(nd.hash, nid).second,
+            const auto nid = static_cast<std::uint32_t>(nodes_.size());
+            fatal_if(!by_hash_.emplace(nd.hash, nid).second,
                      "KvCache restore: duplicate index hash");
-            nodes.push_back(nd);
+            nodes_.push_back(nd);
         }
+        for (std::uint32_t i = 0;
+             i < static_cast<std::uint32_t>(nodes_.size()); ++i)
+            if (nodes_[i].children == 0)
+                leaves_.insert(leafKey(i));
     }
-    blocks_in_use_ = inUse;
-    next_seq_ = nextSeq;
-    blocks_ = std::move(blocks);
-    free_list_ = std::move(freeList);
-    seqs_ = std::move(seqs);
-    pstats_ = pstats;
-    nodes_ = std::move(nodes);
-    node_free_.clear();
-    by_hash_ = std::move(byHash);
-    touch_clock_ = touchClock;
-    insert_clock_ = insertClock;
-    leaves_.clear();
-    for (std::uint32_t i = 0;
-         i < static_cast<std::uint32_t>(nodes_.size()); ++i)
-        if (nodes_[i].children == 0)
-            leaves_.insert(leafKey(i));
 }
+
+template void KvCache::io(ByteWriter &);
+template void KvCache::io(ByteReader &);
 
 } // namespace engine
 } // namespace edgereason

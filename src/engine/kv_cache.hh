@@ -206,22 +206,19 @@ class KvCache
     void auditConservation() const;
 
     /**
-     * Serialize the full allocation state (blocks, free list, sequences,
-     * next handle) in a canonical order, so two caches holding the same
-     * state emit identical bytes.  When the prefix index is enabled its
-     * node table follows, sorted by (depth, hash) — again canonical.
-     * Geometry (capacity, block size) is written too and validated on
-     * restore().
+     * Checkpoint field list of the full allocation state (blocks, free
+     * list, sequences, next handle) in a canonical order, so two caches
+     * holding the same state emit identical bytes.  When the prefix
+     * index is enabled its node table follows, sorted by (depth, hash)
+     * — again canonical.  Geometry (capacity, block size) is written
+     * too.  Reading fatal()s if the geometry does not match this
+     * instance — restoring onto a differently-sized cache would corrupt
+     * accounting — if the prefix-index section is missing/mismatched
+     * (mode or eviction policy differs from this instance's
+     * configuration), or on an out-of-range block, page or parent.
      */
-    void serialize(ByteWriter &w) const;
-    /**
-     * Restore state written by serialize() into this cache.  fatal() if
-     * the checkpoint's geometry does not match this instance — restoring
-     * onto a differently-sized cache would corrupt accounting — or if
-     * the prefix-index section is missing/mismatched (mode or eviction
-     * policy differs from this instance's configuration).
-     */
-    void restore(ByteReader &r);
+    template <class Ar>
+    void io(Ar &a);
 
   private:
     struct Block

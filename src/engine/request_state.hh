@@ -186,13 +186,62 @@ struct TrackedRequest
     Seconds prefillEnd = 0.0; //!< instant prefill completed (TTFT marker)
 };
 
-// --- Checkpoint/journal serialization (common/binio format) ----------
-void serialize(ByteWriter &w, const ServerRequest &r);
-void restore(ByteReader &r, ServerRequest &out);
-void serialize(ByteWriter &w, const ServedRequest &r);
-void restore(ByteReader &r, ServedRequest &out);
-void serialize(ByteWriter &w, const TrackedRequest &r);
-void restore(ByteReader &r, TrackedRequest &out);
+// --- Checkpoint/journal field lists (common/binio archives) ---------
+// Minimum wire bytes of one record, for ByteReader::count().
+inline constexpr std::size_t kServerRequestMinBytes = 56;
+inline constexpr std::size_t kServedRequestMinBytes =
+    kServerRequestMinBytes + 66;
+inline constexpr std::size_t kTrackedRequestMinBytes =
+    kServerRequestMinBytes + 82;
+
+template <class Ar>
+void
+io(Ar &a, ServerRequest &r)
+{
+    a.f64(r.arrival);
+    a.i64(r.inputTokens);
+    a.i64(r.outputTokens);
+    a.i64(r.priority);
+    a.f64(r.deadline);
+    a.i64(r.sessionId);
+    a.seq(r.prefixHashes, 8, [&](std::uint64_t &h) { a.u64(h); });
+}
+
+template <class Ar>
+void
+io(Ar &a, ServedRequest &r)
+{
+    io(a, r.request);
+    a.enum8(r.outcome, RequestOutcome::Cancelled);
+    a.f64(r.queueDelay);
+    a.f64(r.serviceTime);
+    a.f64(r.finish);
+    a.i64(r.generated);
+    a.i64(r.preemptions);
+    a.flag(r.degraded);
+    a.i64(r.traceIndex);
+    a.i64(r.cachedPrefix);
+    a.f64(r.firstToken);
+}
+
+template <class Ar>
+void
+io(Ar &a, TrackedRequest &r)
+{
+    io(a, r.req);
+    a.enum8(r.state, RequestState::Done);
+    a.i64(r.traceIndex);
+    a.f64(r.notBefore);
+    a.i64(r.effOut);
+    a.f64(r.prefillStart);
+    a.i64(r.prefillDone);
+    a.i64(r.generated);
+    a.i64(r.preemptions);
+    a.flag(r.degraded);
+    a.u64(r.seq);
+    a.i64(r.cachedPrefix);
+    a.f64(r.prefillEnd);
+}
 
 } // namespace engine
 } // namespace edgereason

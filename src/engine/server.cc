@@ -16,6 +16,47 @@
 namespace edgereason {
 namespace engine {
 
+namespace {
+
+/**
+ * Field list of a single-node checkpoint payload after its step and
+ * scheduler identity (Scheduler::serialize, checked on a read by
+ * verifyMatches): scheduling state, served records, the arrival
+ * cursor, the executor and, when flagged, the RNG bank's streams.  A
+ * read into a null @p bank skips the streams.
+ */
+template <class Ar>
+void
+checkpointIo(Ar &a, ServingState &st, std::vector<ServedRequest> &served,
+             std::size_t &next_arrival, BatchExecutor &exec,
+             RngBank *bank)
+{
+    st.io(a);
+    a.seq(served, kServedRequestMinBytes,
+          [&](ServedRequest &s) { io(a, s); });
+    a.u64(next_arrival);
+    exec.io(a);
+    bool banked = bank != nullptr;
+    a.flag(banked);
+    if (!banked)
+        return;
+    std::vector<std::pair<std::string, std::string>> states;
+    if constexpr (!Ar::kReading) {
+        const auto sorted = bank->serialize();
+        states.assign(sorted.begin(), sorted.end());
+    }
+    a.seq(states, 8, [&](std::pair<std::string, std::string> &s) {
+        a.str(s.first);
+        a.str(s.second);
+    });
+    if constexpr (Ar::kReading)
+        if (bank != nullptr)
+            bank->restore(std::map<std::string, std::string>(
+                states.begin(), states.end()));
+}
+
+} // namespace
+
 const char *
 degradeModeName(DegradeMode m)
 {
@@ -298,29 +339,10 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
                  " is named for step ", ckStep,
                  " but its payload records step ", step);
         scheduler_->verifyMatches(r);
-        st.restore(r);
-        const std::uint64_t nServed = r.u64();
-        served_.clear();
-        for (std::uint64_t i = 0; i < nServed; ++i) {
-            ServedRequest s;
-            engine::restore(r, s);
-            served_.push_back(std::move(s));
-        }
-        arrivals.next = static_cast<std::size_t>(r.u64());
+        checkpointIo(r, st, served_, arrivals.next, exec, dur.rngBank);
         fatal_if(arrivals.next > trace.size(),
                  "checkpoint arrival cursor ", arrivals.next,
                  " exceeds trace size ", trace.size());
-        exec.restore(r);
-        if (r.u8() != 0) {
-            std::map<std::string, std::string> states;
-            const std::uint64_t n = r.u64();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string name = r.str();
-                states[std::move(name)] = r.str();
-            }
-            if (dur.rngBank != nullptr)
-                dur.rngBank->restore(states);
-        }
         r.expectEnd("checkpoint payload");
         restoredStep = step;
         resumed = true;
@@ -376,23 +398,8 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
             ByteWriter w;
             w.u64(step);
             scheduler_->serialize(w);
-            st.serialize(w);
-            w.u64(served_.size());
-            for (const auto &s : served_)
-                engine::serialize(w, s);
-            w.u64(arrivals.next);
-            exec.serialize(w);
-            if (dur.rngBank != nullptr) {
-                w.u8(1);
-                const auto states = dur.rngBank->serialize();
-                w.u64(states.size());
-                for (const auto &[name, state] : states) {
-                    w.str(name);
-                    w.str(state);
-                }
-            } else {
-                w.u8(0);
-            }
+            checkpointIo(w, st, served_, arrivals.next, exec,
+                         dur.rngBank);
             writeCheckpointFile(
                 checkpointPath(dur.checkpointDir, step), fingerprint,
                 w);

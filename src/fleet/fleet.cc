@@ -850,12 +850,16 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
         const std::string payload =
             engine::loadCheckpointFile(ckpts.back().second, fp);
         ByteReader r(payload);
-        restoreState(r, dur);
+        io(r);
         r.expectEnd("fleet checkpoint");
         fatal_if(eventCount_ != ckpts.back().first,
                  "fleet checkpoint ", ckpts.back().second,
                  " is named for event ", ckpts.back().first,
                  " but its state is at event ", eventCount_);
+        // All or nothing: journals are truncated only once the whole
+        // checkpoint has been read and checked.
+        for (auto &n : nodes_)
+            n->resumeJournal(eventCount_, dur.verifyTail);
         src.seek(streamIssued_);
         restoredEvent = eventCount_;
         resumed = true;
@@ -1085,7 +1089,7 @@ FleetSimulator::fleetFingerprint(
     }
     w.u64(trace.size());
     for (const auto &req : trace)
-        engine::serialize(w, req);
+        put(w, req);
     return fnv1a(w.bytes());
 }
 
@@ -1104,228 +1108,152 @@ FleetSimulator::writeCheckpoint(const FleetDurabilityOptions &dur,
     fatal_if(ec, "cannot create fleet checkpoint directory ",
              dur.checkpointDir, ": ", ec.message());
     ByteWriter w;
-    serializeState(w);
+    io(w);
     engine::writeCheckpointFile(
         engine::checkpointPath(dur.checkpointDir, eventCount_),
         fingerprint, w);
     lastCkptEvent_ = eventCount_;
 }
 
+template <class Ar>
 void
-FleetSimulator::serializeState(ByteWriter &w) const
+FleetSimulator::io(Ar &a)
 {
-    w.f64(now_);
-    w.u64(seq_);
-    w.u64(eventCount_);
-    w.u64(streamIssued_);
-    engine::serialize(w, streamPending_);
+    a.f64(now_);
+    a.u64(seq_);
+    a.u64(eventCount_);
+    a.u64(streamIssued_);
+    fatal_if(streamIssued_ > streamTotal_, "fleet checkpoint drew ",
+             streamIssued_, " requests from a trace of ", streamTotal_);
+    engine::io(a, streamPending_);
     // The heap vector verbatim, in container order: the array layout
     // (not just the multiset of events) is part of the run's
     // determinism, and round-tripping it preserves the heap property
     // for free.
-    w.u64(heap_.size());
-    for (const Event &e : heap_) {
-        w.f64(e.time);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.u64(e.seq);
-        w.i64(e.gid);
-        w.i64(e.node);
-        w.f64(e.aux);
-        w.i64(e.local);
-        w.f64(e.latency);
-        w.u8(e.legOutcome);
-    }
+    a.seq(heap_, 58, [&](Event &e) {
+        a.f64(e.time);
+        a.enum8(e.kind, int{KArrival});
+        a.u64(e.seq);
+        a.i64(e.gid);
+        a.i64(e.node);
+        a.f64(e.aux);
+        a.i64(e.local);
+        a.f64(e.latency);
+        a.enum8(e.legOutcome, static_cast<std::uint8_t>(
+                                  engine::RequestOutcome::Cancelled));
+    });
     // Live tracks in gid order with their slots, then the free-slot
-    // stack in order: the slot layout round-trips exactly.
-    std::vector<std::pair<std::int64_t, std::size_t>> live(
-        slotOf_.begin(), slotOf_.end());
-    std::sort(live.begin(), live.end());
-    w.u64(tracks_.size());
-    w.u64(live.size());
-    for (const auto &[gid, slot] : live) {
-        const Track &t = tracks_[slot];
-        w.u64(slot);
-        engine::serialize(w, t.req);
-        w.i64(gid);
-        w.f64(t.absDeadline);
-        for (int s = 0; s < 2; ++s) {
-            w.i64(t.legs[s].node);
-            w.i64(t.legs[s].local);
-            w.u8(t.legs[s].live ? 1 : 0);
-        }
-        w.i64(t.hedgeSlot);
-        w.i64(t.attempts);
-        w.i64(t.pendingTimers);
-        w.u8(t.hedgeScheduled ? 1 : 0);
+    // stack in order: the slot layout round-trips exactly.  Every slot
+    // was opened by a distinct arrival, and each slot is live or free
+    // exactly once.
+    std::uint64_t nslots = tracks_.size();
+    a.u64(nslots);
+    std::vector<bool> used;
+    if constexpr (Ar::kReading) {
+        fatal_if(nslots > streamIssued_, "fleet checkpoint holds ",
+                 nslots, " track slots for ", streamIssued_,
+                 " arrivals");
+        tracks_.assign(static_cast<std::size_t>(nslots), Track{});
+        slotOf_.clear();
+        used.assign(tracks_.size(), false);
     }
-    w.u64(freeSlots_.size());
-    for (const std::size_t slot : freeSlots_)
-        w.u64(slot);
-    w.u64(foldServed_);
-    w.u64(foldTimedOut_);
-    w.u64(foldShed_);
-    w.u64(foldOffloaded_);
-    w.u64(foldDeadlineMet_);
-    w.f64(foldMakespan_);
-    w.f64(firstArrival_);
-    w.u64(foldLat_.size());
-    for (const double lat : foldLat_)
-        w.f64(lat);
+    const auto claim = [&](std::size_t &slot) {
+        if constexpr (Ar::kReading) {
+            fatal_if(slot >= nslots || used[slot], "fleet checkpoint slot ",
+                     slot, " is out of range or claimed twice");
+            used[slot] = true;
+        }
+    };
+    std::vector<std::pair<std::int64_t, std::size_t>> live;
+    if constexpr (!Ar::kReading) {
+        live.assign(slotOf_.begin(), slotOf_.end());
+        std::sort(live.begin(), live.end());
+    }
+    a.seq(live, 139, [&](std::pair<std::int64_t, std::size_t> &p) {
+        a.u64(p.second);
+        claim(p.second);
+        Track &t = tracks_[p.second];
+        engine::io(a, t.req);
+        a.i64(t.gid);
+        a.f64(t.absDeadline);
+        for (Leg &leg : t.legs) {
+            a.i64(leg.node);
+            a.i64(leg.local);
+            a.flag(leg.live);
+        }
+        a.i64(t.hedgeSlot);
+        a.i64(t.attempts);
+        a.i64(t.pendingTimers);
+        a.flag(t.hedgeScheduled);
+        if constexpr (Ar::kReading) {
+            fatal_if(t.gid < 0 ||
+                         static_cast<std::uint64_t>(t.gid) >= streamIssued_,
+                     "fleet checkpoint track ", t.gid,
+                     " was never drawn (cursor ", streamIssued_, ")");
+            fatal_if(!slotOf_.emplace(t.gid, p.second).second,
+                     "fleet checkpoint holds track ", t.gid, " twice");
+        }
+    });
+    a.seq(freeSlots_, 8, [&](std::size_t &slot) {
+        a.u64(slot);
+        claim(slot);
+    });
+    fatal_if(live.size() + freeSlots_.size() != nslots,
+             "fleet checkpoint has ", live.size(), " live and ",
+             freeSlots_.size(), " free track slots of ", nslots);
+    a.u64(foldServed_);
+    a.u64(foldTimedOut_);
+    a.u64(foldShed_);
+    a.u64(foldOffloaded_);
+    a.u64(foldDeadlineMet_);
+    a.f64(foldMakespan_);
+    a.f64(firstArrival_);
+    a.seq(foldLat_, 8, [&](double &lat) { a.f64(lat); });
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        w.u64(liveOnNode_[i].size());
-        for (const std::int64_t gid : liveOnNode_[i])
-            w.i64(gid);
-        w.u64(drained_[i]);
-        w.i64(consecFailures_[i]);
-        w.f64(cooldownUntil_[i]);
-        w.i64(degradeDepth_[i]);
+        std::vector<std::int64_t> legs(liveOnNode_[i].begin(),
+                                       liveOnNode_[i].end());
+        a.seq(legs, 8, [&](std::int64_t &gid) { a.i64(gid); });
+        if constexpr (Ar::kReading)
+            liveOnNode_[i] = {legs.begin(), legs.end()};
+        a.u64(drained_[i]);
+        a.i64(consecFailures_[i]);
+        a.f64(cooldownUntil_[i]);
+        a.i64(degradeDepth_[i]);
     }
     // Lazy sync: the suffix maxima of the sync targets, and where each
     // node's busy period starts among them (touchNode's target).
-    w.u64(syncSeq_);
-    w.u64(syncMax_.size());
-    for (const SyncMark &m : syncMax_) {
-        w.u64(m.seq);
-        w.f64(m.target);
-    }
-    for (const std::uint64_t seq : busySince_)
-        w.u64(seq);
-    w.u64(retries_);
-    w.u64(failovers_);
-    w.u64(hedgesLaunched_);
-    w.u64(hedgeWins_);
-    w.u64(hedgeWaste_);
-    w.u64(cancelledLegs_);
-    w.u64(adaptiveEjections_);
-    w.f64(cloudDollars_);
-    router_->serialize(w);
-    for (const P2Quantile &q : latQ_)
-        q.serialize(w);
-    for (const auto &n : nodes_)
-        n->serialize(w);
-}
-
-void
-FleetSimulator::restoreState(ByteReader &r,
-                             const FleetDurabilityOptions &dur)
-{
-    now_ = r.f64();
-    seq_ = r.u64();
-    eventCount_ = r.u64();
-    streamIssued_ = static_cast<std::size_t>(r.u64());
-    fatal_if(streamIssued_ > streamTotal_, "fleet checkpoint drew ",
-             streamIssued_, " requests from a trace of ", streamTotal_);
-    engine::restore(r, streamPending_);
-    heap_.clear();
-    const std::uint64_t nheap = r.u64();
-    heap_.reserve(nheap);
-    for (std::uint64_t i = 0; i < nheap; ++i) {
-        Event e;
-        e.time = r.f64();
-        e.kind = r.u8();
-        e.seq = r.u64();
-        e.gid = r.i64();
-        e.node = static_cast<int>(r.i64());
-        e.aux = r.f64();
-        e.local = r.i64();
-        e.latency = r.f64();
-        e.legOutcome = r.u8();
-        heap_.push_back(e);
-    }
-    // Every slot was opened by a distinct arrival, and each slot is
-    // live or free exactly once.
-    const std::uint64_t nslots = r.u64();
-    fatal_if(nslots > streamIssued_, "fleet checkpoint holds ", nslots,
-             " track slots for ", streamIssued_, " arrivals");
-    tracks_.assign(static_cast<std::size_t>(nslots), Track{});
-    slotOf_.clear();
-    std::vector<bool> used(tracks_.size(), false);
-    const auto claim = [&](std::uint64_t slot) {
-        fatal_if(slot >= nslots || used[slot], "fleet checkpoint slot ",
-                 slot, " is out of range or claimed twice");
-        used[slot] = true;
-        return static_cast<std::size_t>(slot);
-    };
-    const std::uint64_t nlive = r.u64();
-    for (std::uint64_t k = 0; k < nlive; ++k) {
-        const std::size_t slot = claim(r.u64());
-        Track &t = tracks_[slot];
-        engine::restore(r, t.req);
-        t.gid = r.i64();
-        fatal_if(t.gid < 0 ||
-                     static_cast<std::uint64_t>(t.gid) >= streamIssued_,
-                 "fleet checkpoint track ", t.gid,
-                 " was never drawn (cursor ", streamIssued_, ")");
-        t.absDeadline = r.f64();
-        for (int s = 0; s < 2; ++s) {
-            t.legs[s].node = static_cast<int>(r.i64());
-            t.legs[s].local = r.i64();
-            t.legs[s].live = r.u8() != 0;
-        }
-        t.hedgeSlot = static_cast<int>(r.i64());
-        t.attempts = static_cast<int>(r.i64());
-        t.pendingTimers = static_cast<int>(r.i64());
-        t.hedgeScheduled = r.u8() != 0;
-        fatal_if(!slotOf_.emplace(t.gid, slot).second,
-                 "fleet checkpoint holds track ", t.gid, " twice");
-    }
-    const std::uint64_t nfree = r.u64();
-    fatal_if(nlive + nfree != nslots, "fleet checkpoint has ", nlive,
-             " live and ", nfree, " free track slots of ", nslots);
-    freeSlots_.resize(static_cast<std::size_t>(nfree));
-    for (std::size_t &slot : freeSlots_)
-        slot = claim(r.u64());
-    foldServed_ = static_cast<std::size_t>(r.u64());
-    foldTimedOut_ = static_cast<std::size_t>(r.u64());
-    foldShed_ = static_cast<std::size_t>(r.u64());
-    foldOffloaded_ = static_cast<std::size_t>(r.u64());
-    foldDeadlineMet_ = static_cast<std::size_t>(r.u64());
-    foldMakespan_ = r.f64();
-    firstArrival_ = r.f64();
-    foldLat_.resize(static_cast<std::size_t>(r.u64()));
-    for (double &lat : foldLat_)
-        lat = r.f64();
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        liveOnNode_[i].clear();
-        const std::uint64_t nlegs = r.u64();
-        for (std::uint64_t k = 0; k < nlegs; ++k)
-            liveOnNode_[i].insert(r.i64());
-        drained_[i] = static_cast<std::size_t>(r.u64());
-        consecFailures_[i] = static_cast<int>(r.i64());
-        cooldownUntil_[i] = r.f64();
-        degradeDepth_[i] = static_cast<int>(r.i64());
-    }
-    syncSeq_ = r.u64();
-    syncMax_.resize(static_cast<std::size_t>(r.u64()));
-    for (SyncMark &m : syncMax_) {
-        m.seq = r.u64();
-        m.target = r.f64();
+    a.u64(syncSeq_);
+    a.seq(syncMax_, 16, [&](SyncMark &m) {
+        a.u64(m.seq);
+        a.f64(m.target);
         fatal_if(m.seq >= syncSeq_, "fleet checkpoint sync mark ", m.seq,
                  " is past the sync count ", syncSeq_);
-    }
+    });
     for (std::uint64_t &seq : busySince_)
-        seq = r.u64();
-    retries_ = static_cast<std::size_t>(r.u64());
-    failovers_ = static_cast<std::size_t>(r.u64());
-    hedgesLaunched_ = static_cast<std::size_t>(r.u64());
-    hedgeWins_ = static_cast<std::size_t>(r.u64());
-    hedgeWaste_ = static_cast<std::size_t>(r.u64());
-    cancelledLegs_ = static_cast<std::size_t>(r.u64());
-    adaptiveEjections_ = static_cast<std::size_t>(r.u64());
-    cloudDollars_ = r.f64();
-    router_->restore(r);
+        a.u64(seq);
+    a.u64(retries_);
+    a.u64(failovers_);
+    a.u64(hedgesLaunched_);
+    a.u64(hedgeWins_);
+    a.u64(hedgeWaste_);
+    a.u64(cancelledLegs_);
+    a.u64(adaptiveEjections_);
+    a.f64(cloudDollars_);
+    router_->io(a);
     for (P2Quantile &q : latQ_)
-        q.restore(r);
+        q.io(a);
     for (auto &n : nodes_)
-        n->restore(r, eventCount_, dur.verifyTail);
-    lastCkptEvent_ = eventCount_;
-    // The stop index, median set and router views are derived state:
-    // rebuild the first from the restored nodes, the second from the
-    // restored quantiles, invalidate the last.
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        refreshNode(i);
-    medianSet_ = medianSetBrute();
-    viewsDirty_ = true;
+        n->io(a);
+    if constexpr (Ar::kReading) {
+        lastCkptEvent_ = eventCount_;
+        // The stop index, median set and router views are derived
+        // state: rebuild the first from the restored nodes, the second
+        // from the restored quantiles, invalidate the last.
+        for (std::size_t i = 0; i < nodes_.size(); ++i)
+            refreshNode(i);
+        medianSet_ = medianSetBrute();
+        viewsDirty_ = true;
+    }
 }
 
 FleetReport

@@ -412,8 +412,11 @@ class FleetSimulator
         const;
     void writeCheckpoint(const FleetDurabilityOptions &dur,
                          std::uint64_t fingerprint);
-    void serializeState(ByteWriter &w) const;
-    void restoreState(ByteReader &r, const FleetDurabilityOptions &dur);
+    /** Checkpoint field list of the whole fleet state; a read checks
+     *  every count, slot and mark, then rebuilds the derived indexes
+     *  (the nodes' journals stay closed: see FleetNode::io). */
+    template <class Ar>
+    void io(Ar &a);
 
     void onOutcome(const Event &e);
     void onCloudDone(const Event &e);

@@ -102,7 +102,7 @@ FleetNode::openJournal()
     // Fleet journals are full WALs: per-node crash artifacts that
     // `edgereason replay` re-derives reports from, and — under fleet
     // checkpointing — resumed with byte-for-byte tail verification
-    // (restore() reopens them via Journal::resumeAt).
+    // (resumeJournal() reopens them via Journal::resumeAt).
     journal_ =
         engine::Journal::createFresh(journalPath(), journalFingerprint());
     journal_.emitRunBegin(0, cfg_.scheduler, 0.0);
@@ -348,97 +348,71 @@ FleetNode::totals() const
     return t;
 }
 
+template <class Ar>
 void
-FleetNode::serialize(ByteWriter &w) const
+FleetNode::io(Ar &a)
 {
-    w.u8(up_ ? 1 : 0);
-    w.u64(incarnation_);
-    w.i64(submitted_);
-    std::vector<std::pair<std::int64_t, std::int64_t>> locals(
-        gidOfLocal_.begin(), gidOfLocal_.end());
-    std::sort(locals.begin(), locals.end());
-    w.u64(locals.size());
-    for (const auto &[local, gid] : locals) {
-        w.i64(local);
-        w.i64(gid);
+    a.flag(up_);
+    a.u64(incarnation_);
+    a.i64(submitted_);
+    // The local->gid map is a hash map: it goes out sorted by local.
+    std::vector<std::pair<std::int64_t, std::int64_t>> locals;
+    if constexpr (!Ar::kReading) {
+        locals.assign(gidOfLocal_.begin(), gidOfLocal_.end());
+        std::sort(locals.begin(), locals.end());
     }
-    w.u64(pending_.size());
-    for (const Pending &p : pending_) {
-        engine::serialize(w, p.req);
-        w.i64(p.local);
+    a.seq(locals, 16, [&](std::pair<std::int64_t, std::int64_t> &p) {
+        a.i64(p.first);
+        a.i64(p.second);
+    });
+    a.seq(pending_, engine::kServerRequestMinBytes + 8, [&](Pending &p) {
+        engine::io(a, p.req);
+        a.i64(p.local);
+    });
+    a.f64(life_.energy);
+    a.f64(life_.busy);
+    a.f64(life_.generatedTokens);
+    a.u64(life_.crashes);
+    a.u64(servedBase_);
+    a.u64(releasedCounts_.served);
+    a.u64(releasedCounts_.timedOut);
+    a.u64(releasedCounts_.cancelled);
+    a.seq(served_, engine::kServedRequestMinBytes,
+          [&](engine::ServedRequest &rec) { engine::io(a, rec); });
+    if constexpr (Ar::kReading) {
+        gidOfLocal_.clear();
+        gidOfLocal_.insert(locals.begin(), locals.end());
+        // A node down at checkpoint time has no executor and no
+        // journal; a later reboot starts the next incarnation fresh,
+        // its journal recreated and deterministically re-emitted.
+        journal_ = engine::Journal();
+        st_ = engine::ServingState();
+        exec_.reset();
+        if (up_) {
+            scheduler_->verifyMatches(a);
+            exec_ = std::make_unique<engine::BatchExecutor>(
+                engine_, nullptr, cfg_, faults_, served_);
+        }
+    } else if (up_) {
+        scheduler_->serialize(a);
     }
-    w.f64(life_.energy);
-    w.f64(life_.busy);
-    w.f64(life_.generatedTokens);
-    w.u64(life_.crashes);
-    w.u64(servedBase_);
-    w.u64(releasedCounts_.served);
-    w.u64(releasedCounts_.timedOut);
-    w.u64(releasedCounts_.cancelled);
-    w.u64(served_.size());
-    for (const auto &rec : served_)
-        engine::serialize(w, rec);
     if (up_) {
-        scheduler_->serialize(w);
-        st_.serialize(w);
-        exec_->serialize(w);
+        st_.io(a);
+        exec_->io(a);
     }
 }
 
+template void FleetNode::io(ByteWriter &);
+template void FleetNode::io(ByteReader &);
+
 void
-FleetNode::restore(ByteReader &r, std::uint64_t event_mark,
-                   bool verify_tail)
+FleetNode::resumeJournal(std::uint64_t event_mark, bool verify_tail)
 {
-    up_ = r.u8() != 0;
-    incarnation_ = r.u64();
-    submitted_ = r.i64();
-    gidOfLocal_.clear();
-    const std::uint64_t nlocals = r.u64();
-    for (std::uint64_t i = 0; i < nlocals; ++i) {
-        const std::int64_t local = r.i64();
-        gidOfLocal_.emplace(local, r.i64());
-    }
-    pending_.clear();
-    const std::uint64_t npending = r.u64();
-    for (std::uint64_t i = 0; i < npending; ++i) {
-        Pending p;
-        engine::restore(r, p.req);
-        p.local = r.i64();
-        pending_.push_back(std::move(p));
-    }
-    life_.energy = r.f64();
-    life_.busy = r.f64();
-    life_.generatedTokens = r.f64();
-    life_.crashes = r.u64();
-    servedBase_ = static_cast<std::size_t>(r.u64());
-    releasedCounts_.served = static_cast<std::size_t>(r.u64());
-    releasedCounts_.timedOut = static_cast<std::size_t>(r.u64());
-    releasedCounts_.cancelled = static_cast<std::size_t>(r.u64());
-    served_.clear();
-    served_.resize(r.u64());
-    for (auto &rec : served_)
-        engine::restore(r, rec);
-    if (up_) {
-        scheduler_->verifyMatches(r);
-        st_ = engine::ServingState();
-        st_.restore(r);
-        exec_ = std::make_unique<engine::BatchExecutor>(
-            engine_, nullptr, cfg_, faults_, served_);
-        exec_->restore(r);
-        if (!journalDir_.empty()) {
-            journal_ = engine::Journal::resumeAt(
-                journalPath(), journalFingerprint(), event_mark,
-                verify_tail);
-            exec_->setJournal(&journal_);
-        }
-    } else {
-        // Down at checkpoint time: no executor, no journal.  A later
-        // reboot starts the next incarnation fresh; its journal file
-        // is recreated and deterministically re-emitted.
-        journal_ = engine::Journal();
-        exec_.reset();
-        st_ = engine::ServingState();
-    }
+    if (!up_ || journalDir_.empty())
+        return;
+    journal_ = engine::Journal::resumeAt(
+        journalPath(), journalFingerprint(), event_mark, verify_tail);
+    exec_->setJournal(&journal_);
 }
 
 Seconds

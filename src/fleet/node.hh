@@ -109,7 +109,7 @@ class FleetNode : private engine::ArrivalSource
      * Open the first incarnation's journal (no-op without a journal
      * directory).  Called by the fleet driver on a *fresh* run only —
      * a resuming driver instead reopens the pre-crash journal via
-     * restore(), and opening it here first would truncate it.
+     * resumeJournal(), and opening it here first would truncate it.
      */
     void beginJournal();
 
@@ -285,26 +285,27 @@ class FleetNode : private engine::ArrivalSource
                         int in_flight, const engine::ServerRequest &r);
 
     /**
-     * Serialize the node's complete mutable state into a fleet
-     * checkpoint: liveness, incarnation, submission bookkeeping (the
-     * local->gid map in local order), pending arrivals, lifetime
-     * totals, the compaction base and released tallies, resident
-     * records, and — for a live node — the full serving stack
-     * (scheduler identity, scheduling state, executor incl. thermal
-     * and KV state).
+     * Fleet checkpoint field list of the node's complete mutable state:
+     * liveness, incarnation, submission bookkeeping (the local->gid
+     * map in local order), pending arrivals, lifetime totals, the
+     * compaction base and released tallies, resident records, and —
+     * for a live node — the full serving stack (scheduler identity,
+     * scheduling state, executor incl. thermal and KV state).  Reading
+     * targets a freshly constructed node and leaves its journal
+     * closed: resumeJournal() reopens it once the whole checkpoint has
+     * been read and checked.
      */
-    void serialize(ByteWriter &w) const;
+    template <class Ar>
+    void io(Ar &a);
 
     /**
-     * Restore serialize() output into a freshly constructed node.
-     * When a journal directory is configured and the node is up, the
-     * current incarnation's journal is reopened with
+     * After a restore: when a journal directory is configured and the
+     * node is up, reopen the current incarnation's journal with
      * Journal::resumeAt at the fleet checkpoint mark @p event_mark —
      * the pre-crash tail is truncated and (with @p verify_tail)
      * byte-compared against the resumed run's re-emitted records.
      */
-    void restore(ByteReader &r, std::uint64_t event_mark,
-                 bool verify_tail);
+    void resumeJournal(std::uint64_t event_mark, bool verify_tail);
 
     /** Emit a CheckpointMark record covering fleet event
      *  @p event into this incarnation's journal (no-op when

@@ -309,11 +309,7 @@ class RoundRobinRouter final : public Router
                              : RouteDecision::reject();
     }
 
-    void serialize(ByteWriter &w) const override { w.i64(cursor_); }
-    void restore(ByteReader &r) override
-    {
-        cursor_ = static_cast<int>(r.i64());
-    }
+    int *cursor() override { return &cursor_; }
 
   private:
     int cursor_ = 0;

@@ -165,16 +165,21 @@ class Router
                                 int exclude) = 0;
 
     /**
-     * Checkpoint the router's mutable decision state.  Only the
-     * round-robin policy carries any (its rotating cursor); the other
-     * built-in policies are pure functions of the visible fleet state,
-     * so the defaults are no-ops.  Fleet checkpoint/restore calls
-     * these so a resumed run routes bit-identically.
+     * Checkpoint field list of the router's mutable decision state:
+     * the cursor() when the policy has one.  Only round-robin does
+     * (its rotation); the other built-in policies are pure functions
+     * of the visible fleet state.  The fleet checkpoint carries it so
+     * a resumed run routes bit-identically (same policy guaranteed by
+     * the fleet fingerprint).
      */
-    virtual void serialize(ByteWriter &w) const { (void)w; }
-    /** Restore serialize() output (same policy guaranteed by the
-     *  fleet fingerprint). */
-    virtual void restore(ByteReader &r) { (void)r; }
+    template <class Ar>
+    void io(Ar &a)
+    {
+        if (int *c = cursor())
+            a.i64(*c);
+    }
+    /** @return the rotating cursor, or null for stateless policies. */
+    virtual int *cursor() { return nullptr; }
 
     /**
      * Re-file @p node under its current load after its backlog() or

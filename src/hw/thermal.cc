@@ -201,28 +201,21 @@ ThermalSimulator::sustainedSpeedFactor(Watts maxn_power,
     return speed_time / duration;
 }
 
+template <class Ar>
 void
-ThermalSimulator::serialize(ByteWriter &w) const
+ThermalSimulator::io(Ar &a)
 {
-    w.f64(temp_);
-    w.u8(static_cast<std::uint8_t>(mode_));
-    // trajectory_ intentionally omitted: samples are observability-only
-    // and never feed back into temperature or governance.
+    a.f64(temp_);
+    a.enum8(mode_, PowerMode::MaxN);
+    if constexpr (Ar::kReading) {
+        fatal_if(!std::isfinite(temp_),
+                 "thermal restore: non-finite temperature");
+        trajectory_.clear();
+    }
 }
 
-void
-ThermalSimulator::restore(ByteReader &r)
-{
-    const double temp = r.f64();
-    const std::uint8_t mode = r.u8();
-    fatal_if(!std::isfinite(temp),
-             "thermal restore: non-finite temperature");
-    fatal_if(mode > static_cast<std::uint8_t>(PowerMode::MaxN),
-             "thermal restore: invalid power mode ", int(mode));
-    temp_ = temp;
-    mode_ = static_cast<PowerMode>(mode);
-    trajectory_.clear();
-}
+template void ThermalSimulator::io(ByteWriter &);
+template void ThermalSimulator::io(ByteReader &);
 
 } // namespace hw
 } // namespace edgereason

@@ -143,13 +143,13 @@ class ThermalSimulator
                                 Seconds dt = 1.0);
 
     /**
-     * Serialize the governed state (temperature + power mode).  The
+     * Checkpoint field list of the governed state (temperature + power
+     * mode); reading fatal()s on a non-finite temperature.  The
      * trajectory is observability-only — it never feeds back into the
-     * model — so checkpoints omit it and restore() clears it.
+     * model — so checkpoints omit it and a read clears it.
      */
-    void serialize(ByteWriter &w) const;
-    /** Restore a state written by serialize(); fatal() on corruption. */
-    void restore(ByteReader &r);
+    template <class Ar>
+    void io(Ar &a);
 
   private:
     PowerMode stepDown(PowerMode m) const;

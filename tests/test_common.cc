@@ -168,10 +168,10 @@ TEST(P2Quantile, SerializeRestoreResumesBitExactly)
         a.add(rng.logNormalMeanStd(5.0, 3.0));
 
     er::ByteWriter w;
-    a.serialize(w);
+    a.io(w);
     er::ByteReader r(w.bytes());
-    er::P2Quantile b(0.5); // overwritten wholesale by restore()
-    b.restore(r);
+    er::P2Quantile b(0.5); // overwritten wholesale by the read
+    b.io(r);
     EXPECT_TRUE(r.atEnd());
     EXPECT_EQ(b.count(), a.count());
     EXPECT_DOUBLE_EQ(b.quantile(), a.quantile());

@@ -915,10 +915,10 @@ TEST(RouteMemo, RoundRobinMatchesFilteredCursorReference)
     ++gen;
     expect_pick(-1);
     er::ByteWriter w;
-    rr->serialize(w);
+    rr->io(w);
     auto restored = makeRouter(RouterPolicy::RoundRobin);
     er::ByteReader r(w.bytes());
-    restored->restore(r);
+    restored->io(r);
     for (int d = 0; d < 2 * kNodes; ++d) {
         const auto want = rr->route(ServerRequest{}, 0.0, 0.0, views, gen,
                                     cloud, d % 4 == 0 ? d % kNodes : -1);

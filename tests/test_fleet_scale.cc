@@ -629,7 +629,7 @@ retiredRecords(const std::filesystem::path &path)
             continue;
         er::ByteReader r(rec.payload);
         er::engine::ServedRequest s;
-        er::engine::restore(r, s);
+        er::engine::io(r, s);
         out.push_back(s);
     }
     return out;
@@ -645,7 +645,7 @@ runEndAccumulators(const std::filesystem::path &path)
               er::engine::JournalRecordType::RunEnd);
     er::ByteReader r(contents.records.back().payload);
     er::engine::ExecAccumulators acc;
-    er::engine::restore(r, acc);
+    er::engine::io(r, acc);
     return acc;
 }
 

@@ -324,7 +324,7 @@ decodeStepRecords(const std::string &path)
         const std::uint8_t kind = r.u8();
         const std::uint32_t count = r.u32();
         ExecAccumulators acc;
-        restore(r, acc);
+        io(r, acc);
         if (kind == 1)
             out.emplace_back(count, acc.generatedTokens);
     }

@@ -403,7 +403,7 @@ struct WireNode
     double rebuildSeconds = 0.0;
 };
 
-/** Block refcounts and index nodes, decoded from serialize(). */
+/** Block refcounts and index nodes, decoded from the cache's io() bytes. */
 struct WireIndex
 {
     double blockBytes = 0.0;
@@ -415,7 +415,7 @@ WireIndex
 decodeIndex(const KvCache &c)
 {
     er::ByteWriter w;
-    c.serialize(w);
+    er::put(w, c);
     er::ByteReader r(w.bytes());
     WireIndex x;
     r.i64(); // block tokens
@@ -626,7 +626,7 @@ TEST(PrefixEvict, RestoredCacheEvictsLikeUninterruptedOne)
         for (int round = 0; round < 200; ++round)
             first.step(a);
         er::ByteWriter w;
-        a.serialize(w);
+        er::put(w, a);
 
         // Continue the same churn on the original and on a cache
         // restored from its checkpoint (node ids are reassigned on
@@ -636,7 +636,7 @@ TEST(PrefixEvict, RestoredCacheEvictsLikeUninterruptedOne)
         first.evicted.clear();
         auto b = prefixCache(24, policy);
         er::ByteReader r(w.bytes());
-        b.restore(r);
+        b.io(r);
         b.auditConservation();
         for (int round = 0; round < 200; ++round) {
             first.step(a);
@@ -645,8 +645,8 @@ TEST(PrefixEvict, RestoredCacheEvictsLikeUninterruptedOne)
         EXPECT_GT(first.evicted.size(), 20u);
         EXPECT_EQ(resumed.evicted, first.evicted);
         er::ByteWriter wa, wb;
-        a.serialize(wa);
-        b.serialize(wb);
+        er::put(wa, a);
+        er::put(wb, b);
         EXPECT_EQ(wa.bytes(), wb.bytes());
     }
 }
@@ -730,11 +730,11 @@ TEST(PrefixSerialize, RoundTripIsCanonical)
     ASSERT_TRUE(c.append(s, 10));
 
     er::ByteWriter w;
-    c.serialize(w);
+    er::put(w, c);
 
     auto c2 = prefixCache(16);
     er::ByteReader r(w.bytes());
-    c2.restore(r);
+    c2.io(r);
     c2.auditConservation();
     EXPECT_EQ(c2.indexedBlocks(), c.indexedBlocks());
     EXPECT_EQ(c2.blocksInUse(), c.blocksInUse());
@@ -744,7 +744,7 @@ TEST(PrefixSerialize, RoundTripIsCanonical)
 
     // Canonical: re-serializing the restored cache is bit-identical.
     er::ByteWriter w2;
-    c2.serialize(w2);
+    er::put(w2, c2);
     EXPECT_EQ(w.bytes(), w2.bytes());
 }
 
@@ -753,10 +753,10 @@ TEST(PrefixSerialize, GeometryMismatchIsFatal)
     auto c = prefixCache(16);
     seedPrefix(c, testHashes(2, "a"), 32);
     er::ByteWriter w;
-    c.serialize(w);
+    er::put(w, c);
     auto small = prefixCache(8); // different block capacity
     er::ByteReader r(w.bytes());
-    EXPECT_THROW(small.restore(r), std::runtime_error);
+    EXPECT_THROW(small.io(r), std::runtime_error);
 }
 
 TEST(PrefixSerialize, EvictPolicyMismatchIsFatal)
@@ -764,10 +764,10 @@ TEST(PrefixSerialize, EvictPolicyMismatchIsFatal)
     auto c = prefixCache(16, PrefixEvictPolicy::Lru);
     seedPrefix(c, testHashes(2, "a"), 32);
     er::ByteWriter w;
-    c.serialize(w);
+    er::put(w, c);
     auto other = prefixCache(16, PrefixEvictPolicy::Cost);
     er::ByteReader r(w.bytes());
-    EXPECT_THROW(other.restore(r), std::runtime_error);
+    EXPECT_THROW(other.io(r), std::runtime_error);
 }
 
 TEST(PrefixSerialize, MissingPrefixSectionIsFatal)
@@ -781,10 +781,10 @@ TEST(PrefixSerialize, MissingPrefixSectionIsFatal)
     const SeqId s = plain.createSequence();
     ASSERT_TRUE(plain.append(s, 32));
     er::ByteWriter w;
-    plain.serialize(w);
+    er::put(w, plain);
     auto pc = prefixCache(16);
     er::ByteReader r(w.bytes());
-    EXPECT_THROW(pc.restore(r), std::runtime_error);
+    EXPECT_THROW(pc.io(r), std::runtime_error);
 }
 
 // --- Session workload generator ---------------------------------------
