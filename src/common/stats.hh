@@ -56,7 +56,7 @@ class RunningStats
  * O(1) space with five markers, no sample buffer.  The fleet's
  * adaptive health breaker keeps one per node for the completion-
  * latency p95, so the estimator state checkpoints with the fleet —
- * serialize()/restore() round-trip every marker bit-exactly, which is
+ * its io() field list round-trips every marker bit-exactly, which is
  * what keeps crash-resumed adaptive runs bit-identical.
  *
  * The first five samples are held verbatim (value() then computes the

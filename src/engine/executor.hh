@@ -65,8 +65,9 @@ class Journal;
  *    exactly the legacy allow_multi disqualification scan.
  *
  * All three are derived state: maintained by the mutators below,
- * rebuilt from the containers on restore(), never serialized, and
- * cross-checked against brute-force rebuilds by the auditor.
+ * rebuilt from the containers after a checkpoint read, never
+ * serialized, and cross-checked against brute-force rebuilds by the
+ * auditor.
  */
 struct ServingState
 {

@@ -19,18 +19,24 @@ namespace engine {
 namespace {
 
 /**
- * Field list of a single-node checkpoint payload after its step and
- * scheduler identity (Scheduler::serialize, checked on a read by
- * verifyMatches): scheduling state, served records, the arrival
- * cursor, the executor and, when flagged, the RNG bank's streams.  A
- * read into a null @p bank skips the streams.
+ * Field list of a single-node checkpoint payload: the step, the
+ * scheduler identity (a read checks it with verifyMatches), scheduling
+ * state, served records, the arrival cursor, the executor and, when
+ * flagged, the RNG bank's streams.  A read into a null @p bank skips
+ * the streams.
  */
 template <class Ar>
 void
-checkpointIo(Ar &a, ServingState &st, std::vector<ServedRequest> &served,
+checkpointIo(Ar &a, std::uint64_t &step, const Scheduler &scheduler,
+             ServingState &st, std::vector<ServedRequest> &served,
              std::size_t &next_arrival, BatchExecutor &exec,
              RngBank *bank)
 {
+    a.u64(step);
+    if constexpr (Ar::kReading)
+        scheduler.verifyMatches(a);
+    else
+        scheduler.serialize(a);
     st.io(a);
     a.seq(served, kServedRequestMinBytes,
           [&](ServedRequest &s) { io(a, s); });
@@ -334,12 +340,11 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
         const std::string payload =
             loadCheckpointFile(ckPath, fingerprint);
         ByteReader r(payload);
-        step = r.u64();
+        checkpointIo(r, step, *scheduler_, st, served_, arrivals.next,
+                     exec, dur.rngBank);
         fatal_if(step != ckStep, "checkpoint ", ckPath,
                  " is named for step ", ckStep,
                  " but its payload records step ", step);
-        scheduler_->verifyMatches(r);
-        checkpointIo(r, st, served_, arrivals.next, exec, dur.rngBank);
         fatal_if(arrivals.next > trace.size(),
                  "checkpoint arrival cursor ", arrivals.next,
                  " exceeds trace size ", trace.size());
@@ -396,10 +401,8 @@ ServingSimulator::run(const std::vector<ServerRequest> &trace,
             !(resumed && step == restoredStep);
         if (ckptDue) {
             ByteWriter w;
-            w.u64(step);
-            scheduler_->serialize(w);
-            checkpointIo(w, st, served_, arrivals.next, exec,
-                         dur.rngBank);
+            checkpointIo(w, step, *scheduler_, st, served_,
+                         arrivals.next, exec, dur.rngBank);
             writeCheckpointFile(
                 checkpointPath(dur.checkpointDir, step), fingerprint,
                 w);

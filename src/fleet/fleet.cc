@@ -1157,7 +1157,7 @@ FleetSimulator::io(Ar &a)
         slotOf_.clear();
         used.assign(tracks_.size(), false);
     }
-    const auto claim = [&](std::size_t &slot) {
+    const auto claim = [&](std::size_t slot) {
         if constexpr (Ar::kReading) {
             fatal_if(slot >= nslots || used[slot], "fleet checkpoint slot ",
                      slot, " is out of range or claimed twice");

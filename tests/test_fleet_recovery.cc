@@ -25,8 +25,10 @@
 #include "common/binio.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
+#include "engine/checkpoint.hh"
 #include "engine/server.hh"
 #include "fleet/fleet.hh"
+#include "fleet/node.hh"
 #include "fleet/node_faults.hh"
 #include "hw/gpu_spec.hh"
 #include "model/model_id.hh"
@@ -237,6 +239,38 @@ hashFiles(const std::filesystem::path &dir)
     return h;
 }
 
+/** A checkpoint file's run fingerprint and payload. */
+struct CheckpointParts
+{
+    std::uint64_t fingerprint = 0;
+    std::string payload;
+};
+
+CheckpointParts
+readCheckpoint(const std::filesystem::path &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    const std::string file = buf.str();
+    // Header: magic (8), version (4), fingerprint (8), length (8);
+    // the checksum (8) trails the payload.
+    return {er::ByteReader(std::string_view(file).substr(12, 8)).u64(),
+            file.substr(28, file.size() - 36)};
+}
+
+/** Rewrap @p payload in a valid container (length, checksum) at
+ *  @p path, so a resume reaches the payload reader. */
+void
+writeCheckpoint(const std::filesystem::path &path, std::uint64_t fp,
+                std::string_view payload)
+{
+    er::ByteWriter w;
+    for (const char c : payload)
+        w.u8(static_cast<std::uint8_t>(c));
+    er::engine::writeCheckpointFile(path.string(), fp, w);
+}
+
 TEST(FleetRecovery, CheckpointBytesAreDeterministic)
 {
     // Live tracks and each node's local->gid map are hash maps; the
@@ -418,6 +452,178 @@ TEST(FleetRecovery, ResumesWithHedgedLegsAndTrippedBreaker)
         EXPECT_EQ(hashFiles(dir / "ckpt"), kCkptHash);
         EXPECT_EQ(hashFiles(dir / "journals"), kJournalHash);
     }
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
+}
+
+// --- Reader-side checks and all-or-nothing resume ---------------------
+
+TEST(FleetRecovery, WireCountsAndEventKindsAreChecked)
+{
+    // A corrupt count fails as a fatal() naming its offset before any
+    // allocation, never as a std::length_error or std::bad_alloc: the
+    // node's served records, and the fleet's event heap (its fold
+    // latencies and sync marks share the same reader call).  So does
+    // an event kind byte past the last kind, which the run would
+    // otherwise only meet as a panic.
+    er::engine::ServerConfig cfg;
+    FleetNode node(0, NodeSpec{}, cfg, er::engine::FaultPlan());
+    er::ByteWriter w;
+    er::put(w, node);
+    std::string wire = w.bytes();
+    // Liveness, incarnation, submissions, two empty counts, lifetime
+    // totals, the compaction base and released tallies come first.
+    er::ByteWriter count;
+    count.u64(1ull << 27);
+    wire.replace(97, 8, count.bytes());
+    FleetNode fresh(0, NodeSpec{}, cfg, er::engine::FaultPlan());
+    er::ByteReader r(wire);
+    try {
+        fresh.io(r);
+        ADD_FAILURE() << "a 2^27 served count was accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("count 134217728 at offset 97"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    std::filesystem::remove_all(kArtifacts);
+    const auto trace = recoveryTrace();
+    const FleetConfig fc = recoveryConfig(RouterPolicy::LeastLoaded);
+    FleetDurabilityOptions dur;
+    dur.checkpointDir = (kArtifacts / "ckpt").string();
+    dur.checkpointEvery = 20;
+    dur.crashAtEvent = 50;
+    {
+        FleetSimulator sim(fc);
+        EXPECT_THROW(sim.run(trace, dur), FleetSimulatedCrash);
+    }
+    const auto path = er::engine::listCheckpoints(dur.checkpointDir)
+                          .back()
+                          .second;
+    const CheckpointParts ck = readCheckpoint(path);
+    // Clock, sequence, event count, draw cursor and the pending
+    // request (48 bytes of fields, an empty hash list) precede the
+    // heap count; the first event's kind follows its time.
+    ASSERT_EQ(er::ByteReader(std::string_view(ck.payload).substr(80, 8)).u64(),
+              0u);
+    FleetDurabilityOptions res;
+    res.checkpointDir = dur.checkpointDir;
+    res.resume = true;
+    const auto expect_refused = [&](std::string payload, const char *msg) {
+        writeCheckpoint(path, ck.fingerprint, payload);
+        FleetSimulator sim(fc);
+        try {
+            sim.run(trace, res);
+            ADD_FAILURE() << "resume accepted: " << msg;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(msg), std::string::npos)
+                << e.what();
+        }
+    };
+    std::string heap = ck.payload;
+    heap.replace(88, 8, count.bytes());
+    expect_refused(heap, "count 134217728 at offset 88");
+    std::string kind = ck.payload;
+    kind[104] = 9;
+    expect_refused(kind, "enum byte 9 at offset 104");
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
+}
+
+TEST(FleetRecovery, RefusedResumeLeavesJournalsUntouched)
+{
+    // DESIGN.md §9: resume is all or nothing.  A checkpoint refused
+    // after every node has been read — trailing bytes, or saved under
+    // the wrong event name — must not have cut any node's journal
+    // tail; the intact checkpoint then still resumes.
+    std::filesystem::remove_all(kArtifacts);
+    const auto trace = recoveryTrace();
+    FleetConfig fc = recoveryConfig(RouterPolicy::LeastLoaded);
+    fc.journalDir = (kArtifacts / "journals").string();
+    FleetDurabilityOptions dur;
+    dur.checkpointDir = (kArtifacts / "ckpt").string();
+    dur.checkpointEvery = 20;
+    dur.crashAtEvent = 50;
+    {
+        FleetSimulator sim(fc);
+        EXPECT_THROW(sim.run(trace, dur), FleetSimulatedCrash);
+    }
+    const auto journals = readFiles(kArtifacts / "journals");
+    const auto [event, path] =
+        er::engine::listCheckpoints(dur.checkpointDir).back();
+    const CheckpointParts ck = readCheckpoint(path);
+    FleetDurabilityOptions res;
+    res.checkpointDir = dur.checkpointDir;
+    res.resume = true;
+    const auto expect_refused = [&](const char *msg) {
+        FleetSimulator sim(fc);
+        try {
+            sim.run(trace, res);
+            ADD_FAILURE() << "resume accepted: " << msg;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(msg), std::string::npos)
+                << e.what();
+        }
+        const auto now = readFiles(kArtifacts / "journals");
+        EXPECT_TRUE(now == journals) << "journals changed: " << msg;
+    };
+    writeCheckpoint(path, ck.fingerprint, ck.payload + '\0');
+    expect_refused("trailing byte");
+    writeCheckpoint(path, ck.fingerprint, ck.payload);
+    const auto misnamed =
+        er::engine::checkpointPath(dur.checkpointDir, event + 1);
+    std::filesystem::rename(path, misnamed);
+    expect_refused("is named for event");
+    std::filesystem::rename(misnamed, path);
+    FleetSimulator sim(fc);
+    EXPECT_NO_THROW(sim.run(trace, res));
+    if (!::testing::Test::HasFailure())
+        std::filesystem::remove_all(kArtifacts);
+}
+
+TEST(FleetRecovery, TruncatedCheckpointPayloadsFailWithAnOffset)
+{
+    // A small real fleet checkpoint — live tracks with hedged legs,
+    // free slots, fold latencies, a pending heap, breaker state and
+    // three serving nodes — cut at every payload offset and rewrapped
+    // in a valid container.  Each resume must end in a fatal()
+    // (std::runtime_error) naming an offset, never in a logic_error,
+    // length_error, bad_alloc or a sanitizer report.
+    std::filesystem::remove_all(kArtifacts);
+    const auto trace = recoveryTrace();
+    const FleetConfig fc = recoveryConfig(RouterPolicy::DeadlineAware);
+    FleetDurabilityOptions dur;
+    dur.checkpointDir = (kArtifacts / "ckpt").string();
+    dur.checkpointEvery = 20;
+    dur.crashAtEvent = 50;
+    {
+        FleetSimulator sim(fc);
+        EXPECT_THROW(sim.run(trace, dur), FleetSimulatedCrash);
+    }
+    const auto path = er::engine::listCheckpoints(dur.checkpointDir)
+                          .back()
+                          .second;
+    const CheckpointParts ck = readCheckpoint(path);
+    FleetDurabilityOptions res;
+    res.checkpointDir = dur.checkpointDir;
+    res.resume = true;
+    std::size_t fatals = 0;
+    for (std::size_t cut = 0; cut < ck.payload.size(); ++cut) {
+        writeCheckpoint(path, ck.fingerprint,
+                        std::string_view(ck.payload).substr(0, cut));
+        FleetSimulator sim(fc);
+        try {
+            sim.run(trace, res);
+            ADD_FAILURE() << "cut at " << cut << " resumed";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("offset"), std::string::npos)
+                << "cut at " << cut << ": " << msg;
+            ++fatals;
+        }
+    }
+    EXPECT_EQ(fatals, ck.payload.size());
     if (!::testing::Test::HasFailure())
         std::filesystem::remove_all(kArtifacts);
 }

@@ -19,6 +19,8 @@
 #include "common/binio.hh"
 #include "engine/checkpoint.hh"
 #include "engine/journal.hh"
+#include "engine/kv_cache.hh"
+#include "model/zoo.hh"
 
 namespace er = edgereason;
 using namespace er::engine;
@@ -148,11 +150,92 @@ TEST(BinIo, TrailingBytesAreAnError)
                           {"unit", "trailing"});
 }
 
+TEST(BinIo, CountsAreBoundedByTheBytesLeft)
+{
+    er::ByteWriter w;
+    w.u64(3);
+    w.u64(0);
+    er::ByteReader ok(w.bytes());
+    EXPECT_EQ(ok.count(2), 3u); // 8 bytes left hold three 2-byte items
+    er::ByteReader r(w.bytes());
+    expectFatalContaining([&] { r.count(4); },
+                          {"count 3 at offset 0", "8 remain"});
+}
+
+TEST(BinIo, EnumAndFlagBytesAreRangeChecked)
+{
+    er::ByteWriter w;
+    w.u8(1);
+    w.u8(2);
+    w.u8(3);
+    w.u8(4);
+    er::ByteReader r(w.bytes());
+    bool b = false;
+    r.flag(b);
+    EXPECT_TRUE(b);
+    expectFatalContaining([&] { r.flag(b); }, {"flag byte 2 at offset 1"});
+    RequestOutcome o = RequestOutcome::Completed;
+    r.enum8(o, RequestOutcome::Cancelled);
+    EXPECT_EQ(o, RequestOutcome::Cancelled);
+    expectFatalContaining([&] { r.enum8(o, RequestOutcome::Cancelled); },
+                          {"enum byte 4 at offset 3"});
+}
+
 TEST(BinIo, Fnv1aMatchesKnownVector)
 {
     // FNV-1a reference: empty input hashes to the offset basis.
     EXPECT_EQ(er::fnv1a(""), 0xCBF29CE484222325ULL);
     EXPECT_NE(er::fnv1a("a"), er::fnv1a("b"));
+}
+
+// ---------------------------------------------------------------------
+// Wire counts are bounded before anything is allocated: a corrupt count
+// fails as a fatal() naming its offset, never as a std::length_error or
+// std::bad_alloc from the container it would size.  (The fleet readers
+// have theirs in test_fleet_recovery.)
+// ---------------------------------------------------------------------
+
+TEST(WireCounts, RequestPrefixHashCountIsBounded)
+{
+    // Every 8-byte field reads back correctly; only the count is bad.
+    er::ByteWriter w;
+    w.f64(1.0);
+    w.i64(64);
+    w.i64(64);
+    w.i64(0);
+    w.f64(0.0);
+    w.i64(-1);
+    w.u64(1ull << 61);
+    er::ByteReader r(w.bytes());
+    ServerRequest req;
+    expectFatalContaining([&] { io(r, req); },
+                          {"count 2305843009213693952 at offset 48"});
+}
+
+TEST(WireCounts, KvCacheBlockCountIsBounded)
+{
+    // A mid-sized count (2^27 blocks) would allocate and zero gigabytes
+    // before failing on the bytes that are not there.
+    const auto spec = er::model::spec(er::model::ModelId::Dsr1Qwen1_5B);
+    PrefixCacheConfig pc;
+    pc.enabled = true;
+    const auto bytes =
+        static_cast<er::Bytes>(spec.kvBytesPerToken() * 16.0 * 64.0);
+    KvCache c(bytes, spec, 16, pc);
+    const SeqId seq = c.createSequence();
+    ASSERT_TRUE(c.append(seq, 40));
+    er::ByteWriter w;
+    er::put(w, c);
+    std::string wire = w.bytes();
+    // Geometry (24 bytes), blocks in use and next handle precede the
+    // block count.
+    er::ByteWriter count;
+    count.u64(1ull << 27);
+    wire.replace(40, 8, count.bytes());
+    KvCache d(bytes, spec, 16, pc);
+    er::ByteReader r(wire);
+    expectFatalContaining([&] { d.io(r); },
+                          {"count 134217728 at offset 40"});
 }
 
 // ---------------------------------------------------------------------
@@ -187,6 +270,37 @@ TEST(Journal, DumpRendersOneLinePerRecord)
     EXPECT_NE(text.find("checkpoint-mark step=0"), std::string::npos);
     EXPECT_NE(text.find("retire"), std::string::npos);
     EXPECT_NE(text.find("run-end"), std::string::npos);
+    fs::remove_all(dir);
+}
+
+TEST(Journal, DumpAndReplayCheckEnumBytes)
+{
+    // Valid checksums around out-of-range enum bytes: the run-begin
+    // policy byte 9 and a fault kind byte 3 fail as fatal()s naming
+    // their file offsets, where the policy and fault-kind name lookups
+    // would panic.
+    const auto dir = scratchDir("journal_enum");
+    const std::string path = dir + "/journal.bin";
+    {
+        Journal j = Journal::createFresh(path, 0x1234);
+        j.emitRunBegin(3, static_cast<SchedulerPolicy>(9), 0.25);
+    }
+    std::ostringstream os;
+    // Header (20 bytes), record type and length (5), trace size (8).
+    expectFatalContaining([&] { dumpJournalText(path, os); },
+                          {"enum byte 9 at offset 33"});
+    expectFatalContaining([&] { replayServingReport(path); },
+                          {"enum byte 9 at offset 33"});
+    {
+        Journal j = Journal::createFresh(path, 0x1234);
+        j.emitRunBegin(3, SchedulerPolicy::Edf, 0.25);
+        FaultEvent e;
+        e.kind = static_cast<FaultKind>(3);
+        j.emitFault(e, 1.0);
+    }
+    // The 30-byte run-begin record, then the fault record's header.
+    expectFatalContaining([&] { dumpJournalText(path, os); },
+                          {"enum byte 3 at offset 55"});
     fs::remove_all(dir);
 }
 

@@ -479,6 +479,106 @@ TEST(Recovery, RngBankRoundTripsThroughCheckpoint)
 }
 
 // ---------------------------------------------------------------------
+// Truncation sweep: every cut of a real payload is a clean fatal().
+// ---------------------------------------------------------------------
+
+TEST(Recovery, TruncatedCheckpointPayloadsFailWithAnOffset)
+{
+    // A small real checkpoint holding queued, prefilling and decoding
+    // requests, served records, a paged KV pool with a prefix index and
+    // an RNG-bank section.  Its payload is cut at every offset and
+    // rewrapped in a valid container (header, length, checksum), so
+    // each resume reaches the payload reader.  Each must end in a
+    // fatal() (std::runtime_error) naming an offset, never in a
+    // logic_error, length_error, bad_alloc or a sanitizer report.
+    auto eng = makeEngine();
+    std::vector<ServerRequest> trace;
+    // Request 0 retires first, request 1 keeps decoding while the long
+    // prompt of request 2 prefills chunk by chunk, and the rest wait.
+    for (int i = 0; i < 6; ++i) {
+        ServerRequest r;
+        r.arrival = 0.01 * i;
+        r.inputTokens = i == 2 ? 256 : 64;
+        r.outputTokens = i == 0 ? 4 : i == 1 ? 200 : 16;
+        r.deadline = 600.0;
+        r.sessionId = i % 2;
+        for (int b = 0; b < r.inputTokens / 16; ++b)
+            r.prefixHashes.push_back(b < 2 ? 11u + b : 100u * i + b);
+        trace.push_back(r);
+    }
+    ServerConfig cfg;
+    cfg.maxBatch = 2;
+    cfg.prefillChunk = 16;
+    cfg.prefixCache.enabled = true;
+    er::RngBank bank(5);
+    bank.create("harness/noise");
+    const auto dir = scratchDir("truncation");
+    DurabilityOptions dur;
+    dur.checkpointDir = dir;
+    dur.checkpointEvery = 1;
+    dur.rngBank = &bank;
+    {
+        ServingSimulator srv(eng, cfg);
+        srv.run(trace, FaultPlan(), dur);
+    }
+
+    // The first checkpoint with every container non-empty; the later
+    // ones are removed so that resume picks it.
+    std::string path, payload;
+    std::uint64_t fp = 0;
+    for (const auto &[step, file_path] : listCheckpoints(dir)) {
+        if (!path.empty()) {
+            fs::remove(file_path);
+            continue;
+        }
+        std::ifstream in(file_path, std::ios::binary);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        const std::string file = buf.str();
+        // Header: magic (8), version (4), fingerprint (8), length (8).
+        const std::string body = file.substr(28, file.size() - 36);
+        er::ByteReader r(body);
+        r.u64(); // step
+        r.u8();  // scheduler identity (fcfs)
+        ServingState st;
+        st.io(r);
+        if (st.queue.size() > 0 && !st.prefilling.empty() &&
+            !st.active.empty() && r.count(kServedRequestMinBytes) > 0) {
+            path = file_path;
+            payload = body;
+            fp = er::ByteReader(std::string_view(file).substr(12, 8)).u64();
+        }
+    }
+    ASSERT_FALSE(path.empty()) << "no checkpoint holds every container";
+    DurabilityOptions res = dur;
+    res.resume = true;
+    std::size_t fatals = 0;
+    er::ByteWriter w; // the first `cut` payload bytes
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+        writeCheckpointFile(path, fp, w);
+        ServingSimulator srv(eng, cfg);
+        try {
+            srv.run(trace, FaultPlan(), res);
+            ADD_FAILURE() << "cut at " << cut << " resumed";
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("offset"), std::string::npos)
+                << "cut at " << cut << ": " << msg;
+            ++fatals;
+        }
+        w.u8(static_cast<std::uint8_t>(payload[cut]));
+    }
+    EXPECT_EQ(fatals, payload.size());
+
+    // The intact payload, rewrapped the same way, still resumes: the
+    // refused cuts left the journal alone.
+    writeCheckpointFile(path, fp, w);
+    ServingSimulator srv(eng, cfg);
+    EXPECT_NO_THROW(srv.run(trace, FaultPlan(), res));
+    fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
 // Invariant auditor: healthy views pass, seeded bugs panic.
 // ---------------------------------------------------------------------
 
