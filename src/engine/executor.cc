@@ -178,7 +178,7 @@ BatchExecutor::record(ServingState &st, ReqId id,
     s.degraded = st.pool.degraded(id);
     s.cachedPrefix = st.pool.cachedPrefix(id);
     s.firstToken = st.pool.prefillEnd(id);
-    retire(st, id, s);
+    retire(st, id, std::move(s));
 }
 
 void
@@ -188,7 +188,7 @@ BatchExecutor::shedWaiting(ServingState &st, ReqId id,
     ServedRequest s;
     s.outcome = outcome;
     s.queueDelay = acc_.clock - st.pool.arrival(id);
-    retire(st, id, s);
+    retire(st, id, std::move(s));
 }
 
 void
