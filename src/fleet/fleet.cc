@@ -1141,6 +1141,13 @@ FleetSimulator::io(Ar &a)
         a.f64(e.latency);
         a.enum8(e.legOutcome, static_cast<std::uint8_t>(
                                   engine::RequestOutcome::Cancelled));
+        // Node events index nodes_; the others name a node or none.
+        const bool on_node = e.kind == KOutcome ||
+            (e.kind >= KCrash && e.kind <= KDegradeEnd);
+        fatal_if(e.node < (on_node ? 0 : -1) ||
+                     e.node >= static_cast<int>(nodes_.size()),
+                 "fleet checkpoint event of kind ", e.kind,
+                 " names node ", e.node);
     });
     // Live tracks in gid order with their slots, then the free-slot
     // stack in order: the slot layout round-trips exactly.  Every slot
@@ -1186,6 +1193,15 @@ FleetSimulator::io(Ar &a)
         a.i64(t.pendingTimers);
         a.flag(t.hedgeScheduled);
         if constexpr (Ar::kReading) {
+            for (const Leg &leg : t.legs)
+                fatal_if(leg.node != -2 &&
+                             (leg.node < 0 ||
+                              leg.node >= static_cast<int>(nodes_.size())),
+                         "fleet checkpoint track ", t.gid,
+                         " has a leg on node ", leg.node);
+            fatal_if(t.hedgeSlot < -1 || t.hedgeSlot > 1,
+                     "fleet checkpoint track ", t.gid, " has hedge slot ",
+                     t.hedgeSlot);
             fatal_if(t.gid < 0 ||
                          static_cast<std::uint64_t>(t.gid) >= streamIssued_,
                      "fleet checkpoint track ", t.gid,

@@ -458,14 +458,16 @@ TEST(FleetRecovery, ResumesWithHedgedLegsAndTrippedBreaker)
 
 // --- Reader-side checks and all-or-nothing resume ---------------------
 
-TEST(FleetRecovery, WireCountsAndEventKindsAreChecked)
+TEST(FleetRecovery, WireCountsKindsAndNodeIdsAreChecked)
 {
     // A corrupt count fails as a fatal() naming its offset before any
     // allocation, never as a std::length_error or std::bad_alloc: the
     // node's served records, and the fleet's event heap (its fold
     // latencies and sync marks share the same reader call).  So does
     // an event kind byte past the last kind, which the run would
-    // otherwise only meet as a panic.
+    // otherwise only meet as a panic.  A node id past the fleet, in an
+    // event or a live track's leg, is a fatal() too, not an
+    // out-of-bounds read of the node tables.
     er::engine::ServerConfig cfg;
     FleetNode node(0, NodeSpec{}, cfg, er::engine::FaultPlan());
     er::ByteWriter w;
@@ -527,6 +529,24 @@ TEST(FleetRecovery, WireCountsAndEventKindsAreChecked)
     std::string kind = ck.payload;
     kind[104] = 9;
     expect_refused(kind, "enum byte 9 at offset 104");
+    // Each event is 58 bytes: time, kind, seq, gid, then the node.
+    const std::uint64_t nheap =
+        er::ByteReader(std::string_view(ck.payload).substr(88, 8)).u64();
+    er::ByteWriter node5;
+    node5.i64(5);
+    std::string event_node = ck.payload;
+    event_node.replace(96 + 25, 8, node5.bytes());
+    expect_refused(event_node, "names node 5");
+    // The slot count, the live count, then the first live track: its
+    // slot, request (no prefix hashes), gid and deadline, then leg 0.
+    const std::size_t tracks = 96 + 58 * nheap;
+    ASSERT_GT(er::ByteReader(std::string_view(ck.payload).substr(
+                                 tracks + 8, 8))
+                  .u64(),
+              0u);
+    std::string leg_node = ck.payload;
+    leg_node.replace(tracks + 16 + 80, 8, node5.bytes());
+    expect_refused(leg_node, "has a leg on node 5");
     if (!::testing::Test::HasFailure())
         std::filesystem::remove_all(kArtifacts);
 }
