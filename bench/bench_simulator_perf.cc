@@ -16,6 +16,7 @@
 
 #include "accuracy/simulate.hh"
 #include "accuracy/trace_gen.hh"
+#include "cli/serve_run.hh"
 #include "common/thread_pool.hh"
 #include "core/edge_reasoning.hh"
 #include "core/pareto.hh"
@@ -404,31 +405,32 @@ BENCHMARK(BM_SessionTraceGen)->Unit(benchmark::kMillisecond);
 void
 BM_ShardedTraceScaling(benchmark::State &state)
 {
-    // runSharded() thread scaling over 16 independent replications.
-    // The trace set is fixed (named RngBank streams, independent of
-    // execution order), so every thread count simulates identical
-    // work and the reports are bit-identical — only wall time moves.
+    // serveReplications() thread scaling over 16 independent
+    // replications.  Each trace comes from its own "shard/<i>" seed
+    // stream, independent of execution order, so every thread count
+    // simulates identical work and the reports are bit-identical —
+    // only wall time moves.
     auto &eng = sharedEngine();
-    static const auto traces = [] {
-        er::RngBank bank(404);
-        return er::engine::ServingSimulator::replicatedPoissonTraces(
-            bank, 16, 512, 8.0, 120, 512);
-    }();
+    er::cli::ServeOptions o;
+    o.replications = 16;
+    o.requests = 512;
+    o.qps = 8.0;
+    o.meanIn = 120;
+    o.meanOut = 512;
+    o.seed = 404;
     er::engine::ServerConfig cfg;
     cfg.maxBatch = 64;
     // Engine memo warm-up so thread 1 and thread 8 meet equally warm
     // caches.
     {
-        auto warm = er::engine::ServingSimulator::runSharded(
-            eng, cfg, traces, traces.size());
+        auto warm = er::cli::serveReplications(o, eng, nullptr, cfg);
         benchmark::DoNotOptimize(warm);
     }
     er::ThreadPool::setGlobalThreads(
         static_cast<unsigned>(state.range(0)));
     double generated = 0.0;
     for (auto _ : state) {
-        auto reports = er::engine::ServingSimulator::runSharded(
-            eng, cfg, traces, traces.size());
+        auto reports = er::cli::serveReplications(o, eng, nullptr, cfg);
         generated = 0.0;
         for (const auto &r : reports)
             generated += r.generatedTokens;

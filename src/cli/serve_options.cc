@@ -214,7 +214,6 @@ parseServeOptions(const std::vector<std::string> &args,
         {"crash-rate", doubleOpt(&opt.crashRate, 0.0, "--crash-rate")},
         {"replications",
          longOpt(&opt.replications, 1, "--replications")},
-        {"shards", longOpt(&opt.shards, 1, "--shards")},
         {"fleet", longOpt(&opt.fleet, 1, "--fleet")},
         {"router", [&](const std::string &v) {
              const auto p = fleet::routerPolicyFromName(v);
@@ -368,19 +367,9 @@ parseServeOptions(const std::vector<std::string> &args,
          "crash injection needs --checkpoint-dir (or --resume) so the "
          "run can be recovered"},
 
-        // Sharded replications are trace-parallel plain runs; the
-        // single-run machinery does not compose with them.
-        {replicated, opt.faults || crash_on,
-         "--replications > 1 excludes fault/crash injection (per-run "
-         "fault plans)"},
         {replicated, durable,
-         "--replications > 1 excludes --checkpoint-dir/--resume "
-         "(per-run durability)"},
-        {replicated, fallback,
-         "--replications > 1 excludes --degrade fallback (per-run "
-         "fallback engine)"},
-        {!replicated, opt.shards > 1,
-         "--shards needs --replications > 1 (nothing to shard over)"},
+         "--replications > 1 excludes --checkpoint-dir/--resume (the "
+         "runs cannot share one checkpoint directory)"},
 
         // The fleet path owns faults and routing itself; per-run
         // single-node machinery does not compose with it, but fleet
@@ -445,10 +434,7 @@ parseServeOptions(const std::vector<std::string> &args,
          "--crash-at-event needs --fleet N (the single-node crash "
          "coordinate is --crash-at-step)"},
 
-        // Session traces are single-run workloads.
-        {sessions, replicated,
-         "--sessions excludes --replications > 1 (session traces are "
-         "single-run)"},
+        // Session traces are single-node workloads.
         {sessions, fleet,
          "--sessions excludes --fleet (fleet requests carry no prefix "
          "identity)"},
@@ -459,8 +445,6 @@ parseServeOptions(const std::vector<std::string> &args,
         {prefix, fleet,
          "--prefix-cache on excludes --fleet (nodes run the "
          "single-node executor without a shared index)"},
-        {prefix, replicated,
-         "--prefix-cache on excludes --replications > 1"},
         {!prefix, prefix_evict_given,
          "--prefix-evict needs the prefix cache on (--prefix-cache on "
          "or --sessions N)"},

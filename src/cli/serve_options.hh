@@ -100,18 +100,12 @@ struct ServeOptions
         return prefixCache == 1 || (prefixCache == -1 && sessions > 0);
     }
 
-    // --- Sharded replications (DESIGN.md §11) ----------------------
-    /**
-     * Number of independent trace replications to simulate.  > 1
-     * switches `serve` to runSharded(): each replication draws its
-     * trace from its own named RngBank stream, so the set — and every
-     * report — is identical at any shard/thread count.  Sharded mode
-     * is trace-parallel only; it excludes fault plans, durability,
-     * and the fallback engine (those attach to a single run).
-     */
+    // --- Replications (DESIGN.md §11) -----------------------------
+    /** Independent runs to simulate: > 1 runs the plain single-node
+     *  body once per "shard/<i>" seed stream (cli/serve_run.hh).  They
+     *  cannot share a checkpoint directory, so they exclude durability
+     *  (and with it crash injection); they exclude --fleet too. */
     long long replications = 1;
-    /** Work-chunk count for runSharded (0 = one shard per trace). */
-    long long shards = 0;
 
     // --- Fleet serving (DESIGN.md §12, §14) ------------------------
     /**
@@ -121,7 +115,7 @@ struct ServeOptions
      * fault-injected nodes.  Fleet mode composes with durability
      * (--checkpoint-dir/--checkpoint-every/--resume/--paranoid) and
      * fleet crash injection (--crash-at-event/--crash-at-time); it
-     * excludes sharded replications, the single-node crash flags
+     * excludes --replications > 1, the single-node crash flags
      * (--crash-at-step/--crash-rate), the spjf scheduler, and
      * fallback degradation.
      */

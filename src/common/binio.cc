@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "common/logging.hh"
-
 namespace edgereason {
 
 void ByteWriter::u32(std::uint32_t v)
@@ -34,7 +32,7 @@ void ByteReader::need(std::size_t n) const
 {
     fatal_if(data_.size() - pos_ < n,
              "binio: truncated buffer: need ", n, " byte(s) at offset ",
-             base_ + pos_, " but only ", data_.size() - pos_, " remain");
+             offset(), " but only ", data_.size() - pos_, " remain");
 }
 
 std::uint8_t ByteReader::u8()
@@ -83,7 +81,7 @@ std::string ByteReader::str()
 
 std::uint8_t ByteReader::byteAtMost(std::uint8_t max, const char *what)
 {
-    const std::size_t at = base_ + pos_;
+    const std::size_t at = offset();
     const std::uint8_t v = u8();
     fatal_if(v > max, "binio: ", what, " byte ", int(v), " at offset ",
              at, " is above its maximum ", int(max));
@@ -92,7 +90,7 @@ std::uint8_t ByteReader::byteAtMost(std::uint8_t max, const char *what)
 
 std::uint64_t ByteReader::count(std::size_t min_elem_bytes)
 {
-    const std::size_t at = base_ + pos_;
+    const std::size_t at = offset();
     const std::uint64_t n = u64();
     fatal_if(n > remaining() / min_elem_bytes,
              "binio: count ", n, " at offset ", at, " needs at least ",
@@ -105,7 +103,7 @@ void ByteReader::expectEnd(const char *what) const
 {
     fatal_if(pos_ != data_.size(),
              "binio: ", what, ": ", data_.size() - pos_,
-             " trailing byte(s) after offset ", base_ + pos_);
+             " trailing byte(s) after offset ", offset());
 }
 
 std::uint64_t fnv1a(std::string_view data, std::uint64_t h)

@@ -30,6 +30,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/logging.hh"
+
 namespace edgereason {
 
 /** Append-only little-endian byte buffer: the writing archive. */
@@ -68,7 +70,8 @@ class ByteWriter
     }
 
     const std::string &bytes() const { return buf_; }
-    std::size_t size() const { return buf_.size(); }
+    /** The offset of the next field (ByteReader's twin). */
+    std::size_t offset() const { return buf_.size(); }
 
   private:
     std::string buf_;
@@ -135,7 +138,8 @@ class ByteReader
             each(x);
     }
 
-    std::size_t offset() const { return pos_; }
+    /** The file offset of the next field: base plus position. */
+    std::size_t offset() const { return base_ + pos_; }
     std::size_t remaining() const { return data_.size() - pos_; }
     bool atEnd() const { return pos_ == data_.size(); }
     /** fatal() unless the buffer was consumed exactly. */
@@ -149,6 +153,15 @@ class ByteReader
     std::size_t base_ = 0;
     std::size_t pos_ = 0;
 };
+
+/** fatal_if(@p bad) with @p msg and archive @p a's offset: how a field
+ *  list refuses a state its bytes decode to but the run cannot hold. */
+template <class Ar, class... M>
+void
+fatalAt(const Ar &a, bool bad, const M &...msg)
+{
+    fatal_if(bad, msg..., " (at offset ", a.offset(), ")");
+}
 
 /** Run @p v's field list through archive @p a: its member io(), or
  *  else a free io() found by ADL. */

@@ -1,7 +1,7 @@
 /**
  * @file
  * Fork-join thread pool for the sweep layers (planner candidate grids,
- * Pareto sweeps, per-question Monte-Carlo evaluation, sharded trace
+ * Pareto sweeps, per-question Monte-Carlo evaluation, serving
  * replications).  A parallelFor cuts [0, n) into blocks of `grain`
  * iterations and hands each thread (the caller included) one
  * contiguous range of blocks, packed as [front, back) into a single

@@ -37,7 +37,7 @@ writeCheckpointFile(const std::string &path, std::uint64_t fingerprint,
         file.u8(static_cast<std::uint8_t>(c));
     file.u32(kCheckpointVersion);
     file.u64(fingerprint);
-    file.u64(payload.size());
+    file.u64(payload.bytes().size());
     std::string bytes = file.bytes() + payload.bytes();
     ByteWriter ck;
     ck.u64(fnv1a(bytes));

@@ -81,7 +81,7 @@ struct InferenceEngine::StepCostCache
      * (one engine per spec), standalone nodes, sweep workers.  Clearing
      * keeps the slot arrays: freeing and regrowing them every run
      * fragments the heap.  The L1 is what keeps concurrent readers of
-     * one engine off its shared mutex (sharded serving runs, sweeps).
+     * one engine off its shared mutex (serving replications, sweeps).
      */
     struct L1
     {

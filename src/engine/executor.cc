@@ -1138,11 +1138,11 @@ BatchExecutor::io(Ar &a)
     thermal_.io(a);
     bool paged = paged_ != nullptr;
     a.flag(paged);
-    fatal_if(paged != (paged_ != nullptr),
-             "checkpoint executor mode mismatch: checkpoint is ",
-             paged ? "paged" : "scalar", "-KV but this run is ",
-             paged_ ? "paged" : "scalar",
-             "-KV (different fault plan?); refusing to restore");
+    fatalAt(a, paged != (paged_ != nullptr),
+            "checkpoint executor mode mismatch: checkpoint is ",
+            paged ? "paged" : "scalar", "-KV but this run is ",
+            paged_ ? "paged" : "scalar",
+            "-KV (different fault plan?); refusing to restore");
     if (paged_) {
         a.u64(ballast_);
         paged_->io(a);

@@ -296,7 +296,7 @@ Journal::emit(JournalRecordType type, const ByteWriter &payload)
                      expected.payload.size(),
                      " bytes) but the resumed run emitted ",
                      journalRecordTypeName(type), " (",
-                     payload.size(), " bytes)");
+                     payload.bytes().size(), " bytes)");
         }
     }
     *out_ << frameRecord(type, payload.bytes());

@@ -518,6 +518,9 @@ template <class Ar>
 void
 KvCache::io(Ar &a)
 {
+    const auto refuse = [&](bool bad, const auto &...msg) {
+        fatalAt(a, bad, "KvCache restore: ", msg...);
+    };
     // Geometry is on the wire to be checked, never read into the cache.
     Tokens blockTokens = block_tokens_;
     Bytes blockBytes = block_bytes_;
@@ -525,11 +528,11 @@ KvCache::io(Ar &a)
     a.i64(blockTokens);
     a.i64(blockBytes);
     a.u64(blockCap);
-    fatal_if(blockTokens != block_tokens_ || blockBytes != block_bytes_ ||
-                 blockCap != block_capacity_,
-             "KvCache restore: geometry mismatch (checkpoint ", blockCap,
-             " blocks of ", blockTokens, " tokens vs instance ",
-             block_capacity_, " blocks of ", block_tokens_, " tokens)");
+    refuse(blockTokens != block_tokens_ || blockBytes != block_bytes_ ||
+               blockCap != block_capacity_,
+           "geometry mismatch (checkpoint ", blockCap, " blocks of ",
+           blockTokens, " tokens vs instance ", block_capacity_,
+           " blocks of ", block_tokens_, " tokens)");
     a.u64(blocks_in_use_);
     a.u64(next_seq_);
     a.seq(blocks_, 12, [&](Block &b) {
@@ -553,23 +556,20 @@ KvCache::io(Ar &a)
         a.seq(s.second.blocks, 4, [&](std::uint32_t &b) { a.u32(b); });
     });
     if constexpr (Ar::kReading) {
-        fatal_if(blocks_in_use_ > block_capacity_,
-                 "KvCache restore: blocks_in_use overflow");
+        refuse(blocks_in_use_ > block_capacity_, "blocks_in_use overflow");
         for (const Block &b : blocks_)
-            fatal_if(b.refcount < 0 || b.filled < 0 ||
-                         b.filled > block_tokens_,
-                     "KvCache restore: corrupt block record");
+            refuse(b.refcount < 0 || b.filled < 0 || b.filled > block_tokens_,
+                   "corrupt block record");
         for (const std::uint32_t f : free_list_)
-            fatal_if(f >= blocks_.size(), "KvCache restore: free-list entry ",
-                     f, " out of range");
+            refuse(f >= blocks_.size(), "free-list entry ", f,
+                   " out of range");
         seqs_.clear();
         seqs_.reserve(seqs.size());
         for (auto &[id, s] : seqs) {
             for (const std::uint32_t b : s.blocks)
-                fatal_if(b >= blocks_.size(),
-                         "KvCache restore: sequence block out of range");
-            fatal_if(!seqs_.emplace(id, std::move(s)).second,
-                     "KvCache restore: duplicate sequence ", id);
+                refuse(b >= blocks_.size(), "sequence block out of range");
+            refuse(!seqs_.emplace(id, std::move(s)).second,
+                   "duplicate sequence ", id);
         }
     }
 
@@ -586,15 +586,15 @@ KvCache::io(Ar &a)
     if (prefix_.enabled) {
         std::uint32_t magic = kPrefixIndexMagic;
         a.u32(magic);
-        fatal_if(magic != kPrefixIndexMagic,
-                 "KvCache restore: prefix-index section missing — "
-                 "checkpoint written without --prefix-cache?");
+        refuse(magic != kPrefixIndexMagic,
+               "prefix-index section missing — checkpoint written "
+               "without --prefix-cache?");
         PrefixEvictPolicy evict = prefix_.evict;
         a.enum8(evict, PrefixEvictPolicy::Cost);
-        fatal_if(evict != prefix_.evict,
-                 "KvCache restore: eviction policy mismatch (checkpoint ",
-                 prefixEvictPolicyName(evict), " vs instance ",
-                 prefixEvictPolicyName(prefix_.evict), ")");
+        refuse(evict != prefix_.evict,
+               "eviction policy mismatch (checkpoint ",
+               prefixEvictPolicyName(evict), " vs instance ",
+               prefixEvictPolicyName(prefix_.evict), ")");
         a.u64(touch_clock_);
         a.u64(insert_clock_);
         a.u64(pstats_.hitBlocks);
@@ -648,27 +648,22 @@ KvCache::io(Ar &a)
         for (const WireNode &w : wire) {
             PrefixNode nd = w.nd;
             nd.live = true;
-            fatal_if(std::isnan(nd.rebuildSeconds),
-                     "KvCache restore: NaN index rebuild cost");
-            fatal_if(nd.block >= blocks_.size(),
-                     "KvCache restore: index page out of range");
-            fatal_if(blocks_[nd.block].refcount < 1 ||
-                         blocks_[nd.block].filled != block_tokens_,
-                     "KvCache restore: index page ", nd.block,
-                     " not a live full block");
+            refuse(std::isnan(nd.rebuildSeconds), "NaN index rebuild cost");
+            refuse(nd.block >= blocks_.size(), "index page out of range");
+            refuse(blocks_[nd.block].refcount < 1 ||
+                       blocks_[nd.block].filled != block_tokens_,
+                   "index page ", nd.block, " not a live full block");
             if (w.hasParent) {
                 const auto p = by_hash_.find(w.parentHash);
-                fatal_if(p == by_hash_.end(),
-                         "KvCache restore: index node parent missing");
+                refuse(p == by_hash_.end(), "index node parent missing");
                 nd.parent = p->second;
                 ++nodes_[p->second].children;
             } else {
-                fatal_if(nd.depth != 0,
-                         "KvCache restore: non-root node without parent");
+                refuse(nd.depth != 0, "non-root node without parent");
             }
             const auto nid = static_cast<std::uint32_t>(nodes_.size());
-            fatal_if(!by_hash_.emplace(nd.hash, nid).second,
-                     "KvCache restore: duplicate index hash");
+            refuse(!by_hash_.emplace(nd.hash, nid).second,
+                   "duplicate index hash");
             nodes_.push_back(nd);
         }
         for (std::uint32_t i = 0;

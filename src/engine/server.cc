@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "engine/checkpoint.hh"
 #include "engine/executor.hh"
 #include "engine/journal.hh"
@@ -227,42 +226,6 @@ ServingSimulator::poissonTrace(Rng &rng, std::size_t n, double qps,
     for (std::size_t i = 0; i < n; ++i)
         trace.push_back(stream.next());
     return trace;
-}
-
-std::vector<std::vector<ServerRequest>>
-ServingSimulator::replicatedPoissonTraces(RngBank &bank,
-                                          std::size_t replications,
-                                          std::size_t n, double qps,
-                                          double mean_in,
-                                          double mean_out, double cv)
-{
-    std::vector<std::vector<ServerRequest>> traces;
-    traces.reserve(replications);
-    for (std::size_t i = 0; i < replications; ++i) {
-        Rng &rng = bank.create("shard/" + std::to_string(i));
-        traces.push_back(
-            poissonTrace(rng, n, qps, mean_in, mean_out, cv));
-    }
-    return traces;
-}
-
-std::vector<ServingReport>
-ServingSimulator::runSharded(
-    InferenceEngine &engine, const ServerConfig &config,
-    const std::vector<std::vector<ServerRequest>> &traces,
-    std::size_t n_shards)
-{
-    fatal_if(n_shards == 0, "runSharded needs at least one shard");
-    std::vector<ServingReport> reports(traces.size());
-    ThreadPool::global().parallelChunks(
-        traces.size(), n_shards,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-                ServingSimulator sim(engine, config);
-                reports[i] = sim.run(traces[i]);
-            }
-        });
-    return reports;
 }
 
 int

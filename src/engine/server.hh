@@ -362,44 +362,6 @@ class ServingSimulator
                  double mean_out, double cv = 0.45);
 
     /**
-     * Generate @p replications independent Poisson traces, replication
-     * i drawn from @p bank's "shard/i" stream.  Because every
-     * replication owns a named stream (seeded by name, not by draw
-     * order), the trace set is a pure function of the bank's root seed
-     * — independent of how the traces are later partitioned or
-     * executed — which is what makes runSharded() reproducible at any
-     * shard count.
-     */
-    static std::vector<std::vector<ServerRequest>>
-    replicatedPoissonTraces(RngBank &bank, std::size_t replications,
-                            std::size_t n, double qps, double mean_in,
-                            double mean_out, double cv = 0.45);
-
-    /**
-     * Run independent traces in parallel: [0, traces.size()) is
-     * partitioned into @p n_shards contiguous chunks
-     * (ThreadPool::parallelChunks on the global pool), each chunk runs
-     * its traces serially on a private ServingSimulator, and reports
-     * land in index-addressed slots.  The borrowed @p engine is shared
-     * across shards — its query surface is immutable and its memo
-     * caches are thread-safe — while all mutable run state (executor,
-     * serving state, served records) is per-trace.
-     *
-     * Determinism: each report is produced by arithmetic that touches
-     * only its own trace and simulator, and the chunk partition
-     * depends only on (traces.size(), n_shards), so the returned
-     * vector is bit-identical at every thread count and shard count.
-     * Reducing over it in index order (serially) therefore yields
-     * bit-identical aggregates too.
-     *
-     * @return one report per trace, in input order.
-     */
-    static std::vector<ServingReport>
-    runSharded(InferenceEngine &engine, const ServerConfig &config,
-               const std::vector<std::vector<ServerRequest>> &traces,
-               std::size_t n_shards);
-
-    /**
      * Largest decode batch whose KV footprint (shared prompts not
      * assumed) fits the engine's KV budget at the given lengths.
      * Returns 0 when even a single sequence cannot fit, and 1 for

@@ -10,10 +10,10 @@
  * ServingSimulator::poissonTrace draws — same Rng, same call order —
  * so for equal parameters the first n streamed requests are
  * bit-identical to the materialized trace (poissonTrace is itself
- * implemented on top of this stream).  Following the
- * replicatedPoissonTraces discipline, a stream can own a named Rng
- * stream (seeded by name, not draw order), so trace identity is a
- * pure function of (seed, name, parameters).
+ * implemented on top of this stream).  Like the "shard/<i>" streams
+ * of `serve --replications`, a stream can own a named Rng stream
+ * (seeded by name, not draw order), so trace identity is a pure
+ * function of (seed, name, parameters).
  */
 
 #ifndef EDGEREASON_ENGINE_TRACE_STREAM_HH

@@ -1123,8 +1123,11 @@ FleetSimulator::io(Ar &a)
     a.u64(seq_);
     a.u64(eventCount_);
     a.u64(streamIssued_);
-    fatal_if(streamIssued_ > streamTotal_, "fleet checkpoint drew ",
-             streamIssued_, " requests from a trace of ", streamTotal_);
+    const auto refuse = [&](bool bad, const auto &...msg) {
+        fatalAt(a, bad, "fleet checkpoint ", msg...);
+    };
+    refuse(streamIssued_ > streamTotal_, "drew ", streamIssued_,
+           " requests from a trace of ", streamTotal_);
     engine::io(a, streamPending_);
     // The heap vector verbatim, in container order: the array layout
     // (not just the multiset of events) is part of the run's
@@ -1144,10 +1147,9 @@ FleetSimulator::io(Ar &a)
         // Node events index nodes_; the others name a node or none.
         const bool on_node = e.kind == KOutcome ||
             (e.kind >= KCrash && e.kind <= KDegradeEnd);
-        fatal_if(e.node < (on_node ? 0 : -1) ||
-                     e.node >= static_cast<int>(nodes_.size()),
-                 "fleet checkpoint event of kind ", e.kind,
-                 " names node ", e.node);
+        refuse(e.node < (on_node ? 0 : -1) ||
+                   e.node >= static_cast<int>(nodes_.size()),
+               "event of kind ", e.kind, " names node ", e.node);
     });
     // Live tracks in gid order with their slots, then the free-slot
     // stack in order: the slot layout round-trips exactly.  Every slot
@@ -1157,17 +1159,16 @@ FleetSimulator::io(Ar &a)
     a.u64(nslots);
     std::vector<bool> used;
     if constexpr (Ar::kReading) {
-        fatal_if(nslots > streamIssued_, "fleet checkpoint holds ",
-                 nslots, " track slots for ", streamIssued_,
-                 " arrivals");
+        refuse(nslots > streamIssued_, "holds ", nslots,
+               " track slots for ", streamIssued_, " arrivals");
         tracks_.assign(static_cast<std::size_t>(nslots), Track{});
         slotOf_.clear();
         used.assign(tracks_.size(), false);
     }
     const auto claim = [&](std::size_t slot) {
         if constexpr (Ar::kReading) {
-            fatal_if(slot >= nslots || used[slot], "fleet checkpoint slot ",
-                     slot, " is out of range or claimed twice");
+            refuse(slot >= nslots || used[slot], "slot ", slot,
+                   " is out of range or claimed twice");
             used[slot] = true;
         }
     };
@@ -1194,29 +1195,26 @@ FleetSimulator::io(Ar &a)
         a.flag(t.hedgeScheduled);
         if constexpr (Ar::kReading) {
             for (const Leg &leg : t.legs)
-                fatal_if(leg.node != -2 &&
-                             (leg.node < 0 ||
-                              leg.node >= static_cast<int>(nodes_.size())),
-                         "fleet checkpoint track ", t.gid,
-                         " has a leg on node ", leg.node);
-            fatal_if(t.hedgeSlot < -1 || t.hedgeSlot > 1,
-                     "fleet checkpoint track ", t.gid, " has hedge slot ",
-                     t.hedgeSlot);
-            fatal_if(t.gid < 0 ||
-                         static_cast<std::uint64_t>(t.gid) >= streamIssued_,
-                     "fleet checkpoint track ", t.gid,
-                     " was never drawn (cursor ", streamIssued_, ")");
-            fatal_if(!slotOf_.emplace(t.gid, p.second).second,
-                     "fleet checkpoint holds track ", t.gid, " twice");
+                refuse(leg.node != -2 &&
+                           (leg.node < 0 ||
+                            leg.node >= static_cast<int>(nodes_.size())),
+                       "track ", t.gid, " has a leg on node ", leg.node);
+            refuse(t.hedgeSlot < -1 || t.hedgeSlot > 1, "track ", t.gid,
+                   " has hedge slot ", t.hedgeSlot);
+            refuse(t.gid < 0 ||
+                       static_cast<std::uint64_t>(t.gid) >= streamIssued_,
+                   "track ", t.gid, " was never drawn (cursor ",
+                   streamIssued_, ")");
+            refuse(!slotOf_.emplace(t.gid, p.second).second,
+                   "holds track ", t.gid, " twice");
         }
     });
     a.seq(freeSlots_, 8, [&](std::size_t &slot) {
         a.u64(slot);
         claim(slot);
     });
-    fatal_if(live.size() + freeSlots_.size() != nslots,
-             "fleet checkpoint has ", live.size(), " live and ",
-             freeSlots_.size(), " free track slots of ", nslots);
+    refuse(live.size() + freeSlots_.size() != nslots, "has ", live.size(),
+           " live and ", freeSlots_.size(), " free track slots of ", nslots);
     a.u64(foldServed_);
     a.u64(foldTimedOut_);
     a.u64(foldShed_);
@@ -1242,8 +1240,8 @@ FleetSimulator::io(Ar &a)
     a.seq(syncMax_, 16, [&](SyncMark &m) {
         a.u64(m.seq);
         a.f64(m.target);
-        fatal_if(m.seq >= syncSeq_, "fleet checkpoint sync mark ", m.seq,
-                 " is past the sync count ", syncSeq_);
+        refuse(m.seq >= syncSeq_, "sync mark ", m.seq,
+               " is past the sync count ", syncSeq_);
     });
     for (std::uint64_t &seq : busySince_)
         a.u64(seq);

@@ -208,8 +208,8 @@ ThermalSimulator::io(Ar &a)
     a.f64(temp_);
     a.enum8(mode_, PowerMode::MaxN);
     if constexpr (Ar::kReading) {
-        fatal_if(!std::isfinite(temp_),
-                 "thermal restore: non-finite temperature");
+        fatalAt(a, !std::isfinite(temp_),
+                "thermal restore: non-finite temperature");
         trajectory_.clear();
     }
 }

@@ -8,7 +8,7 @@
  * golden matrix — 3 scenarios (zero-fault, faulted, KV-pressure) × 3
  * schedulers × exact/macro stepping, every ServingReport field
  * compared with EXPECT_EQ at full double precision — plus
- * checkpoint/resume legs over the same goldens, sharded-execution
+ * checkpoint/resume legs over the same goldens, replicated-serving
  * bit-identity at several thread counts, InstantSet contract tests
  * (one against a std::multiset reference under the executor's drain
  * pattern), and the degenerate-percentile guarantees of
@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/serve_run.hh"
 #include "common/thread_pool.hh"
 #include "engine/instant_set.hh"
 #include "engine/faults.hh"
@@ -395,6 +396,11 @@ expectIdenticalReports(const ServingReport &a, const ServingReport &b)
     EXPECT_EQ(a.goodputQps, b.goodputQps);
     EXPECT_EQ(a.deadlineHitRate, b.deadlineHitRate);
     EXPECT_EQ(a.throttleResidency, b.throttleResidency);
+    EXPECT_EQ(a.cancelled, b.cancelled);
+    EXPECT_EQ(a.cachedPrefixTokens, b.cachedPrefixTokens);
+    EXPECT_EQ(a.prefixHitRate, b.prefixHitRate);
+    EXPECT_EQ(a.prefillSecondsSaved, b.prefillSecondsSaved);
+    EXPECT_EQ(a.prefixEvictions, b.prefixEvictions);
 }
 
 } // namespace
@@ -486,92 +492,86 @@ TEST(ColumnarGolden, CheckpointResumeKvPressure)
     crashResumeGolden(KvPressure, SchedulerPolicy::Spjf, 10);
 }
 
-// --- Sharded trace execution -----------------------------------------
+// --- Replicated serving (cli/serve_run.hh) ---------------------------
 
-TEST(ShardedServing, BitIdenticalAcrossThreadCounts)
+TEST(ReplicatedServing, IdenticalAtAnyThreadCountAndEqualToPlainRuns)
 {
+    // serveReplications() runs the plain single-node body once per
+    // "shard/<i>" stream on the pool.  Fault plans, fallback swaps and
+    // the prefix index then run concurrently, sharing only the
+    // engines' memo caches: the reports must not depend on the pool
+    // size, and replication i must be the plain serveNode() run on
+    // stream "shard/<i>".
     auto eng = makeEngine();
-    er::RngBank bank(2026);
-    const auto traces = ServingSimulator::replicatedPoissonTraces(
-        bank, 6, 48, 4.0, 96, 384);
-    ASSERT_EQ(traces.size(), 6u);
-    ServerConfig cfg;
-    cfg.maxBatch = 16;
+    EngineConfig ecfg;
+    ecfg.measurementNoise = false;
+    InferenceEngine quant(
+        er::model::quantizedSpec(ModelId::DeepScaleR1_5B),
+        er::model::calibration(ModelId::DeepScaleR1_5B,
+                               er::DType::W4A16),
+        ecfg);
 
-    // Serial reference: each trace simulated on the calling thread.
-    std::vector<ServingReport> base;
-    for (const auto &t : traces) {
-        ServingSimulator srv(eng, cfg);
-        base.push_back(srv.run(t));
-    }
+    er::cli::ServeOptions poisson;
+    poisson.replications = 4;
+    poisson.requests = 32;
+    poisson.qps = 4.0;
+    poisson.meanIn = 96;
+    poisson.meanOut = 256;
 
-    for (unsigned threads : {1u, 2u, 4u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        er::ThreadPool::setGlobalThreads(threads);
-        const auto reports = ServingSimulator::runSharded(
-            eng, cfg, traces, traces.size());
-        ASSERT_EQ(reports.size(), base.size());
-        for (std::size_t i = 0; i < base.size(); ++i) {
-            SCOPED_TRACE("trace=" + std::to_string(i));
-            expectIdenticalReports(base[i], reports[i]);
+    er::cli::ServeOptions faulted = poisson;
+    faulted.faults = true;
+    faulted.degrade = DegradeMode::Fallback;
+    faulted.deadline = 60.0;
+    faulted.meanOut = 512;
+    faulted.ambient = 70.0;
+
+    er::cli::ServeOptions sessions = poisson;
+    sessions.sessions = 6;
+    sessions.turnsPerSession = 3;
+    sessions.sessionQps = 1.0;
+    sessions.systemPrompt = 256;
+
+    const struct
+    {
+        const char *name;
+        er::cli::ServeOptions opts;
+    } cases[] = {{"poisson", poisson},
+                 {"faults+fallback", faulted},
+                 {"sessions+prefix", sessions}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        ServerConfig cfg;
+        cfg.maxBatch = 16;
+        cfg.degrade.mode = c.opts.degrade;
+        cfg.prefixCache.enabled = c.opts.prefixCacheOn();
+        InferenceEngine *fallback =
+            c.opts.degrade == DegradeMode::Fallback ? &quant : nullptr;
+
+        std::vector<ServingReport> plain;
+        for (long long i = 0; i < c.opts.replications; ++i)
+            plain.push_back(er::cli::serveNode(
+                c.opts, eng, fallback, cfg,
+                "shard/" + std::to_string(i)));
+        // The fallback swaps and the prefix hits really happen.
+        ServerConfig ride = cfg;
+        ride.degrade.mode = DegradeMode::None;
+        EXPECT_EQ(er::cli::serveNode(c.opts, eng, nullptr, ride, "shard/0")
+                          .totalEnergy != plain[0].totalEnergy,
+                  fallback != nullptr);
+        EXPECT_EQ(plain[0].cachedPrefixTokens > 0.0,
+                  cfg.prefixCache.enabled);
+        for (unsigned threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            er::ThreadPool::setGlobalThreads(threads);
+            const auto reports =
+                er::cli::serveReplications(c.opts, eng, fallback, cfg);
+            ASSERT_EQ(reports.size(), plain.size());
+            for (std::size_t i = 0; i < plain.size(); ++i) {
+                SCOPED_TRACE("replication=" + std::to_string(i));
+                expectIdenticalReports(plain[i], reports[i]);
+            }
         }
-    }
-    er::ThreadPool::setGlobalThreads(0);
-}
-
-TEST(ShardedServing, ShardCountDoesNotChangeResults)
-{
-    // Fewer shards than traces: chunks simulate several traces each,
-    // still in trace order within a chunk — identical reports.
-    auto eng = makeEngine();
-    er::RngBank bank(7);
-    const auto traces = ServingSimulator::replicatedPoissonTraces(
-        bank, 5, 32, 4.0, 96, 256);
-    ServerConfig cfg;
-    cfg.maxBatch = 16;
-    const auto one = ServingSimulator::runSharded(eng, cfg, traces, 1);
-    const auto two = ServingSimulator::runSharded(eng, cfg, traces, 2);
-    const auto many = ServingSimulator::runSharded(eng, cfg, traces,
-                                                   traces.size());
-    ASSERT_EQ(one.size(), traces.size());
-    ASSERT_EQ(two.size(), traces.size());
-    ASSERT_EQ(many.size(), traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-        SCOPED_TRACE("trace=" + std::to_string(i));
-        expectIdenticalReports(one[i], two[i]);
-        expectIdenticalReports(one[i], many[i]);
-    }
-}
-
-TEST(ShardedServing, ZeroShardsIsFatal)
-{
-    auto eng = makeEngine();
-    er::RngBank bank(1);
-    const auto traces = ServingSimulator::replicatedPoissonTraces(
-        bank, 1, 4, 4.0, 64, 64);
-    EXPECT_THROW(
-        ServingSimulator::runSharded(eng, ServerConfig{}, traces, 0),
-        std::runtime_error);
-}
-
-TEST(ShardedServing, ReplicatedTracesAreOrderIndependent)
-{
-    // Traces come from named RngBank streams, so regenerating the set
-    // from an equally-seeded bank reproduces it exactly.
-    er::RngBank a(99);
-    er::RngBank b(99);
-    const auto ta = ServingSimulator::replicatedPoissonTraces(
-        a, 3, 16, 2.0, 64, 128);
-    const auto tb = ServingSimulator::replicatedPoissonTraces(
-        b, 3, 16, 2.0, 64, 128);
-    ASSERT_EQ(ta.size(), tb.size());
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-        ASSERT_EQ(ta[i].size(), tb[i].size());
-        for (std::size_t j = 0; j < ta[i].size(); ++j) {
-            EXPECT_EQ(ta[i][j].arrival, tb[i][j].arrival);
-            EXPECT_EQ(ta[i][j].inputTokens, tb[i][j].inputTokens);
-            EXPECT_EQ(ta[i][j].outputTokens, tb[i][j].outputTokens);
-        }
+        er::ThreadPool::setGlobalThreads(0);
     }
 }
 

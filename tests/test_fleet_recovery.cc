@@ -519,8 +519,10 @@ TEST(FleetRecovery, WireCountsKindsAndNodeIdsAreChecked)
             sim.run(trace, res);
             ADD_FAILURE() << "resume accepted: " << msg;
         } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find(msg), std::string::npos)
-                << e.what();
+            // Every refusal names where the reader stood.
+            const std::string what = e.what();
+            EXPECT_NE(what.find(msg), std::string::npos) << what;
+            EXPECT_NE(what.find(" offset "), std::string::npos) << what;
         }
     };
     std::string heap = ck.payload;
@@ -547,6 +549,20 @@ TEST(FleetRecovery, WireCountsKindsAndNodeIdsAreChecked)
     std::string leg_node = ck.payload;
     leg_node.replace(tracks + 16 + 80, 8, node5.bytes());
     expect_refused(leg_node, "has a leg on node 5");
+    // The track's gid follows its request: one past the draw cursor
+    // was never drawn.
+    er::ByteWriter undrawn_gid;
+    undrawn_gid.i64(static_cast<std::int64_t>(
+        er::ByteReader(std::string_view(ck.payload).substr(24, 8)).u64()));
+    std::string undrawn = ck.payload;
+    undrawn.replace(tracks + 16 + 64, 8, undrawn_gid.bytes());
+    expect_refused(undrawn, "was never drawn");
+    // The first live track's slot, claimed past the slot count.
+    er::ByteWriter far_slot;
+    far_slot.u64(1u << 20);
+    std::string slot = ck.payload;
+    slot.replace(tracks + 16, 8, far_slot.bytes());
+    expect_refused(slot, "is out of range or claimed twice");
     if (!::testing::Test::HasFailure())
         std::filesystem::remove_all(kArtifacts);
 }

@@ -248,53 +248,62 @@ TEST(ServeOptions, RejectsMalformedDurabilityValues)
     EXPECT_NE(err.find("--resume"), std::string::npos);
 }
 
-TEST(ServeOptions, ParsesShardedReplications)
+TEST(ServeOptions, ParsesReplications)
 {
     std::string err;
-    const auto o = parse({"--replications", "8", "--shards", "4"},
-                         &err);
+    const auto o = parse({"--replications", "8"}, &err);
     ASSERT_TRUE(o.has_value()) << err;
     EXPECT_EQ(o->replications, 8);
-    EXPECT_EQ(o->shards, 4);
 
-    // Defaults: one replication, shards auto (one per trace).
     const auto d = parse({}, &err);
     ASSERT_TRUE(d.has_value()) << err;
     EXPECT_EQ(d->replications, 1);
-    EXPECT_EQ(d->shards, 0);
-}
 
-TEST(ServeOptions, ShardsNeedReplications)
-{
-    std::string err;
-    EXPECT_FALSE(parse({"--shards", "4"}, &err).has_value());
-    EXPECT_NE(err.find("--replications"), std::string::npos);
-}
-
-TEST(ServeOptions, ShardedModeExcludesPerRunMachinery)
-{
-    // runSharded() executes plain runs: no fault plan, no
-    // durability, no fallback engine.  The parser rejects the
-    // combinations rather than silently dropping flags.
-    std::string err;
-    EXPECT_FALSE(parse({"--replications", "4", "--faults"}, &err)
+    // The work partition is the pool's: there is no --shards flag.
+    EXPECT_FALSE(parse({"--replications", "8", "--shards", "4"}, &err)
                      .has_value());
+    EXPECT_NE(err.find("unknown serve flag: --shards"), std::string::npos)
+        << err;
+}
+
+TEST(ServeOptions, ReplicationsRunThePlainSingleNodeBody)
+{
+    // Each replication is a plain single-node run, so everything that
+    // run accepts composes with replications, except durability:
+    // replications cannot share one checkpoint directory.
+    std::string err;
+    for (const auto &extra :
+         std::vector<std::vector<const char *>>{
+             {"--faults"},
+             {"--degrade", "fallback"},
+             {"--degrade", "budget"},
+             {"--faults", "--degrade", "fallback", "--deadline", "60"},
+             {"--sessions", "4"},
+             {"--prefix-cache", "on"},
+             {"--sessions", "4", "--prefix-cache", "on", "--paranoid"}}) {
+        std::vector<std::string> args = {"--replications", "4"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        EXPECT_TRUE(parseServeOptions(args, &err).has_value())
+            << args[2] << ": " << err;
+    }
     EXPECT_FALSE(parse({"--replications", "4", "--checkpoint-dir",
                         "/tmp/ck"},
                        &err)
                      .has_value());
+    EXPECT_NE(err.find("--replications"), std::string::npos) << err;
     EXPECT_FALSE(parse({"--replications", "4", "--resume", "/tmp/ck"},
                        &err)
                      .has_value());
-    EXPECT_FALSE(parse({"--replications", "4", "--degrade",
-                        "fallback"},
+    EXPECT_NE(err.find("--replications"), std::string::npos) << err;
+    // Crash injection needs a checkpoint directory, which replications
+    // exclude.
+    EXPECT_FALSE(parse({"--replications", "4", "--crash-at-step", "5",
+                        "--checkpoint-dir", "/tmp/ck"},
                        &err)
                      .has_value());
-    EXPECT_FALSE(parse({"--replications", "0"}, &err).has_value());
-    EXPECT_TRUE(parse({"--replications", "4", "--degrade", "budget"},
-                      &err)
-                    .has_value())
-        << err;
+    EXPECT_FALSE(parse({"--replications", "4", "--fleet", "2"}, &err)
+                     .has_value());
+    EXPECT_NE(err.find("--fleet"), std::string::npos) << err;
 }
 
 } // namespace
@@ -315,13 +324,11 @@ TEST(ServeOptions, ParsesExactStepsFlag)
 
 TEST(ServeOptions, RejectsZeroCountFlags)
 {
-    // Zero replications/shards/fleet are nonsense; each must be a
-    // clear parse error, not a silently-degenerate run.
+    // Zero replications/fleet are nonsense; each must be a clear parse
+    // error, not a silently-degenerate run.
     std::string err;
     EXPECT_FALSE(parse({"--replications", "0"}, &err).has_value());
     EXPECT_NE(err.find("--replications"), std::string::npos) << err;
-    EXPECT_FALSE(parse({"--shards", "0"}, &err).has_value());
-    EXPECT_NE(err.find("--shards"), std::string::npos) << err;
     EXPECT_FALSE(parse({"--fleet", "0"}, &err).has_value());
     EXPECT_NE(err.find("--fleet"), std::string::npos) << err;
 }

@@ -40,6 +40,7 @@
  *                    [--health-multiple 3] [--adaptive-timeout 4]
  *                    [--retry N] [--hedge F] [--cloud o4-mini]
  *                    [--fleet-journals DIR] [--crash-at-event N]
+ *                    [--replications R]
  *   edgereason replay <journal.bin|journal-dir> [--dump]
  *
  * Policies: Base, NR, <n>T (hard), <n>NC (soft), L1-<n>.
@@ -56,11 +57,12 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <regex>
 #include <string>
 #include <vector>
 
-#include "accuracy/trace_gen.hh"
 #include "cli/serve_options.hh"
+#include "cli/serve_run.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -538,13 +540,8 @@ cmdServeFleet(const cli::ServeOptions &o, engine::ServerConfig cfg)
 
     Rng rng(o.seed, "cli-serve");
     std::vector<engine::ServerRequest> trace;
-    if (!o.stream) {
-        trace = engine::ServingSimulator::poissonTrace(
-            rng, static_cast<std::size_t>(o.requests), o.qps, o.meanIn,
-            o.meanOut);
-        for (auto &r : trace)
-            r.deadline = o.deadline;
-    }
+    if (!o.stream)
+        trace = cli::serveTrace(o, rng);
 
     fc.nodeFaults.seed = static_cast<std::uint64_t>(o.faultSeed);
     // A streaming run never materializes the trace, so its fault
@@ -564,15 +561,8 @@ cmdServeFleet(const cli::ServeOptions &o, engine::ServerConfig cfg)
     fc.nodeFaults.flapsPerHour = o.nodeFlapRate;
     fc.nodeFaults.meanFlapSeconds = o.nodeFlapMean;
     if (o.nodeFaults) {
-        auto &b = fc.nodeFaults.behavioural;
-        b.horizon = fc.nodeFaults.horizon;
-        b.thermal = true;
-        b.thermalSpec.rThermal = 2.5;
-        b.thermalSpec.cThermal = 50.0;
-        b.thermalSpec.ambientC = o.ambient;
-        b.thermalSpec.initialC = b.thermalSpec.ambientC;
-        b.brownoutsPerHour = o.brownoutRate;
-        b.kvShrinksPerHour = o.kvShrinkRate;
+        fc.nodeFaults.behavioural = cli::behaviouralFaults(o);
+        fc.nodeFaults.behavioural.horizon = fc.nodeFaults.horizon;
     }
 
     fleet::FleetDurabilityOptions dur;
@@ -655,7 +645,8 @@ cmdServe(const std::vector<std::string> &raw)
     cfg.prefixCache.evict = o.prefixEvict;
     if (o.fleet >= 1)
         return cmdServeFleet(o, cfg);
-    engine::ServingSimulator srv(eng, cfg);
+    // Resolved once: replications share the engines' thread-safe memos.
+    engine::InferenceEngine *fallback = nullptr;
     if (cfg.degrade.mode == engine::DegradeMode::Fallback) {
         // Default fallback: the quantized build of the primary model.
         const auto fb_id = o.fallbackModel.empty()
@@ -663,111 +654,15 @@ cmdServe(const std::vector<std::string> &raw)
             : model::modelIdFromName(o.fallbackModel);
         const bool fb_quant =
             o.fallbackModel.empty() ? true : o.fallbackQuant;
-        srv.setFallbackEngine(er.registry().engineFor(fb_id, fb_quant));
+        fallback = &er.registry().engineFor(fb_id, fb_quant);
     }
 
-    if (o.replications > 1) {
-        // Sharded mode (DESIGN.md §11): independent trace
-        // replications partitioned across the thread pool.  Each
-        // trace comes from its own named RngBank stream, so the
-        // reports are bit-identical at any --shards/--threads value.
-        RngBank bank(static_cast<std::uint64_t>(o.seed));
-        auto traces = engine::ServingSimulator::replicatedPoissonTraces(
-            bank, static_cast<std::size_t>(o.replications),
-            static_cast<std::size_t>(o.requests), o.qps, o.meanIn,
-            o.meanOut);
-        for (auto &trace : traces)
-            for (auto &r : trace)
-                r.deadline = o.deadline;
-        const std::size_t shards = o.shards > 0
-            ? static_cast<std::size_t>(o.shards)
-            : traces.size();
-        const auto reports = engine::ServingSimulator::runSharded(
-            eng, cfg, traces, shards);
-        std::printf("served %lld replications x %lld requests on %s "
-                    "(scheduler=%s, shards=%zu, offered %.3f QPS "
-                    "each):\n",
-                    o.replications, o.requests,
-                    eng.spec().name.c_str(),
-                    engine::schedulerPolicyName(cfg.scheduler), shards,
-                    o.qps);
-        RunningStats qps_stats, p95_stats;
-        for (std::size_t i = 0; i < reports.size(); ++i) {
-            const auto &rep = reports[i];
-            std::printf("  replication %2zu: %.3f QPS, p95 %.1f s, "
-                        "%zu completed\n",
-                        i, rep.throughputQps, rep.p95Latency,
-                        rep.completed);
-            qps_stats.add(rep.throughputQps);
-            p95_stats.add(rep.p95Latency);
-        }
-        std::printf("  across replications: throughput %.3f +- %.3f "
-                    "QPS, p95 latency %.1f +- %.1f s\n",
-                    qps_stats.mean(), qps_stats.stddev(),
-                    p95_stats.mean(), p95_stats.stddev());
-        return 0;
-    }
-
-    Rng rng(o.seed, "cli-serve");
-    std::vector<engine::ServerRequest> trace;
-    if (o.sessions > 0) {
-        // Multi-turn session workload (DESIGN.md §13): shared system
-        // prompt, each turn re-submits the full prior context.  The
-        // mean output splits 3:1 between reasoning and answer tokens.
-        acc::SessionTraceConfig sc;
-        sc.sessions = static_cast<std::size_t>(o.sessions);
-        sc.turnsPerSession =
-            static_cast<std::size_t>(o.turnsPerSession);
-        sc.sessionQps = o.sessionQps;
-        sc.meanTurnGap = o.turnGap;
-        sc.systemPromptTokens = static_cast<Tokens>(o.systemPrompt);
-        sc.meanUserTokens = o.meanIn;
-        sc.meanThinkTokens = 0.75 * o.meanOut;
-        sc.meanAnswerTokens = 0.25 * o.meanOut;
-        trace = acc::generateSessionTrace(sc, rng);
-    } else {
-        trace = engine::ServingSimulator::poissonTrace(
-            rng, static_cast<std::size_t>(o.requests), o.qps, o.meanIn,
-            o.meanOut);
-    }
-    for (auto &r : trace)
-        r.deadline = o.deadline;
-
-    const bool crash_on = o.crashAtStep >= 0 || o.crashAtTime >= 0.0 ||
-        o.crashRate > 0.0;
-    engine::FaultPlan plan;
-    if (o.faults || crash_on) {
-        engine::FaultConfig fc;
-        fc.seed = static_cast<std::uint64_t>(o.faultSeed);
-        fc.horizon = trace.back().arrival + 600.0;
-        if (o.faults) {
-            fc.thermal = true;
-            // Passively-cooled deployment: higher junction-to-ambient
-            // resistance and a warm enclosure, so sustained decode load
-            // actually reaches the throttle point (a desk fan keeps the
-            // default spec below it forever).
-            fc.thermalSpec.rThermal = 2.5;
-            fc.thermalSpec.cThermal = 50.0; // small passive sink
-            fc.thermalSpec.ambientC = o.ambient;
-            fc.thermalSpec.initialC = fc.thermalSpec.ambientC;
-            fc.brownoutsPerHour = o.brownoutRate;
-            fc.kvShrinksPerHour = o.kvShrinkRate;
-        }
-        fc.crash.atStep = o.crashAtStep;
-        fc.crash.atTime = o.crashAtTime;
-        fc.crash.perHour = o.crashRate;
-        plan = engine::FaultPlan(fc);
-    }
-
-    engine::DurabilityOptions dur;
-    dur.checkpointDir = o.checkpointDir;
-    dur.checkpointEvery = o.checkpointEvery;
-    dur.resume = o.resume;
-    dur.paranoid = o.paranoid;
-
-    engine::ServingReport rep;
+    std::vector<engine::ServingReport> reports;
     try {
-        rep = srv.run(trace, plan, dur);
+        if (o.replications > 1)
+            reports = cli::serveReplications(o, eng, fallback, cfg);
+        else
+            reports = {cli::serveNode(o, eng, fallback, cfg, "cli-serve")};
     } catch (const engine::SimulatedCrash &c) {
         std::fprintf(stderr, "%s\n", c.what());
         std::fprintf(stderr,
@@ -777,24 +672,48 @@ cmdServe(const std::vector<std::string> &raw)
                      o.checkpointDir.c_str(), o.checkpointDir.c_str());
         return 3;
     }
+    std::printf("served ");
+    if (o.replications > 1)
+        std::printf("%lld replications x ", o.replications);
     if (o.sessions > 0)
-        std::printf("served %zu requests (%lld sessions x %lld "
-                    "turns) on %s (scheduler=%s, prefix-cache=%s, "
-                    "evict=%s):\n",
-                    trace.size(), o.sessions, o.turnsPerSession,
-                    eng.spec().name.c_str(),
-                    engine::schedulerPolicyName(rep.schedulerPolicy),
+        std::printf("%lld requests (%lld sessions x %lld turns) on %s "
+                    "(scheduler=%s, prefix-cache=%s, evict=%s):\n",
+                    o.sessions * o.turnsPerSession, o.sessions,
+                    o.turnsPerSession, eng.spec().name.c_str(),
+                    engine::schedulerPolicyName(cfg.scheduler),
                     cfg.prefixCache.enabled ? "on" : "off",
                     engine::prefixEvictPolicyName(
                         cfg.prefixCache.evict));
+    else if (o.replications > 1)
+        std::printf("%lld requests on %s (scheduler=%s, offered %.3f "
+                    "QPS each):\n",
+                    o.requests, eng.spec().name.c_str(),
+                    engine::schedulerPolicyName(cfg.scheduler), o.qps);
     else
-        std::printf("served %zu requests on %s (scheduler=%s, "
+        std::printf("%lld requests on %s (scheduler=%s, "
                     "prefill-chunk=%lld, offered %.3f QPS):\n",
-                    trace.size(), eng.spec().name.c_str(),
-                    engine::schedulerPolicyName(rep.schedulerPolicy),
+                    o.requests, eng.spec().name.c_str(),
+                    engine::schedulerPolicyName(cfg.scheduler),
                     static_cast<long long>(cfg.prefillChunk), o.qps);
-    printServingReport(rep, plan.active() || o.deadline > 0.0,
-                       engine::degradeModeName(cfg.degrade.mode));
+    if (o.replications == 1) {
+        // Only --faults makes the fault plan active (crashes never do).
+        printServingReport(reports[0], o.faults || o.deadline > 0.0,
+                           engine::degradeModeName(cfg.degrade.mode));
+        return 0;
+    }
+    RunningStats qps_stats, p95_stats;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const auto &rep = reports[i];
+        std::printf("  replication %2zu: %.3f QPS, p95 %.1f s, "
+                    "%zu completed\n",
+                    i, rep.throughputQps, rep.p95Latency, rep.completed);
+        qps_stats.add(rep.throughputQps);
+        p95_stats.add(rep.p95Latency);
+    }
+    std::printf("  across replications: throughput %.3f +- %.3f "
+                "QPS, p95 latency %.1f +- %.1f s\n",
+                qps_stats.mean(), qps_stats.stddev(), p95_stats.mean(),
+                p95_stats.stddev());
     return 0;
 }
 
@@ -853,11 +772,12 @@ replayFleetJournals(const std::string &dir, bool dump)
             rep = engine::replayServingReport(e.path);
         } catch (const std::exception &ex) {
             // An incarnation killed before its first batch step
-            // journals only a run-begin record; report it instead of
-            // aborting the whole directory.
-            std::printf("  node %2d inc %llu: not replayable "
-                        "(%s)\n",
-                        e.node, e.inc, ex.what());
+            // journals only a run-begin record; report it, without the
+            // fatal()'s source line, instead of aborting the directory.
+            static const std::regex where("^fatal: .*?:[0-9]+: ");
+            std::printf("  node %2d inc %llu: not replayable (%s)\n",
+                        e.node, e.inc,
+                        std::regex_replace(ex.what(), where, "").c_str());
             continue;
         }
         std::printf("  node %2d inc %llu: %zu completed, %zu timed "

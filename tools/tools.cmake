@@ -61,4 +61,18 @@ if(BUILD_TESTING)
     edgereason_cli_rejects(policy_not_a_number
         "--policy xT: the token budget must be a whole number >= 1"
         evaluate --policy xT --questions 5)
+
+    # Replay reports a journal it cannot replay by name, without the
+    # source line of the fatal() that refused it.
+    add_test(NAME cli_replay_setup COMMAND edgereason_cli serve --fleet 3
+        --requests 200 --qps 2 --node-crash-rate 20 --node-reboot 30
+        --fleet-journals cli-replay-journals)
+    add_test(NAME cli_replay_names_no_source_line
+        COMMAND edgereason_cli replay cli-replay-journals)
+    set_tests_properties(cli_replay_setup PROPERTIES
+        FIXTURES_SETUP cli_replay LABELS cli)
+    set_tests_properties(cli_replay_names_no_source_line PROPERTIES
+        FIXTURES_REQUIRED cli_replay LABELS cli
+        PASS_REGULAR_EXPRESSION "not replayable \\(journal "
+        FAIL_REGULAR_EXPRESSION "\\.cc:[0-9]")
 endif()
