@@ -136,7 +136,7 @@ parseServeOptions(const std::vector<std::string> &args,
         "node-flap-rate", "node-flap-mean", "adaptive-health",
         "health-quantile", "health-multiple", "adaptive-timeout",
         "retry", "retry-backoff", "request-timeout", "hedge", "cloud",
-        "cloud-rtt", "fleet-journals", "stream", "approx-stats",
+        "cloud-rtt", "fleet-journals", "stream",
     };
     static const std::set<std::string> session_scoped = {
         "turns-per-session", "session-qps", "turn-gap", "system-prompt",
@@ -145,6 +145,9 @@ parseServeOptions(const std::vector<std::string> &args,
     bool session_only_flag = false; // a session-scoped flag was given
     bool prefix_evict_given = false;
     long long max_batch = opt.maxBatch;
+    // main() applies --threads before dispatch; it is only validated
+    // here, since main passes the raw arguments through.
+    long long threads = 0;
     long long prefill_chunk = opt.prefillChunk;
     long long degrade_budget = opt.degradeBudget;
     long long fault_seed = static_cast<long long>(opt.faultSeed);
@@ -300,7 +303,7 @@ parseServeOptions(const std::vector<std::string> &args,
              prefix_evict_given = true;
              return std::string();
          }},
-        {"threads", longOpt(&opt.threads, 0, "--threads",
+        {"threads", longOpt(&threads, 0, "--threads",
                              ThreadPool::kMaxThreads)},
     };
     const std::map<std::string, bool *> bool_flags = {
@@ -313,7 +316,6 @@ parseServeOptions(const std::vector<std::string> &args,
         {"node-faults", &opt.nodeFaults},
         {"adaptive-health", &opt.adaptiveHealth},
         {"stream", &opt.stream},
-        {"approx-stats", &opt.approxStats},
     };
 
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -424,9 +426,6 @@ parseServeOptions(const std::vector<std::string> &args,
         {fleet && opt.stream, !opt.fleetJournals.empty(),
          "--stream excludes --fleet-journals (per-node WALs are a "
          "crash-recovery artifact, and a streamed run cannot resume)"},
-        {fleet && !opt.stream, opt.approxStats,
-         "--approx-stats needs --stream (it replaces the exact latency "
-         "vector the materialized path keeps anyway)"},
         {!fleet, fleet_only_flag,
          "fleet flags (--router, --hedge, --cloud, --adaptive-health, "
          "--node-*) need --fleet N"},

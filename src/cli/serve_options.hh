@@ -153,16 +153,12 @@ struct ServeOptions
     double cloudRtt = 0.15;       //!< cloud round-trip seconds
     std::string fleetJournals;    //!< per-node journal directory
     /** Stream the trace (`--stream`): requests are drawn one at a
-     *  time and terminal state folds away, so memory is O(in-flight)
-     *  at any trace length.  Excludes checkpoint/resume/crash
-     *  injection. */
+     *  time and terminal state folds away, so the run never holds the
+     *  materialized trace vector; memory is O(in-flight) plus the one
+     *  8-byte latency per finished request that the exact percentiles
+     *  need.  The report is identical to the materialized run's.
+     *  Excludes checkpoint/resume/crash injection. */
     bool stream = false;
-    /** With --stream: constant-space P² latency statistics instead of
-     *  exact per-request latencies. */
-    bool approxStats = false;
-
-    /** Parsed but applied globally by main() (thread-pool sizing). */
-    long long threads = 0;
 };
 
 /**

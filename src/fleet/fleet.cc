@@ -415,14 +415,7 @@ FleetSimulator::finishTrack(Track &t, FleetOutcome o, Seconds finish)
     const double lat = finish - t.req.arrival;
     if (t.absDeadline == kInf || finish <= t.absDeadline + kDeadlineSlack)
         ++foldDeadlineMet_;
-    if (approxStats_) {
-        latStats_.add(lat);
-        latP50_.add(lat);
-        latP99_.add(lat);
-        latP999_.add(lat);
-    } else {
-        foldLat_.push_back(lat);
-    }
+    foldLat_.push_back(lat);
 }
 
 FleetSimulator::Track *
@@ -837,7 +830,7 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
              "fleet crash injection without a checkpoint directory "
              "would lose the run");
     VectorTraceSource src(trace);
-    attachSource(src, false);
+    attachSource(src);
 
     const std::uint64_t fp = durable ? fleetFingerprint(trace) : 0;
     std::uint64_t restoredEvent = 0;
@@ -872,21 +865,20 @@ FleetSimulator::run(const std::vector<engine::ServerRequest> &trace,
 }
 
 FleetReport
-FleetSimulator::runStream(engine::TraceSource &src, bool approx_stats)
+FleetSimulator::runStream(engine::TraceSource &src)
 {
-    attachSource(src, approx_stats);
+    attachSource(src);
     startFresh();
     eventLoop(FleetDurabilityOptions{}, false, 0, false, 0);
     return finishRun();
 }
 
 void
-FleetSimulator::attachSource(engine::TraceSource &src, bool approx_stats)
+FleetSimulator::attachSource(engine::TraceSource &src)
 {
     fatal_if(src_ != nullptr, "FleetSimulator::run is single-shot");
     src_ = &src;
     streamTotal_ = src.totalRequests();
-    approxStats_ = approx_stats;
 }
 
 void
@@ -925,8 +917,77 @@ FleetSimulator::finishRun()
     fatal_if(folded != streamTotal_, "fleet conservation violated: ",
              folded, " folded outcomes for ", streamTotal_,
              " arrivals");
-    return buildReport();
+
+    FleetReport r;
+    r.router = cfg_.router;
+    r.served = foldServed_;
+    r.timedOut = foldTimedOut_;
+    r.shed = foldShed_;
+    r.offloaded = foldOffloaded_;
+    // Every arrival folded exactly once (checked above).
+    r.arrivals = r.served + r.timedOut + r.shed + r.offloaded;
+    r.retries = retries_;
+    r.failovers = failovers_;
+    r.hedgesLaunched = hedgesLaunched_;
+    r.hedgeWins = hedgeWins_;
+    r.hedgeWaste = hedgeWaste_;
+    r.cancelledLegs = cancelledLegs_;
+    r.adaptiveHealth = cfg_.adaptiveHealth;
+    r.adaptiveEjections = adaptiveEjections_;
+    const std::size_t finished = r.served + r.offloaded;
+    if (r.arrivals > 0)
+        r.deadlineHitRate = static_cast<double>(foldDeadlineMet_) /
+            static_cast<double>(r.arrivals);
+    // The single-node report's fold.  The mean folds in completion
+    // order before the in-place sort; a run is single-shot, so
+    // foldLat_ needs no copy.
+    const RunSummary run = summarizeRun(firstArrival_, foldMakespan_,
+                                        finished, foldDeadlineMet_,
+                                        foldLat_);
+    r.makespan = run.makespan;
+    r.throughput = run.throughput;
+    r.goodput = run.goodput;
+    r.meanLatency = run.latency.mean;
+    r.p50Latency = run.latency.p50;
+    r.p99Latency = run.latency.p99;
+    r.p999Latency = run.latency.p999;
+
+    r.events = eventCount_;
+    Seconds total_busy = 0.0;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const NodeTotals tot = nodes_[i]->totals();
+        const FleetNode::OutcomeCounts oc = nodes_[i]->outcomeCounts();
+        NodeSummary s;
+        s.id = static_cast<int>(i);
+        s.served = oc.served;
+        s.timedOut = oc.timedOut;
+        s.cancelled = oc.cancelled;
+        s.crashes = tot.crashes;
+        s.energy = tot.energy;
+        s.busy = tot.busy;
+        s.generatedTokens = tot.generatedTokens;
+        s.up = nodes_[i]->up();
+        r.nodes.push_back(s);
+        r.totalEnergy += tot.energy;
+        r.generatedTokens += tot.generatedTokens;
+        total_busy += tot.busy;
+    }
+    if (finished > 0)
+        r.energyPerQuery = r.totalEnergy /
+            static_cast<double>(finished);
+    if (r.generatedTokens > 0.0)
+        r.edgeDollars =
+            cost::edgeCost(r.totalEnergy, total_busy,
+                           r.generatedTokens)
+                .totalPerMTok() *
+            r.generatedTokens / 1e6;
+    r.cloudDollars = cloudDollars_;
+    if (finished > 0)
+        r.dollarsPerQuery = (r.edgeDollars + r.cloudDollars) /
+            static_cast<double>(finished);
+    return r;
 }
+
 
 void
 FleetSimulator::eventLoop(const FleetDurabilityOptions &dur,
@@ -1268,80 +1329,6 @@ FleetSimulator::io(Ar &a)
         medianSet_ = medianSetBrute();
         viewsDirty_ = true;
     }
-}
-
-FleetReport
-FleetSimulator::buildReport() const
-{
-    FleetReport r;
-    r.router = cfg_.router;
-    r.served = foldServed_;
-    r.timedOut = foldTimedOut_;
-    r.shed = foldShed_;
-    r.offloaded = foldOffloaded_;
-    // Every arrival folded exactly once (checked by finishRun).
-    r.arrivals = r.served + r.timedOut + r.shed + r.offloaded;
-    r.retries = retries_;
-    r.failovers = failovers_;
-    r.hedgesLaunched = hedgesLaunched_;
-    r.hedgeWins = hedgeWins_;
-    r.hedgeWaste = hedgeWaste_;
-    r.cancelledLegs = cancelledLegs_;
-    r.adaptiveHealth = cfg_.adaptiveHealth;
-    r.adaptiveEjections = adaptiveEjections_;
-    const std::size_t finished = r.served + r.offloaded;
-    if (r.arrivals > 0)
-        r.deadlineHitRate = static_cast<double>(foldDeadlineMet_) /
-            static_cast<double>(r.arrivals);
-    // The single-node report's fold; approx mode keeps no samples and
-    // reads the latency statistics from its stream.
-    std::vector<double> latencies = foldLat_;
-    const RunSummary run = summarizeRun(firstArrival_, foldMakespan_,
-                                        finished, foldDeadlineMet_,
-                                        latencies);
-    r.makespan = run.makespan;
-    r.throughput = run.throughput;
-    r.goodput = run.goodput;
-    r.approxLatency = approxStats_ && latStats_.count() > 0;
-    r.meanLatency = approxStats_ ? latStats_.mean() : run.latency.mean;
-    r.p50Latency = approxStats_ ? latP50_.value() : run.latency.p50;
-    r.p99Latency = approxStats_ ? latP99_.value() : run.latency.p99;
-    r.p999Latency = approxStats_ ? latP999_.value() : run.latency.p999;
-
-    r.events = eventCount_;
-    Seconds total_busy = 0.0;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const NodeTotals tot = nodes_[i]->totals();
-        const FleetNode::OutcomeCounts oc = nodes_[i]->outcomeCounts();
-        NodeSummary s;
-        s.id = static_cast<int>(i);
-        s.served = oc.served;
-        s.timedOut = oc.timedOut;
-        s.cancelled = oc.cancelled;
-        s.crashes = tot.crashes;
-        s.energy = tot.energy;
-        s.busy = tot.busy;
-        s.generatedTokens = tot.generatedTokens;
-        s.up = nodes_[i]->up();
-        r.nodes.push_back(s);
-        r.totalEnergy += tot.energy;
-        r.generatedTokens += tot.generatedTokens;
-        total_busy += tot.busy;
-    }
-    if (finished > 0)
-        r.energyPerQuery = r.totalEnergy /
-            static_cast<double>(finished);
-    if (r.generatedTokens > 0.0)
-        r.edgeDollars =
-            cost::edgeCost(r.totalEnergy, total_busy,
-                           r.generatedTokens)
-                .totalPerMTok() *
-            r.generatedTokens / 1e6;
-    r.cloudDollars = cloudDollars_;
-    if (finished > 0)
-        r.dollarsPerQuery = (r.edgeDollars + r.cloudDollars) /
-            static_cast<double>(finished);
-    return r;
 }
 
 std::string

@@ -191,10 +191,6 @@ struct FleetReport
     /** Fleet events processed over the run (not printed — the bench
      *  throughput denominator, so goldens are untouched). */
     std::uint64_t events = 0;
-    /** True when the latency percentiles came from streaming P²
-     *  estimators instead of the exact per-request latencies (the
-     *  mean is exact either way). */
-    bool approxLatency = false;
 
     std::vector<NodeSummary> nodes;
 };
@@ -275,18 +271,14 @@ class FleetSimulator
      * @p src one at a time, terminal tracks are folded as they finish
      * into the report aggregates and released, and drained node
      * records are compacted away — so memory is O(in-flight
-     * requests), independent of the trace length.  With
-     * @p approx_stats false (the default) the per-request latencies
-     * of finished requests are retained and the report is
-     * bit-identical to run() on the materialized trace; with it true,
-     * the latency percentiles come from streaming P² estimators (the
-     * mean stays exact) and the run is constant-memory outright.
+     * requests) plus one latency (8 bytes) per finished request,
+     * which the exact percentiles need.  The report is bit-identical
+     * to run() on the materialized trace.
      *
      * A source cannot be checkpointed: the checkpoint fingerprint
      * hashes the whole trace, which only run() holds.
      */
-    FleetReport runStream(engine::TraceSource &src,
-                          bool approx_stats = false);
+    FleetReport runStream(engine::TraceSource &src);
 
     /** @return node @p i (inspection). */
     const FleetNode &node(std::size_t i) const { return *nodes_.at(i); }
@@ -427,7 +419,7 @@ class FleetSimulator
     void onArrival(const Event &e);
 
     /** Bind the run's request source (single-shot). */
-    void attachSource(engine::TraceSource &src, bool approx_stats);
+    void attachSource(engine::TraceSource &src);
     /** Open journals, push every node's fault schedule and draw the
      *  first arrival (fresh runs). */
     void startFresh();
@@ -437,7 +429,8 @@ class FleetSimulator
     void eventLoop(const FleetDurabilityOptions &dur, bool durable,
                    std::uint64_t fp, bool resumed,
                    std::uint64_t restored_event);
-    /** Check conservation and build the report. */
+    /** Check conservation and build the report from the folded
+     *  aggregates; sorts foldLat_ in place (a run is single-shot). */
     FleetReport finishRun();
 
     // Track addressing: live tracks sit in recycled slots of tracks_,
@@ -453,8 +446,6 @@ class FleetSimulator
      *  grouping of viewsBuf_. */
     void auditRouteClasses() const;
     void auditMedianSet() const;
-    /** The report, from the folded aggregates. */
-    FleetReport buildReport() const;
 
     FleetConfig cfg_;
     /** One engine per distinct NodeSpec, shared by every node of that
@@ -512,7 +503,6 @@ class FleetSimulator
     std::uint64_t viewsGen_ = 0;
 
     // Request source and track store.
-    bool approxStats_ = false;
     engine::TraceSource *src_ = nullptr;
     std::size_t streamTotal_ = 0;
     std::size_t streamIssued_ = 0; //!< arrivals drawn from src_
@@ -523,19 +513,15 @@ class FleetSimulator
     std::vector<Track> tracks_;
     std::unordered_map<std::int64_t, std::size_t> slotOf_;
     std::vector<std::size_t> freeSlots_;
-    // Folded terminal-track aggregates (buildReport inputs), updated
-    // as tracks finish.
+    // Folded terminal-track aggregates (finishRun's report inputs),
+    // updated as tracks finish.
     std::size_t foldServed_ = 0, foldTimedOut_ = 0, foldShed_ = 0,
                 foldOffloaded_ = 0, foldDeadlineMet_ = 0;
     Seconds foldMakespan_ = 0.0;
     Seconds firstArrival_ = 0.0; //!< of the first request popped
-    /** Exact mode: latencies of finished requests in completion
-     *  order, summarized by summarizeRun at report time. */
+    /** Latencies of finished requests in completion order,
+     *  summarized by summarizeRun at report time. */
     std::vector<double> foldLat_;
-    /** Approx mode: constant-space latency statistics; the mean folds
-     *  in completion order, so it equals the exact mode's. */
-    P2Quantile latP50_{0.50}, latP99_{0.99}, latP999_{0.999};
-    RunningStats latStats_;
 
     /** Per-node sets of live gids: the authority for leg liveness
      *  (stale outcome events are dropped against these). */

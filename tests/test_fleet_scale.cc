@@ -18,9 +18,9 @@
  *  - a 1-node rr fleet against ServingSimulator on the same trace,
  *    record for record (the cross-layer oracle);
  *  - crash-resume with the index live, at two crash points;
- *  - a streamed run against the same trace materialized;
- *  - --approx-stats against the exact latency fold on a small
- *    fleet_gray-shaped stream (only the P² percentiles differ);
+ *  - a streamed run against the same trace materialized, on a
+ *    hedged least-loaded fleet and on a small fleet_gray-shaped one
+ *    (Gray slowdowns, crashes, retries, adaptive health);
  *  - unsorted arrivals rejected by run() and runStream() alike.
  */
 
@@ -802,12 +802,36 @@ TEST(FleetScale, CrashResumeWithIndexIsBitIdentical)
 
 // --- Streaming run vs materialized run -------------------------------
 
+/** Serve one Poisson trace twice, as a vector through run() and as a
+ *  PoissonTraceStream through runStream(): the reports must print
+ *  the same, exact latency statistics included (both fold latencies
+ *  in completion order).  @return the streamed report. */
+FleetReport
+expectStreamedMatchesMaterialized(const FleetConfig &fc,
+                                  std::uint64_t seed,
+                                  const std::string &name,
+                                  std::size_t n, double qps,
+                                  double mean_in, double mean_out,
+                                  double deadline)
+{
+    er::Rng rng(seed, name);
+    auto trace =
+        ServingSimulator::poissonTrace(rng, n, qps, mean_in, mean_out);
+    for (auto &r : trace)
+        r.deadline = deadline;
+    const std::string want = formatFleetReport(FleetSimulator(fc).run(trace));
+
+    PoissonTraceStream src(seed, name, n, qps, mean_in, mean_out);
+    src.setDeadline(deadline);
+    const FleetReport streamed = FleetSimulator(fc).runStream(src);
+    EXPECT_EQ(formatFleetReport(streamed), want);
+    return streamed;
+}
+
 TEST(FleetScale, StreamedRunMatchesMaterialized)
 {
-    // Same trace parameters, one driver fed the vector and one fed
-    // the stream: identical reports, including the exact latency
-    // statistics (both fold latencies in completion order).
-    const auto mk = [] {
+    {
+        SCOPED_TRACE("least-loaded, hedged");
         FleetConfig fc;
         fc.nodes.assign(4,
                         NodeSpec{er::model::ModelId::DeepScaleR1_5B});
@@ -816,76 +840,31 @@ TEST(FleetScale, StreamedRunMatchesMaterialized)
         fc.paranoid = true;
         fc.hedgeFraction = 0.3;
         fc.requestTimeout = 45.0;
-        return fc;
-    };
-    er::Rng rng(21, "fleet-scale-stream");
-    auto trace = ServingSimulator::poissonTrace(rng, 60, 2.0, 96, 224);
-    for (auto &r : trace)
-        r.deadline = 75.0;
-    FleetSimulator vec(mk());
-    const std::string want = formatFleetReport(vec.run(trace));
-
-    PoissonTraceStream src(21, "fleet-scale-stream", 60, 2.0, 96, 224);
-    src.setDeadline(75.0);
-    FleetSimulator streamed(mk());
-    EXPECT_EQ(formatFleetReport(streamed.runStream(src)), want);
-}
-
-// --- Approximate latency statistics ----------------------------------
-
-TEST(FleetScale, ApproxStatsChangeOnlyThePercentiles)
-{
-    // The fleet_gray shape on 8 nodes, streamed twice: once with the
-    // exact latency fold and once with --approx-stats.  The streamed
-    // mean folds in completion order like the exact one, so the two
-    // reports are equal bit for bit except the three P² percentiles,
-    // which stay within a stated bound of the exact order statistics.
-    FleetConfig fc;
-    fc.nodes.assign(8, NodeSpec{er::model::ModelId::DeepScaleR1_5B});
-    fc.server.maxBatch = 30;
-    fc.router = RouterPolicy::DeadlineAware;
-    fc.paranoid = true;
-    fc.maxRetries = 2;
-    fc.hedgeFraction = 0.3;
-    fc.adaptiveHealth = true;
-    fc.nodeFaults.seed = 0xF1EE7;
-    fc.nodeFaults.horizon = 600.0;
-    fc.nodeFaults.crashesPerHour = 30.0;
-    fc.nodeFaults.meanRebootSeconds = 30.0;
-    fc.nodeFaults.slowdownsPerHour = 30.0;
-    const auto run = [&fc](bool approx) {
-        PoissonTraceStream src(1, "fleet-scale-approx", 2000, 6.25, 64,
-                               32);
-        src.setDeadline(5.0);
-        FleetSimulator sim(fc);
-        return sim.runStream(src, approx);
-    };
-    const FleetReport exact = run(false);
-    const FleetReport approx = run(true);
-    EXPECT_FALSE(exact.approxLatency);
-    EXPECT_TRUE(approx.approxLatency);
-    EXPECT_GT(exact.failovers + exact.retries + exact.hedgesLaunched, 0u);
-
-    // formatFleetReport prints every other field, node rows included,
-    // with %.17g, so equal strings are equal fields bit for bit.
-    FleetReport same = approx;
-    same.p50Latency = exact.p50Latency;
-    same.p99Latency = exact.p99Latency;
-    same.p999Latency = exact.p999Latency;
-    same.approxLatency = exact.approxLatency;
-    EXPECT_EQ(formatFleetReport(same), formatFleetReport(exact));
-    EXPECT_EQ(approx.meanLatency, exact.meanLatency);
-    EXPECT_EQ(approx.events, exact.events);
-
-    // P² against the exact order statistic, relative error: measured
-    // 0.86% (p50), 0.34% (p99) and 0.48% (p99.9) on this trace.
-    const double kP2Bound = 0.02;
-    EXPECT_NEAR(approx.p50Latency, exact.p50Latency,
-                kP2Bound * exact.p50Latency);
-    EXPECT_NEAR(approx.p99Latency, exact.p99Latency,
-                kP2Bound * exact.p99Latency);
-    EXPECT_NEAR(approx.p999Latency, exact.p999Latency,
-                kP2Bound * exact.p999Latency);
+        expectStreamedMatchesMaterialized(fc, 21, "fleet-scale-stream",
+                                          60, 2.0, 96, 224, 75.0);
+    }
+    {
+        // The fleet_gray shape on 8 nodes: Gray slowdowns, crashes,
+        // retries, hedges and adaptive health.
+        SCOPED_TRACE("deadline, Gray, crashes, adaptive health");
+        FleetConfig fc;
+        fc.nodes.assign(8,
+                        NodeSpec{er::model::ModelId::DeepScaleR1_5B});
+        fc.server.maxBatch = 30;
+        fc.router = RouterPolicy::DeadlineAware;
+        fc.paranoid = true;
+        fc.maxRetries = 2;
+        fc.hedgeFraction = 0.3;
+        fc.adaptiveHealth = true;
+        fc.nodeFaults.seed = 0xF1EE7;
+        fc.nodeFaults.horizon = 600.0;
+        fc.nodeFaults.crashesPerHour = 30.0;
+        fc.nodeFaults.meanRebootSeconds = 30.0;
+        fc.nodeFaults.slowdownsPerHour = 30.0;
+        const FleetReport rep = expectStreamedMatchesMaterialized(
+            fc, 1, "fleet-scale-gray", 2000, 6.25, 64, 32, 5.0);
+        EXPECT_GT(rep.failovers + rep.retries + rep.hedgesLaunched, 0u);
+    }
 }
 
 // --- Arrival order ---------------------------------------------------

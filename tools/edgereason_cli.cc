@@ -84,6 +84,16 @@ namespace {
  *  a bank's size also runs the whole bank). */
 constexpr long long kMaxQuestions = 1000000;
 
+/** @return @p e's message without fatal()'s "fatal: <file>:<line>: "
+ *  prefix, whose build path and line change with every checkout and
+ *  edit. */
+std::string
+errorText(const std::exception &e)
+{
+    static const std::regex where("^fatal: .*?:[0-9]+: ");
+    return std::regex_replace(e.what(), where, "");
+}
+
 [[noreturn]] void
 usage(const char *msg = nullptr)
 {
@@ -582,12 +592,11 @@ cmdServeFleet(const cli::ServeOptions &o, engine::ServerConfig cfg)
             rng, static_cast<std::size_t>(o.requests), o.qps, o.meanIn,
             o.meanOut);
         src.setDeadline(o.deadline);
-        rep = sim.runStream(src, o.approxStats);
-        std::printf("served %lld requests (streamed%s) on a %lld-node "
+        rep = sim.runStream(src);
+        std::printf("served %lld requests (streamed) on a %lld-node "
                     "fleet of %s (router=%s, scheduler=%s, offered "
                     "%.3f QPS):\n",
-                    o.requests, o.approxStats ? ", approx stats" : "",
-                    o.fleet, o.model.c_str(),
+                    o.requests, o.fleet, o.model.c_str(),
                     fleet::routerPolicyName(rep.router),
                     engine::schedulerPolicyName(cfg.scheduler), o.qps);
         printFleetReport(rep);
@@ -772,12 +781,10 @@ replayFleetJournals(const std::string &dir, bool dump)
             rep = engine::replayServingReport(e.path);
         } catch (const std::exception &ex) {
             // An incarnation killed before its first batch step
-            // journals only a run-begin record; report it, without the
-            // fatal()'s source line, instead of aborting the directory.
-            static const std::regex where("^fatal: .*?:[0-9]+: ");
+            // journals only a run-begin record; report it instead of
+            // aborting the directory.
             std::printf("  node %2d inc %llu: not replayable (%s)\n",
-                        e.node, e.inc,
-                        std::regex_replace(ex.what(), where, "").c_str());
+                        e.node, e.inc, errorText(ex).c_str());
             continue;
         }
         std::printf("  node %2d inc %llu: %zu completed, %zu timed "
@@ -850,7 +857,7 @@ main(int argc, char **argv)
         try {
             return cmdReplay(raw);
         } catch (const std::exception &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
+            std::fprintf(stderr, "error: %s\n", errorText(e).c_str());
             return 1;
         }
     }
@@ -881,7 +888,7 @@ main(int argc, char **argv)
             return cmdServe(raw);
         }
     } catch (const std::exception &e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
+        std::fprintf(stderr, "error: %s\n", errorText(e).c_str());
         return 1;
     }
     usage(("unknown command: " + cmd).c_str());

@@ -75,4 +75,13 @@ if(BUILD_TESTING)
         FIXTURES_REQUIRED cli_replay LABELS cli
         PASS_REGULAR_EXPRESSION "not replayable \\(journal "
         FAIL_REGULAR_EXPRESSION "\\.cc:[0-9]")
+
+    # Errors that reach main() are printed without the fatal()'s
+    # source path and line either.
+    add_test(NAME cli_error_names_no_source_line
+        COMMAND edgereason_cli replay cli-no-such-journal.bin)
+    set_tests_properties(cli_error_names_no_source_line PROPERTIES
+        LABELS cli
+        PASS_REGULAR_EXPRESSION "cannot open journal file"
+        FAIL_REGULAR_EXPRESSION "\\.cc:[0-9]")
 endif()
